@@ -25,7 +25,8 @@ from .functionals import (CouplingPlan, check_tire_le_entropy,
 from .knothe import (KnotheMap, check_facet_preservation, check_theorem31,
                      displacement_cost, knothe_map, pushforward_error,
                      s_integral_nd, tire_bracket)
-from .reports import (VerificationReport, make_report, refinement_consistent)
+from .reports import (VerificationReport, make_report, refinement_consistent,
+                      refinement_report)
 from .sampler import (SampleBatch, empirical_marginal_distance,
                       iter_equicorrelated_cube, sample_equicorrelated_cube,
                       sample_grid)

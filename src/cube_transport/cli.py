@@ -46,16 +46,16 @@ from .functionals import (check_tire_le_entropy,
 from .knothe import (check_facet_preservation, check_theorem31, cost_split,
                      displacement_cost, knothe_map, pushforward_error,
                      tire_bracket)
-from .reports import (CSV_HEADER, VerificationReport, make_report,
-                      refinement_consistent)
-from .sampler import sample_equicorrelated_cube, sample_grid
+from .reports import CSV_HEADER, make_report, refinement_report
+from .sampler import SEED_LIMIT, philox, sample_grid
 from .svg import write_profile_svg
 from .transport1d import (check_lemma_lambda, check_prop_quadratic,
                           check_segment_bound, check_cheeger_lambda,
                           deficit_1d, log_gap, monotone_map,
                           quadratic_cost_1d)
 
-MAX_TOTAL_CELLS = 1 << 24
+MAX_CELL_EXPONENT = 24
+MAX_TOTAL_CELLS = 1 << MAX_CELL_EXPONENT
 MIN_SAMPLES = 1000
 # pinned reference for the n=1024 enlargement radius of the scaling experiment
 REFERENCE_T_STAR_1024 = 0.052
@@ -73,7 +73,6 @@ DEFAULTS = {
     "ns": [256, 1024, 4096],
     "test_functions": 6,
     "plot": True,
-    "threads": 1,
     "source": {"variant": "uniform"},
     "target": None,
 }
@@ -95,7 +94,7 @@ def load_config(path_or_none, overrides: dict) -> dict:
         try:
             with open(path_or_none) as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers bad JSON and encodings
             raise ConfigError(f"cannot read config {path_or_none}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -110,36 +109,49 @@ def load_config(path_or_none, overrides: dict) -> dict:
     return cfg
 
 
+# smallest allowed value of each integer key
+_INT_MINIMA = {"m": 2, "dim": 1, "pairs": 1, "n_samples": MIN_SAMPLES,
+               "t_count": 2, "test_functions": 1}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_config(cfg: dict) -> None:
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    if not isinstance(cfg["m"], int) or cfg["m"] < 2:
-        raise ConfigError("m must be an integer >= 2")
-    if not isinstance(cfg["dim"], int) or cfg["dim"] < 1:
-        raise ConfigError("dim must be an integer >= 1")
-    if cfg["m"] ** cfg["dim"] > MAX_TOTAL_CELLS:
+    if not (_is_int(cfg["seed"]) and 0 <= cfg["seed"] < SEED_LIMIT):
+        raise ConfigError("seed must be an integer in [0, 2^64)")
+    for key, lo in _INT_MINIMA.items():
+        if not (_is_int(cfg[key]) and cfg[key] >= lo):
+            raise ConfigError(f"{key} must be an integer >= {lo}")
+    # grids have at least 2 cells per axis, so the dimension is bounded
+    # before any m ** dim is formed
+    if not (cfg["dim"] <= MAX_CELL_EXPONENT and cfg["m"] ** cfg["dim"] <= MAX_TOTAL_CELLS):
         raise ConfigError(f"m^dim exceeds the cell budget 2^24 ({cfg['m']}^{cfg['dim']})")
-    if not isinstance(cfg["pairs"], int) or cfg["pairs"] < 1:
-        raise ConfigError("pairs must be an integer >= 1")
-    if not isinstance(cfg["n_samples"], int) or cfg["n_samples"] < MIN_SAMPLES:
-        raise ConfigError(f"n_samples must be an integer >= {MIN_SAMPLES}")
-    if cfg["t_max"] <= 0:
-        raise ConfigError("t_max must be positive")
-    if not isinstance(cfg["t_count"], int) or cfg["t_count"] < 2:
-        raise ConfigError("t_count must be an integer >= 2")
-    if (not isinstance(cfg["dims"], list) or not cfg["dims"]
-            or any((not isinstance(n, int)) or n < 1 for n in cfg["dims"])):
+    t_max = cfg["t_max"]
+    if not (isinstance(t_max, (int, float)) and not isinstance(t_max, bool)
+            and 0 < t_max <= sys.float_info.max):
+        raise ConfigError("t_max must be a finite positive number")
+    dims = cfg["dims"]
+    if not (isinstance(dims, list) and dims and all(_is_int(n) and n >= 1 for n in dims)):
         raise ConfigError("dims must be a nonempty list of positive integers")
-    if (not isinstance(cfg["ns"], list) or len(cfg["ns"]) < 2
-            or any((not isinstance(n, int)) or n < 2 for n in cfg["ns"])):
+    big = [n for n in dims
+           if not (n <= MAX_CELL_EXPONENT and _grid_m_for_dim(n) ** n <= MAX_TOTAL_CELLS)]
+    if big:
+        raise ConfigError(f"dims {big} need concentration grids beyond the cell budget 2^24")
+    ns = cfg["ns"]
+    if not (isinstance(ns, list) and len(ns) >= 2 and all(_is_int(n) and n >= 2 for n in ns)):
         raise ConfigError("ns must be a list of at least two integers >= 2")
-    if not isinstance(cfg["test_functions"], int) or cfg["test_functions"] < 1:
-        raise ConfigError("test_functions must be an integer >= 1")
-    if not isinstance(cfg["threads"], int) or cfg["threads"] < 1:
-        raise ConfigError("threads must be an integer >= 1")
+    if not isinstance(cfg["plot"], bool):
+        raise ConfigError("plot must be true or false")
+    if not (isinstance(cfg["out_dir"], str) and cfg["out_dir"]):
+        raise ConfigError("out_dir must be a nonempty string")
     for key in ("source", "target"):
-        if cfg[key] is not None and not isinstance(cfg[key], dict):
-            raise ConfigError(f"{key} must be a density spec object or null")
+        if cfg[key] is not None:
+            try:
+                spec_from_dict(cfg[key])
+            except DensityError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
 
 def _ts(cfg) -> np.ndarray:
@@ -147,10 +159,8 @@ def _ts(cfg) -> np.ndarray:
 
 
 def _rng(cfg, label: str) -> np.random.Generator:
-    # one independent stream per suite, keyed by seed and suite name
-    name_tag = sum(ord(c) << (8 * i) for i, c in enumerate(label[:6]))
-    return np.random.Generator(np.random.Philox(key=np.array(
-        [cfg["seed"], name_tag], dtype=np.uint64)))
+    # one independent stream per suite, indexed by the suite label's bytes
+    return philox(cfg["seed"], 0, int.from_bytes(label.encode(), "little"))
 
 
 def _linear_target_1d(grid: Grid) -> GridDensity:
@@ -230,8 +240,8 @@ def suite_verify_1d(cfg) -> dict:
         f2 = build_density(spec, fine_grid)
         g2 = trig_density(coeffs, fine_grid)
         fine_prop = check_prop_quadratic(f2, g2, estimate_axis_convexity_ratio(f2))
-        reports.append(_refinement_report("prop-2.1-refinement", coarse_prop,
-                                          fine_prop))
+        reports.append(refinement_report("prop-2.1-refinement", coarse_prop,
+                                         fine_prop))
         # segment and gradient-energy checks on the same source
         a, b = np.sort(rng.uniform(0.0, 1.0, size=2))
         if b - a > 1e-3:
@@ -239,16 +249,6 @@ def suite_verify_1d(cfg) -> dict:
         reports.append(check_cheeger_lambda(f, ratio,
                                             random_node_test_function(rng, grid)))
     return {"reports": reports, "metrics": metrics}
-
-
-def _refinement_report(name: str, coarse: VerificationReport,
-                       fine: VerificationReport) -> VerificationReport:
-    drift = coarse.rel_tol * max(abs(coarse.rhs), abs(fine.rhs)) + coarse.abs_tol
-    loss = coarse.slack - fine.slack
-    return VerificationReport(
-        name=name, lhs=loss, rhs=drift, constant_used=1.0, slack=drift - loss,
-        passed=refinement_consistent(coarse, fine), grid_m=fine.grid_m,
-        rel_tol=0.0, abs_tol=0.0, note="slack drift under grid refinement")
 
 
 def _product_target_2d(grid: Grid) -> GridDensity:
@@ -463,9 +463,8 @@ SUITES = {
 
 def run_all(cfg) -> dict:
     merged = {"reports": [], "metrics": {}, "profiles": [], "scaling": []}
-    for name in ("density-check", "verify-1d", "verify-knothe", "tire",
-                 "concentration", "counterexample"):
-        out = SUITES[name](cfg)
+    for name, suite in SUITES.items():
+        out = suite(cfg)
         merged["reports"].extend(out.get("reports", []))
         for key, value in out.get("metrics", {}).items():
             merged["metrics"][f"{name}:{key}"] = value
@@ -548,8 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, dest="n_samples",
                        help="sample count for empirical checks")
         p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--threads", type=int,
-                       help="accepted for symmetry; results never depend on it")
         p.add_argument("--dims", help="comma list of dimensions (concentration)")
         p.add_argument("--ns", help="comma list of dimensions (counterexample)")
         p.add_argument("--plot", dest="plot", action="store_true", default=None,
@@ -576,7 +573,6 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "n_samples": args.n_samples,
         "out_dir": args.out_dir,
-        "threads": args.threads,
         "plot": args.plot,
     }
     try:

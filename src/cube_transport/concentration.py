@@ -113,11 +113,7 @@ def _grid_halfspace_masses(mu: GridDensity, u: np.ndarray, ts: np.ndarray):
     if len(nonzero) == 1:
         axis = int(nonzero[0])
         sign = float(np.sign(u[axis]))
-        others = tuple(k for k in range(grid.dim) if k != axis)
-        line = mu.values.sum(axis=others) if others else mu.values
-        cdf = np.concatenate(([0.0], np.cumsum(line)))
-        cdf /= cdf[-1]
-        nodes = grid.axis_nodes(axis)
+        nodes, cdf = mu.marginal_cdf(axis)
         if sign > 0:
             c = float(np.interp(0.5, cdf, nodes))
             measured = np.interp(c + ts, nodes, cdf)
@@ -125,10 +121,8 @@ def _grid_halfspace_masses(mu: GridDensity, u: np.ndarray, ts: np.ndarray):
             c = -float(np.interp(0.5, cdf, nodes))
             measured = 1.0 - np.interp(-c - ts, nodes, cdf)
         return c, measured
-    centers = np.stack([cm.reshape(-1) for cm in grid.centers_mesh()], axis=1)
-    proj = centers @ u
-    w = mu.values.reshape(-1) * grid.cell_volume
-    w = w / w.sum()
+    proj = grid.centers() @ u
+    w = mu.cell_masses()
     order = np.argsort(proj, kind="stable")
     proj_sorted = proj[order]
     cum = np.cumsum(w[order])
@@ -193,9 +187,8 @@ def covariance_ratio(mu, alpha: float) -> float:
         raise DensityError("alpha must be positive")
     if isinstance(mu, GridDensity):
         grid = mu.grid
-        w = mu.values.reshape(-1) * grid.cell_volume
-        w = w / w.sum()
-        centers = np.stack([c.reshape(-1) for c in grid.centers_mesh()], axis=1)
+        w = mu.cell_masses()
+        centers = grid.centers()
         mean = w @ centers
         centered = centers - mean
         cov = (centered * w[:, None]).T @ centered
@@ -227,11 +220,7 @@ def poincare_lsi_check(mu: GridDensity, curvature_bound: float, side: float,
     if side <= 0 or curvature_bound < 0:
         raise DensityError("need side > 0 and curvature_bound >= 0")
     grid = mu.grid
-    w = mu.values * grid.cell_volume
-    total = w.sum()
-    if total <= 0:
-        raise DensityError("measure has zero mass")
-    w = w / total
+    w = mu.cell_masses().reshape(grid.shape)
     factor = side * side * math.exp(curvature_bound * side * side / 4.0)
     reports = []
     for i, func in enumerate(test_functions):
@@ -239,9 +228,7 @@ def poincare_lsi_check(mu: GridDensity, curvature_bound: float, side: float,
         if fvals.shape != grid.shape:
             raise DensityError(f"test function {i} has shape {fvals.shape}, "
                                f"expected {grid.shape}")
-        grads = np.gradient(fvals, grid.h)
-        if grid.dim == 1:
-            grads = [grads]
+        grads = grid.gradient(fvals)
         energy = float(sum((gk * gk * w).sum() for gk in grads))
         mean = float((fvals * w).sum())
         var = float(((fvals - mean) ** 2 * w).sum())

@@ -83,6 +83,15 @@ class Grid:
         axes = [self.axis_centers(i) for i in range(self.dim)]
         return list(np.meshgrid(*axes, indexing="ij"))
 
+    def centers(self) -> np.ndarray:
+        """Cell centers as an (n_cells, dim) array, cells in C order."""
+        return np.stack([c.reshape(-1) for c in self.centers_mesh()], axis=1)
+
+    def gradient(self, values: np.ndarray) -> list:
+        """Finite-difference partial derivatives of cell-center data, one
+        array per axis: centered inside, one-sided at the ends."""
+        return [np.gradient(values, self.h, axis=k) for k in range(self.dim)]
+
     def cell_index(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
         """Index of the cell containing each coordinate, clamped to the cube."""
         idx = np.floor((np.asarray(x, dtype=float) - self.origin[axis]) / self.h).astype(int)
@@ -154,6 +163,22 @@ class GridDensity:
             raise PositivityError("density has zero cells where positivity is required")
         return self.values
 
+    def cell_masses(self) -> np.ndarray:
+        """Cell masses normalized to sum 1, flattened in C order."""
+        w = self.values.reshape(-1) * self.grid.cell_volume
+        total = w.sum()
+        if total <= 0:
+            raise DegenerateDensityError("density has zero mass")
+        return w / total
+
+    def marginal_cdf(self, axis: int) -> tuple:
+        """Nodes and normalized CDF of the 1d marginal along one axis; exact
+        for piecewise-constant data."""
+        others = tuple(k for k in range(self.grid.dim) if k != axis)
+        line = self.values.sum(axis=others) if others else self.values
+        cdf = np.concatenate(([0.0], np.cumsum(line)))
+        return self.grid.axis_nodes(axis), cdf / cdf[-1]
+
     def value_at(self, x: np.ndarray) -> np.ndarray:
         """Piecewise-constant evaluation at points of shape (N, dim)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -178,8 +203,8 @@ class RestrictedGaussian:
     inverse_covariance: tuple
 
     def arrays(self, dim: int):
-        c = np.asarray(self.center, dtype=float).reshape(dim)
-        a = np.asarray(self.inverse_covariance, dtype=float).reshape(dim, dim)
+        c = _sized(self.center, (dim,), "center")
+        a = _sized(self.inverse_covariance, (dim, dim), "inverse_covariance")
         if not np.allclose(a, a.T, atol=1e-12):
             raise DensityError("inverse_covariance must be symmetric")
         if np.linalg.eigvalsh(a).min() < -1e-12:
@@ -203,24 +228,29 @@ class ConvexPower:
     power: float
 
 
+def equicorrelated_scale(n: int) -> float:
+    """Default coordinate scale 1 / (100 sqrt(log n)) of the equicorrelated
+    construction in dimension n."""
+    if n < 2:
+        raise DensityError("equicorrelated construction needs n >= 2")
+    return 1.0 / (100.0 * math.sqrt(math.log(n)))
+
+
 @dataclass(frozen=True)
 class EquicorrelatedGaussian:
     """Gaussian with covariance scale^2 (Id + ones) restricted to the cube.
 
     Every pair of coordinates has correlation 1/2. The default scale,
-    1 / (100 sqrt(log dim)), keeps per-coordinate standard deviations small
-    against a unit cube so that the cube restriction is nearly vacuous.
+    ``equicorrelated_scale(dim)``, keeps per-coordinate standard deviations
+    small against a unit cube so that the cube restriction is nearly vacuous.
     """
 
     dim: int
     scale: Union[float, None] = None
 
     def effective_scale(self) -> float:
-        if self.dim < 2:
-            raise DensityError("EquicorrelatedGaussian needs dim >= 2")
-        if self.scale is not None:
-            return float(self.scale)
-        return 1.0 / (100.0 * math.sqrt(math.log(self.dim)))
+        scale = equicorrelated_scale(self.dim)
+        return scale if self.scale is None else float(self.scale)
 
     def inverse_covariance(self) -> np.ndarray:
         n = self.dim
@@ -271,28 +301,64 @@ def spec_to_dict(spec: DensitySpec) -> dict:
     return d
 
 
+_NUMERIC_SHAPES = {0: "a finite number", 1: "a list of finite numbers",
+                   2: "a list of lists of finite numbers",
+                   None: "nested lists of finite numbers"}
+
+
+def _floats(value, ndim, what: str) -> np.ndarray:
+    """value as a float array with ndim axes (any number of axes when None),
+    or DensityError unless every entry is a finite number."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if (arr.dtype.kind not in "iuf" or (ndim is not None and arr.ndim != ndim)
+            or not np.all(np.isfinite(arr))):
+        raise DensityError(f"{what} must be {_NUMERIC_SHAPES[ndim]}")
+    return arr.astype(float)
+
+
 def spec_from_dict(d: dict) -> DensitySpec:
+    """Inverse of spec_to_dict. Raises DensityError on an unknown variant or
+    a missing or ill-typed field; build_density checks sizes against the grid."""
+    if not isinstance(d, dict):
+        raise DensityError("density spec must be an object")
     tag = d.get("variant")
-    if tag == "uniform":
-        return Uniform()
-    if tag == "restricted_gaussian":
-        return RestrictedGaussian(tuple(d["center"]),
-                                  tuple(map(tuple, d["inverse_covariance"])))
-    if tag == "exponential_tilt":
-        return ExponentialTilt(tuple(d["tilt"]))
-    if tag == "convex_power":
-        return ConvexPower(d["offset"], tuple(d["direction"]), d["power"])
-    if tag == "equicorrelated_gaussian":
-        return EquicorrelatedGaussian(d["dim"], d.get("scale"))
-    if tag == "custom_grid":
-        return CustomGrid(np.asarray(d["values"], dtype=float))
+    try:
+        if tag == "uniform":
+            return Uniform()
+        if tag == "restricted_gaussian":
+            inv_cov = _floats(d["inverse_covariance"], 2, "inverse_covariance")
+            return RestrictedGaussian(tuple(_floats(d["center"], 1, "center").tolist()),
+                                      tuple(map(tuple, inv_cov.tolist())))
+        if tag == "exponential_tilt":
+            return ExponentialTilt(tuple(_floats(d["tilt"], 1, "tilt").tolist()))
+        if tag == "convex_power":
+            return ConvexPower(float(_floats(d["offset"], 0, "offset")),
+                               tuple(_floats(d["direction"], 1, "direction").tolist()),
+                               float(_floats(d["power"], 0, "power")))
+        if tag == "equicorrelated_gaussian":
+            dim, scale = d["dim"], d.get("scale")
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise DensityError("dim must be an integer")
+            return EquicorrelatedGaussian(
+                dim, None if scale is None else float(_floats(scale, 0, "scale")))
+        if tag == "custom_grid":
+            return CustomGrid(_floats(d["values"], None, "values"))
+    except KeyError as exc:
+        raise DensityError(f"density spec {tag!r} needs the key {exc}") from None
     raise DensityError(f"unknown density spec variant {tag!r}")
 
 
+def fingerprint(payload: dict, data: bytes) -> str:
+    """First 16 hex digits of the sha256 of payload as sorted-key JSON,
+    followed by data."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode() + data).hexdigest()[:16]
+
+
 def spec_fingerprint(spec: DensitySpec, grid: Grid) -> str:
-    payload = json.dumps({"spec": spec_to_dict(spec), "grid": grid.to_dict()},
-                         sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return fingerprint({"spec": spec_to_dict(spec), "grid": grid.to_dict()}, b"")
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +379,28 @@ def build_density(spec: DensitySpec, grid: Grid, normalized: bool = True) -> Gri
         c = grid.origin + grid.side / 2.0
         vals = _gaussian_values(mesh, c, spec.inverse_covariance())
     elif isinstance(spec, ExponentialTilt):
-        tilt = np.asarray(spec.tilt, dtype=float).reshape(grid.dim)
+        tilt = _sized(spec.tilt, (grid.dim,), "tilt")
         lin = sum(tilt[k] * mesh[k] for k in range(grid.dim))
         vals = np.exp(lin - lin.max())
     elif isinstance(spec, ConvexPower):
-        v = np.asarray(spec.direction, dtype=float).reshape(grid.dim)
+        v = _sized(spec.direction, (grid.dim,), "direction")
         lin = spec.offset + sum(v[k] * mesh[k] for k in range(grid.dim))
         if lin.min() <= 0:
             raise DensityError("ConvexPower base offset + x.direction must stay positive on the cube")
         vals = lin ** float(spec.power)
     elif isinstance(spec, CustomGrid):
-        vals = np.asarray(spec.values, dtype=float).reshape(grid.shape)
+        vals = _sized(spec.values, grid.shape, "custom_grid values")
     else:
         raise DensityError(f"unknown density spec {type(spec).__name__}")
     d = GridDensity(grid, vals)
     return normalize(d) if normalized else d
+
+
+def _sized(values, shape: tuple, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.size != math.prod(shape):
+        raise DensityError(f"{what} has {arr.size} entries; the grid needs shape {shape}")
+    return arr.reshape(shape)
 
 
 def _gaussian_values(mesh, center, inv_cov):

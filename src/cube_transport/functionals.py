@@ -77,13 +77,8 @@ def legendre_tire_bound(f: GridDensity, g: GridDensity) -> float:
     support = g.values.reshape(-1) > 0
     if not support.any():
         raise DensityError("target density has empty support")
-    mesh = grid.centers_mesh()
-    centers = np.stack([c.reshape(-1) for c in mesh], axis=1)
-    psi = -np.log(fv)
-    grads_psi = np.gradient(psi, grid.h)
-    if n == 1:
-        grads_psi = [grads_psi]
-    v_mat = np.stack([gk.reshape(-1) for gk in grads_psi], axis=1)
+    centers = grid.centers()
+    v_mat = np.stack([gk.reshape(-1) for gk in grid.gradient(-np.log(fv))], axis=1)
     targets = centers[support]
     phi = -np.log(g.values.reshape(-1)[support])
     phi_star = np.empty(n_cells)
@@ -92,10 +87,8 @@ def legendre_tire_bound(f: GridDensity, g: GridDensity) -> float:
         stop = min(start + chunk, n_cells)
         scores = v_mat[start:stop] @ targets.T - phi[None, :]
         phi_star[start:stop] = scores.max(axis=1)
-    grads_f = np.gradient(fv, grid.h)
-    if n == 1:
-        grads_f = [grads_f]
-    inner = sum(grads_f[k] * mesh[k] for k in range(n))
+    grads_f = grid.gradient(fv)
+    inner = sum(grads_f[k] * centers[:, k].reshape(grid.shape) for k in range(n))
     integrand = fv * phi_star.reshape(grid.shape) + inner - fv * np.log(fv)
     total = float(integrand.sum() * grid.cell_volume)
     return total - f.total_mass * float(np.log(g.total_mass / f.total_mass))
@@ -137,14 +130,9 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     n_cells = f.grid.n_cells
     if n_cells > W2_CELL_LIMIT:
         raise DensityError(f"exact_w2_small is limited to {W2_CELL_LIMIT} cells")
-    vol = f.grid.cell_volume
-    a = f.values.reshape(-1) * vol
-    b = g.values.reshape(-1) * vol
-    if a.sum() <= 0 or b.sum() <= 0:
-        raise DensityError("cannot couple zero-mass densities")
-    a = a / a.sum()
-    b = b / b.sum()
-    centers = np.stack([c.reshape(-1) for c in f.grid.centers_mesh()], axis=1)
+    a = f.cell_masses()
+    b = g.cell_masses()
+    centers = f.grid.centers()
     diff = centers[:, None, :] - centers[None, :, :]
     cost = (diff ** 2).sum(axis=-1).reshape(-1)
     ns = nt = n_cells
@@ -213,12 +201,9 @@ def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
     exact optimum can never exceed this)."""
     if not f.grid.matches(g.grid):
         raise DensityError("densities must share the same grid")
-    vol = f.grid.cell_volume
-    a = f.values.reshape(-1) * vol
-    b = g.values.reshape(-1) * vol
-    i, j, w = triangular_coupling((a / a.sum()).reshape(f.grid.shape),
-                                  (b / b.sum()).reshape(g.grid.shape))
-    centers = np.stack([c.reshape(-1) for c in f.grid.centers_mesh()], axis=1)
+    i, j, w = triangular_coupling(f.cell_masses().reshape(f.grid.shape),
+                                  g.cell_masses().reshape(g.grid.shape))
+    centers = f.grid.centers()
     sq = ((centers[i] - centers[j]) ** 2).sum(axis=1)
     return float((sq * w).sum())
 

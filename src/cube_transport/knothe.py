@@ -22,6 +22,7 @@ import numpy as np
 from .density import (DensityError, Grid, GridDensity, PositivityError,
                       marginalize_last)
 from .reports import VerificationReport, make_report
+from .sampler import empirical_marginal_distance, sample_grid
 from .transport1d import (QUADRATIC_COST_FACTOR, MonotoneMap1D, monotone_map)
 
 
@@ -114,8 +115,7 @@ def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
     base = knothe_map(marginalize_last(f), marginalize_last(g))
     m = f.grid.cells_per_axis
     base_shape = (m,) * (n - 1)
-    base_centers = np.stack([c.reshape(-1) for c in base.grid.centers_mesh()], axis=1)
-    image_pts = base_centers + base.displacement.reshape(-1, n - 1)
+    image_pts = base.grid.centers() + base.displacement.reshape(-1, n - 1)
     target_fibers = _multilinear(g.values, image_pts, f.grid, n - 1)
     last_grid = f.grid.last_axis_grid()
     centers_last = last_grid.axis_centers()
@@ -160,15 +160,11 @@ def s_integral_nd(f: GridDensity, g: GridDensity, tmap: KnotheMap) -> float:
     if not tmap.grid.matches(f.grid):
         raise DensityError("map and density grids differ")
     n = f.grid.dim
-    mesh = f.grid.centers_mesh()
-    image = np.stack([mesh[k] + tmap.displacement[..., k] for k in range(n)],
-                     axis=-1).reshape(-1, n)
+    image = f.grid.centers() + tmap.displacement.reshape(-1, n)
     g_at = _multilinear(g.values, image, f.grid, n).reshape(f.grid.shape)
     if np.any(g_at <= 0):
         raise PositivityError("target density vanishes on the image of the map")
-    grads = np.gradient(f.values, f.grid.h)
-    if n == 1:
-        grads = [grads]
+    grads = f.grid.gradient(f.values)
     inner = sum(grads[k] * tmap.displacement[..., k] for k in range(n))
     s = f.values * np.log(g_at / f.values) - inner
     return float(s.sum() * f.grid.cell_volume)
@@ -201,31 +197,9 @@ def pushforward_error(tmap: KnotheMap, f: GridDensity, g: GridDensity,
                       n_samples: int = 100_000, seed: int = 0) -> float:
     """Largest per-axis KS distance between mapped f-samples and the
     corresponding 1d marginal of g."""
-    from .sampler import sample_grid  # local import keeps module deps one-way
     _check_pair(f, g)
     batch = sample_grid(f, n_samples, seed)
-    mapped = tmap.evaluate(batch.points)
-    worst = 0.0
-    for axis in range(g.grid.dim):
-        nodes, cdf = axis_marginal_cdf(g, axis)
-        worst = max(worst, _ks_distance(mapped[:, axis], nodes, cdf))
-    return worst
-
-
-def axis_marginal_cdf(d: GridDensity, axis: int) -> tuple:
-    """Nodes and normalized CDF of the 1d marginal along one axis (exact)."""
-    others = tuple(k for k in range(d.grid.dim) if k != axis)
-    line = d.values.sum(axis=others) if others else d.values
-    cdf = np.concatenate(([0.0], np.cumsum(line)))
-    return d.grid.axis_nodes(axis), cdf / cdf[-1]
-
-
-def _ks_distance(samples: np.ndarray, nodes: np.ndarray, cdf: np.ndarray) -> float:
-    s = np.sort(np.asarray(samples, dtype=float))
-    c = np.interp(s, nodes, cdf)
-    n = len(s)
-    i = np.arange(1, n + 1)
-    return float(max((i / n - c).max(), (c - (i - 1) / n).max()))
+    return empirical_marginal_distance(tmap.evaluate(batch.points), g)
 
 
 def check_facet_preservation(tmap: KnotheMap) -> VerificationReport:
@@ -233,22 +207,13 @@ def check_facet_preservation(tmap: KnotheMap) -> VerificationReport:
     max over facet points of |T(x)_i - x_i| must stay below 2h."""
     grid = tmap.grid
     n, m, h = grid.dim, grid.cells_per_axis, grid.h
+    centers = grid.centers().reshape(grid.shape + (n,))
     worst = 0.0
     for axis in range(n):
+        # the cell centers of the first layer along the axis, moved onto each facet
+        pts = np.take(centers, 0, axis=axis).reshape(-1, n)
         for bound_value in (grid.origin[axis], grid.origin[axis] + grid.side):
-            if n == 1:
-                pts = np.array([[bound_value]])
-            else:
-                other_axes = [grid.axis_centers(k) for k in range(n) if k != axis]
-                mesh = np.meshgrid(*other_axes, indexing="ij")
-                cols = []
-                it = iter(mesh)
-                for k in range(n):
-                    if k == axis:
-                        cols.append(np.full(mesh[0].size, bound_value))
-                    else:
-                        cols.append(next(it).reshape(-1))
-                pts = np.column_stack(cols)
+            pts[:, axis] = bound_value
             out = tmap.evaluate(pts)
             worst = max(worst, float(np.abs(out[:, axis] - bound_value).max()))
     return make_report("facet-preservation", worst, 2.0 * h, 2.0, grid_m=m)

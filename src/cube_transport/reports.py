@@ -94,11 +94,23 @@ def make_report(name: str, lhs: float, rhs: float, constant_used: float,
     )
 
 
-def refinement_consistent(coarse: VerificationReport, fine: VerificationReport) -> bool:
-    """Whether refining the grid kept the check passing without the slack
-    degrading by more than the tolerance budget.
-
-    Allowed drift is ``rel_tol * max(|rhs_coarse|, |rhs_fine|) + abs_tol``.
+def refinement_report(name: str, coarse: VerificationReport,
+                      fine: VerificationReport) -> VerificationReport:
+    """Row for the slack drift of one check under grid refinement: lhs is the
+    slack lost from coarse to fine, rhs the allowed drift
+    ``rel_tol * max(|rhs_coarse|, |rhs_fine|) + abs_tol`` (coarse tolerances).
+    It passes when the fine check passes and the loss stays within the drift.
     """
     drift = coarse.rel_tol * max(abs(coarse.rhs), abs(fine.rhs)) + coarse.abs_tol
-    return fine.passed and (fine.slack >= coarse.slack - drift)
+    loss = coarse.slack - fine.slack
+    return VerificationReport(
+        name=name, lhs=loss, rhs=drift, constant_used=1.0, slack=drift - loss,
+        passed=fine.passed and (fine.slack >= coarse.slack - drift),
+        grid_m=fine.grid_m, rel_tol=0.0, abs_tol=0.0,
+        note="slack drift under grid refinement")
+
+
+def refinement_consistent(coarse: VerificationReport, fine: VerificationReport) -> bool:
+    """Whether refining the grid kept the check passing without the slack
+    degrading by more than the tolerance budget (see refinement_report)."""
+    return refinement_report("refinement", coarse, fine).passed

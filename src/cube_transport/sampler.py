@@ -12,25 +12,27 @@ jitter places the point inside the cell.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DegenerateDensityError, DensityError, GridDensity
+from .density import (DegenerateDensityError, DensityError, GridDensity,
+                      equicorrelated_scale, fingerprint)
 
+# domain 0 holds the CLI suite streams, indexed by the suite label's bytes
 _DOMAIN_GRID = 1
 _DOMAIN_EQUICORRELATED = 2
 
 MAX_POINT_BUDGET = 1 << 27  # rows * dim guard for materialized batches
+SEED_LIMIT = 1 << 64  # seeds fill one 64-bit Philox key word
 
 
-def _philox(seed: int, domain: int, index: int) -> np.random.Generator:
-    mask = (1 << 64) - 1
-    key = np.array([int(seed) & mask, ((domain << 48) | index) & mask],
-                   dtype=np.uint64)
+def philox(seed: int, domain: int, index: int) -> np.random.Generator:
+    """Generator on the Philox stream keyed by [seed, domain << 48 | index]."""
+    seed = int(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise DensityError(f"seed must be in [0, 2^64), got {seed}")
+    key = np.array([seed, (domain << 48) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -42,12 +44,6 @@ class SampleBatch:
     points: np.ndarray
     seed: int
     fingerprint: str
-
-
-def _density_fingerprint(d: GridDensity) -> str:
-    payload = json.dumps(d.grid.to_dict(), sort_keys=True).encode()
-    digest = hashlib.sha256(payload + d.values.tobytes())
-    return digest.hexdigest()[:16]
 
 
 def sample_grid(d: GridDensity, n_samples: int, seed: int,
@@ -71,7 +67,7 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int,
     tail[n - 1] = d.values
     for k in range(n - 2, -1, -1):
         tail[k] = tail[k + 1].sum(axis=-1)
-    rng = _philox(seed, _DOMAIN_GRID, batch_index)
+    rng = philox(seed, _DOMAIN_GRID, batch_index)
     u_cell = rng.random((n_samples, n))
     u_jit = rng.random((n_samples, n))
     cells = np.empty((n_samples, n), dtype=np.int64)
@@ -90,37 +86,26 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int,
         cells[:, k] = pos - prefix * m
         prefix = prefix * m + cells[:, k]
     points = grid.origin + (cells + u_jit) * grid.h
-    return SampleBatch(points, int(seed), _density_fingerprint(d))
+    return SampleBatch(points, int(seed), fingerprint(grid.to_dict(), d.values.tobytes()))
 
 
-def empirical_marginal_distance(batch: SampleBatch, d: GridDensity) -> float:
-    """Largest per-axis KS distance between the sample and the exact marginal."""
-    pts = batch.points
-    if pts.shape[1] != d.grid.dim:
-        raise DensityError("batch dimension does not match the density")
+def empirical_marginal_distance(points, d: GridDensity) -> float:
+    """Largest per-axis KS distance between a sample (a SampleBatch or an
+    (N, dim) array) and the exact marginals of d."""
+    pts = points.points if isinstance(points, SampleBatch) else np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != d.grid.dim:
+        raise DensityError("sample dimension does not match the density")
+    n = len(pts)
+    i = np.arange(1, n + 1)
     worst = 0.0
     for axis in range(d.grid.dim):
-        others = tuple(k for k in range(d.grid.dim) if k != axis)
-        line = d.values.sum(axis=others) if others else d.values
-        cdf = np.concatenate(([0.0], np.cumsum(line)))
-        cdf /= cdf[-1]
-        nodes = d.grid.axis_nodes(axis)
-        s = np.sort(pts[:, axis])
-        c = np.interp(s, nodes, cdf)
-        i = np.arange(1, len(s) + 1)
-        worst = max(worst, float(max((i / len(s) - c).max(),
-                                     (c - (i - 1) / len(s)).max())))
+        c = np.interp(np.sort(pts[:, axis]), *d.marginal_cdf(axis))
+        worst = max(worst, float(max((i / n - c).max(), (c - (i - 1) / n).max())))
     return worst
 
 
 # ---------------------------------------------------------------------------
 # equicorrelated Gaussian on the centered cube
-
-
-def equicorrelated_scale(n: int) -> float:
-    if n < 2:
-        raise DensityError("equicorrelated construction needs n >= 2")
-    return 1.0 / (100.0 * math.sqrt(math.log(n)))
 
 
 def default_chunk_rows(n: int) -> int:
@@ -142,7 +127,7 @@ def iter_equicorrelated_cube(n: int, seed: int):
     rows = default_chunk_rows(n)
     chunk = 0
     while True:
-        rng = _philox(seed, _DOMAIN_EQUICORRELATED, chunk)
+        rng = philox(seed, _DOMAIN_EQUICORRELATED, chunk)
         z = rng.standard_normal((rows, n + 1))
         y = (z[:, 1:] + z[:, :1]) * scale
         inside = np.abs(y).max(axis=1) <= 0.5
@@ -172,7 +157,6 @@ def sample_equicorrelated_cube(n: int, n_samples: int, seed: int):
                 f"acceptance rate {accepted / candidates:.4f} below 1%")
     points = np.concatenate(blocks, axis=0)[:n_samples]
     rate = accepted / candidates
-    payload = json.dumps({"construction": "equicorrelated_cube", "n": n,
-                          "scale": equicorrelated_scale(n)}, sort_keys=True)
-    fingerprint = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return SampleBatch(points, int(seed), fingerprint), float(rate)
+    digest = fingerprint({"construction": "equicorrelated_cube", "n": n,
+                          "scale": equicorrelated_scale(n)}, b"")
+    return SampleBatch(points, int(seed), digest), float(rate)

@@ -91,25 +91,18 @@ def _check_same_interval(f: GridDensity, g: GridDensity) -> None:
         raise DensityError("source and target must share the same 1d grid")
 
 
-def _node_cdf(values: np.ndarray) -> np.ndarray:
-    """Normalized CDF at the m+1 grid nodes; exact for piecewise-constant data."""
-    c = np.concatenate(([0.0], np.cumsum(values)))
-    return c / c[-1]
-
-
 def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     """CDF-matching map from f to g on a shared interval.
 
     Masses are normalized internally, so unnormalized inputs are accepted.
     """
     _check_same_interval(f, g)
-    fv = f.require_positive()
-    gv = g.require_positive()
+    f.require_positive()
+    g.require_positive()
     m = f.grid.cells_per_axis
     h = f.grid.h
-    nodes = f.grid.axis_nodes()
-    F = _node_cdf(fv)
-    G = _node_cdf(gv)
+    nodes, F = f.marginal_cdf(0)
+    G = g.marginal_cdf(0)[1]
     # target cell j(k) holding F[k]: last j with G[j] <= F[k]
     j = np.clip(np.searchsorted(G, F, side="right") - 1, 0, m - 1)
     t = nodes[j] + (F - G[j]) / (G[j + 1] - G[j]) * h
@@ -134,11 +127,6 @@ def map_derivative(tmap: MonotoneMap1D, f: GridDensity, g: GridDensity) -> np.nd
     return ratio * f.values / g_at
 
 
-def _grid_gradient(values: np.ndarray, h: float) -> np.ndarray:
-    # centered differences inside, one-sided at the ends
-    return np.gradient(values, h)
-
-
 def deficit_1d(f: GridDensity, g: GridDensity, tmap: MonotoneMap1D) -> float:
     """Transport deficit of the monotone map.
 
@@ -156,7 +144,7 @@ def deficit_1d(f: GridDensity, g: GridDensity, tmap: MonotoneMap1D) -> float:
     g_at = g.values[g.grid.cell_index(t_mid)]
     if np.any(g_at <= 0):
         raise PositivityError("target density vanishes on the image of the map")
-    fprime = _grid_gradient(fv, h)
+    fprime = f.grid.gradient(fv)[0]
     s = fv * np.log(g_at / fv) - fprime * (t_mid - centers)
     integral = float(s.sum() * h)
     return integral - f.total_mass * float(np.log(g.total_mass / f.total_mass))

@@ -5,10 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cube_transport.cli import ConfigError, DEFAULTS, build_parser, load_config, main
+import cube_transport
+from cube_transport.cli import ConfigError, DEFAULTS, _rng, build_parser, load_config, main
 from cube_transport.reports import CSV_HEADER
 
 
@@ -176,10 +182,13 @@ def test_seed_changes_results(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "run"
+    # run the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(cube_transport.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cube_transport.cli", "density-check",
          "--m", "8", "--dim", "2", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
     assert (out / "report.json").exists()
@@ -195,3 +204,107 @@ def test_config_file_run(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert payload["config"]["seed"] == 2
     assert payload["config"]["pairs"] == 2
+
+
+# ---------------------------------------------------------------- bad configs
+
+
+def _write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity pass through as JSON tokens
+    return str(path)
+
+
+def assert_rejected(capsys, args):
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"seed": 1 << 64},
+    {"seed": True},
+    {"t_max": "1"},
+    {"t_max": float("nan")},
+    {"t_max": float("inf")},
+    {"threads": 1},
+    {"m": 3, "dim": 3_000_000},
+    {"dims": [40]},
+    {"source": {"variant": "exponential_tilt"}},
+    {"source": {"variant": "exponential_tilt", "tilt": "abc"}},
+], ids=["seed-2^64", "seed-bool", "t_max-string", "t_max-nan", "t_max-inf",
+        "threads", "dim-3e6", "dims-40", "spec-missing-key", "spec-ill-typed"])
+def test_bad_config_exits_2(tmp_path, capsys, cfg):
+    path = _write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError):
+        load_config(path, {})
+    assert_rejected(capsys, ["density-check", "--config", path,
+                             "--out", str(tmp_path / "run")])
+
+
+def test_seed_flag_beyond_64_bits_exits_2(tmp_path, capsys):
+    assert_rejected(capsys, ["verify-1d", "--seed", str(1 << 64),
+                             "--out", str(tmp_path / "run")])
+
+
+def test_largest_seed_accepted():
+    assert load_config(None, {"seed": (1 << 64) - 1})["seed"] == (1 << 64) - 1
+
+
+def test_huge_dim_rejected_without_forming_the_grid_size():
+    start = time.perf_counter()
+    with pytest.raises(ConfigError):
+        load_config(None, {"m": 3, "dim": 3_000_000})
+    assert time.perf_counter() - start < 0.25
+
+
+@pytest.mark.parametrize("spec", [
+    {"variant": "exponential_tilt", "tilt": [1.0, 2.0, 3.0]},
+    {"variant": "convex_power", "offset": 1.0, "direction": [1.0], "power": 2.0},
+    {"variant": "restricted_gaussian", "center": [0.5, 0.5, 0.5],
+     "inverse_covariance": [[1.0, 0.0], [0.0, 1.0]]},
+    {"variant": "custom_grid", "values": [[1]]},
+], ids=["tilt-length", "direction-length", "center-length", "custom-grid-shape"])
+def test_spec_not_matching_the_grid_exits_2(tmp_path, capsys, spec):
+    path = _write_config(tmp_path, {"source": spec, "m": 8, "dim": 2})
+    assert_rejected(capsys, ["density-check", "--config", path,
+                             "--out", str(tmp_path / "run")])
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=6)
+               | st.sampled_from(["uniform", "restricted_gaussian", "exponential_tilt",
+                                  "convex_power", "equicorrelated_gaussian", "custom_grid"]))
+SPEC_KEYS = st.sampled_from(["variant", "center", "inverse_covariance", "tilt", "offset",
+                             "direction", "power", "dim", "scale", "values"])
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(SPEC_KEYS | st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(DEFAULTS)), JSON_VALUES))
+def test_load_config_accepts_or_rejects_any_json(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        try:
+            cfg = load_config(path, {})
+        except ConfigError:
+            return
+    assert set(cfg) == set(DEFAULTS)
+
+
+@pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1])
+@pytest.mark.parametrize("label", ["v1d", "vkn", "tir", "con"])
+def test_suite_streams_are_raw_philox_streams(seed, label):
+    tag = sum(ord(c) << (8 * i) for i, c in enumerate(label))
+    raw = np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
+    ours = _rng({"seed": seed}, label)
+    np.testing.assert_array_equal(ours.random(8), raw.random(8))
+    np.testing.assert_array_equal(ours.integers(0, 1 << 30, 8), raw.integers(0, 1 << 30, 8))

@@ -24,7 +24,6 @@ from cube_transport import (
     unit_cube_grid,
 )
 from cube_transport.families import random_logconcave_spec_nd, random_smooth_density
-from cube_transport.knothe import axis_marginal_cdf
 
 
 def product_pair(m=64):
@@ -163,7 +162,7 @@ def test_axis_marginal_cdf_is_cdf():
     rng = np.random.default_rng(12)
     grid = unit_cube_grid(2, 16)
     g = random_smooth_density(rng, grid)
-    nodes, cdf = axis_marginal_cdf(g, 1)
+    nodes, cdf = g.marginal_cdf(1)
     assert cdf[0] == 0.0
     assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(cdf) >= 0.0)
