@@ -5,9 +5,10 @@ __version__ = "0.1.0"
 
 from .concentration import (ConcentrationProfile, LipschitzTailFit,
                             ScalingResult, ScalingRow, alpha_theorem1,
-                            check_concentration, counterexample_scaling,
-                            covariance_ratio, halfspace_profile,
-                            lipschitz_tail, poincare_lsi_check, r_from_m)
+                            check_concentration, closed_form_t_star,
+                            counterexample_scaling, covariance_ratio,
+                            halfspace_profile, lipschitz_tail,
+                            poincare_lsi_check, r_from_m)
 from .density import (ConvexPower, CustomGrid, DegenerateDensityError,
                       DensityError, DensitySpec, EquicorrelatedGaussian,
                       ExponentialTilt, Grid, GridDensity, PositivityError,
@@ -28,8 +29,8 @@ from .knothe import (KnotheMap, check_facet_preservation, check_theorem31,
 from .reports import (VerificationReport, make_report, refinement_consistent,
                       refinement_report)
 from .sampler import (SampleBatch, empirical_marginal_distance,
-                      iter_equicorrelated_cube, sample_equicorrelated_cube,
-                      sample_grid)
+                      equicorrelated_row_sums, iter_equicorrelated_cube,
+                      sample_equicorrelated_cube, sample_grid)
 from .transport1d import (MonotoneMap1D, check_cheeger_lambda,
                           check_lemma_lambda, check_prop_quadratic,
                           check_segment_bound, deficit_1d, log_gap,

@@ -47,7 +47,8 @@ from .knothe import (check_facet_preservation, check_theorem31, cost_split,
                      displacement_cost, knothe_map, pushforward_error,
                      tire_bracket)
 from .reports import CSV_HEADER, make_report, refinement_report
-from .sampler import SEED_LIMIT, philox, sample_grid
+from .sampler import (LOG10_REJECTION_LIMIT, MAX_POINT_BUDGET, SEED_LIMIT,
+                      philox, sample_grid)
 from .svg import write_profile_svg
 from .transport1d import (check_lemma_lambda, check_prop_quadratic,
                           check_segment_bound, check_cheeger_lambda,
@@ -59,6 +60,10 @@ MAX_TOTAL_CELLS = 1 << MAX_CELL_EXPONENT
 MIN_SAMPLES = 1000
 # pinned reference for the n=1024 enlargement radius of the scaling experiment
 REFERENCE_T_STAR_1024 = 0.052
+# allowed distance of each t*(n) from its closed form, in standard errors
+T_STAR_STD_ERRORS = 5.0
+# profile offsets per profile; each is one SVG vertex
+MAX_T_COUNT = 1 << 16
 
 DEFAULTS = {
     "seed": 0,
@@ -112,6 +117,9 @@ def load_config(path_or_none, overrides: dict) -> dict:
 # smallest allowed value of each integer key
 _INT_MINIMA = {"m": 2, "dim": 1, "pairs": 1, "n_samples": MIN_SAMPLES,
                "t_count": 2, "test_functions": 1}
+# largest allowed value; the row-sum sampler holds two normals per sample
+# under the point budget
+_INT_MAXIMA = {"n_samples": MAX_POINT_BUDGET // 2, "t_count": MAX_T_COUNT}
 
 
 def _is_int(value) -> bool:
@@ -124,6 +132,9 @@ def _validate_config(cfg: dict) -> None:
     for key, lo in _INT_MINIMA.items():
         if not (_is_int(cfg[key]) and cfg[key] >= lo):
             raise ConfigError(f"{key} must be an integer >= {lo}")
+    for key, hi in _INT_MAXIMA.items():
+        if cfg[key] > hi:
+            raise ConfigError(f"{key} must be an integer <= {hi}")
     # grids have at least 2 cells per axis, so the dimension is bounded
     # before any m ** dim is formed
     if not (cfg["dim"] <= MAX_CELL_EXPONENT and cfg["m"] ** cfg["dim"] <= MAX_TOTAL_CELLS):
@@ -430,11 +441,21 @@ def suite_counterexample(cfg) -> dict:
                         "predicted": row.predicted,
                         "mass_fraction": row.mass_fraction,
                         "acceptance": row.acceptance,
-                        "n_samples": row.n_samples})
+                        "n_samples": row.n_samples,
+                        "rejection_log10_bound": row.rejection_log10_bound})
         reports.append(make_report(f"rem-5.1-mass-n{row.n}",
                                    abs(row.mass_fraction - 0.5),
                                    3.0 / np.sqrt(row.n_samples), 3.0,
                                    rel_tol=0.0, abs_tol=0.0))
+        reports.append(make_report(f"rem-5.1-t-star-closed-n{row.n}",
+                                   abs(row.t_star - row.predicted),
+                                   T_STAR_STD_ERRORS * row.std_error,
+                                   T_STAR_STD_ERRORS, rel_tol=0.0, abs_tol=0.0,
+                                   note=f"closed form {row.predicted:.6g}"))
+        reports.append(make_report(f"rem-5.1-cube-n{row.n}",
+                                   row.rejection_log10_bound, LOG10_REJECTION_LIMIT,
+                                   LOG10_REJECTION_LIMIT, rel_tol=0.0, abs_tol=0.0,
+                                   note="log10 of the certified rejection bound"))
         metrics[f"acceptance_n{row.n}"] = row.acceptance
         metrics[f"t_star_n{row.n}"] = row.t_star
     reports.append(make_report("rem-5.1-slope", abs(result.slope - 0.5), 0.10,
@@ -446,7 +467,6 @@ def suite_counterexample(cfg) -> dict:
             reports.append(make_report("rem-5.1-t-star", rel_err, 0.15,
                                        REFERENCE_T_STAR_1024, rel_tol=0.0,
                                        abs_tol=0.0))
-    metrics["kappa"] = result.kappa
     metrics["slope"] = result.slope
     return {"reports": reports, "metrics": metrics, "scaling": scaling}
 
@@ -588,7 +608,11 @@ def main(argv=None) -> int:
     except (ConfigError, DensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    all_pass = emit_report(cfg["out_dir"], args.command, cfg, outcome)
+    try:
+        all_pass = emit_report(cfg["out_dir"], args.command, cfg, outcome)
+    except OSError as exc:
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
+        return 2
     return 0 if all_pass else 1
 
 

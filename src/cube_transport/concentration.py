@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-from .density import DensityError, GridDensity
+from .density import DensityError, GridDensity, equicorrelated_scale
 from .reports import VerificationReport, make_report
-from .sampler import SampleBatch, iter_equicorrelated_cube
+from .sampler import SampleBatch, equicorrelated_row_sums
 
 POINCARE_FACTOR = 20.0 / 9.0
 LSI_FACTOR = 160.0 / 9.0
@@ -266,28 +267,41 @@ class ScalingRow:
     n: int
     t_star: float
     predicted: float
+    std_error: float
     mass_fraction: float
     acceptance: float
     n_samples: int
+    rejection_log10_bound: float
 
 
 @dataclass(frozen=True, eq=False)
 class ScalingResult:
-    """Per-dimension enlargement radii t*(n) with the sqrt(n / log n)
-    reference curve calibrated at the smallest n."""
+    """Per-dimension enlargement radii t*(n) with their closed forms."""
 
     rows: list
-    kappa: float
     slope: float
     seed: int
+
+
+_Z_TWO_THIRDS = NormalDist().inv_cdf(2.0 / 3.0)
+
+
+def closed_form_t_star(n: int, n_samples: int) -> tuple:
+    """Closed form s sqrt(n+1) Phi^-1(2/3) of t*(n), and the standard error
+    of its estimate by the 2/3-quantile of n_samples row sums. The row sum
+    is N(0, s^2 n (n+1)), with s = equicorrelated_scale(n)."""
+    sd = equicorrelated_scale(n) * math.sqrt(n + 1)
+    std_error = sd * math.sqrt((2.0 / 9.0) / n_samples) / NormalDist().pdf(_Z_TWO_THIRDS)
+    return sd * _Z_TWO_THIRDS, std_error
 
 
 def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
     """For each dimension n, the radius t*(n): the largest t for which the
     halfspace {sum x_i <= 0} enlarged by t (in the Euclidean ball metric,
     which reduces to the threshold t sqrt(n) for the row sum) still holds at
-    most 2/3 of the mass. Row sums are streamed, never materialized as
-    point matrices.
+    most 2/3 of the mass. Only row sums are drawn, two normals per sample,
+    and every row carries the certificate that the cube restriction keeps
+    it, so the acceptance is 1 by construction.
     """
     ns = sorted(int(n) for n in ns)
     if len(ns) < 2:
@@ -297,28 +311,15 @@ def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
     if n_samples < 1000:
         raise DensityError("need at least 1000 samples per dimension")
     rows = []
+    k = (2 * n_samples) // 3
     for n in ns:
-        sums = []
-        accepted = 0
-        candidates = 0
-        for block, drawn in iter_equicorrelated_cube(n, seed):
-            sums.append(block.sum(axis=1))
-            accepted += len(block)
-            candidates += drawn
-            if accepted >= n_samples:
-                break
-        all_sums = np.concatenate(sums)[:n_samples]
-        k = (2 * n_samples) // 3
-        t_star = float(np.partition(all_sums, k)[k] / math.sqrt(n))
-        mass_fraction = float((all_sums <= 0).mean())
-        rows.append(ScalingRow(n, t_star, 0.0, mass_fraction,
-                               accepted / candidates, n_samples))
-    kappa = rows[0].t_star * math.sqrt(math.log(rows[0].n) / rows[0].n)
-    rows = [ScalingRow(r.n, r.t_star,
-                       kappa * math.sqrt(r.n / math.log(r.n)),
-                       r.mass_fraction, r.acceptance, r.n_samples)
-            for r in rows]
+        sums, log10_bound = equicorrelated_row_sums(n, n_samples, seed)
+        t_star = float(np.partition(sums, k)[k] / math.sqrt(n))
+        predicted, std_error = closed_form_t_star(n, n_samples)
+        rows.append(ScalingRow(n, t_star, predicted, std_error,
+                               float((sums <= 0).mean()), 1.0, n_samples,
+                               log10_bound))
     log_n = np.log([r.n for r in rows])
     log_t = np.log([r.t_star for r in rows])
     slope = float(np.polyfit(log_n, log_t, 1)[0])
-    return ScalingResult(rows, float(kappa), slope, int(seed))
+    return ScalingResult(rows, slope, int(seed))

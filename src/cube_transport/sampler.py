@@ -12,9 +12,11 @@ jitter places the point inside the cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from .density import (DegenerateDensityError, DensityError, GridDensity,
                       equicorrelated_scale, fingerprint)
@@ -22,9 +24,12 @@ from .density import (DegenerateDensityError, DensityError, GridDensity,
 # domain 0 holds the CLI suite streams, indexed by the suite label's bytes
 _DOMAIN_GRID = 1
 _DOMAIN_EQUICORRELATED = 2
+_DOMAIN_ROW_SUMS = 3
 
 MAX_POINT_BUDGET = 1 << 27  # rows * dim guard for materialized batches
 SEED_LIMIT = 1 << 64  # seeds fill one 64-bit Philox key word
+# a per-row rejection chance below 2^-53 cannot move a 53-bit uniform
+LOG10_REJECTION_LIMIT = -53 * math.log10(2.0)
 
 
 def philox(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -160,3 +165,42 @@ def sample_equicorrelated_cube(n: int, n_samples: int, seed: int):
     digest = fingerprint({"construction": "equicorrelated_cube", "n": n,
                           "scale": equicorrelated_scale(n)}, b"")
     return SampleBatch(points, int(seed), digest), float(rate)
+
+
+def equicorrelated_row_sums(n: int, n_samples: int, seed: int):
+    """Row sums of n_samples draws of the equicorrelated construction in
+    dimension n, from two normals per row, as (sums, rejection_log10_bound).
+
+    A row is s (Z_i + Z_0), i = 1..n, so its sum is s (T + n Z_0) with
+    T = sum Z_i, drawn as sqrt(n) Z'. The cube restriction is certified
+    instead of tested: given (Z_0, T), each Z_i is N(T/n, 1 - 1/n), so the
+    chance that exact rejection would drop the row is at most
+    2n Phi(-(0.5/s - |Z_0| - |T|/n) / sqrt(1 - 1/n)). The largest bound over
+    the rows, the one at the smallest margin, is returned as a log10; unless
+    it is below 2^-53, where a 53-bit uniform never rejects, the call raises
+    DegenerateDensityError.
+
+    Every n reads the same Philox stream, so the draws at different n are
+    common random numbers: their sampling errors move together, and a slope
+    fitted across n keeps little of their noise.
+    """
+    if n_samples < 1:
+        raise DensityError("n_samples must be >= 1")
+    if n_samples * 2 > MAX_POINT_BUDGET:
+        raise DensityError("requested batch exceeds the materialized-point budget")
+    if n > 1 << 53:
+        raise DensityError(f"row sums need n <= 2^53, where floats are exact; got {n}")
+    rng = philox(seed, _DOMAIN_ROW_SUMS, 0)
+    scale = equicorrelated_scale(n)
+    z = rng.standard_normal((n_samples, 2))
+    z0 = z[:, 0]
+    t = math.sqrt(n) * z[:, 1]
+    sums = scale * (t + n * z0)
+    margin = float((0.5 / scale - np.abs(z0) - np.abs(t) / n).min())
+    log10_bound = float((math.log(2 * n) + log_ndtr(-margin / math.sqrt(1.0 - 1.0 / n)))
+                        / math.log(10.0))
+    if not log10_bound < LOG10_REJECTION_LIMIT:
+        raise DegenerateDensityError(
+            f"cube restriction not certified at n={n}: rejection bound "
+            f"10^{log10_bound:.2f} is not below 2^-53")
+    return sums, log10_bound

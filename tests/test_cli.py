@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cube_transport
-from cube_transport.cli import ConfigError, DEFAULTS, _rng, build_parser, load_config, main
+from cube_transport.cli import (DEFAULTS, MAX_T_COUNT, ConfigError, _rng, build_parser,
+                                load_config, main)
+from cube_transport.sampler import MAX_POINT_BUDGET
 from cube_transport.reports import CSV_HEADER
 
 
@@ -148,7 +150,14 @@ def test_counterexample_run(tmp_path):
     assert code == 0
     payload = json.loads((out / "report.json").read_text())
     assert [row["n"] for row in payload["scaling"]] == [256, 1024]
-    assert all(row["acceptance"] > 0.99 for row in payload["scaling"])
+    assert all(row["acceptance"] == 1.0 for row in payload["scaling"])
+    assert all(row["rejection_log10_bound"] < -15.95 for row in payload["scaling"])
+    names = {r["name"] for r in payload["reports"]}
+    for n in (256, 1024):
+        assert {f"rem-5.1-mass-n{n}", f"rem-5.1-t-star-closed-n{n}",
+                f"rem-5.1-cube-n{n}"} <= names
+    assert {"rem-5.1-slope", "rem-5.1-t-star"} <= names
+    assert "kappa" not in payload["metrics"]
 
 
 def test_reproducible_reports(tmp_path):
@@ -234,14 +243,37 @@ def assert_rejected(capsys, args):
     {"dims": [40]},
     {"source": {"variant": "exponential_tilt"}},
     {"source": {"variant": "exponential_tilt", "tilt": "abc"}},
+    {"n_samples": MAX_POINT_BUDGET // 2 + 1},
+    {"t_count": MAX_T_COUNT + 1},
+    {"t_count": 10 ** 30},
 ], ids=["seed-2^64", "seed-bool", "t_max-string", "t_max-nan", "t_max-inf",
-        "threads", "dim-3e6", "dims-40", "spec-missing-key", "spec-ill-typed"])
+        "threads", "dim-3e6", "dims-40", "spec-missing-key", "spec-ill-typed",
+        "n_samples-beyond-budget", "t_count-beyond-cap", "t_count-1e30"])
 def test_bad_config_exits_2(tmp_path, capsys, cfg):
     path = _write_config(tmp_path, cfg)
     with pytest.raises(ConfigError):
         load_config(path, {})
     assert_rejected(capsys, ["density-check", "--config", path,
                              "--out", str(tmp_path / "run")])
+
+
+def test_largest_sample_and_offset_counts_accepted():
+    cfg = load_config(None, {"n_samples": MAX_POINT_BUDGET // 2, "t_count": MAX_T_COUNT})
+    assert (cfg["n_samples"], cfg["t_count"]) == (MAX_POINT_BUDGET // 2, MAX_T_COUNT)
+
+
+@pytest.mark.parametrize("n", [(1 << 53) + 1, 10 ** 400])
+def test_counterexample_dimension_beyond_exact_floats_exits_2(tmp_path, capsys, n):
+    assert_rejected(capsys, ["counterexample", "--ns", f"256,{n}",
+                             "--samples", "1000", "--out", str(tmp_path / "run")])
+
+
+def test_artifact_write_error_exits_2(tmp_path, capsys):
+    # the output directory names an existing file
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert_rejected(capsys, ["density-check", "--m", "8", "--out", str(out)])
+    assert out.read_text() == ""
 
 
 def test_seed_flag_beyond_64_bits_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cube_transport import (
+    DegenerateDensityError,
     GridDensity,
     RestrictedGaussian,
     Uniform,
@@ -11,6 +12,7 @@ from cube_transport import (
     build_density,
     centered_cube_grid,
     check_concentration,
+    closed_form_t_star,
     counterexample_scaling,
     covariance_ratio,
     estimate_diag_second_derivative_bound,
@@ -222,10 +224,28 @@ def test_counterexample_scaling_small():
     assert 0.3 <= res.slope <= 0.7
 
 
+def test_scaling_predicted_is_the_closed_form():
+    res = counterexample_scaling([256, 4096], n_samples=50000, seed=1)
+    z = 0.4307272992954576  # Phi^-1(2/3)
+    for row in res.rows:
+        closed = np.sqrt(row.n + 1) / (100.0 * np.sqrt(np.log(row.n))) * z
+        assert row.predicted == pytest.approx(closed, rel=1e-12)
+        assert (row.predicted, row.std_error) == closed_form_t_star(row.n, row.n_samples)
+        assert abs(row.t_star - row.predicted) <= 5.0 * row.std_error
+        assert row.acceptance == 1.0
+        assert row.rejection_log10_bound < -53 * np.log10(2.0)
+
+
+def test_scaling_raises_without_a_cube_certificate(monkeypatch):
+    monkeypatch.setattr("cube_transport.sampler.equicorrelated_scale", lambda n: 0.1)
+    with pytest.raises(DegenerateDensityError):
+        counterexample_scaling([256, 1024], n_samples=1000, seed=0)
+
+
 def test_scaling_is_reproducible():
     a = counterexample_scaling([128, 256], n_samples=5000, seed=3)
     b = counterexample_scaling([128, 256], n_samples=5000, seed=3)
-    assert a.rows[0].t_star == b.rows[0].t_star
+    assert a.rows == b.rows
     assert a.slope == b.slope
 
 

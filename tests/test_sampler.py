@@ -1,22 +1,29 @@
 """Reproducible grid sampling and the correlated high-dim generator."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from cube_transport import (
+    DegenerateDensityError,
     EquicorrelatedGaussian,
     ExponentialTilt,
     GridDensity,
     Uniform,
     build_density,
     empirical_marginal_distance,
+    equicorrelated_row_sums,
     iter_equicorrelated_cube,
     normalize,
     sample_equicorrelated_cube,
     sample_grid,
     unit_cube_grid,
 )
-from cube_transport.sampler import equicorrelated_scale, default_chunk_rows
+from cube_transport.density import DensityError
+from cube_transport.sampler import (LOG10_REJECTION_LIMIT, MAX_POINT_BUDGET,
+                                    default_chunk_rows, equicorrelated_scale)
 
 
 # ---------------------------------------------------------------- grid sampler
@@ -163,3 +170,60 @@ def test_spec_matches_sampler_covariance():
     scale = equicorrelated_scale(n)
     cov = scale**2 * (np.eye(n) + np.ones((n, n)))
     np.testing.assert_allclose(inv @ cov, np.eye(n), atol=1e-10)
+
+
+# ---------------------------------------------------------------- row sums
+
+
+def test_row_sums_match_summed_cube_points():
+    # two normals per row give the law of the sum of n restricted coordinates
+    n, N = 128, 20000
+    batch, _ = sample_equicorrelated_cube(n, N, seed=6)
+    sums, _ = equicorrelated_row_sums(n, N, seed=6)
+    assert sums.shape == (N,)
+    assert ks_2samp(batch.points.sum(axis=1), sums).pvalue > 0.01
+
+
+def test_row_sum_variance_closed_form():
+    n, N = 1024, 200000
+    sums, _ = equicorrelated_row_sums(n, N, seed=7)
+    theory = (1.0 / (100.0 * np.sqrt(np.log(n)))) ** 2 * n * (n + 1)
+    # the sample variance has relative standard error sqrt(2 / N) ~ 0.0032
+    assert sums.var() == pytest.approx(theory, rel=0.016)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_row_sum_quantile_matches_closed_form(n):
+    N = 200000
+    sums, _ = equicorrelated_row_sums(n, N, seed=8)
+    t_star = np.sort(sums)[(2 * N) // 3] / np.sqrt(n)
+    sd = np.sqrt(n + 1) / (100.0 * np.sqrt(np.log(n)))
+    z = NormalDist().inv_cdf(2.0 / 3.0)
+    std_error = sd * np.sqrt((2.0 / 9.0) / N) / NormalDist().pdf(z)
+    assert abs(t_star - sd * z) <= 5.0 * std_error
+
+
+def test_row_sums_reproducible_and_certified():
+    a, bound_a = equicorrelated_row_sums(512, 5000, seed=9)
+    b, bound_b = equicorrelated_row_sums(512, 5000, seed=9)
+    np.testing.assert_array_equal(a, b)
+    assert bound_a == bound_b < LOG10_REJECTION_LIMIT
+    c, _ = equicorrelated_row_sums(512, 5000, seed=10)
+    assert not np.array_equal(a, c)
+
+
+def test_row_sums_budget_guard_allocates_nothing():
+    with pytest.raises(DensityError):
+        equicorrelated_row_sums(256, MAX_POINT_BUDGET // 2 + 1, seed=0)
+    with pytest.raises(DensityError):
+        equicorrelated_row_sums((1 << 53) + 1, 1000, seed=0)
+    with pytest.raises(DensityError):
+        equicorrelated_row_sums(256, 0, seed=0)
+
+
+def test_row_sums_uncertified_cube_raises(monkeypatch):
+    # at scale 0.1 the cube edge is 5 standard deviations from the center,
+    # far too close for the rejection bound to stay below 2^-53
+    monkeypatch.setattr("cube_transport.sampler.equicorrelated_scale", lambda n: 0.1)
+    with pytest.raises(DegenerateDensityError):
+        equicorrelated_row_sums(256, 1000, seed=0)
