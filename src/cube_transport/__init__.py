@@ -15,8 +15,8 @@ from .density import (ConvexPower, CustomGrid, DegenerateDensityError,
                       RestrictedGaussian, Uniform, build_density,
                       centered_cube_grid, check_midpoint_log_concavity,
                       estimate_axis_convexity_ratio,
-                      estimate_diag_second_derivative_bound, fiber,
-                      load_density, marginalize_last, normalize, save_density,
+                      estimate_diag_second_derivative_bound, load_density,
+                      marginalize_last, normalize, save_density,
                       spec_fingerprint, spec_from_dict, spec_to_dict,
                       unit_cube_grid)
 from .functionals import (CouplingPlan, check_tire_le_entropy,

@@ -176,14 +176,20 @@ class GridDensity:
         for piecewise-constant data."""
         others = tuple(k for k in range(self.grid.dim) if k != axis)
         line = self.values.sum(axis=others) if others else self.values
-        cdf = np.concatenate(([0.0], np.cumsum(line)))
-        return self.grid.axis_nodes(axis), cdf / cdf[-1]
+        return self.grid.axis_nodes(axis), row_cdfs(line)
 
     def value_at(self, x: np.ndarray) -> np.ndarray:
         """Piecewise-constant evaluation at points of shape (N, dim)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         idx = tuple(self.grid.cell_index(x[:, k], k) for k in range(self.grid.dim))
         return self.values[idx]
+
+
+def row_cdfs(values: np.ndarray) -> np.ndarray:
+    """Normalized CDFs along the last axis, at the cell boundaries."""
+    cdf = np.cumsum(values, axis=-1)
+    cdf = np.concatenate((np.zeros(cdf.shape[:-1] + (1,)), cdf), axis=-1)
+    return cdf / cdf[..., -1:]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +507,7 @@ def estimate_diag_second_derivative_bound(d: GridDensity) -> float:
 
 
 # ---------------------------------------------------------------------------
-# marginals and fibers
+# marginals
 
 
 def marginalize_last(d: GridDensity) -> GridDensity:
@@ -509,19 +515,6 @@ def marginalize_last(d: GridDensity) -> GridDensity:
     if d.grid.dim < 2:
         raise DensityError("marginalize_last needs dim >= 2")
     return GridDensity(d.grid.drop_last_axis(), d.values.sum(axis=-1) * d.grid.h)
-
-
-def fiber(d: GridDensity, y_index: tuple) -> GridDensity:
-    """The (unnormalized) 1d density along the last axis above one base cell."""
-    if d.grid.dim < 2:
-        raise DensityError("fiber needs dim >= 2")
-    y_index = tuple(int(i) for i in y_index)
-    if len(y_index) != d.grid.dim - 1:
-        raise DensityError(f"y_index must have length {d.grid.dim - 1}")
-    m = d.grid.cells_per_axis
-    if any(i < 0 or i >= m for i in y_index):
-        raise DensityError("y_index out of range")
-    return GridDensity(d.grid.last_axis_grid(), d.values[y_index])
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .density import (ConvexPower, DensitySpec, ExponentialTilt, Grid,
-                      GridDensity, RestrictedGaussian, build_density,
-                      normalize)
+                      GridDensity, RestrictedGaussian, normalize)
 
 MAX_FREQUENCY = 3
 
@@ -77,14 +76,6 @@ def random_logconcave_spec_nd(rng: np.random.Generator, dim: int,
     inv_cov = (q * eigs) @ q.T
     inv_cov = (inv_cov + inv_cov.T) / 2.0
     return RestrictedGaussian(tuple(center), tuple(map(tuple, inv_cov)))
-
-
-def random_logconcave_density(rng: np.random.Generator, grid: Grid) -> GridDensity:
-    if grid.dim == 1:
-        spec = random_logconcave_spec_1d(rng, float(grid.origin[0]), grid.side)
-    else:
-        spec = random_logconcave_spec_nd(rng, grid.dim, grid.origin, grid.side)
-    return build_density(spec, grid)
 
 
 def random_node_test_function(rng: np.random.Generator, grid: Grid) -> np.ndarray:

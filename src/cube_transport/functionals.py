@@ -19,7 +19,7 @@ from .density import (DensityError, GridDensity,
                       check_midpoint_log_concavity)
 from .knothe import KnotheMap, displacement_cost, knothe_map, tire_bracket
 from .reports import VerificationReport, make_report
-from .transport1d import QUADRATIC_COST_FACTOR
+from .transport1d import QUADRATIC_COST_FACTOR, merge_rows
 
 W2_CELL_LIMIT = 4096
 LEGENDRE_CELL_LIMIT = 16384
@@ -111,10 +111,6 @@ class CouplingPlan:
         return float(max(np.abs(row - source_masses).max(),
                          np.abs(col - target_masses).max()))
 
-    def to_rows(self) -> list:
-        return [(int(i), int(j), float(w)) for i, j, w in
-                zip(self.source_index, self.target_index, self.weights)]
-
 
 def exact_w2_small(f: GridDensity, g: GridDensity):
     """Exact squared quadratic-cost distance between the normalized cell
@@ -156,43 +152,58 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     return float(res.fun), plan
 
 
-def _northwest_coupling(a: np.ndarray, b: np.ndarray):
-    """Monotone coupling of two 1d mass vectors with equal totals, as
-    (source_cells, target_cells, weights). Optimal for convex costs."""
-    ca = np.cumsum(a)
-    cb = np.cumsum(b)
-    edges = np.union1d(ca, cb)
-    prev = np.concatenate(([0.0], edges[:-1]))
+def _northwest_rows(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Monotone (northwest) coupling of each row of a with the same row of b
+    (equal totals), as (row, source cell, target cell, weight) per atom: the
+    mass between consecutive distinct cumulative masses, in the cells whose
+    cumulative masses first pass their midpoint. Optimal for convex costs."""
+    values, from_a = merge_rows(np.cumsum(a, axis=1), np.cumsum(b, axis=1))
+    first = np.ones(values.shape, dtype=bool)
+    first[:, 1:] = values[:, 1:] != values[:, :-1]
+    row, pos = np.nonzero(first)
+    edges = values[first]
+    i = (np.cumsum(from_a, axis=1) - from_a)[first]  # cumulative masses of a below
+    j = pos - i
+    prev = np.where(pos == 0, 0.0, np.roll(edges, 1))
+    # the midpoint of adjacent doubles can round onto prev: count only below prev
+    on_prev = (pos > 0) & ((edges + prev) / 2.0 == prev)
+    i, j = np.where(on_prev, np.roll(i, 1), i), np.where(on_prev, np.roll(j, 1), j)
     w = edges - prev
-    mid = (edges + prev) / 2.0
-    i = np.clip(np.searchsorted(ca, mid, side="left"), 0, len(a) - 1)
-    j = np.clip(np.searchsorted(cb, mid, side="left"), 0, len(b) - 1)
-    keep = w > 0
-    return i[keep], j[keep], w[keep]
+    keep, last = w > 0, a.shape[1] - 1
+    return row[keep], np.minimum(i[keep], last), np.minimum(j[keep], last), w[keep]
 
 
 def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
     """Discrete counterpart of the triangular map: couple the leading-axis
     marginals recursively, then couple conditional last-axis fibers by the
-    monotone rule inside each marginal atom. Returns flat-index triples
-    (source_cells, target_cells, weights) with exact marginals."""
-    if f_masses.ndim == 1:
-        return _northwest_coupling(f_masses, g_masses)
-    m = f_masses.shape[-1]
-    lead_i, lead_j, lead_w = triangular_coupling(f_masses.sum(axis=-1),
-                                                 g_masses.sum(axis=-1))
-    a_rows = f_masses.reshape(-1, m)
-    b_rows = g_masses.reshape(-1, m)
-    out_i, out_j, out_w = [], [], []
-    for bi, bj, bw in zip(lead_i, lead_j, lead_w):
-        a_fib = a_rows[bi]
-        b_fib = b_rows[bj]
-        fi, fj, fw = _northwest_coupling(a_fib * (bw / a_fib.sum()),
-                                         b_fib * (bw / b_fib.sum()))
-        out_i.append(bi * m + fi)
-        out_j.append(bj * m + fj)
-        out_w.append(fw)
-    return (np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_w))
+    monotone rule inside each marginal atom. Masses: finite, nonnegative, one
+    shape, equal positive totals. Returns flat-index triples (source_cells,
+    target_cells, weights) with exact marginals."""
+    a, b = np.asarray(f_masses, dtype=float), np.asarray(g_masses, dtype=float)
+    if a.shape != b.shape or a.ndim < 1:
+        raise DensityError(f"mass arrays must share one shape, got {a.shape} and {b.shape}")
+    if not (np.all((a >= 0) & (a < np.inf)) and np.all((b >= 0) & (b < np.inf))):
+        raise DensityError("masses must be finite and nonnegative")
+    total_a, total_b = a.sum(), b.sum()
+    if not (total_a > 0 and abs(total_a - total_b) <= 1e-12 * max(total_a, total_b)):
+        raise DensityError(f"mass totals must be positive and equal, got {total_a} and {total_b}")
+    levels = [(a, b)]
+    while levels[-1][0].ndim > 1:
+        levels.append(tuple(x.sum(axis=-1) for x in levels[-1]))
+    _, src, tgt, w = _northwest_rows(*(x[None] for x in levels.pop()))
+    for a, b in reversed(levels):
+        m = a.shape[-1]
+        a_rows, b_rows = a.reshape(-1, m), b.reshape(-1, m)
+        step = max(1, (1 << 15) // m)  # fibers per batch: about 2^16 merged entries
+        parts = []
+        for s in range(0, len(w), step):
+            li, lj, lw = src[s:s + step], tgt[s:s + step], w[s:s + step, None]
+            a_fib, b_fib = a_rows[li], b_rows[lj]
+            rows, fi, fj, fw = _northwest_rows(a_fib * (lw / a_fib.sum(axis=1)[:, None]),
+                                               b_fib * (lw / b_fib.sum(axis=1)[:, None]))
+            parts.append((li[rows] * m + fi, lj[rows] * m + fj, fw))
+        src, tgt, w = (np.concatenate(p) for p in zip(*parts))
+    return src, tgt, w
 
 
 def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:

@@ -5,11 +5,11 @@ marginal of the first dim-1 coordinates, and above each base cell a 1d
 monotone map moves the source fiber onto the target fiber read off at the
 image point (multilinear interpolation between neighboring target fibers).
 The result is "triangular": coordinate i of the output depends only on the
-first i input coordinates.
+first i input coordinates. All fiber maps of a level form one node table.
 
-Displacements are tabulated at cell centers; off-center evaluation works by
-the same recursion using the piecewise-linear 1d maps, which keeps every
-coordinate inside the cube and fixes facets by construction.
+Displacements are tabulated at cell centers; off-center evaluation
+interpolates the piecewise-linear 1d maps, which keeps every coordinate
+inside the cube and fixes facets by construction.
 """
 
 from __future__ import annotations
@@ -23,52 +23,52 @@ from .density import (DensityError, Grid, GridDensity, PositivityError,
                       marginalize_last)
 from .reports import VerificationReport, make_report
 from .sampler import empirical_marginal_distance, sample_grid
-from .transport1d import (QUADRATIC_COST_FACTOR, MonotoneMap1D, monotone_map)
+from .transport1d import QUADRATIC_COST_FACTOR, monotone_nodes
 
 
 @dataclass(eq=False)
 class KnotheMap:
-    """Triangular map: base map on the leading coordinates plus one
-    monotone 1d fiber map per base cell (C order). ``displacement`` holds
-    T(x) - x at cell centers, shape grid.shape + (dim,)."""
+    """Triangular map: row r of ``node_tables[k]``, shape (m**k, m+1), holds
+    the node values of the 1d map of coordinate k above cell r (C order) of
+    the first k axes. ``displacement`` is T(x) - x at cell centers."""
 
     dim: int
     grid: Grid
-    base: "KnotheMap | None"
-    fiber_maps: list
+    node_tables: list
     displacement: np.ndarray
 
     def __post_init__(self):
         m = self.grid.cells_per_axis
         if self.dim != self.grid.dim:
             raise DensityError("dim must match grid dim")
-        if (self.base is None) != (self.dim == 1):
-            raise DensityError("base map must be present exactly when dim > 1")
-        if len(self.fiber_maps) != m ** (self.dim - 1):
-            raise DensityError("need one fiber map per base cell")
+        if [t.shape for t in self.node_tables] != [(m ** k, m + 1) for k in range(self.dim)]:
+            raise DensityError("need one (m**k, m+1) node table per coordinate k")
         if self.displacement.shape != self.grid.shape + (self.dim,):
             raise DensityError("displacement must have shape grid.shape + (dim,)")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Apply the map to points of shape (N, dim)."""
+        """Apply the map to finite points of shape (N, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DensityError(f"points must have shape (N, {self.dim})")
-        if self.dim == 1:
-            return self.fiber_maps[0](pts[:, 0])[:, None]
-        base_img = self.base.evaluate(pts[:, :-1])
-        m = self.grid.cells_per_axis
-        idx_cols = [self.grid.cell_index(pts[:, k], k) for k in range(self.dim - 1)]
-        flat = np.ravel_multi_index(idx_cols, (m,) * (self.dim - 1))
-        out_last = np.empty(len(pts))
-        order = np.argsort(flat, kind="stable")
-        sorted_flat = flat[order]
-        uniq, run_starts = np.unique(sorted_flat, return_index=True)
-        run_ends = np.append(run_starts[1:], len(sorted_flat))
-        for fiber_ix, s, e in zip(uniq, run_starts, run_ends):
-            sel = order[s:e]
-            out_last[sel] = self.fiber_maps[fiber_ix](pts[sel, -1])
-        return np.column_stack([base_img, out_last])
+        if not np.all(np.isfinite(pts)):
+            raise DensityError("points must be finite")
+        out = np.empty_like(pts)
+        row = np.zeros(len(pts), dtype=np.intp)
+        for k, table in enumerate(self.node_tables):
+            out[:, k] = _interp_rows(pts[:, k], self.grid.axis_nodes(k), table, row)
+            row = row * self.grid.cells_per_axis + self.grid.cell_index(pts[:, k], k)
+        return out
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, table: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """np.interp(x[i], xp, table[rows[i]]) for every i, by np.interp's own arithmetic."""
+    j = np.searchsorted(xp, x, side="right") - 1
+    jc = np.clip(j, 0, len(xp) - 2)
+    y0, y1 = table[rows, jc], table[rows, jc + 1]
+    out = np.where(x == xp[jc], y0, (y1 - y0) / (xp[jc + 1] - xp[jc]) * (x - xp[jc]) + y0)
+    return np.where(j < 0, y0, np.where(j >= len(xp) - 1, y1, out))
 
 
 def _check_pair(f: GridDensity, g: GridDensity) -> None:
@@ -106,30 +106,24 @@ def _multilinear(values: np.ndarray, pts: np.ndarray, grid: Grid, k: int) -> np.
 
 
 def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
-    """Build the triangular map pushing f forward to g (same grid, both positive)."""
+    """Build the triangular map pushing f forward to g (same grid, both
+    positive): the map of the leading marginals, then all last-axis fibers."""
     _check_pair(f, g)
-    n = f.grid.dim
-    if n == 1:
-        t = monotone_map(f, g)
-        return KnotheMap(1, f.grid, None, [t], t.displacement_at_centers()[:, None])
-    base = knothe_map(marginalize_last(f), marginalize_last(g))
-    m = f.grid.cells_per_axis
-    base_shape = (m,) * (n - 1)
-    image_pts = base.grid.centers() + base.displacement.reshape(-1, n - 1)
-    target_fibers = _multilinear(g.values, image_pts, f.grid, n - 1)
+    n, m = f.grid.dim, f.grid.cells_per_axis
     last_grid = f.grid.last_axis_grid()
-    centers_last = last_grid.axis_centers()
-    src_fibers = f.values.reshape(-1, m)
+    if n == 1:
+        tables, lead, target_fibers = [], np.empty((1, 0)), g.values[None]
+    else:
+        base = knothe_map(marginalize_last(f), marginalize_last(g))
+        image_pts = base.grid.centers() + base.displacement.reshape(-1, n - 1)
+        target_fibers = _multilinear(g.values, image_pts, f.grid, n - 1)
+        tables, lead = base.node_tables, base.displacement
+    t = monotone_nodes(f.values.reshape(-1, m), target_fibers, last_grid)
     disp = np.empty(f.grid.shape + (n,))
-    disp[..., : n - 1] = base.displacement.reshape(base_shape + (1, n - 1))
-    disp_flat = disp.reshape(-1, m, n)
-    fibers = []
-    for b in range(src_fibers.shape[0]):
-        t = monotone_map(GridDensity(last_grid, src_fibers[b]),
-                         GridDensity(last_grid, target_fibers[b]))
-        fibers.append(t)
-        disp_flat[b, :, n - 1] = t.at_centers() - centers_last
-    return KnotheMap(n, f.grid, base, fibers, disp)
+    disp[..., :n - 1] = lead.reshape((m,) * (n - 1) + (1, n - 1))
+    disp[..., n - 1] = (0.5 * (t[:, :-1] + t[:, 1:]) - last_grid.axis_centers()).reshape(
+        f.grid.shape)
+    return KnotheMap(n, f.grid, tables + [t], disp)
 
 
 def displacement_cost(tmap: KnotheMap, f: GridDensity) -> float:
@@ -142,8 +136,6 @@ def displacement_cost(tmap: KnotheMap, f: GridDensity) -> float:
 
 def cost_split(tmap: KnotheMap, f: GridDensity) -> tuple:
     """(leading-coordinate cost, last-coordinate cost); they sum to the total."""
-    if tmap.dim < 2:
-        return 0.0, displacement_cost(tmap, f)
     lead = (tmap.displacement[..., :-1] ** 2).sum(axis=-1)
     last = tmap.displacement[..., -1] ** 2
     vol = f.grid.cell_volume
@@ -208,12 +200,11 @@ def check_facet_preservation(tmap: KnotheMap) -> VerificationReport:
     grid = tmap.grid
     n, m, h = grid.dim, grid.cells_per_axis, grid.h
     centers = grid.centers().reshape(grid.shape + (n,))
-    worst = 0.0
-    for axis in range(n):
-        # the cell centers of the first layer along the axis, moved onto each facet
-        pts = np.take(centers, 0, axis=axis).reshape(-1, n)
-        for bound_value in (grid.origin[axis], grid.origin[axis] + grid.side):
-            pts[:, axis] = bound_value
-            out = tmap.evaluate(pts)
-            worst = max(worst, float(np.abs(out[:, axis] - bound_value).max()))
+    # first-layer cell centers along each axis, moved onto its lower, then upper facet
+    pts = np.concatenate([np.take(centers, 0, axis=axis).reshape(-1, n)
+                          for axis in range(n) for _ in range(2)])
+    on_facet = np.repeat(np.eye(n, dtype=bool), 2 * m ** (n - 1), axis=0)
+    facets = np.stack([grid.origin, grid.origin + grid.side], axis=1).reshape(-1)
+    pts[on_facet] = np.repeat(facets, m ** (n - 1))
+    worst = float(np.abs(tmap.evaluate(pts) - pts)[on_facet].max())
     return make_report("facet-preservation", worst, 2.0 * h, 2.0, grid_m=m)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityError, Grid, GridDensity, PositivityError
+from .density import DensityError, Grid, GridDensity, PositivityError, row_cdfs
 from .reports import VerificationReport, make_report
 
 # explicit constants used on right-hand sides
@@ -91,26 +91,40 @@ def _check_same_interval(f: GridDensity, g: GridDensity) -> None:
         raise DensityError("source and target must share the same 1d grid")
 
 
+def merge_rows(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Stable merge of sorted rows of a and b: values, and which came from a (first on ties)."""
+    both = np.concatenate((a, b), axis=1)
+    order = np.argsort(both, axis=1, kind="stable")
+    return np.take_along_axis(both, order, axis=1), order < a.shape[1]
+
+
+def monotone_nodes(f_rows: np.ndarray, g_rows: np.ndarray, grid: Grid) -> np.ndarray:
+    """Node values, shape (rows, m+1), of the CDF-matching maps from each row
+    of cell values ``f_rows`` to the same row of ``g_rows`` on the 1d grid."""
+    if np.any(f_rows <= 0) or np.any(g_rows <= 0):
+        raise PositivityError("density has zero cells where positivity is required")
+    nodes, F, G = grid.axis_nodes(), row_cdfs(f_rows), row_cdfs(g_rows)
+    # target cell j(k) holding F[k]: last j with G[j] <= F[k], which is one
+    # less than the number of G entries merged before F[k]
+    from_g = merge_rows(G, F)[1]
+    below = np.cumsum(from_g, axis=1)[~from_g].reshape(F.shape)
+    j = np.clip(below - 1, 0, grid.cells_per_axis - 1)
+    Gj, Gj1 = np.take_along_axis(G, j, axis=1), np.take_along_axis(G, j + 1, axis=1)
+    t = nodes[j] + (F - Gj) / (Gj1 - Gj) * grid.h
+    t[:, 0], t[:, -1] = nodes[0], nodes[-1]  # endpoints fixed exactly
+    if np.any(np.diff(t, axis=1) <= 0):
+        raise DensityError("computed map is not strictly increasing; density too degenerate")
+    return t
+
+
 def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     """CDF-matching map from f to g on a shared interval.
 
     Masses are normalized internally, so unnormalized inputs are accepted.
     """
     _check_same_interval(f, g)
-    f.require_positive()
-    g.require_positive()
-    m = f.grid.cells_per_axis
-    h = f.grid.h
-    nodes, F = f.marginal_cdf(0)
-    G = g.marginal_cdf(0)[1]
-    # target cell j(k) holding F[k]: last j with G[j] <= F[k]
-    j = np.clip(np.searchsorted(G, F, side="right") - 1, 0, m - 1)
-    t = nodes[j] + (F - G[j]) / (G[j + 1] - G[j]) * h
-    t[0] = nodes[0]
-    t[-1] = nodes[-1]  # endpoints fixed exactly
-    if np.any(np.diff(t) <= 0):
-        raise DensityError("computed map is not strictly increasing; density too degenerate")
-    return MonotoneMap1D(f.grid, t, np.diff(t) / h)
+    t = monotone_nodes(f.values[None], g.values[None], f.grid)[0]
+    return MonotoneMap1D(f.grid, t, np.diff(t) / f.grid.h)
 
 
 def map_derivative(tmap: MonotoneMap1D, f: GridDensity, g: GridDensity) -> np.ndarray:

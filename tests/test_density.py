@@ -19,7 +19,6 @@ from cube_transport import (
     check_midpoint_log_concavity,
     estimate_axis_convexity_ratio,
     estimate_diag_second_derivative_bound,
-    fiber,
     load_density,
     marginalize_last,
     normalize,
@@ -240,17 +239,6 @@ def test_marginalize_last_preserves_mass():
     marg = marginalize_last(d)
     assert marg.grid.dim == 2
     assert marg.total_mass == pytest.approx(d.total_mass, rel=1e-12)
-
-
-def test_fiber_times_marginal_reconstructs_density():
-    rng = np.random.default_rng(6)
-    grid = unit_cube_grid(2, 5)
-    d = normalize(GridDensity(grid, rng.uniform(0.1, 1.0, grid.shape)))
-    marg = marginalize_last(d)
-    for i in range(5):
-        f = fiber(d, (i,))
-        np.testing.assert_allclose(f.values, d.values[i], rtol=1e-14)
-        assert f.grid.dim == 1
 
 
 # ---------------------------------------------------------------- serialization

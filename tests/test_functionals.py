@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import loop_oracles
 from cube_transport import (
     ConvexPower,
+    DensityError,
     ExponentialTilt,
     GridDensity,
     Uniform,
@@ -26,7 +28,8 @@ from cube_transport import (
     triangular_coupling_cost,
     unit_cube_grid,
 )
-from cube_transport.families import random_logconcave_spec_1d, random_logconcave_spec_nd
+from cube_transport.families import (random_logconcave_spec_1d, random_logconcave_spec_nd,
+                                     random_smooth_density)
 
 
 # ---------------------------------------------------------------- entropy
@@ -194,6 +197,82 @@ def test_triangular_identity_coupling_costs_nothing():
     grid = unit_cube_grid(2, 6)
     d = build_density(Uniform(), grid)
     assert triangular_coupling_cost(d, d) == pytest.approx(0.0, abs=1e-14)
+
+
+def _assert_same_triples(got, want):
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _masses(d):
+    return d.cell_masses().reshape(d.grid.shape)
+
+
+@pytest.mark.parametrize("dim,m", [(1, 256), (2, 64), (2, 512), (3, 16), (4, 8)])
+def test_triangular_coupling_equals_loop_oracle(dim, m):
+    # seeded pairs like the benchmark's (log-concave source, smooth target)
+    # plus the product anchor; (2, 512) spans several batches of fibers
+    rng = np.random.default_rng([dim, m])
+    grid = unit_cube_grid(dim, m)
+    pairs = [(build_density(Uniform(), grid),
+              normalize(GridDensity(grid, np.prod(np.stack(grid.centers_mesh()), axis=0))))]
+    for _ in range(2):
+        pairs.append((build_density(random_logconcave_spec_nd(rng, dim, grid.origin, grid.side),
+                                    grid),
+                      random_smooth_density(rng, grid, amplitude=0.5)))
+    for f, g in pairs:
+        a, b = _masses(f), _masses(g)
+        _assert_same_triples(triangular_coupling(a, b), loop_oracles.triangular_coupling(a, b))
+
+
+def test_triangular_coupling_midpoint_on_adjacent_doubles():
+    # cumulative masses 0.5 and 0.5 + 2^-53 are adjacent doubles: their
+    # midpoint rounds onto 0.5, so the atom between them goes to cells (0, 0)
+    u = 2.0 ** -53
+    a = np.array([0.5, 0.5])
+    b = np.array([0.5 + u, 0.5 - u])
+    assert (0.5 + (0.5 + u)) / 2.0 == 0.5
+    got = triangular_coupling(a, b)
+    _assert_same_triples(got, loop_oracles.northwest_coupling(a, b))
+    _assert_same_triples(got, (np.array([0, 0, 1]), np.array([0, 0, 1]),
+                               np.array([0.5, u, 0.5 - u])))
+
+
+@st.composite
+def mass_pairs(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=6))
+    cell = st.one_of(st.integers(min_value=0, max_value=3).map(float),
+                     st.floats(min_value=1e-6, max_value=1.0))
+    cells = st.lists(cell, min_size=m ** dim, max_size=m ** dim)
+    a = np.array(draw(cells)).reshape((m,) * dim)
+    b = np.array(draw(cells)).reshape((m,) * dim)
+    assume(a.sum() > 0 and b.sum() > 0)
+    if draw(st.booleans()):  # bitwise-equal totals, so many cumulative masses tie
+        return a * b.sum(), b * a.sum()
+    return a / a.sum(), b / b.sum()
+
+
+@given(pair=mass_pairs())
+@settings(max_examples=200, deadline=None)
+def test_triangular_coupling_equals_loop_oracle_property(pair):
+    a, b = pair
+    _assert_same_triples(triangular_coupling(a, b), loop_oracles.triangular_coupling(a, b))
+
+
+@pytest.mark.parametrize("a,b", [
+    (np.full((4, 4), 1 / 16), np.full((4, 5), 1 / 20)),  # shapes differ
+    (np.full(4, 0.25), np.full(4, 0.1)),  # totals 1.0 and 0.4
+    (np.full((4, 4), 1 / 16), np.full(16, 1 / 16)),  # ndims differ
+    (np.array([0.5, np.nan]), np.array([0.5, 0.5])),
+    (np.array([1.5, -0.5]), np.array([0.5, 0.5])),
+    (np.zeros(3), np.zeros(3)),
+    (np.float64(1.0), np.float64(1.0)),
+])
+def test_triangular_coupling_rejects_bad_masses(a, b):
+    with pytest.raises(DensityError):
+        triangular_coupling(a, b)
 
 
 # ---------------------------------------------------------------- inequalities

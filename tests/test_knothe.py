@@ -1,11 +1,16 @@
 """Triangular transport on the cube: anchors, structure, pushforward."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import loop_oracles
 from cube_transport import (
     ConvexPower,
     CustomGrid,
+    DensityError,
     GridDensity,
     Uniform,
     build_density,
@@ -137,6 +142,108 @@ def test_three_dimensional_map_runs():
     assert tmap.displacement.shape == (8, 8, 8, 3)
     assert check_facet_preservation(tmap).passed
     assert displacement_cost(tmap, f) >= 0.0
+
+
+def probe_points(grid, rng):
+    """Samples inside the cube, grid nodes, and points on and beyond the faces."""
+    lattice = np.stack(np.meshgrid(*[grid.axis_nodes(a)[::max(1, grid.cells_per_axis // 8)]
+                                     for a in range(grid.dim)], indexing="ij"), axis=-1)
+    outside = grid.origin + grid.side * rng.uniform(-0.2, 1.2, (500, grid.dim))
+    return np.concatenate([rng.uniform(0.0, 1.0, (2000, grid.dim)) * grid.side + grid.origin,
+                           lattice.reshape(-1, grid.dim), outside])
+
+
+def assert_equals_loop_oracle(f, g, rng):
+    tmap = knothe_map(f, g)
+    oracle = loop_oracles.knothe_map(f, g)
+    assert np.array_equal(tmap.displacement, oracle.displacement)
+    for table, nodes in zip(tmap.node_tables[::-1], _oracle_levels(oracle)):
+        assert np.array_equal(table, nodes)
+    pts = probe_points(f.grid, rng)
+    assert np.array_equal(tmap.evaluate(pts), loop_oracles.evaluate(oracle, pts))
+    return tmap, oracle
+
+
+def _oracle_levels(oracle):
+    while oracle is not None:
+        yield np.array(oracle.fibers)
+        oracle = oracle.base
+
+
+@pytest.mark.parametrize("dim,m", [(1, 300), (2, 64), (3, 16), (4, 8)])
+def test_knothe_map_equals_loop_oracle(dim, m):
+    # seeded pairs like the benchmark's (log-concave source, smooth target),
+    # the product anchor and a source onto itself: node tables, displacements
+    # and evaluation are bitwise those of the per-fiber loops
+    rng = np.random.default_rng([dim, m, 1])
+    grid = unit_cube_grid(dim, m)
+    pairs = [(build_density(Uniform(), grid),
+              normalize(GridDensity(grid, np.prod(np.stack(grid.centers_mesh()), axis=0))))]
+    for _ in range(2):
+        pairs.append((build_density(random_logconcave_spec_nd(rng, dim, grid.origin, grid.side),
+                                    grid),
+                      random_smooth_density(rng, grid, amplitude=0.5)))
+    pairs.append((pairs[-1][0], pairs[-1][0]))  # equal CDFs: every node is a tie
+    for f, g in pairs:
+        tmap, oracle = assert_equals_loop_oracle(f, g, rng)
+        if dim == 1:
+            assert np.array_equal(monotone_map(f, g).node_values, oracle.fibers[0])
+        # the facet check maps all facets in one call; same worst deviation
+        centers = grid.centers().reshape(grid.shape + (dim,))
+        worst = 0.0
+        for axis in range(dim):
+            pts = np.take(centers, 0, axis=axis).reshape(-1, dim)
+            for bound_value in (grid.origin[axis], grid.origin[axis] + grid.side):
+                pts[:, axis] = bound_value
+                out = loop_oracles.evaluate(oracle, pts)
+                worst = max(worst, float(np.abs(out[:, axis] - bound_value).max()))
+        assert check_facet_preservation(tmap).lhs == worst
+
+
+@given(dim=st.integers(min_value=1, max_value=3), m=st.integers(min_value=2, max_value=6),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_knothe_map_equals_loop_oracle_property(dim, m, data):
+    # unnormalized cell values; a zero cell must raise the oracle's error
+    grid = unit_cube_grid(dim, m)
+    cells = st.lists(st.one_of(st.integers(min_value=0, max_value=4).map(float),
+                               st.floats(min_value=1e-3, max_value=1.0)),
+                     min_size=m ** dim, max_size=m ** dim)
+    f = GridDensity(grid, np.array(data.draw(cells)).reshape(grid.shape))
+    g = GridDensity(grid, np.array(data.draw(cells)).reshape(grid.shape))
+    try:
+        loop_oracles.knothe_map(f, g)
+    except DensityError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            knothe_map(f, g)
+        return
+    assert_equals_loop_oracle(f, g, np.random.default_rng(m))
+
+
+def test_evaluate_interpolates_at_nodes_and_outside():
+    # node hits, the last node and points beyond either end take np.interp's
+    # branches for node values
+    f, g = product_pair(8)
+    tmap = knothe_map(f, g)
+    x = np.array([-0.5, 0.0, 0.125, 0.3, 0.999, 1.0, 1.5])
+    pts = np.column_stack([np.full(len(x), 0.3), x])
+    out = tmap.evaluate(pts)
+    assert np.array_equal(out, loop_oracles.evaluate(loop_oracles.knothe_map(f, g), pts))
+    assert out[0, 1] == 0.0 and out[1, 1] == 0.0
+    assert out[5, 1] == 1.0 and out[6, 1] == 1.0
+
+
+@pytest.mark.parametrize("pts", [
+    np.array([[0.5, np.nan]]),
+    np.array([[np.inf, 0.5]]),
+    np.array([[0.5, 0.5, 0.5]]),
+    np.array([0.5, 0.5, 0.5]),
+    np.zeros((2, 2, 2)),
+])
+def test_evaluate_rejects_bad_points(pts):
+    f, g = product_pair(8)
+    with pytest.raises(DensityError):
+        knothe_map(f, g).evaluate(pts)
 
 
 # ---------------------------------------------------------------- pushforward
