@@ -29,8 +29,7 @@ from .knothe import (KnotheMap, check_facet_preservation, check_theorem31,
 from .reports import (VerificationReport, make_report, refinement_consistent,
                       refinement_report)
 from .sampler import (SampleBatch, empirical_marginal_distance,
-                      equicorrelated_row_sums, iter_equicorrelated_cube,
-                      sample_equicorrelated_cube, sample_grid)
+                      equicorrelated_row_sums, iter_equicorrelated_cube, sample_grid)
 from .transport1d import (MonotoneMap1D, check_cheeger_lambda,
                           check_lemma_lambda, check_prop_quadratic,
                           check_segment_bound, deficit_1d, log_gap,

@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -163,10 +164,6 @@ def _validate_config(cfg: dict) -> None:
                 spec_from_dict(cfg[key])
             except DensityError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
-
-
-def _ts(cfg) -> np.ndarray:
-    return np.linspace(0.0, cfg["t_max"], cfg["t_count"])
 
 
 def _rng(cfg, label: str) -> np.random.Generator:
@@ -353,7 +350,7 @@ def suite_concentration(cfg) -> dict:
     reports = []
     metrics = {}
     profiles = []
-    ts = _ts(cfg)
+    ts = np.linspace(0.0, cfg["t_max"], cfg["t_count"])
     rng = _rng(cfg, "con")
     seed = cfg["seed"]
     n_samples = cfg["n_samples"]
@@ -437,12 +434,7 @@ def suite_counterexample(cfg) -> dict:
     result = counterexample_scaling(cfg["ns"], cfg["n_samples"], cfg["seed"])
     scaling = []
     for row in result.rows:
-        scaling.append({"n": row.n, "t_star": row.t_star,
-                        "predicted": row.predicted,
-                        "mass_fraction": row.mass_fraction,
-                        "acceptance": row.acceptance,
-                        "n_samples": row.n_samples,
-                        "rejection_log10_bound": row.rejection_log10_bound})
+        scaling.append({k: v for k, v in asdict(row).items() if k != "std_error"})
         reports.append(make_report(f"rem-5.1-mass-n{row.n}",
                                    abs(row.mass_fraction - 0.5),
                                    3.0 / np.sqrt(row.n_samples), 3.0,

@@ -30,9 +30,7 @@ def alpha_theorem1(side: float, curvature_bound: float) -> float:
     """Concentration constant 3 * side * exp(curvature_bound * side^2 / 8)."""
     if side <= 0:
         raise DensityError("side must be positive")
-    if curvature_bound < 0:
-        raise DensityError("curvature bound must be nonnegative")
-    return BASE_ALPHA * side * math.exp(curvature_bound * side * side / 8.0)
+    return BASE_ALPHA * side * r_from_m(curvature_bound, side)
 
 
 def r_from_m(curvature_bound: float, side: float = 1.0) -> float:

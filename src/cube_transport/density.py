@@ -454,15 +454,9 @@ def estimate_axis_convexity_ratio(d: GridDensity) -> float:
 
 
 def _midpoint_directions(dim: int) -> list:
-    dirs = []
-    for u in itertools.product((-1, 0, 1), repeat=dim):
-        if all(c == 0 for c in u):
-            continue
-        first = next(c for c in u if c != 0)
-        if first < 0:
-            continue  # canonical representative of {u, -u}
-        dirs.append(u)
-    return dirs
+    # nonzero steps in {-1, 0, 1}^dim, one of each pair {u, -u}: first nonzero entry 1
+    return [u for u in itertools.product((-1, 0, 1), repeat=dim)
+            if any(u) and next(c for c in u if c) > 0]
 
 
 def check_midpoint_log_concavity(d: GridDensity, tol: float = 1e-9):

@@ -1,5 +1,5 @@
 """Entropy functionals, a Legendre dual upper bound, and an exact small-scale
-quadratic-cost coupling solved as a linear program.
+quadratic-cost coupling solved as a sparse linear program by column generation.
 
 Conventions: densities are piecewise constant on a shared grid; integrals are
 cell sums times cell volume; gradients are finite differences (centered
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .density import (DensityError, GridDensity,
                       check_midpoint_log_concavity)
@@ -22,7 +20,18 @@ from .reports import VerificationReport, make_report
 from .transport1d import QUADRATIC_COST_FACTOR, merge_rows
 
 W2_CELL_LIMIT = 4096
+W2_MAX_ROUNDS = 100  # column-generation rounds before giving up on a certificate
+W2_PRICING_TOL = 1e-9  # every reduced cost >= -tol certifies the plan optimal
+W2_COLUMNS_PER_ROW = 4  # most negative reduced costs added per source cell and round
+LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 LEGENDRE_CELL_LIMIT = 16384
+
+
+def linprog(c, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: scipy.optimize
+    takes about a quarter second to import, and most CLI suites solve no LP."""
+    from scipy.optimize import linprog as solve
+    return solve(c, **kwargs)
 
 
 def relative_entropy(g: GridDensity, f: GridDensity) -> float:
@@ -97,13 +106,22 @@ def legendre_tire_bound(f: GridDensity, g: GridDensity) -> float:
 @dataclass(frozen=True, eq=False)
 class CouplingPlan:
     """Sparse coupling between source and target cells: entry k moves
-    ``weights[k]`` mass from flat cell ``source_index[k]`` to ``target_index[k]``."""
+    ``weights[k]`` mass from flat cell ``source_index[k]`` to ``target_index[k]``.
+
+    The LP certificate: ``rounds`` of column generation were solved, the
+    smallest reduced cost over all cell pairs is ``min_reduced_cost``, and
+    ``lower_bound`` (the dual objective, plus that cost when negative, less a
+    rounding allowance) is at most the cost of every coupling of the two
+    marginals."""
 
     source_index: np.ndarray
     target_index: np.ndarray
     weights: np.ndarray
     n_source: int
     n_target: int
+    rounds: int
+    min_reduced_cost: float
+    lower_bound: float
 
     def marginal_error(self, source_masses: np.ndarray, target_masses: np.ndarray) -> float:
         row = np.bincount(self.source_index, weights=self.weights, minlength=self.n_source)
@@ -112,43 +130,77 @@ class CouplingPlan:
                          np.abs(col - target_masses).max()))
 
 
+def _price(centers: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
+    """Smallest reduced cost |x_i - x_j|^2 - u_i - v_j over all cell pairs (in
+    chunks of about 2^22 pairs), and the flat indices i * n + j of the up to
+    W2_COLUMNS_PER_ROW most negative ones per row below -W2_PRICING_TOL."""
+    n = len(u)
+    k = min(W2_COLUMNS_PER_ROW, n)
+    step = max(1, (1 << 22) // n)
+    smallest, found = np.inf, []
+    for s in range(0, n, step):
+        rc = -u[s:s + step, None] - v[None, :]
+        for axis in range(centers.shape[1]):
+            rc += (centers[s:s + step, axis, None] - centers[None, :, axis]) ** 2
+        cols = np.argpartition(rc, k - 1, axis=1)[:, :k]
+        vals = np.take_along_axis(rc, cols, axis=1)
+        smallest = min(smallest, float(vals.min()))
+        r, c = np.nonzero(vals < -W2_PRICING_TOL)
+        found.append((s + r) * n + cols[r, c])
+    return smallest, np.concatenate(found)
+
+
 def exact_w2_small(f: GridDensity, g: GridDensity):
     """Exact squared quadratic-cost distance between the normalized cell
     distributions, via the transportation linear program.
 
     Returns (squared cost, CouplingPlan). Cell centers carry the cell mass,
     so this is the exact discrete optimum for the center-supported measures
-    (an O(h) object against the continuum). Instances near the 4096-cell cap
-    take minutes; keep routine use at or below ~1024 cells.
-    """
+    (an O(h) object against the continuum). Column generation: HiGHS solves
+    the LP over a sparse set of cell pairs, seeded with the atoms of the
+    triangular coupling (a feasible plan); its duals price every pair, the
+    most negative reduced costs join the set, and the loop stops when none is
+    below -W2_PRICING_TOL, which certifies the plan optimal, or raises
+    RuntimeError after W2_MAX_ROUNDS. 576 cells take about 0.6 s, 4096 cells
+    about 90 s (2-core machine)."""
+    from scipy import sparse  # imported here: scipy.sparse is slow to import
+
     if not f.grid.matches(g.grid):
         raise DensityError("densities must share the same grid")
-    n_cells = f.grid.n_cells
-    if n_cells > W2_CELL_LIMIT:
+    n = f.grid.n_cells
+    if n > W2_CELL_LIMIT:
         raise DensityError(f"exact_w2_small is limited to {W2_CELL_LIMIT} cells")
-    a = f.cell_masses()
-    b = g.cell_masses()
+    a, b = f.cell_masses(), g.cell_masses()
     centers = f.grid.centers()
-    diff = centers[:, None, :] - centers[None, :, :]
-    cost = (diff ** 2).sum(axis=-1).reshape(-1)
-    ns = nt = n_cells
-    var_ids = np.arange(ns * nt)
-    row_constraint = np.repeat(np.arange(ns), nt)
-    col_constraint = ns + np.tile(np.arange(nt), ns)
-    # last column constraint is redundant (masses both sum to 1); drop it
-    keep = col_constraint < ns + nt - 1
-    rows = np.concatenate([row_constraint, col_constraint[keep]])
-    cols = np.concatenate([var_ids, var_ids[keep]])
-    data = np.ones(len(rows))
-    a_eq = sparse.coo_matrix((data, (rows, cols)),
-                             shape=(ns + nt - 1, ns * nt)).tocsr()
+    src, tgt, _ = triangular_coupling(a.reshape(f.grid.shape), b.reshape(g.grid.shape))
+    pairs = np.unique(src * n + tgt)
+    # last target constraint is redundant (masses both sum to 1); drop it, so v[-1] = 0
     b_eq = np.concatenate([a, b[:-1]])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    x = res.x
-    nz = x > 1e-15
-    plan = CouplingPlan(var_ids[nz] // nt, var_ids[nz] % nt, x[nz], ns, nt)
+    for rounds in range(1, W2_MAX_ROUNDS + 1):
+        i, j = np.divmod(pairs, n)
+        cost = ((centers[i] - centers[j]) ** 2).sum(axis=1)
+        rows, cols = np.concatenate([i, n + j]), np.tile(np.arange(len(pairs)), 2)
+        keep = rows < 2 * n - 1
+        a_eq = sparse.csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])),
+                                 shape=(2 * n - 1, len(pairs)))
+        res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                      options=LP_OPTIONS)
+        if res.status != 0:
+            raise RuntimeError(f"transport LP failed: {res.message}")
+        u, v = res.eqlin.marginals[:n], np.append(res.eqlin.marginals[n:], 0.0)
+        smallest, new = _price(centers, u, v)
+        if smallest >= -W2_PRICING_TOL:
+            break
+        pairs = np.union1d(pairs, new)
+    else:
+        raise RuntimeError(f"column generation found no optimality certificate "
+                           f"in {W2_MAX_ROUNDS} rounds")
+    # weak duality, less a bound on the rounding of these sums and of the pricing
+    diameter_sq = float(((centers.max(axis=0) - centers.min(axis=0)) ** 2).sum())
+    rounding = 4 * n * np.finfo(float).eps * (np.abs(u).max() + np.abs(v).max() + diameter_sq)
+    lower_bound = float(a @ u + b @ v + min(0.0, smallest) * a.sum() - rounding)
+    nz = res.x > 1e-15
+    plan = CouplingPlan(i[nz], j[nz], res.x[nz], n, n, rounds, smallest, lower_bound)
     return float(res.fun), plan
 
 
@@ -169,8 +221,14 @@ def _northwest_rows(a: np.ndarray, b: np.ndarray) -> tuple:
     on_prev = (pos > 0) & ((edges + prev) / 2.0 == prev)
     i, j = np.where(on_prev, np.roll(i, 1), i), np.where(on_prev, np.roll(j, 1), j)
     w = edges - prev
-    keep, last = w > 0, a.shape[1] - 1
-    return row[keep], np.minimum(i[keep], last), np.minimum(j[keep], last), w[keep]
+    keep = w > 0
+    row, i, j = row[keep], i[keep], j[keep]
+    # mass past a row's total (totals differ by rounding) goes to the row's
+    # last cell of positive mass, so no atom lands on a cell of zero mass
+    for cells, x in ((i, a), (j, b)):
+        past = np.flatnonzero(cells == x.shape[1])
+        cells[past] = x.shape[1] - 1 - np.argmax(x[row[past], ::-1] > 0, axis=1)
+    return row, i, j, w[keep]
 
 
 def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
@@ -178,7 +236,8 @@ def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
     marginals recursively, then couple conditional last-axis fibers by the
     monotone rule inside each marginal atom. Masses: finite, nonnegative, one
     shape, equal positive totals. Returns flat-index triples (source_cells,
-    target_cells, weights) with exact marginals."""
+    target_cells, weights) with exact marginals; no atom lies on a cell of
+    zero mass."""
     a, b = np.asarray(f_masses, dtype=float), np.asarray(g_masses, dtype=float)
     if a.shape != b.shape or a.ndim < 1:
         raise DensityError(f"mass arrays must share one shape, got {a.shape} and {b.shape}")

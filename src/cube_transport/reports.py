@@ -44,30 +44,14 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         # key is "pass" on the wire; `passed` only avoids the keyword clash
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant_used,
-            "slack": self.slack,
-            "pass": self.passed,
-            "m": self.grid_m,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "note": self.note,
-        }
+        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
+                "constant": self.constant_used, "slack": self.slack, "pass": self.passed,
+                "m": self.grid_m, "rel_tol": self.rel_tol, "abs_tol": self.abs_tol,
+                "note": self.note}
 
     def to_csv_row(self) -> list[str]:
-        return [
-            self.name,
-            repr(self.lhs),
-            repr(self.rhs),
-            repr(self.constant_used),
-            repr(self.slack),
-            "true" if self.passed else "false",
-            str(self.grid_m),
-            self.note,
-        ]
+        return [self.name, *map(repr, (self.lhs, self.rhs, self.constant_used, self.slack)),
+                "true" if self.passed else "false", str(self.grid_m), self.note]
 
 
 def passes(lhs: float, rhs: float, rel_tol: float = DEFAULT_REL_TOL,

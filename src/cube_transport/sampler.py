@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .density import (DegenerateDensityError, DensityError, GridDensity,
                       equicorrelated_scale, fingerprint)
@@ -140,33 +139,6 @@ def iter_equicorrelated_cube(n: int, seed: int):
         chunk += 1
 
 
-def sample_equicorrelated_cube(n: int, n_samples: int, seed: int):
-    """Accepted points from the equicorrelated construction, as
-    (SampleBatch, acceptance_rate). Aborts if the acceptance rate drops
-    below 1% (the construction is designed to make rejection rare)."""
-    if n_samples < 1:
-        raise DensityError("n_samples must be >= 1")
-    if n_samples * n > MAX_POINT_BUDGET:
-        raise DensityError("requested batch exceeds the materialized-point budget")
-    blocks = []
-    accepted = 0
-    candidates = 0
-    for block, drawn in iter_equicorrelated_cube(n, seed):
-        blocks.append(block)
-        accepted += len(block)
-        candidates += drawn
-        if accepted >= n_samples:
-            break
-        if candidates >= 10 * default_chunk_rows(n) and accepted < 0.01 * candidates:
-            raise DegenerateDensityError(
-                f"acceptance rate {accepted / candidates:.4f} below 1%")
-    points = np.concatenate(blocks, axis=0)[:n_samples]
-    rate = accepted / candidates
-    digest = fingerprint({"construction": "equicorrelated_cube", "n": n,
-                          "scale": equicorrelated_scale(n)}, b"")
-    return SampleBatch(points, int(seed), digest), float(rate)
-
-
 def equicorrelated_row_sums(n: int, n_samples: int, seed: int):
     """Row sums of n_samples draws of the equicorrelated construction in
     dimension n, from two normals per row, as (sums, rejection_log10_bound).
@@ -190,6 +162,8 @@ def equicorrelated_row_sums(n: int, n_samples: int, seed: int):
         raise DensityError("requested batch exceeds the materialized-point budget")
     if n > 1 << 53:
         raise DensityError(f"row sums need n <= 2^53, where floats are exact; got {n}")
+    from scipy.special import log_ndtr  # imported here: scipy.special is slow to import
+
     rng = philox(seed, _DOMAIN_ROW_SUMS, 0)
     scale = equicorrelated_scale(n)
     z = rng.standard_normal((n_samples, 2))

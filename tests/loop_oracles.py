@@ -23,8 +23,9 @@ def northwest_coupling(a, b):
     prev = np.concatenate(([0.0], edges[:-1]))
     w = edges - prev
     mid = (edges + prev) / 2.0
-    i = np.clip(np.searchsorted(ca, mid, side="left"), 0, len(a) - 1)
-    j = np.clip(np.searchsorted(cb, mid, side="left"), 0, len(b) - 1)
+    # mass past a total goes to the last cell of positive mass
+    i = np.clip(np.searchsorted(ca, mid, side="left"), 0, np.flatnonzero(a)[-1])
+    j = np.clip(np.searchsorted(cb, mid, side="left"), 0, np.flatnonzero(b)[-1])
     keep = w > 0
     return i[keep], j[keep], w[keep]
 

@@ -1,15 +1,24 @@
 """Entropy, Legendre bound, exact quadratic coupling, triangular coupling."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cube_transport
 import loop_oracles
+import lp_oracles
+from cube_transport import functionals
 from cube_transport import (
     ConvexPower,
     DensityError,
     ExponentialTilt,
     GridDensity,
+    RestrictedGaussian,
     Uniform,
     build_density,
     check_tire_le_entropy,
@@ -155,6 +164,105 @@ def test_w2_symmetric():
     assert ab == pytest.approx(ba, rel=1e-9, abs=1e-12)
 
 
+def _assert_matches_dense_oracle(f, g):
+    """Cost equals the dense LP's to 1e-9, the plan has the marginals to
+    1e-9, and the certificate holds: no reduced cost below -1e-9, and the
+    lower bound within 1e-9 below the cost."""
+    cost, plan = exact_w2_small(f, g)
+    a, b = f.cell_masses(), g.cell_masses()
+    want, _ = lp_oracles.dense_w2(a, b, f.grid.centers())
+    assert abs(cost - want) <= 1e-9
+    assert plan.marginal_error(a, b) <= 1e-9
+    assert plan.min_reduced_cost >= -1e-9
+    assert plan.lower_bound <= cost <= plan.lower_bound + 1e-9
+    assert np.all(plan.weights > 0)
+    return cost, plan
+
+
+@pytest.mark.parametrize("dim,m", [(1, 64), (1, 192), (2, 8), (2, 16), (2, 24), (3, 4), (3, 8)])
+def test_w2_matches_dense_oracle(dim, m):
+    # seeded pairs like the benchmark's: log-concave source, smooth target.
+    # On a 2-core machine the dense LP takes about 7 s at 24^2 and 5 s at 8^3.
+    rng = np.random.default_rng([7, dim, m])
+    grid = unit_cube_grid(dim, m)
+    f = build_density(random_logconcave_spec_nd(rng, dim, grid.origin, grid.side), grid)
+    g = random_smooth_density(rng, grid, amplitude=0.25)
+    _assert_matches_dense_oracle(f, g)
+
+
+def _crossed_gaussians(m):
+    # opposite correlations: the triangular coupling is far from optimal,
+    # so column generation needs several rounds
+    grid = unit_cube_grid(2, m)
+    return (build_density(RestrictedGaussian((0.4, 0.6), ((3.0, 2.0), (2.0, 3.0))), grid),
+            build_density(RestrictedGaussian((0.6, 0.4), ((3.0, -2.0), (-2.0, 3.0))), grid))
+
+
+def test_w2_matches_dense_oracle_over_several_rounds():
+    _, plan = _assert_matches_dense_oracle(*_crossed_gaussians(12))
+    assert plan.rounds > 2
+
+
+def test_w2_matches_dense_oracle_with_zero_cells():
+    rng = np.random.default_rng(53)
+    grid = unit_cube_grid(2, 8)
+    fv, gv = rng.uniform(0.1, 1.0, grid.shape), rng.uniform(0.1, 1.0, grid.shape)
+    fv[2:5, 1:4] = 0.0
+    gv[:, 6:] = 0.0
+    gv[0, 0] = 0.0
+    f, g = GridDensity(grid, fv), GridDensity(grid, gv)
+    cost, plan = _assert_matches_dense_oracle(f, g)
+    assert cost > 0.0
+    assert not np.any(f.cell_masses()[plan.source_index] == 0)
+    assert not np.any(g.cell_masses()[plan.target_index] == 0)
+
+
+def test_w2_matches_dense_oracle_on_equal_densities():
+    rng = np.random.default_rng(54)
+    grid = unit_cube_grid(2, 12)
+    d = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, grid.shape)))
+    cost, plan = _assert_matches_dense_oracle(d, d)
+    assert cost == pytest.approx(0.0, abs=1e-12)
+    assert plan.rounds == 1
+
+
+def test_w2_calls_linprog_with_the_sparse_cost_first(monkeypatch):
+    # the benchmark tracer counts LP variables from functionals.linprog's first argument
+    sizes = []
+    solve = functionals.linprog
+
+    def spy(c, **kwargs):
+        sizes.append(len(c))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(functionals, "linprog", spy)
+    f, g = _crossed_gaussians(8)
+    _, plan = exact_w2_small(f, g)
+    assert len(sizes) == plan.rounds > 1
+    assert sizes == sorted(sizes) and sizes[-1] < f.grid.n_cells ** 2 // 4
+
+
+def test_w2_raises_when_round_cap_hit_without_certificate(monkeypatch):
+    f, g = _crossed_gaussians(8)
+    _, plan = exact_w2_small(f, g)
+    assert plan.rounds > 1
+    monkeypatch.setattr(functionals, "W2_MAX_ROUNDS", plan.rounds - 1)
+    with pytest.raises(RuntimeError, match="certificate"):
+        exact_w2_small(f, g)
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.optimize, .sparse and .special are imported where first used
+    src = os.path.dirname(os.path.dirname(cube_transport.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, cube_transport.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.special') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------- couplings
 
 
@@ -239,6 +347,28 @@ def test_triangular_coupling_midpoint_on_adjacent_doubles():
                                np.array([0.5, u, 0.5 - u])))
 
 
+def test_triangular_coupling_zero_mass_fibers():
+    # the leading sums of these 3x3x3 masses differ in the last bit, so the
+    # northwest rule once put a rounding-size atom on a zero-mass leading
+    # cell, and the next level divided by that fiber's zero sum
+    a = np.array([[[3, 2, 0], [0, 2, 1], [0, 0, 0]], [[3, 2, 0], [2, 2, 1], [0, 0, 0]],
+                  [[0, 0, 0], [3, 3, 1], [0, 0, 0]]], dtype=float)
+    b = np.array([[[2, 2, 0], [3, 2, 3], [0, 0, 2]], [[3, 2, 3], [0, 0, 3], [0, 2, 0]],
+                  [[1, 0, 0], [0, 0, 2], [2, 2, 0]]], dtype=float)
+    a, b = a / a.sum(), b / b.sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i, j, w = triangular_coupling(a, b)
+        _assert_same_triples((i, j, w), loop_oracles.triangular_coupling(a, b))
+        _, plan = exact_w2_small(GridDensity(unit_cube_grid(3, 3), a),
+                                 GridDensity(unit_cube_grid(3, 3), b))
+    assert np.all(w > 0)
+    assert np.all(a.ravel()[i] > 0) and np.all(b.ravel()[j] > 0)
+    np.testing.assert_allclose(np.bincount(i, weights=w, minlength=27), a.ravel(), atol=1e-15)
+    np.testing.assert_allclose(np.bincount(j, weights=w, minlength=27), b.ravel(), atol=1e-15)
+    assert plan.marginal_error(a.ravel(), b.ravel()) <= 1e-15
+
+
 @st.composite
 def mass_pairs(draw):
     dim = draw(st.integers(min_value=1, max_value=3))
@@ -258,7 +388,16 @@ def mass_pairs(draw):
 @settings(max_examples=200, deadline=None)
 def test_triangular_coupling_equals_loop_oracle_property(pair):
     a, b = pair
-    _assert_same_triples(triangular_coupling(a, b), loop_oracles.triangular_coupling(a, b))
+    i, j, w = triangular_coupling(a, b)
+    _assert_same_triples((i, j, w), loop_oracles.triangular_coupling(a, b))
+    assert np.all(a.ravel()[i] > 0) and np.all(b.ravel()[j] > 0)
+
+
+@given(pair=mass_pairs())
+@settings(max_examples=60, deadline=None)
+def test_w2_matches_dense_oracle_property(pair):
+    grid = unit_cube_grid(pair[0].ndim, pair[0].shape[0])
+    _assert_matches_dense_oracle(*(GridDensity(grid, x) for x in pair))
 
 
 @pytest.mark.parametrize("a,b", [

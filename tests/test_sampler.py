@@ -17,7 +17,6 @@ from cube_transport import (
     equicorrelated_row_sums,
     iter_equicorrelated_cube,
     normalize,
-    sample_equicorrelated_cube,
     sample_grid,
     unit_cube_grid,
 )
@@ -117,16 +116,29 @@ def test_chunk_rows_inverse_in_dim():
     assert default_chunk_rows(10 ** 9) == 256
 
 
+def sample_equicorrelated_cube(n, n_samples, seed):
+    """Exact cube rejection, the oracle for the closed-form row sums: the
+    first n_samples rows that iter_equicorrelated_cube accepts, and the
+    acceptance rate, as (points, rate)."""
+    blocks, accepted, candidates = [], 0, 0
+    for block, drawn in iter_equicorrelated_cube(n, seed):
+        blocks.append(block)
+        accepted += len(block)
+        candidates += drawn
+        if accepted >= n_samples:
+            return np.concatenate(blocks)[:n_samples], accepted / candidates
+
+
 def test_equicorrelated_reproducible():
     a, _ = sample_equicorrelated_cube(128, 2000, seed=9)
     b, _ = sample_equicorrelated_cube(128, 2000, seed=9)
-    np.testing.assert_array_equal(a.points, b.points)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_equicorrelated_inside_cube_and_acceptance():
     batch, rate = sample_equicorrelated_cube(256, 5000, seed=1)
-    assert batch.points.shape == (5000, 256)
-    assert np.abs(batch.points).max() <= 0.5
+    assert batch.shape == (5000, 256)
+    assert np.abs(batch).max() <= 0.5
     # at this scale essentially nothing is rejected
     assert rate > 0.99
 
@@ -135,11 +147,11 @@ def test_equicorrelated_moments():
     n, N = 256, 40000
     batch, _ = sample_equicorrelated_cube(n, N, seed=2)
     scale = equicorrelated_scale(n)
-    stds = batch.points.std(axis=0)
+    stds = batch.std(axis=0)
     # per coordinate: std = scale sqrt(2)
     np.testing.assert_allclose(stds, scale * np.sqrt(2.0), rtol=0.05)
     # shared factor makes coordinates positively correlated: cov = scale^2
-    c01 = np.cov(batch.points[:, 0], batch.points[:, 1])[0, 1]
+    c01 = np.cov(batch[:, 0], batch[:, 1])[0, 1]
     assert c01 == pytest.approx(scale**2, rel=0.2)
 
 
@@ -147,7 +159,7 @@ def test_equicorrelated_row_sum_variance():
     n, N = 512, 30000
     batch, _ = sample_equicorrelated_cube(n, N, seed=3)
     scale = equicorrelated_scale(n)
-    sums = batch.points.sum(axis=1)
+    sums = batch.sum(axis=1)
     # Var(sum) = scale^2 (n + n^2)
     theory = scale**2 * (n + n**2)
     assert sums.var() == pytest.approx(theory, rel=0.05)
@@ -181,7 +193,7 @@ def test_row_sums_match_summed_cube_points():
     batch, _ = sample_equicorrelated_cube(n, N, seed=6)
     sums, _ = equicorrelated_row_sums(n, N, seed=6)
     assert sums.shape == (N,)
-    assert ks_2samp(batch.points.sum(axis=1), sums).pvalue > 0.01
+    assert ks_2samp(batch.sum(axis=1), sums).pvalue > 0.01
 
 
 def test_row_sum_variance_closed_form():
