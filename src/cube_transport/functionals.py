@@ -130,6 +130,11 @@ class CouplingPlan:
                          np.abs(col - target_masses).max()))
 
 
+def _pair_costs(centers: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|^2 for each pair of flat cells."""
+    return ((centers[i] - centers[j]) ** 2).sum(axis=1)
+
+
 def _price(centers: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
     """Smallest reduced cost |x_i - x_j|^2 - u_i - v_j over all cell pairs (in
     chunks of about 2^22 pairs), and the flat indices i * n + j of the up to
@@ -163,6 +168,11 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     below -W2_PRICING_TOL, which certifies the plan optimal, or raises
     RuntimeError after W2_MAX_ROUNDS. 576 cells take about 0.6 s, 4096 cells
     about 90 s (2-core machine)."""
+    return _exact_w2(f, g)[:2]
+
+
+def _exact_w2(f: GridDensity, g: GridDensity) -> tuple:
+    """``exact_w2_small``, plus the triangular coupling that seeded it."""
     from scipy import sparse  # imported here: scipy.sparse is slow to import
 
     if not f.grid.matches(g.grid):
@@ -172,13 +182,13 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
         raise DensityError(f"exact_w2_small is limited to {W2_CELL_LIMIT} cells")
     a, b = f.cell_masses(), g.cell_masses()
     centers = f.grid.centers()
-    src, tgt, _ = triangular_coupling(a.reshape(f.grid.shape), b.reshape(g.grid.shape))
-    pairs = np.unique(src * n + tgt)
+    atoms = triangular_coupling(a.reshape(f.grid.shape), b.reshape(g.grid.shape))
+    pairs = np.unique(atoms[0] * n + atoms[1])
     # last target constraint is redundant (masses both sum to 1); drop it, so v[-1] = 0
     b_eq = np.concatenate([a, b[:-1]])
     for rounds in range(1, W2_MAX_ROUNDS + 1):
         i, j = np.divmod(pairs, n)
-        cost = ((centers[i] - centers[j]) ** 2).sum(axis=1)
+        cost = _pair_costs(centers, i, j)
         rows, cols = np.concatenate([i, n + j]), np.tile(np.arange(len(pairs)), 2)
         keep = rows < 2 * n - 1
         a_eq = sparse.csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])),
@@ -201,7 +211,7 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     lower_bound = float(a @ u + b @ v + min(0.0, smallest) * a.sum() - rounding)
     nz = res.x > 1e-15
     plan = CouplingPlan(i[nz], j[nz], res.x[nz], n, n, rounds, smallest, lower_bound)
-    return float(res.fun), plan
+    return float(res.fun), plan, atoms
 
 
 def _northwest_rows(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -231,13 +241,7 @@ def _northwest_rows(a: np.ndarray, b: np.ndarray) -> tuple:
     return row, i, j, w[keep]
 
 
-def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
-    """Discrete counterpart of the triangular map: couple the leading-axis
-    marginals recursively, then couple conditional last-axis fibers by the
-    monotone rule inside each marginal atom. Masses: finite, nonnegative, one
-    shape, equal positive totals. Returns flat-index triples (source_cells,
-    target_cells, weights) with exact marginals; no atom lies on a cell of
-    zero mass."""
+def _checked_masses(f_masses, g_masses) -> tuple:
     a, b = np.asarray(f_masses, dtype=float), np.asarray(g_masses, dtype=float)
     if a.shape != b.shape or a.ndim < 1:
         raise DensityError(f"mass arrays must share one shape, got {a.shape} and {b.shape}")
@@ -246,36 +250,62 @@ def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
     total_a, total_b = a.sum(), b.sum()
     if not (total_a > 0 and abs(total_a - total_b) <= 1e-12 * max(total_a, total_b)):
         raise DensityError(f"mass totals must be positive and equal, got {total_a} and {total_b}")
-    levels = [(a, b)]
-    while levels[-1][0].ndim > 1:
-        levels.append(tuple(x.sum(axis=-1) for x in levels[-1]))
-    _, src, tgt, w = _northwest_rows(*(x[None] for x in levels.pop()))
-    for a, b in reversed(levels):
-        m = a.shape[-1]
-        a_rows, b_rows = a.reshape(-1, m), b.reshape(-1, m)
-        step = max(1, (1 << 15) // m)  # fibers per batch: about 2^16 merged entries
-        parts = []
-        for s in range(0, len(w), step):
-            li, lj, lw = src[s:s + step], tgt[s:s + step], w[s:s + step, None]
-            a_fib, b_fib = a_rows[li], b_rows[lj]
-            rows, fi, fj, fw = _northwest_rows(a_fib * (lw / a_fib.sum(axis=1)[:, None]),
-                                               b_fib * (lw / b_fib.sum(axis=1)[:, None]))
-            parts.append((li[rows] * m + fi, lj[rows] * m + fj, fw))
-        src, tgt, w = (np.concatenate(p) for p in zip(*parts))
-    return src, tgt, w
+    return a, b
+
+
+def _coupling_batches(a: np.ndarray, b: np.ndarray):
+    """Triangular coupling of checked masses, its last level in batches (s0,
+    t0, rows, fi, fj, fw): atom k moves fw[k] from flat cell s0[rows[k]] +
+    fi[k] to t0[rows[k]] + fj[k]; s0, t0 are the coupled fibers' first cells."""
+    if a.ndim == 1:  # one pair of fibers, starting at cell 0
+        yield (np.zeros(1, dtype=np.intp),) * 2 + _northwest_rows(a[None], b[None])
+        return
+    src, tgt, w = _flat_atoms(_coupling_batches(a.sum(axis=-1), b.sum(axis=-1)))
+    m = a.shape[-1]
+    a_rows, b_rows = a.reshape(-1, m), b.reshape(-1, m)
+    step = max(1, (1 << 15) // m)  # fibers per batch: about 2^16 merged entries
+    for s in range(0, len(w), step):
+        li, lj, lw = src[s:s + step], tgt[s:s + step], w[s:s + step, None]
+        a_fib, b_fib = a_rows[li], b_rows[lj]
+        yield (li * m, lj * m) + _northwest_rows(a_fib * (lw / a_fib.sum(axis=1)[:, None]),
+                                                 b_fib * (lw / b_fib.sum(axis=1)[:, None]))
+
+
+def _flat_atoms(batches) -> tuple:
+    parts = [(s0[rows] + fi, t0[rows] + fj, fw) for s0, t0, rows, fi, fj, fw in batches]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
+    """Discrete counterpart of the triangular map: couple the leading-axis
+    marginals recursively, then couple conditional last-axis fibers by the
+    monotone rule inside each marginal atom. Masses: finite, nonnegative, one
+    shape, equal positive totals. Returns flat-index triples (source_cells,
+    target_cells, weights) with exact marginals; no atom lies on a cell of
+    zero mass."""
+    return _flat_atoms(_coupling_batches(*_checked_masses(f_masses, g_masses)))
 
 
 def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
     """Quadratic cost of the discrete triangular coupling between the
     normalized cell distributions (same atoms as ``exact_w2_small``, so the
-    exact optimum can never exceed this)."""
+    exact optimum can never exceed this). The atoms are never built: each
+    batch of the last level takes their costs from per-axis tables of squared
+    center differences, added in the order of ``_pair_costs``, so the cost is
+    bitwise that of the built coupling."""
     if not f.grid.matches(g.grid):
         raise DensityError("densities must share the same grid")
-    i, j, w = triangular_coupling(f.cell_masses().reshape(f.grid.shape),
-                                  g.cell_masses().reshape(g.grid.shape))
-    centers = f.grid.centers()
-    sq = ((centers[i] - centers[j]) ** 2).sum(axis=1)
-    return float((sq * w).sum())
+    grid = f.grid
+    tables = [(c[:, None] - c[None, :]) ** 2 for c in map(grid.axis_centers, range(grid.dim))]
+    masses = (d.cell_masses().reshape(grid.shape) for d in (f, g))
+    parts = []
+    for s0, t0, rows, fi, fj, fw in _coupling_batches(*_checked_masses(*masses)):
+        lead = np.zeros(len(s0))
+        for table, i, j in zip(tables[:-1], np.unravel_index(s0, grid.shape),
+                               np.unravel_index(t0, grid.shape)):
+            lead = lead + table[i, j]
+        parts.append((lead[rows] + tables[-1][fi, fj]) * fw)
+    return float(np.concatenate(parts).sum())
 
 
 def check_transport_entropy_sandwich(f: GridDensity, g: GridDensity,
@@ -296,8 +326,8 @@ def check_transport_entropy_sandwich(f: GridDensity, g: GridDensity,
     m = f.grid.cells_per_axis
     tmap = knothe_map(f, g)
     tri_cost = displacement_cost(tmap, f)
-    tri_discrete = triangular_coupling_cost(f, g)
-    w2_sq, _ = exact_w2_small(f, g)
+    w2_sq, _, (i, j, w) = _exact_w2(f, g)  # the triangular coupling is built once
+    tri_discrete = float((_pair_costs(f.grid.centers(), i, j) * w).sum())
     entropy = relative_entropy(g, f)
     const = QUADRATIC_COST_FACTOR * ratio_bound ** 2
     return [

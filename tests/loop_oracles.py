@@ -1,8 +1,11 @@
-"""Per-fiber loop references for the batched fiber transport.
+"""Loop references for the batched fiber transport and the shortcut scans.
 
 These are the loops the library ran before it built, evaluated and coupled
 all fibers of a level at once: one 1d CDF match per fiber, one ``np.interp``
-per fiber, one northwest coupling per leading atom. The batched code must
+per fiber, one northwest coupling per leading atom. Next to them are the
+midpoint log-concavity scan over every gap, which the library now runs only
+when unit steps find a violation, and the coupling cost summed over the
+built atoms, which the library now sums batch by batch. The library must
 reproduce them bit for bit, so they are kept here as oracles and nowhere else.
 """
 
@@ -10,8 +13,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cube_transport.density import DensityError, PositivityError, marginalize_last
+from cube_transport.density import (DensityError, PositivityError, _midpoint_directions,
+                                    marginalize_last)
 from cube_transport.knothe import _multilinear
+
+
+def midpoint_log_concavity(d, tol=1e-9, max_gap=None):
+    """(ok, worst) of f(mid)^2 >= f(a) f(b) (1 - tol) over every axis-parallel
+    and diagonal cell-center triple whose gap is at most ``max_gap`` (every
+    gap when None)."""
+    v = d.require_positive()
+    m = d.grid.cells_per_axis
+    worst = 0.0
+    for u in _midpoint_directions(d.grid.dim):
+        t = 1
+        while 2 * t < m and (max_gap is None or t <= max_gap):
+            s = tuple(t * c for c in u)
+            mid_ix = tuple(slice(abs(c), m - abs(c)) for c in s)
+            lo_ix = tuple(slice(abs(c) - c, m - abs(c) - c) for c in s)
+            hi_ix = tuple(slice(abs(c) + c, m - abs(c) + c) for c in s)
+            mid, lo, hi = v[mid_ix], v[lo_ix], v[hi_ix]
+            ratio = float((mid * mid / (lo * hi)).min())
+            worst = max(worst, 1.0 - ratio)
+            t += 1
+    return worst <= tol, worst
+
+
+def triangular_coupling_cost(f, g):
+    """Quadratic cost of the triangular coupling, from its built atoms."""
+    i, j, w = triangular_coupling(f.cell_masses().reshape(f.grid.shape),
+                                  g.cell_masses().reshape(g.grid.shape))
+    centers = f.grid.centers()
+    sq = ((centers[i] - centers[j]) ** 2).sum(axis=1)
+    return float((sq * w).sum())
 
 
 def northwest_coupling(a, b):

@@ -1,8 +1,13 @@
 """Grid geometry, density builders, convexity diagnostics, serialization."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import loop_oracles
 
 from cube_transport import (
     ConvexPower,
@@ -28,6 +33,8 @@ from cube_transport import (
     spec_to_dict,
     unit_cube_grid,
 )
+from cube_transport.density import _midpoint_directions
+from cube_transport.families import random_logconcave_spec_nd, random_smooth_density
 
 
 # ---------------------------------------------------------------- grid
@@ -214,6 +221,109 @@ def test_midpoint_log_concavity_rejects_bimodal():
     ok, worst = check_midpoint_log_concavity(d)
     assert not ok
     assert worst > 1e-3
+
+
+@st.composite
+def midpoint_cases(draw):
+    """A density on a grid with d <= 3 and m <= 16: a restricted Gaussian, an
+    exponential tilt, a non-log-concave trigonometric density, or a tilt whose
+    -log f carries a defect of size 1e-10 to 1e-8, either at one cell or as a
+    concave bend along one axis (unit defect eps, gap-t defect t^2 eps)."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=16))
+    grid = unit_cube_grid(dim, m)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    kind = draw(st.sampled_from(["gaussian", "tilt", "trig", "cell", "bend"]))
+    if kind == "gaussian":
+        return build_density(random_logconcave_spec_nd(rng, dim, grid.origin, grid.side), grid)
+    if kind == "trig":
+        return random_smooth_density(rng, grid, amplitude=draw(st.floats(0.05, 2.0)))
+    idx = np.indices(grid.shape)
+    psi = sum(rng.uniform(-3.0, 3.0) * ix for ix in idx) / m
+    if kind != "tilt":
+        # the listed sizes sit below tol = 1e-9 at unit step and above it at gap 2
+        eps = draw(st.one_of(st.floats(min_value=1e-10, max_value=1e-8),
+                             st.sampled_from([3e-10, 5e-10, 9e-10])))
+        if kind == "cell":
+            psi[tuple(rng.integers(0, m, size=dim))] += eps
+        else:
+            psi = psi - 0.5 * eps * idx[int(rng.integers(0, dim))] ** 2
+    return GridDensity(grid, np.exp(-psi))
+
+
+@given(d=midpoint_cases(), tol=st.sampled_from([1e-12, 1e-9, 1e-9, 1e-6]))
+@settings(max_examples=500, deadline=None)
+def test_midpoint_log_concavity_matches_full_gap_scan(d, tol):
+    got = check_midpoint_log_concavity(d, tol)
+    want = loop_oracles.midpoint_log_concavity(d, tol)
+    assert got[0] == want[0]
+    if loop_oracles.midpoint_log_concavity(d, tol, max_gap=1)[1] > 0.0:
+        assert got == want  # the full scan ran: the same worst, bit for bit
+    else:
+        assert got == (True, 0.0)
+
+
+def test_midpoint_log_concavity_bend_below_tol_at_unit_step():
+    # unit defect 5e-10 <= tol, but 4 * 5e-10 > tol at gap 2: the full scan decides
+    grid = unit_cube_grid(2, 9)
+    i = np.indices(grid.shape)[0]
+    d = GridDensity(grid, np.exp(0.5 * 5e-10 * i ** 2))
+    assert 0.0 < loop_oracles.midpoint_log_concavity(d, max_gap=1)[1] <= 1e-9
+    ok, worst = check_midpoint_log_concavity(d)
+    assert not ok
+    assert (ok, worst) == loop_oracles.midpoint_log_concavity(d)
+
+
+def _step(x, u, k):
+    return tuple(c + k * e for c, e in zip(x, u))
+
+
+def _second_difference(psi, x, u, t):
+    """psi(x - t u) + psi(x + t u) - 2 psi(x), or None off the grid."""
+    lo, hi = _step(x, u, -t), _step(x, u, t)
+    if not all(0 <= c < psi.shape[0] for c in lo + hi):
+        return None
+    return psi[lo] + psi[hi] - 2 * psi[x]
+
+
+@pytest.mark.parametrize("dim,m", [(1, 9), (2, 6), (3, 5)])
+def test_gap_second_difference_is_tent_sum_of_unit_ones(dim, m):
+    # exact arithmetic: along every direction u, the gap-t second difference
+    # at x is the sum over |k| < t of (t - |k|) times the unit one at x + k u,
+    # so unit-step convexity gives convexity at every gap
+    rng = np.random.default_rng([dim, m])
+    psi = np.array([Fraction(int(p), int(q)) for p, q in
+                    zip(rng.integers(-50, 50, m ** dim), rng.integers(1, 9, m ** dim))],
+                   dtype=object).reshape((m,) * dim)
+    checked = 0
+    for u in _midpoint_directions(dim):
+        for x in itertools.product(range(m), repeat=dim):
+            for t in range(2, m):
+                gap = _second_difference(psi, x, u, t)
+                if gap is not None:
+                    ks = range(1 - t, t)
+                    units = [_second_difference(psi, _step(x, u, k), u, 1) for k in ks]
+                    assert gap == sum((t - abs(k)) * d2 for k, d2 in zip(ks, units))
+                    checked += 1
+    assert checked > 0
+
+
+def test_unit_convex_psi_is_convex_at_every_gap_exactly():
+    # psi, a sum of convex sequences of lattice projections, is unit-step
+    # convex in exact arithmetic; then it is convex at every gap, and the
+    # float check accepts exp(-psi)
+    m = 7
+    idx = np.indices((m, m))
+    psi = np.zeros((m, m), dtype=object)
+    for a, b in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1)):
+        proj = a * idx[0] + b * idx[1]
+        psi = psi + np.vectorize(lambda z: Fraction(abs(z - 3)) + Fraction(z * z, 7))(proj)
+    points = list(itertools.product(range(m), repeat=2))
+    for t in (1, 2, 3):
+        diffs = [_second_difference(psi, x, u, t) for u in _midpoint_directions(2) for x in points]
+        assert all(d2 >= 0 for d2 in diffs if d2 is not None)
+    d = GridDensity(unit_cube_grid(2, m), np.exp(-psi.astype(float) / 10.0))
+    assert check_midpoint_log_concavity(d) == (True, 0.0)
 
 
 def test_diag_second_derivative_exact_for_standard_gaussian():

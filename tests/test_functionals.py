@@ -17,10 +17,12 @@ from cube_transport import (
     ConvexPower,
     DensityError,
     ExponentialTilt,
+    Grid,
     GridDensity,
     RestrictedGaussian,
     Uniform,
     build_density,
+    centered_cube_grid,
     check_tire_le_entropy,
     check_transport_entropy_sandwich,
     displacement_cost,
@@ -400,6 +402,73 @@ def test_w2_matches_dense_oracle_property(pair):
     _assert_matches_dense_oracle(*(GridDensity(grid, x) for x in pair))
 
 
+def _seeded_pairs(grid, rng):
+    """Seeded pairs like the benchmark's, the product anchor, and a pair with
+    zero-mass cells."""
+    product = np.prod([1.0 + (x - o) / grid.side
+                       for x, o in zip(grid.centers_mesh(), grid.origin)], axis=0)
+    pairs = [(build_density(Uniform(), grid), normalize(GridDensity(grid, product)))]
+    for _ in range(2):
+        pairs.append((build_density(random_logconcave_spec_nd(rng, grid.dim, grid.origin,
+                                                              grid.side), grid),
+                      random_smooth_density(rng, grid, amplitude=0.5)))
+    holes = [rng.uniform(0.0, 1.0, grid.shape) * (rng.uniform(size=grid.shape) > 0.3)
+             for _ in range(2)]
+    pairs.append(tuple(normalize(GridDensity(grid, x + (x.sum() == 0))) for x in holes))
+    return pairs
+
+
+@pytest.mark.parametrize("grid", [
+    unit_cube_grid(1, 300), unit_cube_grid(2, 512), unit_cube_grid(3, 20),
+    unit_cube_grid(4, 9), centered_cube_grid(2, 40, side=0.5),
+    centered_cube_grid(3, 12, side=0.5), Grid(3, 16, np.array([0.1, -2.37, 7.3]), 0.7),
+    Grid(4, 7, np.array([3.3, 0.0, -0.45, 11.9]), 1.3),
+], ids=lambda g: f"d{g.dim}-m{g.cells_per_axis}-side{g.side}-o{g.origin[0]}")
+def test_triangular_cost_equals_cost_of_built_atoms(grid):
+    # (2, 512) spans several batches of fibers; the last two grids have a
+    # different origin on every axis
+    rng = np.random.default_rng([grid.dim, grid.cells_per_axis])
+    for f, g in _seeded_pairs(grid, rng):
+        assert triangular_coupling_cost(f, g) == loop_oracles.triangular_coupling_cost(f, g)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_triangular_cost_of_point_masses_is_their_squared_distance(dim):
+    # one atom of weight 1: the cost is one squared distance, summed over the
+    # axes in order, so a change in the order of the axes shows in the last bit
+    rng = np.random.default_rng(80 + dim)
+    for _ in range(60):
+        grid = Grid(dim, 4, rng.uniform(-5.0, 5.0, dim), rng.uniform(0.1, 10.0))
+        p, q = rng.integers(0, grid.n_cells, 2)
+        f, g = (GridDensity(grid, np.eye(grid.n_cells)[k].reshape(grid.shape)) for k in (p, q))
+        centers = grid.centers()
+        want = float(((centers[p] - centers[q]) ** 2).sum())
+        assert triangular_coupling_cost(f, g) == loop_oracles.triangular_coupling_cost(f, g) == want
+
+
+@st.composite
+def cost_pairs(draw):
+    """Densities with zero cells on a small grid of dimension up to 4 with its
+    own origin on every axis: few atoms, so a change in the last bit of one
+    atom's squared distance can reach the summed cost."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=4))
+    origin = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)))
+    grid = Grid(dim, m, origin, draw(st.floats(0.1, 10.0)))
+    cell = st.one_of(st.integers(min_value=0, max_value=3).map(float),
+                     st.floats(min_value=1e-6, max_value=1.0))
+    values = [np.array(draw(st.lists(cell, min_size=m ** dim, max_size=m ** dim)))
+              for _ in range(2)]
+    assume(all(v.sum() > 0 for v in values))
+    return tuple(GridDensity(grid, v.reshape(grid.shape)) for v in values)
+
+
+@given(pair=cost_pairs())
+@settings(max_examples=200, deadline=None)
+def test_triangular_cost_equals_cost_of_built_atoms_property(pair):
+    assert triangular_coupling_cost(*pair) == loop_oracles.triangular_coupling_cost(*pair)
+
+
 @pytest.mark.parametrize("a,b", [
     (np.full((4, 4), 1 / 16), np.full((4, 5), 1 / 20)),  # shapes differ
     (np.full(4, 0.25), np.full(4, 0.1)),  # totals 1.0 and 0.4
@@ -435,6 +504,24 @@ def test_sandwich_reports_three_links():
     names = [r.name for r in reps]
     assert names == ["sandwich-w2-knothe", "thm-4.2", "sandwich-knothe-entropy"]
     assert all(r.passed for r in reps)
+
+
+def test_sandwich_builds_the_triangular_coupling_once(monkeypatch):
+    # the same atoms seed the exact LP and give the triangular coupling cost
+    rng = np.random.default_rng(71)
+    grid = unit_cube_grid(2, 8)
+    f = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
+    g = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
+    ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))
+    w2, _ = exact_w2_small(f, g)
+    tri = triangular_coupling_cost(f, g)
+    calls = []
+    coupling = functionals.triangular_coupling
+    monkeypatch.setattr(functionals, "triangular_coupling",
+                        lambda *args: calls.append(1) or coupling(*args))
+    reps = check_transport_entropy_sandwich(f, g, ratio)
+    assert len(calls) == 1
+    assert (reps[0].lhs, reps[0].rhs, reps[1].lhs) == (w2, tri, w2)
 
 
 @pytest.mark.parametrize("seed", range(6))
