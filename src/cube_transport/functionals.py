@@ -130,11 +130,6 @@ class CouplingPlan:
                          np.abs(col - target_masses).max()))
 
 
-def _pair_costs(centers: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """|x_i - x_j|^2 for each pair of flat cells."""
-    return ((centers[i] - centers[j]) ** 2).sum(axis=1)
-
-
 def _price(centers: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
     """Smallest reduced cost |x_i - x_j|^2 - u_i - v_j over all cell pairs (in
     chunks of about 2^22 pairs), and the flat indices i * n + j of the up to
@@ -168,11 +163,6 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     below -W2_PRICING_TOL, which certifies the plan optimal, or raises
     RuntimeError after W2_MAX_ROUNDS. 576 cells take about 0.6 s, 4096 cells
     about 90 s (2-core machine)."""
-    return _exact_w2(f, g)[:2]
-
-
-def _exact_w2(f: GridDensity, g: GridDensity) -> tuple:
-    """``exact_w2_small``, plus the triangular coupling that seeded it."""
     from scipy import sparse  # imported here: scipy.sparse is slow to import
 
     if not f.grid.matches(g.grid):
@@ -182,13 +172,13 @@ def _exact_w2(f: GridDensity, g: GridDensity) -> tuple:
         raise DensityError(f"exact_w2_small is limited to {W2_CELL_LIMIT} cells")
     a, b = f.cell_masses(), g.cell_masses()
     centers = f.grid.centers()
-    atoms = triangular_coupling(a.reshape(f.grid.shape), b.reshape(g.grid.shape))
-    pairs = np.unique(atoms[0] * n + atoms[1])
+    src, tgt, _ = triangular_coupling(a.reshape(f.grid.shape), b.reshape(g.grid.shape))
+    pairs = np.unique(src * n + tgt)
     # last target constraint is redundant (masses both sum to 1); drop it, so v[-1] = 0
     b_eq = np.concatenate([a, b[:-1]])
     for rounds in range(1, W2_MAX_ROUNDS + 1):
         i, j = np.divmod(pairs, n)
-        cost = _pair_costs(centers, i, j)
+        cost = ((centers[i] - centers[j]) ** 2).sum(axis=1)
         rows, cols = np.concatenate([i, n + j]), np.tile(np.arange(len(pairs)), 2)
         keep = rows < 2 * n - 1
         a_eq = sparse.csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])),
@@ -211,7 +201,7 @@ def _exact_w2(f: GridDensity, g: GridDensity) -> tuple:
     lower_bound = float(a @ u + b @ v + min(0.0, smallest) * a.sum() - rounding)
     nz = res.x > 1e-15
     plan = CouplingPlan(i[nz], j[nz], res.x[nz], n, n, rounds, smallest, lower_bound)
-    return float(res.fun), plan, atoms
+    return float(res.fun), plan
 
 
 def _northwest_rows(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -291,8 +281,8 @@ def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
     normalized cell distributions (same atoms as ``exact_w2_small``, so the
     exact optimum can never exceed this). The atoms are never built: each
     batch of the last level takes their costs from per-axis tables of squared
-    center differences, added in the order of ``_pair_costs``, so the cost is
-    bitwise that of the built coupling."""
+    center differences, added axis by axis as in ``((x_i - x_j) ** 2).sum()``,
+    so the cost is bitwise that of the built coupling."""
     if not f.grid.matches(g.grid):
         raise DensityError("densities must share the same grid")
     grid = f.grid
@@ -326,8 +316,8 @@ def check_transport_entropy_sandwich(f: GridDensity, g: GridDensity,
     m = f.grid.cells_per_axis
     tmap = knothe_map(f, g)
     tri_cost = displacement_cost(tmap, f)
-    w2_sq, _, (i, j, w) = _exact_w2(f, g)  # the triangular coupling is built once
-    tri_discrete = float((_pair_costs(f.grid.centers(), i, j) * w).sum())
+    tri_discrete = triangular_coupling_cost(f, g)
+    w2_sq, _ = exact_w2_small(f, g)
     entropy = relative_entropy(g, f)
     const = QUADRATIC_COST_FACTOR * ratio_bound ** 2
     return [

@@ -251,16 +251,29 @@ def midpoint_cases(draw):
     return GridDensity(grid, np.exp(-psi))
 
 
-@given(d=midpoint_cases(), tol=st.sampled_from([1e-12, 1e-9, 1e-9, 1e-6]))
+@given(d=midpoint_cases(), tol=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-9, 1e-6]))
 @settings(max_examples=500, deadline=None)
 def test_midpoint_log_concavity_matches_full_gap_scan(d, tol):
     got = check_midpoint_log_concavity(d, tol)
     want = loop_oracles.midpoint_log_concavity(d, tol)
     assert got[0] == want[0]
-    if loop_oracles.midpoint_log_concavity(d, tol, max_gap=1)[1] > 0.0:
+    gap = (d.grid.cells_per_axis - 1) // 2
+    unit_decides = 4 * np.finfo(float).eps * gap ** 2 <= tol
+    if loop_oracles.midpoint_log_concavity(d, tol, max_gap=1)[1] > 0.0 or not unit_decides:
         assert got == want  # the full scan ran: the same worst, bit for bit
     else:
         assert got == (True, 0.0)
+
+
+def test_midpoint_log_concavity_scans_every_gap_when_tol_is_below_rounding():
+    # a tilt whose unit ratios all read >= 1 while its gap-2 ratio rounds to
+    # 1 - 2^-53: at tol = 0 the unit steps cannot decide, so every gap is scanned
+    d = GridDensity(unit_cube_grid(1, 5), np.array(
+        [1.0, 1.1008828180804853, 1.2119429791448308, 1.3342072022338203, 1.4688057846984481]))
+    assert loop_oracles.midpoint_log_concavity(d, max_gap=1)[1] == 0.0
+    assert check_midpoint_log_concavity(d, 0.0) == (False, 2.0 ** -53)
+    assert check_midpoint_log_concavity(d, 0.0) == loop_oracles.midpoint_log_concavity(d, 0.0)
+    assert check_midpoint_log_concavity(d) == (True, 0.0)
 
 
 def test_midpoint_log_concavity_bend_below_tol_at_unit_step():

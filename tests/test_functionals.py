@@ -506,24 +506,6 @@ def test_sandwich_reports_three_links():
     assert all(r.passed for r in reps)
 
 
-def test_sandwich_builds_the_triangular_coupling_once(monkeypatch):
-    # the same atoms seed the exact LP and give the triangular coupling cost
-    rng = np.random.default_rng(71)
-    grid = unit_cube_grid(2, 8)
-    f = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
-    g = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
-    ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))
-    w2, _ = exact_w2_small(f, g)
-    tri = triangular_coupling_cost(f, g)
-    calls = []
-    coupling = functionals.triangular_coupling
-    monkeypatch.setattr(functionals, "triangular_coupling",
-                        lambda *args: calls.append(1) or coupling(*args))
-    reps = check_transport_entropy_sandwich(f, g, ratio)
-    assert len(calls) == 1
-    assert (reps[0].lhs, reps[0].rhs, reps[1].lhs) == (w2, tri, w2)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_sandwich_random_pairs(seed):
     rng = np.random.default_rng(700 + seed)
