@@ -20,7 +20,6 @@ from cube_transport import (
     check_prop_quadratic,
     deficit_1d,
     estimate_axis_convexity_ratio,
-    map_derivative,
     monotone_map,
     quadratic_cost_1d,
     relative_entropy,
@@ -50,9 +49,10 @@ print(f"transport cost   {cost:.7f}   (closed form 1/30 = {1/30:.7f})")
 print(f"entropy D        {entropy:.7f}   (closed form log 2 - 1/2 = {np.log(2)-0.5:.7f})")
 print(f"deficit          {deficit:.7f}   (meets D in this equality case)")
 
-deriv = map_derivative(tmap, f, g)
-mid = M // 2
-print(f"T'(x) at x=0.5   {deriv[mid]:.5f}   (closed form 1/(2 sqrt(x)) = {0.5/np.sqrt(grid.axis_centers(0)[mid]):.5f})")
+# T' is constant on each piece of the map; take the piece holding x = 0.5
+pieces = tmap.pieces
+k = np.searchsorted(pieces.x, 0.5, side="right") - 1
+print(f"T'(x) at x=0.5   {pieces.slope[k]:.5f}   (closed form 1/(2 sqrt(x)) = {0.5/np.sqrt(0.5):.5f})")
 
 print()
 ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))

@@ -33,7 +33,6 @@ from .sampler import (SampleBatch, empirical_marginal_distance,
 from .transport1d import (MonotoneMap1D, check_cheeger_lambda,
                           check_lemma_lambda, check_prop_quadratic,
                           check_segment_bound, deficit_1d, log_gap,
-                          map_derivative, mixed_cost, monotone_map,
-                          quadratic_cost_1d)
+                          mixed_cost, monotone_map, quadratic_cost_1d)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

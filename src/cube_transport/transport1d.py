@@ -2,9 +2,11 @@
 
 The monotone map T between piecewise-constant densities f and g on the same
 interval is defined by CDF matching, F = G o T (after normalizing masses).
-Both CDFs are piecewise linear with nodes at cell boundaries, so T is
-piecewise linear, strictly increasing, fixes both endpoints exactly, and is
-computed in closed form per node. f = g gives the identity bitwise.
+Both CDFs are piecewise linear with nodes at their own cell boundaries, so T
+is piecewise linear with nodes at the merged breakpoints of F and G, strictly
+increasing, and fixes both endpoints exactly; f = g gives the identity
+bitwise. On each piece T' is a constant density ratio, so the 1d functionals
+below are exact sums over the pieces.
 
 Checks in this module:
 
@@ -20,6 +22,7 @@ bounds quantify, and the mixed cost is min(|t|, t^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,42 +49,46 @@ def log_gap(x):
     return (x - 1.0) - np.log(x) - LOG_GAP_SLOPE * mixed_cost(x - 1.0)
 
 
+class MapPieces(NamedTuple):
+    """Source positions ``x`` of the merged breakpoints of F and G, and per
+    piece between them: normalized mass ``du``, slope T' (the normalized
+    ratio f/g) and displacement T - x at its left and right end."""
+
+    x: np.ndarray
+    du: np.ndarray
+    slope: np.ndarray
+    d0: np.ndarray
+    d1: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class MonotoneMap1D:
-    """Piecewise-linear increasing map stored by its values at grid nodes.
+    """Increasing map, linear between the merged breakpoints of F and G.
 
-    ``derivative`` holds the per-cell slope (node differences over h), which
-    is the map derivative at cell centers for the piecewise-linear map.
+    It bends inside a source cell wherever F crosses a node of G, so
+    ``node_values`` is only its interpolant at the source nodes, which
+    ``__call__`` and the Knothe tables use; ``pieces`` is T itself, which the
+    1d functionals integrate.
     """
 
     source_grid: Grid
     node_values: np.ndarray
-    derivative: np.ndarray
+    pieces: MapPieces
 
     def __post_init__(self):
         nodes = np.asarray(self.node_values, dtype=float)
-        deriv = np.asarray(self.derivative, dtype=float)
         m = self.source_grid.cells_per_axis
         if self.source_grid.dim != 1:
             raise DensityError("MonotoneMap1D needs a 1d grid")
         if nodes.shape != (m + 1,):
             raise DensityError(f"node_values must have shape ({m + 1},)")
-        if deriv.shape != (m,):
-            raise DensityError(f"derivative must have shape ({m},)")
         if np.any(np.diff(nodes) <= 0):
             raise DensityError("node_values must be strictly increasing")
         object.__setattr__(self, "node_values", nodes)
-        object.__setattr__(self, "derivative", deriv)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return np.interp(x, self.source_grid.axis_nodes(), self.node_values)
-
-    def at_centers(self) -> np.ndarray:
-        return 0.5 * (self.node_values[:-1] + self.node_values[1:])
-
-    def displacement_at_centers(self) -> np.ndarray:
-        return self.at_centers() - self.source_grid.axis_centers()
 
 
 def _check_same_interval(f: GridDensity, g: GridDensity) -> None:
@@ -117,6 +124,23 @@ def monotone_nodes(f_rows: np.ndarray, g_rows: np.ndarray, grid: Grid) -> np.nda
     return t
 
 
+def _map_pieces(f_values: np.ndarray, g_values: np.ndarray, grid: Grid) -> MapPieces:
+    """Pieces of the CDF-matching map from the cell values ``f_values`` to
+    ``g_values`` on the 1d grid, cut at the union of both CDFs' breakpoints."""
+    nodes, F, G = grid.axis_nodes(), row_cdfs(f_values), row_cdfs(g_values)
+    u = np.union1d(F, G)
+    last = grid.cells_per_axis - 1
+
+    def invert(C):
+        # where C reaches each breakpoint (a node of C exactly), and each piece's CDF step
+        k = np.minimum(np.searchsorted(C, u, side="right") - 1, last)
+        return nodes[k] + (u - C[k]) / (C[k + 1] - C[k]) * grid.h, np.diff(C)[k[:-1]]
+
+    x, p = invert(F)
+    t, q = invert(G)
+    return MapPieces(x, np.diff(u), p / q, (t - x)[:-1], (t - x)[1:])
+
+
 def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     """CDF-matching map from f to g on a shared interval.
 
@@ -124,50 +148,25 @@ def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     """
     _check_same_interval(f, g)
     t = monotone_nodes(f.values[None], g.values[None], f.grid)[0]
-    return MonotoneMap1D(f.grid, t, np.diff(t) / f.grid.h)
-
-
-def map_derivative(tmap: MonotoneMap1D, f: GridDensity, g: GridDensity) -> np.ndarray:
-    """T' at cell centers from the density ratio (mass_g/mass_f) f(x) / g(T x).
-
-    Agrees with ``tmap.derivative`` up to O(h) for smooth data; both are kept
-    because the inequality checks are stated through this form.
-    """
-    _check_same_interval(f, g)
-    g.require_positive()
-    t_mid = tmap.at_centers()
-    g_at = g.values[g.grid.cell_index(t_mid)]
-    ratio = g.total_mass / f.total_mass
-    return ratio * f.values / g_at
+    return MonotoneMap1D(f.grid, t, _map_pieces(f.values, g.values, f.grid))
 
 
 def deficit_1d(f: GridDensity, g: GridDensity, tmap: MonotoneMap1D) -> float:
-    """Transport deficit of the monotone map.
+    """Transport deficit of the monotone map, integral of f (T' - 1 - log T').
 
-    Cell-center quadrature of f log(g(T x)/f) - f'(x) (T x - x), minus
-    mass_f * log(mass_g / mass_f). Nonnegative up to discretization error
-    for grid-resolved densities; small negative values at rough data are a
-    finite-difference artifact, not a bug in the formula.
+    Exact for piecewise-constant densities: T' is constant on each piece of
+    the map, so the integrand is, and it is nonnegative piece by piece.
     """
     _check_same_interval(f, g)
-    fv = f.require_positive()
-    g.require_positive()
-    h = f.grid.h
-    centers = f.grid.axis_centers()
-    t_mid = tmap.at_centers()
-    g_at = g.values[g.grid.cell_index(t_mid)]
-    if np.any(g_at <= 0):
-        raise PositivityError("target density vanishes on the image of the map")
-    fprime = f.grid.gradient(fv)[0]
-    s = fv * np.log(g_at / fv) - fprime * (t_mid - centers)
-    integral = float(s.sum() * h)
-    return integral - f.total_mass * float(np.log(g.total_mass / f.total_mass))
+    du, r = tmap.pieces.du, tmap.pieces.slope
+    return f.total_mass * float((du * (r - 1.0 - np.log(r))).sum())
 
 
 def quadratic_cost_1d(f: GridDensity, tmap: MonotoneMap1D) -> float:
-    """integral of (T x - x)^2 f(x) dx by cell-center quadrature."""
-    disp = tmap.displacement_at_centers()
-    return float((disp * disp * f.values).sum() * f.grid.h)
+    """integral of (T x - x)^2 f(x) dx, exact: the displacement is linear on
+    each piece, with mean square (d0^2 + d0 d1 + d1^2) / 3."""
+    du, d0, d1 = tmap.pieces.du, tmap.pieces.d0, tmap.pieces.d1
+    return f.total_mass * float((du * (d0 * d0 + d0 * d1 + d1 * d1)).sum()) / 3.0
 
 
 def check_prop_quadratic(f: GridDensity, g: GridDensity, ratio_bound: float,
@@ -190,8 +189,8 @@ def check_lemma_lambda(f: GridDensity, g: GridDensity,
     _check_same_interval(f, g)
     if tmap is None:
         tmap = monotone_map(f, g)
-    tprime = map_derivative(tmap, f, g)
-    lhs = float((mixed_cost(tprime - 1.0) * f.values).sum() * f.grid.h)
+    du, r = tmap.pieces.du, tmap.pieces.slope
+    lhs = f.total_mass * float((du * mixed_cost(r - 1.0)).sum())
     rhs = MIXED_COST_FACTOR * deficit_1d(f, g, tmap)
     return make_report("lem-2.2", lhs, rhs, MIXED_COST_FACTOR,
                        grid_m=f.grid.cells_per_axis)

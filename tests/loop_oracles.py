@@ -7,8 +7,11 @@ midpoint log-concavity scan over every gap, which the library now runs only
 when unit steps find a violation, and the coupling cost summed over the
 built atoms, which the library now sums batch by batch. The library must
 reproduce them bit for bit, so they are kept here as oracles and nowhere else.
+Last is a plain-float walk along the pieces of one 1d monotone map, which
+the library's 1d functionals must match to rounding.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,3 +166,45 @@ def evaluate(tmap, pts):
         sel = order[s:e]
         out_last[sel] = np.interp(pts[sel, -1], last_nodes, tmap.fibers[fiber_ix])
     return np.column_stack([base_img, out_last])
+
+
+def monotone_map_integrals(f_values, g_values, grid):
+    """(deficit, quadratic cost, mixed cost of T' - 1), each integrated
+    against f, of the monotone map between two positive 1d densities.
+
+    Walks the normalized CDFs F and G breakpoint by breakpoint. Between two
+    breakpoints the source cell i and the target cell j are fixed, so T is
+    linear there with slope (F[i+1] - F[i]) / (G[j+1] - G[j]).
+    """
+    f = [float(v) for v in f_values]
+    g = [float(v) for v in g_values]
+    m, h = len(f), grid.h
+    nodes = [float(x) for x in grid.axis_nodes()]
+
+    def cdf(values):
+        out, s = [0.0], 0.0
+        for v in values:
+            s += v
+            out.append(s)
+        return [c / s for c in out]
+
+    def position(C, k, u):
+        return nodes[k] + (u - C[k]) / (C[k + 1] - C[k]) * h
+
+    F, G = cdf(f), cdf(g)
+    i = j = 0
+    u = d0 = 0.0
+    deficit = cost = mixed = 0.0
+    while i < m and j < m:
+        nxt = min(F[i + 1], G[j + 1])
+        du = nxt - u
+        r = (F[i + 1] - F[i]) / (G[j + 1] - G[j])
+        i += F[i + 1] == nxt
+        j += G[j + 1] == nxt
+        d1 = position(G, min(j, m - 1), nxt) - position(F, min(i, m - 1), nxt)
+        deficit += du * (r - 1.0 - math.log(r))
+        cost += du * ((d0 * d0 + d0 * d1 + d1 * d1) / 3.0)
+        mixed += du * min(abs(r - 1.0), (r - 1.0) ** 2)
+        u, d0 = nxt, d1
+    mass = sum(f) * h
+    return mass * deficit, mass * cost, mass * mixed

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import cube_transport
 from cube_transport.cli import (DEFAULTS, MAX_T_COUNT, ConfigError, _rng, build_parser,
-                                load_config, main)
+                                load_config, main, suite_verify_1d)
 from cube_transport.sampler import MAX_POINT_BUDGET
 from cube_transport.reports import CSV_HEADER
 
@@ -96,6 +96,14 @@ def test_verify_1d_run(tmp_path):
     for row in rows:
         for key in ("name", "lhs", "rhs", "slack", "pass", "rel_tol", "abs_tol"):
             assert key in row
+
+
+@pytest.mark.parametrize("seed", [10, 28, 33, 36, 37, 39, 44, 46])
+def test_verify_1d_passes_every_row_at_default_config(seed):
+    # these seeds failed prop-2.1-refinement or lem-2.2 rows while the 1d
+    # functionals were cell-centre quadratures instead of sums over pieces
+    reports = suite_verify_1d(dict(DEFAULTS, seed=seed))["reports"]
+    assert [r.name for r in reports if not r.passed] == []
 
 
 def test_csv_matches_json(tmp_path):
