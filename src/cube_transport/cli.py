@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -65,6 +66,10 @@ REFERENCE_T_STAR_1024 = 0.052
 T_STAR_STD_ERRORS = 5.0
 # profile offsets per profile; each is one SVG vertex
 MAX_T_COUNT = 1 << 16
+# cell triples density-check may scan per density, about 10 s; a Python-level
+# scan step (listing a midpoint direction, or one slice) costs about 2^13
+MAX_SCAN_TRIPLES = 1 << 31
+_SCAN_STEP_TRIPLES = 1 << 13
 
 DEFAULTS = {
     "seed": 0,
@@ -140,6 +145,9 @@ def _validate_config(cfg: dict) -> None:
     # before any m ** dim is formed
     if not (cfg["dim"] <= MAX_CELL_EXPONENT and cfg["m"] ** cfg["dim"] <= MAX_TOTAL_CELLS):
         raise ConfigError(f"m^dim exceeds the cell budget 2^24 ({cfg['m']}^{cfg['dim']})")
+    if scan_triples(cfg["m"], cfg["dim"]) > MAX_SCAN_TRIPLES:
+        raise ConfigError(f"density-check at m={cfg['m']} dim={cfg['dim']} would scan over "
+                          "2^31 cell triples per density")
     t_max = cfg["t_max"]
     if not (isinstance(t_max, (int, float)) and not isinstance(t_max, bool)
             and 0 < t_max <= sys.float_info.max):
@@ -164,6 +172,19 @@ def _validate_config(cfg: dict) -> None:
                 spec_from_dict(cfg[key])
             except DensityError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
+
+
+def scan_triples(m: int, dim: int) -> int:
+    """Upper bound on the triples density-check scans per density: at gap t the
+    (3^dim - 1)/2 midpoint directions hold ((3m - 4t)^dim - m^dim)/2 (gap 1 twice),
+    the axis ratios of f and its marginal m - 2j per line at gap 2j, and 2^13 a step."""
+    gaps = (m - 1) // 2
+    lines = dim * m ** (dim - 1) + (dim - 1) * m ** max(dim - 2, 0)
+    steps = 2 * 3 ** dim + (3 ** dim - 1) // 2 * (gaps + 1) + (2 * dim - 1) * gaps
+    total = lines * gaps * (m - gaps - 1) + steps * _SCAN_STEP_TRIPLES
+    if total <= MAX_SCAN_TRIPLES:  # then gaps < 2^16 and the sum is short
+        total += sum(((3 * m - 4 * t) ** dim - m ** dim) // 2 for t in [1, *range(1, gaps + 1)])
+    return total
 
 
 def _rng(cfg, label: str) -> np.random.Generator:
@@ -388,15 +409,9 @@ def suite_concentration(cfg) -> dict:
         batch = sample_grid(d, n_samples, seed)
         u = np.zeros(n)
         u[0] = 1.0
-        prof1 = halfspace_profile(batch, u, ts, alpha_t1, label=f"gaussian-n{n}-thm1")
-        profiles.append(prof1)
-        reports.append(check_concentration(prof1, "thm-1.1", grid_m=m,
-                                           note=f"n={n}"))
-        prof2 = halfspace_profile(batch, u, ts, alpha_ratio,
-                                  label=f"gaussian-n{n}-ratio")
-        profiles.append(prof2)
-        reports.append(check_concentration(prof2, "thm-1.2", grid_m=m,
-                                           note=f"n={n}"))
+        for alpha, tag, name in ((alpha_t1, "thm1", "thm-1.1"), (alpha_ratio, "ratio", "thm-1.2")):
+            profiles.append(halfspace_profile(batch, u, ts, alpha, label=f"gaussian-n{n}-{tag}"))
+            reports.append(check_concentration(profiles[-1], name, grid_m=m, note=f"n={n}"))
         metrics[f"covariance_ratio_n{n}"] = covariance_ratio(batch, alpha_t1)
         fit = lipschitz_tail(batch.points @ u, ts[1:], alpha_t1)
         metrics[f"tail_rate_n{n}"] = fit.rate
@@ -504,7 +519,9 @@ def emit_report(out_dir: str, command: str, cfg: dict, outcome: dict) -> bool:
         },
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "reports": [r.to_dict() for r in reports],
-        "metrics": outcome.get("metrics", {}),
+        # strict JSON has no NaN: a metric that could not be estimated is null
+        "metrics": {key: value if math.isfinite(value) else None
+                    for key, value in outcome.get("metrics", {}).items()},
         "scaling": outcome.get("scaling", []),
         "all_pass": all_pass,
     }

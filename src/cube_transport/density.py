@@ -357,22 +357,18 @@ def spec_from_dict(d: dict) -> DensitySpec:
     raise DensityError(f"unknown density spec variant {tag!r}")
 
 
-def fingerprint(payload: dict, data: bytes) -> str:
-    """First 16 hex digits of the sha256 of payload as sorted-key JSON,
-    followed by data."""
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode() + data).hexdigest()[:16]
-
-
 def spec_fingerprint(spec: DensitySpec, grid: Grid) -> str:
-    return fingerprint({"spec": spec_to_dict(spec), "grid": grid.to_dict()}, b"")
+    """First 16 hex digits of the sha256 of the spec and grid as sorted-key JSON."""
+    payload = {"spec": spec_to_dict(spec), "grid": grid.to_dict()}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 
-def build_density(spec: DensitySpec, grid: Grid, normalized: bool = True) -> GridDensity:
-    """Evaluate a density spec at cell centers, optionally normalizing to mass 1."""
+def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
+    """Evaluate a density spec at cell centers, normalized to mass 1."""
     mesh = grid.centers_mesh()
     if isinstance(spec, Uniform):
         vals = np.ones(grid.shape)
@@ -398,8 +394,7 @@ def build_density(spec: DensitySpec, grid: Grid, normalized: bool = True) -> Gri
         vals = _sized(spec.values, grid.shape, "custom_grid values")
     else:
         raise DensityError(f"unknown density spec {type(spec).__name__}")
-    d = GridDensity(grid, vals)
-    return normalize(d) if normalized else d
+    return normalize(GridDensity(grid, vals))
 
 
 def _sized(values, shape: tuple, what: str) -> np.ndarray:
@@ -443,13 +438,9 @@ def estimate_axis_convexity_ratio(d: GridDensity) -> float:
     best = 1.0
     for axis in range(d.grid.dim):
         lines = np.moveaxis(v, axis, -1).reshape(-1, m)
-        for gap in range(2, m, 2):
-            half = gap // 2
-            mids = lines[:, half:m - half]
-            ends = lines[:, :m - gap] + lines[:, gap:]
-            ratio = float((2.0 * mids / ends).max())
-            if ratio > best:
-                best = ratio
+        for half in range(1, (m + 1) // 2):  # triples at gap 2 * half
+            ends = lines[:, :m - 2 * half] + lines[:, 2 * half:]
+            best = max(best, float((2.0 * lines[:, half:m - half] / ends).max()))
     return best
 
 

@@ -1,9 +1,8 @@
 """Reproducible sampling from grid densities and from the equicorrelated
 Gaussian construction.
 
-All randomness comes from counter-based Philox streams keyed by
-(seed, domain tag, batch/chunk index), so any batch can be regenerated
-bit-for-bit in isolation and results do not depend on how work is split.
+Each sampler reads one counter-based Philox stream, keyed by (seed, domain
+tag, 0), from its start, so equal arguments give bit-for-bit equal draws.
 
 Grid sampling is exact for the piecewise-constant density: cells are drawn
 coordinate by coordinate through conditional CDF tables, then a uniform
@@ -18,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (DegenerateDensityError, DensityError, GridDensity,
-                      equicorrelated_scale, fingerprint)
+                      equicorrelated_scale)
 
-# domain 0 holds the CLI suite streams, indexed by the suite label's bytes
+# domain 0 holds the CLI suites (by label bytes), domain 2 the tests' rejection oracle
 _DOMAIN_GRID = 1
-_DOMAIN_EQUICORRELATED = 2
 _DOMAIN_ROW_SUMS = 3
 
 MAX_POINT_BUDGET = 1 << 27  # rows * dim guard for materialized batches
@@ -42,16 +40,12 @@ def philox(seed: int, domain: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Points of shape (N, dim) plus the seed and a fingerprint of the
-    distribution they were drawn from."""
+    """Points of shape (N, dim) drawn from a grid density."""
 
     points: np.ndarray
-    seed: int
-    fingerprint: str
 
 
-def sample_grid(d: GridDensity, n_samples: int, seed: int,
-                batch_index: int = 0) -> SampleBatch:
+def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
     """Draw n_samples points from a normalized grid density.
 
     Sequential conditional sampling: coordinate k is drawn from its exact
@@ -71,7 +65,7 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int,
     tail[n - 1] = d.values
     for k in range(n - 2, -1, -1):
         tail[k] = tail[k + 1].sum(axis=-1)
-    rng = philox(seed, _DOMAIN_GRID, batch_index)
+    rng = philox(seed, _DOMAIN_GRID, 0)
     u_cell = rng.random((n_samples, n))
     u_jit = rng.random((n_samples, n))
     cells = np.empty((n_samples, n), dtype=np.int64)
@@ -90,7 +84,7 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int,
         cells[:, k] = pos - prefix * m
         prefix = prefix * m + cells[:, k]
     points = grid.origin + (cells + u_jit) * grid.h
-    return SampleBatch(points, int(seed), fingerprint(grid.to_dict(), d.values.tobytes()))
+    return SampleBatch(points)
 
 
 def empirical_marginal_distance(points, d: GridDensity) -> float:
@@ -110,33 +104,6 @@ def empirical_marginal_distance(points, d: GridDensity) -> float:
 
 # ---------------------------------------------------------------------------
 # equicorrelated Gaussian on the centered cube
-
-
-def default_chunk_rows(n: int) -> int:
-    # fixed formula: the chunk layout must not depend on caller preferences,
-    # or substreams would stop being reproducible
-    return max(256, (1 << 22) // n)
-
-
-def iter_equicorrelated_cube(n: int, seed: int):
-    """Yield (accepted_points_block, candidates_drawn) forever.
-
-    Each coordinate is scale * (Z_i + Z_0) for a shared Z_0, i.e. a Gaussian
-    vector with covariance scale^2 (Id + ones); draws outside the centered
-    unit cube are rejected. Chunk c uses the Philox substream
-    (seed, chunk domain, c), so consumers may stop at any point and later
-    reproduce the exact same stream.
-    """
-    scale = equicorrelated_scale(n)
-    rows = default_chunk_rows(n)
-    chunk = 0
-    while True:
-        rng = philox(seed, _DOMAIN_EQUICORRELATED, chunk)
-        z = rng.standard_normal((rows, n + 1))
-        y = (z[:, 1:] + z[:, :1]) * scale
-        inside = np.abs(y).max(axis=1) <= 0.5
-        yield y[inside], rows
-        chunk += 1
 
 
 def equicorrelated_row_sums(n: int, n_samples: int, seed: int):

@@ -1,7 +1,9 @@
 """Command line driver: config handling, artifacts, exit codes."""
 
 import csv
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cube_transport
-from cube_transport.cli import (DEFAULTS, MAX_T_COUNT, ConfigError, _rng, build_parser,
-                                load_config, main, suite_verify_1d)
+from cube_transport.cli import (_SCAN_STEP_TRIPLES, DEFAULTS, MAX_SCAN_TRIPLES, MAX_T_COUNT,
+                                ConfigError, _rng, build_parser, load_config, main,
+                                scan_triples, suite_verify_1d)
+from cube_transport.density import _midpoint_directions
 from cube_transport.sampler import MAX_POINT_BUDGET
 from cube_transport.reports import CSV_HEADER
 
@@ -291,6 +295,63 @@ def test_seed_flag_beyond_64_bits_exits_2(tmp_path, capsys):
 
 def test_largest_seed_accepted():
     assert load_config(None, {"seed": (1 << 64) - 1})["seed"] == (1 << 64) - 1
+
+
+def counted_scan_triples(m, dim):
+    # the scans' worst case, walked as density-check walks them: the unit
+    # gap, then every gap, over the listed directions; the axis ratio of the
+    # density and of its marginal, line by line
+    gaps = (m - 1) // 2
+    directions = _midpoint_directions(dim)
+    midpoint = sum(math.prod(m - 2 * t * abs(c) for c in u)
+                   for t in itertools.chain((1,), range(1, gaps + 1)) for u in directions)
+    axes = [k for k in (dim, dim - 1) if k >= 1]
+    axis = sum(k * m ** (k - 1) * (m - gap) for k in axes for gap in range(2, m, 2))
+    steps = (2 * 3 ** dim + len(directions) * (1 + gaps)
+             + sum(k * len(range(2, m, 2)) for k in axes))
+    return midpoint + axis + _SCAN_STEP_TRIPLES * steps
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_scan_triples_counts_the_scans(dim):
+    for m in range(2, 12):
+        assert scan_triples(m, dim) == counted_scan_triples(m, dim)
+
+
+def test_default_and_tested_configs_within_scan_budget():
+    for m, dim in [(64, 2), (32, 2), (16, 2), (8, 2), (1024, 2), (3, 9)]:
+        assert scan_triples(m, dim) <= MAX_SCAN_TRIPLES
+        assert load_config(None, {"m": m, "dim": dim})["m"] == m
+
+
+@pytest.mark.parametrize("m, dim", [(2, 20), (16777216, 1), (7, 8), (5, 10), (2, 13)])
+def test_oversized_scans_exit_2_without_scanning(tmp_path, capsys, monkeypatch, m, dim):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan started")
+
+    for name in ("build_density", "check_midpoint_log_concavity",
+                 "estimate_axis_convexity_ratio"):
+        monkeypatch.setattr(f"cube_transport.cli.{name}", no_scan)
+    start = time.perf_counter()
+    assert_rejected(capsys, ["density-check", "--m", str(m), "--dim", str(dim),
+                             "--out", str(tmp_path / "run")])
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "run").exists()
+
+
+def test_unestimated_metrics_are_strict_json_nulls(tmp_path):
+    # two offsets leave lipschitz_tail fewer than two positive tail masses
+    path = _write_config(tmp_path, {"t_count": 2, "n_samples": 5000, "dims": [2]})
+    out = tmp_path / "run"
+    run_cli(["concentration", "--config", path, "--no-plot", "--out", str(out)])
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    payload = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    metrics = payload["metrics"]
+    assert metrics["tail_rate_n2"] is None and metrics["tail_prefactor_n2"] is None
+    assert all(math.isfinite(v) for v in metrics.values() if v is not None)
 
 
 def test_huge_dim_rejected_without_forming_the_grid_size():
