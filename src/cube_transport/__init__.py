@@ -15,10 +15,8 @@ from .density import (ConvexPower, CustomGrid, DegenerateDensityError,
                       RestrictedGaussian, Uniform, build_density,
                       centered_cube_grid, check_midpoint_log_concavity,
                       estimate_axis_convexity_ratio,
-                      estimate_diag_second_derivative_bound, load_density,
-                      marginalize_last, normalize, save_density,
-                      spec_fingerprint, spec_from_dict, spec_to_dict,
-                      unit_cube_grid)
+                      estimate_diag_second_derivative_bound, marginalize_last,
+                      normalize, spec_from_dict, unit_cube_grid)
 from .functionals import (CouplingPlan, check_tire_le_entropy,
                           check_transport_entropy_sandwich, exact_w2_small,
                           legendre_tire_bound, relative_entropy,

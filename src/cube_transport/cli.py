@@ -124,8 +124,10 @@ def load_config(path_or_none, overrides: dict) -> dict:
 _INT_MINIMA = {"m": 2, "dim": 1, "pairs": 1, "n_samples": MIN_SAMPLES,
                "t_count": 2, "test_functions": 1}
 # largest allowed value; the row-sum sampler holds two normals per sample
-# under the point budget
-_INT_MAXIMA = {"n_samples": MAX_POINT_BUDGET // 2, "t_count": MAX_T_COUNT}
+# under the point budget, and grids have at least 2 cells per axis, so
+# bounding dim keeps any m ** dim small enough to form
+_INT_MAXIMA = {"n_samples": MAX_POINT_BUDGET // 2, "t_count": MAX_T_COUNT,
+               "dim": MAX_CELL_EXPONENT}
 
 
 def _is_int(value) -> bool:
@@ -141,13 +143,6 @@ def _validate_config(cfg: dict) -> None:
     for key, hi in _INT_MAXIMA.items():
         if cfg[key] > hi:
             raise ConfigError(f"{key} must be an integer <= {hi}")
-    # grids have at least 2 cells per axis, so the dimension is bounded
-    # before any m ** dim is formed
-    if not (cfg["dim"] <= MAX_CELL_EXPONENT and cfg["m"] ** cfg["dim"] <= MAX_TOTAL_CELLS):
-        raise ConfigError(f"m^dim exceeds the cell budget 2^24 ({cfg['m']}^{cfg['dim']})")
-    if scan_triples(cfg["m"], cfg["dim"]) > MAX_SCAN_TRIPLES:
-        raise ConfigError(f"density-check at m={cfg['m']} dim={cfg['dim']} would scan over "
-                          "2^31 cell triples per density")
     t_max = cfg["t_max"]
     if not (isinstance(t_max, (int, float)) and not isinstance(t_max, bool)
             and 0 < t_max <= sys.float_info.max):
@@ -172,6 +167,19 @@ def _validate_config(cfg: dict) -> None:
                 spec_from_dict(cfg[key])
             except DensityError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
+
+
+def check_grid_limits(command: str, cfg: dict) -> None:
+    """ConfigError unless every grid the command builds from m and dim stays
+    within the cell budget 2^24 and the scan budget of 2^31 cell triples per
+    density. density-check scans its m^dim grid and verify-1d its finer 1d
+    grid; the other suites use fixed grids or min(m, 32) cells per axis."""
+    grids = {"density-check": (cfg["m"], cfg["dim"]), "verify-1d": (2 * cfg["m"], 1)}
+    for suite, (m, dim) in grids.items():
+        if command in (suite, "all") and (m ** dim > MAX_TOTAL_CELLS
+                                          or scan_triples(m, dim) > MAX_SCAN_TRIPLES):
+            raise ConfigError(f"{suite} at m={cfg['m']} needs a {m}^{dim} grid beyond the "
+                              "budgets of 2^24 cells and 2^31 scanned cell triples")
 
 
 def scan_triples(m: int, dim: int) -> int:
@@ -388,8 +396,10 @@ def suite_concentration(cfg) -> dict:
     profiles.append(sample_profile)
     reports.append(check_concentration(sample_profile, "cor-1.3", grid_m=64,
                                        note="sampled"))
-    # negative control: a strict alpha must fail
-    control = halfspace_profile(uni, direction, ts, 0.1, label="negative-control")
+    # negative control: a strict alpha must fail. One fixed offset keeps it
+    # apart from the configured ts: at t = 0.25 the bound 1 - e^-6.25 exceeds
+    # the measured mass 0.75
+    control = halfspace_profile(uni, direction, [0.25], 0.1, label="negative-control")
     control_report = check_concentration(control, "negative-control-raw", grid_m=64)
     reports.append(make_report("negative-control",
                                1.0 if control_report.passed else 0.0, 0.0, 0.1,
@@ -610,6 +620,7 @@ def main(argv=None) -> int:
         if args.ns is not None:
             overrides["ns"] = _parse_int_list(args.ns, "--ns")
         cfg = load_config(args.config, overrides)
+        check_grid_limits(args.command, cfg)
         if args.command == "all":
             outcome = run_all(cfg)
         else:

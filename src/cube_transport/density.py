@@ -9,9 +9,7 @@ grid function rather than estimates of some off-grid object.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -113,18 +111,6 @@ class Grid:
     def last_axis_grid(self) -> "Grid":
         return Grid(1, self.cells_per_axis, self.origin[-1:], self.side)
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "cells_per_axis": self.cells_per_axis,
-            "origin": [float(c) for c in self.origin],
-            "side": self.side,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Grid":
-        return Grid(d["dim"], d["cells_per_axis"], np.asarray(d["origin"], dtype=float), d["side"])
-
 
 def unit_cube_grid(dim: int, cells_per_axis: int) -> Grid:
     return Grid(dim, cells_per_axis, np.zeros(dim), 1.0)
@@ -177,12 +163,6 @@ class GridDensity:
         others = tuple(k for k in range(self.grid.dim) if k != axis)
         line = self.values.sum(axis=others) if others else self.values
         return self.grid.axis_nodes(axis), row_cdfs(line)
-
-    def value_at(self, x: np.ndarray) -> np.ndarray:
-        """Piecewise-constant evaluation at points of shape (N, dim)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        idx = tuple(self.grid.cell_index(x[:, k], k) for k in range(self.grid.dim))
-        return self.values[idx]
 
 
 def row_cdfs(values: np.ndarray) -> np.ndarray:
@@ -275,37 +255,6 @@ class CustomGrid:
 DensitySpec = Union[Uniform, RestrictedGaussian, ExponentialTilt, ConvexPower,
                     EquicorrelatedGaussian, CustomGrid]
 
-_VARIANT_TAGS = {
-    Uniform: "uniform",
-    RestrictedGaussian: "restricted_gaussian",
-    ExponentialTilt: "exponential_tilt",
-    ConvexPower: "convex_power",
-    EquicorrelatedGaussian: "equicorrelated_gaussian",
-    CustomGrid: "custom_grid",
-}
-
-
-def spec_to_dict(spec: DensitySpec) -> dict:
-    tag = _VARIANT_TAGS.get(type(spec))
-    if tag is None:
-        raise DensityError(f"unknown density spec {type(spec).__name__}")
-    d = {"variant": tag}
-    if isinstance(spec, RestrictedGaussian):
-        d["center"] = np.asarray(spec.center, dtype=float).tolist()
-        d["inverse_covariance"] = np.asarray(spec.inverse_covariance, dtype=float).tolist()
-    elif isinstance(spec, ExponentialTilt):
-        d["tilt"] = np.asarray(spec.tilt, dtype=float).tolist()
-    elif isinstance(spec, ConvexPower):
-        d["offset"] = float(spec.offset)
-        d["direction"] = np.asarray(spec.direction, dtype=float).tolist()
-        d["power"] = float(spec.power)
-    elif isinstance(spec, EquicorrelatedGaussian):
-        d["dim"] = spec.dim
-        d["scale"] = None if spec.scale is None else float(spec.scale)
-    elif isinstance(spec, CustomGrid):
-        d["values"] = np.asarray(spec.values, dtype=float).tolist()
-    return d
-
 
 _NUMERIC_SHAPES = {0: "a finite number", 1: "a list of finite numbers",
                    2: "a list of lists of finite numbers",
@@ -326,8 +275,10 @@ def _floats(value, ndim, what: str) -> np.ndarray:
 
 
 def spec_from_dict(d: dict) -> DensitySpec:
-    """Inverse of spec_to_dict. Raises DensityError on an unknown variant or
-    a missing or ill-typed field; build_density checks sizes against the grid."""
+    """The spec a config object names by its "variant" key, with the fields
+    of that variant as keys (CustomGrid's "values" as nested lists). Raises
+    DensityError on an unknown variant or a missing or ill-typed field;
+    build_density checks sizes against the grid."""
     if not isinstance(d, dict):
         raise DensityError("density spec must be an object")
     tag = d.get("variant")
@@ -355,12 +306,6 @@ def spec_from_dict(d: dict) -> DensitySpec:
     except KeyError as exc:
         raise DensityError(f"density spec {tag!r} needs the key {exc}") from None
     raise DensityError(f"unknown density spec variant {tag!r}")
-
-
-def spec_fingerprint(spec: DensitySpec, grid: Grid) -> str:
-    """First 16 hex digits of the sha256 of the spec and grid as sorted-key JSON."""
-    payload = {"spec": spec_to_dict(spec), "grid": grid.to_dict()}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +410,12 @@ def check_midpoint_log_concavity(d: GridDensity, tol: float = 1e-9):
     v = d.require_positive()
     m = d.grid.cells_per_axis
     gap = (m - 1) // 2
+    if gap == 0:  # no cell triple fits
+        return True, 0.0
+    directions = _midpoint_directions(d.grid.dim)
     worst = 0.0
     for t_max in ((1, gap) if 4 * np.finfo(float).eps * gap ** 2 <= tol else (gap,)):
-        for u in _midpoint_directions(d.grid.dim):
+        for u in directions:
             for t in range(1, min(t_max, gap) + 1):
                 s = tuple(t * c for c in u)  # triples v[x - s], v[x], v[x + s]
                 mid, lo, hi = (v[tuple(slice(abs(c) + k * c, m - abs(c) + k * c) for c in s)]
@@ -504,22 +452,3 @@ def marginalize_last(d: GridDensity) -> GridDensity:
     if d.grid.dim < 2:
         raise DensityError("marginalize_last needs dim >= 2")
     return GridDensity(d.grid.drop_last_axis(), d.values.sum(axis=-1) * d.grid.h)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_density(d: GridDensity, path) -> None:
-    """Text dump: one JSON header line, then one cell value per line (C order)."""
-    header = d.grid.to_dict()
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        np.savetxt(fh, d.values.reshape(-1), fmt="%.17g")
-
-
-def load_density(path) -> GridDensity:
-    with open(path) as fh:
-        grid = Grid.from_dict(json.loads(fh.readline()))
-        flat = np.loadtxt(fh, dtype=float, ndmin=1)
-    return GridDensity(grid, flat.reshape(grid.shape))

@@ -131,8 +131,27 @@ def test_bad_flag_exits_2(tmp_path):
 
 def test_too_many_cells_rejected(tmp_path):
     out = tmp_path / "run"
-    code = run_cli(["verify-knothe", "--m", "4096", "--dim", "3", "--out", str(out)])
+    code = run_cli(["density-check", "--m", "4096", "--dim", "3", "--out", str(out)])
     assert code == 2
+
+
+def test_grid_limits_apply_only_to_the_grids_a_command_builds(tmp_path, capsys):
+    # verify-1d scans 1d grids of m and 2m cells; verify-knothe uses min(m, 32)
+    for command in ("verify-1d", "verify-knothe"):
+        assert run_cli([command, "--m", "1200", "--out", str(tmp_path / command)]) == 0
+    assert_rejected(capsys, ["density-check", "--m", "1200", "--out", str(tmp_path / "dc")])
+
+
+@pytest.mark.parametrize("command", ["verify-1d", "all"])
+def test_verify_1d_scan_budget_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, command):
+    # scan_triples(2m, 1) <= 2^31 holds up to m = 28926
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr("cube_transport.cli.unit_cube_grid", no_grid)
+    assert_rejected(capsys, [command, "--dim", "1", "--m", "28927",
+                             "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
 
 
 def test_concentration_emits_svg(tmp_path):
@@ -337,6 +356,17 @@ def test_oversized_scans_exit_2_without_scanning(tmp_path, capsys, monkeypatch, 
                              "--out", str(tmp_path / "run")])
     assert time.perf_counter() - start < 1.0
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("cfg", [{"t_count": 2}, {"t_count": 3}, {"t_max": 0.02}],
+                         ids=["t_count-2", "t_count-3", "t_max-0.02"])
+def test_negative_control_holds_at_any_offsets(tmp_path, cfg):
+    # the strict-alpha control is read at its own offset, not the configured ts
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run_cli(["concentration", "--config", path, "--no-plot", "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["reports"]
+    assert [r["lhs"] for r in rows if r["name"] == "negative-control"] == [0.0]
 
 
 def test_unestimated_metrics_are_strict_json_nulls(tmp_path):

@@ -1,5 +1,6 @@
-"""Grid geometry, density builders, convexity diagnostics, serialization."""
+"""Grid geometry, spec parsing, density builders, convexity diagnostics."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -24,13 +25,9 @@ from cube_transport import (
     check_midpoint_log_concavity,
     estimate_axis_convexity_ratio,
     estimate_diag_second_derivative_bound,
-    load_density,
     marginalize_last,
     normalize,
-    save_density,
-    spec_fingerprint,
     spec_from_dict,
-    spec_to_dict,
     unit_cube_grid,
 )
 from cube_transport.density import _midpoint_directions
@@ -62,12 +59,6 @@ def test_cell_index_interior_and_clamping():
     pts = np.array([[0.05], [0.999], [0.0], [1.0], [-3.0], [4.0]])
     idx = grid.cell_index(pts)
     np.testing.assert_array_equal(idx[:, 0], [0, 9, 0, 9, 0, 9])
-
-
-def test_grid_dict_round_trip():
-    grid = centered_cube_grid(2, 6, side=0.5)
-    again = type(grid).from_dict(grid.to_dict())
-    assert again.matches(grid)
 
 
 def test_drop_last_axis():
@@ -160,14 +151,6 @@ def test_normalize_idempotent():
     again = normalize(d)
     np.testing.assert_allclose(again.values, d.values, rtol=1e-14)
     assert d.is_normalized()
-
-
-def test_value_at_picks_containing_cell():
-    grid = unit_cube_grid(2, 4)
-    vals = np.arange(16.0).reshape(4, 4)
-    d = GridDensity(grid, vals)
-    out = d.value_at(np.array([[0.1, 0.9], [0.6, 0.1]]))
-    np.testing.assert_allclose(out, [vals[0, 3], vals[2, 0]])
 
 
 # ---------------------------------------------------------------- diagnostics
@@ -287,6 +270,26 @@ def test_midpoint_log_concavity_bend_below_tol_at_unit_step():
     assert (ok, worst) == loop_oracles.midpoint_log_concavity(d)
 
 
+def test_midpoint_log_concavity_lists_directions_once_and_only_for_a_gap(monkeypatch):
+    calls = []
+
+    def spy(dim):
+        calls.append(dim)
+        return _midpoint_directions(dim)
+
+    monkeypatch.setattr("cube_transport.density._midpoint_directions", spy)
+    for dim in (1, 3, 12):
+        # m = 2 leaves no cell triple, so no direction is listed
+        assert check_midpoint_log_concavity(build_density(Uniform(), unit_cube_grid(dim, 2))) \
+            == (True, 0.0)
+    assert calls == []
+    # a unit defect below tol: the unit pass and the full scan share one list
+    i = np.indices((9, 9))[0]
+    assert not check_midpoint_log_concavity(GridDensity(unit_cube_grid(2, 9),
+                                                        np.exp(0.5 * 5e-10 * i ** 2)))[0]
+    assert calls == [2]
+
+
 def _step(x, u, k):
     return tuple(c + k * e for c, e in zip(x, u))
 
@@ -364,44 +367,39 @@ def test_marginalize_last_preserves_mass():
     assert marg.total_mass == pytest.approx(d.total_mass, rel=1e-12)
 
 
-# ---------------------------------------------------------------- serialization
+# ---------------------------------------------------------------- spec parsing
 
 
-SPECS = [
-    Uniform(),
-    ExponentialTilt((0.3, -1.2)),
-    RestrictedGaussian((0.5, 0.5), ((2.0, 0.1), (0.1, 1.0))),
-    ConvexPower(1.0, (1.0, 0.5), 2.0),
-    EquicorrelatedGaussian(dim=4, scale=0.1),
-    CustomGrid(np.ones((3, 3))),
+SPEC_DICTS = [
+    pytest.param({"variant": "uniform"}, Uniform(), id="Uniform"),
+    pytest.param({"variant": "exponential_tilt", "tilt": [0.3, -1.2]},
+                 ExponentialTilt((0.3, -1.2)), id="ExponentialTilt"),
+    pytest.param({"variant": "restricted_gaussian", "center": [0.5, 0.5],
+                  "inverse_covariance": [[2.0, 0.1], [0.1, 1.0]]},
+                 RestrictedGaussian((0.5, 0.5), ((2.0, 0.1), (0.1, 1.0))),
+                 id="RestrictedGaussian"),
+    pytest.param({"variant": "convex_power", "offset": 1, "direction": [1.0, 0.5], "power": 2.0},
+                 ConvexPower(1.0, (1.0, 0.5), 2.0), id="ConvexPower"),
+    pytest.param({"variant": "equicorrelated_gaussian", "dim": 4, "scale": 0.1},
+                 EquicorrelatedGaussian(dim=4, scale=0.1), id="EquicorrelatedGaussian"),
+    pytest.param({"variant": "equicorrelated_gaussian", "dim": 3},
+                 EquicorrelatedGaussian(dim=3, scale=None), id="EquicorrelatedGaussian-no-scale"),
+    pytest.param({"variant": "custom_grid", "values": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]},
+                 CustomGrid(np.arange(1.0, 10.0).reshape(3, 3)), id="CustomGrid"),
 ]
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
-def test_spec_dict_round_trip(spec):
-    again = spec_from_dict(spec_to_dict(spec))
-    assert spec_to_dict(again) == spec_to_dict(spec)
-
-
-def test_fingerprint_distinguishes_specs():
-    grid = unit_cube_grid(2, 8)
-    fp1 = spec_fingerprint(ExponentialTilt((0.3, 0.0)), grid)
-    fp2 = spec_fingerprint(ExponentialTilt((0.3001, 0.0)), grid)
-    fp3 = spec_fingerprint(ExponentialTilt((0.3, 0.0)), unit_cube_grid(2, 16))
-    assert fp1 != fp2
-    assert fp1 != fp3
-    assert fp1 == spec_fingerprint(ExponentialTilt((0.3, 0.0)), grid)
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    grid = centered_cube_grid(2, 7, side=0.5)
-    d = normalize(GridDensity(grid, rng.uniform(0.1, 2.0, grid.shape)))
-    path = tmp_path / "d.density"
-    save_density(d, path)
-    back = load_density(path)
-    assert back.grid.matches(d.grid)
-    np.testing.assert_array_equal(back.values, d.values)
+@pytest.mark.parametrize("raw, expected", SPEC_DICTS)
+def test_spec_dict_round_trip(raw, expected):
+    # a config object parses into the spec that carries each of its fields back
+    spec = spec_from_dict(raw)
+    assert type(spec) is type(expected)
+    for f in dataclasses.fields(expected):
+        got, want = getattr(spec, f.name), getattr(expected, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want) and got.dtype == np.float64
+        else:
+            assert got == want and type(got) is type(want), f.name
 
 
 # ---------------------------------------------------------------- properties
