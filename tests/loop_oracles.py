@@ -4,9 +4,11 @@ These are the loops the library ran before it built, evaluated and coupled
 all fibers of a level at once: one 1d CDF match per fiber, one ``np.interp``
 per fiber, one northwest coupling per leading atom. Next to them are the
 midpoint log-concavity scan over every gap, which the library now runs only
-when unit steps find a violation, and the coupling cost summed over the
-built atoms, which the library now sums batch by batch. The library must
-reproduce them bit for bit, so they are kept here as oracles and nowhere else.
+when unit steps find a violation, the axis convexity ratio scanned at every
+gap, which the library now prunes by chord bounds on log-concave lines, and
+the coupling cost summed over the built atoms, which the library now sums
+batch by batch. The library must reproduce them bit for bit, so they are
+kept here as oracles and nowhere else.
 Last is a plain-float walk along the pieces of one 1d monotone map, which
 the library's 1d functionals must match to rounding.
 """
@@ -40,6 +42,20 @@ def midpoint_log_concavity(d, tol=1e-9, max_gap=None):
             worst = max(worst, 1.0 - ratio)
             t += 1
     return worst <= tol, worst
+
+
+def axis_convexity_ratio(d):
+    """max(1, 2 f(mid) / (f(a) + f(b))) over every axis-parallel cell-center
+    triple, scanned gap by gap over all lines of an axis at once."""
+    v = d.require_positive()
+    m = d.grid.cells_per_axis
+    best = 1.0
+    for axis in range(d.grid.dim):
+        lines = np.moveaxis(v, axis, -1).reshape(-1, m)
+        for half in range(1, (m + 1) // 2):  # triples at gap 2 * half
+            ends = lines[:, :m - 2 * half] + lines[:, 2 * half:]
+            best = max(best, float((2.0 * lines[:, half:m - half] / ends).max()))
+    return best
 
 
 def triangular_coupling_cost(f, g):

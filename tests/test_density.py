@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from cube_transport import (
     spec_from_dict,
     unit_cube_grid,
 )
-from cube_transport.density import _midpoint_directions
+from cube_transport import density
+from cube_transport.density import _FULL_SCAN_MAX_CELLS, _midpoint_directions
 from cube_transport.families import random_logconcave_spec_nd, random_smooth_density
 
 
@@ -157,8 +160,9 @@ def test_normalize_idempotent():
 
 
 def brute_force_axis_ratio(d: GridDensity) -> float:
-    """Triple loop over same-axis center triples with even gaps."""
-    worst = 0.0
+    """Triple loop over same-axis center triples with even gaps, with the
+    library's float expression and its floor at 1."""
+    worst = 1.0
     vals = d.values
     for axis in range(d.grid.dim):
         moved = np.moveaxis(vals, axis, -1).reshape(-1, d.grid.cells_per_axis)
@@ -167,25 +171,100 @@ def brute_force_axis_ratio(d: GridDensity) -> float:
             for i in range(m):
                 for k in range(i + 2, m, 2):
                     j = (i + k) // 2
-                    ends = row[i] + row[k]
-                    if ends > 0:
-                        worst = max(worst, 2.0 * row[j] / ends)
+                    worst = max(worst, float(2.0 * row[j] / (row[i] + row[k])))
     return worst
 
 
-@pytest.mark.parametrize("dim,m", [(1, 9), (2, 5)])
-def test_axis_ratio_matches_brute_force(dim, m):
+def pruned_lines(monkeypatch) -> list:
+    """Spy on the pruned path: the number of lines handed to it, per call."""
+    calls = []
+    real = density._pruned_scan
+
+    def spy(f, *args):
+        calls.append(f.shape[1])
+        return real(f, *args)
+
+    monkeypatch.setattr(density, "_pruned_scan", spy)
+    return calls
+
+
+@pytest.mark.parametrize("dim,m,kind,full_scan_max", [
+    pytest.param(1, 9, "random", _FULL_SCAN_MAX_CELLS, id="1-9"),
+    pytest.param(2, 5, "random", _FULL_SCAN_MAX_CELLS, id="2-5"),
+    pytest.param(1, 257, "gaussian", _FULL_SCAN_MAX_CELLS, id="1-257-gaussian"),
+    pytest.param(1, 257, "random", _FULL_SCAN_MAX_CELLS, id="1-257-random"),
+    pytest.param(2, 64, "gaussian", 63, id="2-64-gaussian-pruned"),
+    pytest.param(2, 33, "tilt", 2, id="2-33-tilt-pruned"),
+])
+def test_axis_ratio_matches_brute_force(monkeypatch, dim, m, kind, full_scan_max):
     rng = np.random.default_rng(11 + dim)
     grid = unit_cube_grid(dim, m)
-    d = normalize(GridDensity(grid, rng.uniform(0.2, 3.0, grid.shape)))
-    fast = estimate_axis_convexity_ratio(d)
-    slow = brute_force_axis_ratio(d)
-    assert fast == pytest.approx(slow, rel=1e-12)
+    if kind == "random":
+        d = normalize(GridDensity(grid, rng.uniform(0.2, 3.0, grid.shape)))
+    elif kind == "gaussian":
+        d = build_density(random_logconcave_spec_nd(rng, dim, grid.origin, grid.side), grid)
+    else:
+        d = build_density(ExponentialTilt(tuple(rng.uniform(-3.0, 3.0, dim))), grid)
+    monkeypatch.setattr(density, "_FULL_SCAN_MAX_CELLS", full_scan_max)
+    calls = pruned_lines(monkeypatch)
+    assert estimate_axis_convexity_ratio(d) == brute_force_axis_ratio(d)
+    # log-concave lines above the size cut go through the pruning
+    assert (sum(calls) > 0) == (kind != "random" and m > full_scan_max)
+
+
+def test_axis_ratio_matches_gap_scan_at_benchmark_size(monkeypatch):
+    # d=2 m=1024, the size where the pruning pays most: bit for bit the full scan
+    grid = unit_cube_grid(2, 1024)
+    spec = random_logconcave_spec_nd(np.random.default_rng([1, 1]), 2, grid.origin, grid.side)
+    d = build_density(spec, grid)
+    calls = pruned_lines(monkeypatch)
+    assert estimate_axis_convexity_ratio(d) == loop_oracles.axis_convexity_ratio(d)
+    assert calls == [1024, 1024]
 
 
 def test_axis_ratio_of_uniform_is_one():
-    d = build_density(Uniform(), unit_cube_grid(2, 8))
-    assert estimate_axis_convexity_ratio(d) == pytest.approx(1.0, abs=1e-12)
+    # on both sides of the size cut between the full scan and the pruning
+    for m in (8, _FULL_SCAN_MAX_CELLS, _FULL_SCAN_MAX_CELLS + 1):
+        d = build_density(Uniform(), unit_cube_grid(2, m))
+        assert estimate_axis_convexity_ratio(d) == 1.0
+
+
+@pytest.mark.parametrize("slope", [-2.0, 1e-3, 0.7])
+def test_axis_ratio_certifies_lines_convex_up_to_rounding(monkeypatch, slope):
+    # a tilt's -log f has unit second differences of a few eps S: certified
+    # and pruned. Raising -log f at one cell by 1e-10 makes a concave unit step
+    # of 2e-10, beyond the certificate's 32 eps S (S <= 512 here): that line
+    # is scanned in full
+    grid = unit_cube_grid(1, 257)
+    psi = slope * np.arange(257.0)
+    calls = pruned_lines(monkeypatch)
+    for bump, pruned in ((0.0, [1]), (1e-10, [0]), (1e-8, [0])):
+        bent = psi.copy()
+        bent[100] += bump
+        d = GridDensity(grid, np.exp(-bent))
+        calls.clear()
+        assert estimate_axis_convexity_ratio(d) == brute_force_axis_ratio(d)
+        assert calls == pruned
+
+
+def test_axis_ratio_of_steep_gaussian_warns_nothing(monkeypatch):
+    # cell values span about 300 orders of magnitude: chord slopes near 5 per
+    # cell, log(-b / a) of slopes far apart and e^(a h) far out of range
+    calls = pruned_lines(monkeypatch)
+    for dim, m in ((1, 257), (2, 160)):
+        grid = unit_cube_grid(dim, m)
+        centre = np.array([0.1, 0.8][:dim])
+        # psi = a |x - centre|^2 / 2 reaches 690 at the farthest cell
+        a = 2.0 * 690.0 / ((grid.centers() - centre) ** 2).sum(axis=1).max()
+        d = build_density(RestrictedGaussian(tuple(centre), tuple(map(tuple, a * np.eye(dim)))),
+                          grid)
+        assert 295.0 < np.log10(d.values.max()) - np.log10(d.values.min()) < 305.0
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimate_axis_convexity_ratio(d)
+        assert got == loop_oracles.axis_convexity_ratio(d)
+        assert sum(calls) > 0
 
 
 def test_midpoint_log_concavity_accepts_gaussian():
@@ -246,6 +325,98 @@ def test_midpoint_log_concavity_matches_full_gap_scan(d, tol):
         assert got == want  # the full scan ran: the same worst, bit for bit
     else:
         assert got == (True, 0.0)
+
+
+@st.composite
+def ratio_cases(draw):
+    """midpoint_cases, or a density whose lines are hard on the ratio's
+    pruning, on grids with d <= 2 and m <= 300 (1d) or 48 (2d): an
+    off-centre sharp peak; a convex polyhedral -log f, where f(c - h) +
+    f(c + h) has an interior minimum over h; a constant or a near-constant
+    tilt, whose bounds tie with L; or a tilt whose -log f bends concavely by
+    eps-sized steps, at the edge of the convexity certificate."""
+    kind = draw(st.sampled_from(["midpoint", "peak", "kink", "flat", "bent"]))
+    if kind == "midpoint":
+        return draw(midpoint_cases())
+    dim = draw(st.integers(min_value=1, max_value=2))
+    m = draw(st.integers(min_value=3, max_value=300 if dim == 1 else 48))
+    grid = unit_cube_grid(dim, m)
+    idx = np.indices(grid.shape).astype(float)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    if kind == "peak":
+        # psi = sum |i - peak|^p, p in [1, 2], scaled so that f spans up to 1e300
+        peak = rng.uniform(-0.5, m - 0.5, dim)
+        psi = sum(np.abs(ix - c) ** draw(st.floats(1.0, 2.0)) for ix, c in zip(idx, peak))
+        psi *= draw(st.floats(1e-3, 690.0)) / max(psi.max(), 1e-300)
+    elif kind == "kink":
+        # psi = the max of 2-4 affine functions: at a kink where psi turns less
+        # steep, the ratio peaks at an interior h that only the scan finds
+        planes = rng.normal(size=(draw(st.integers(2, 4)), dim + 1))
+        psi = np.max([p[0] + sum(c * ix for c, ix in zip(p[1:], idx)) for p in planes], axis=0)
+        psi *= draw(st.floats(1e-3, 30.0)) / m
+    elif kind == "flat":
+        slopes = draw(st.lists(st.sampled_from([0.0, 1e-16, 1e-13, 1e-9, 1e-6, -1e-12]),
+                               min_size=dim, max_size=dim))
+        psi = sum(s * ix for s, ix in zip(slopes, idx)) + draw(st.floats(-5.0, 5.0))
+    else:
+        tilt = sum(rng.uniform(-3.0, 3.0) * ix for ix in idx) / m
+        bend = draw(st.sampled_from([1e-17, 1e-16, 1e-15, 3e-15, 1e-14, 1e-13]))
+        psi = tilt - 0.5 * bend * idx[int(rng.integers(0, dim))] ** 2
+    return GridDensity(grid, np.exp(-psi))
+
+
+@given(d=ratio_cases())
+@settings(max_examples=400, deadline=None)
+def test_axis_ratio_matches_full_gap_scan(d):
+    want = loop_oracles.axis_convexity_ratio(d)
+    assert estimate_axis_convexity_ratio(d) == want
+    # every line longer than 2 cells through the pruning, too
+    with mock.patch.object(density, "_FULL_SCAN_MAX_CELLS", 2):
+        assert estimate_axis_convexity_ratio(d) == want
+
+
+@st.composite
+def convex_lines(draw):
+    """-log f along one line of 7 to 200 cells, convex: a polyhedral kink, a
+    power of the distance to a peak anywhere, or a tilt."""
+    m = draw(st.integers(min_value=7, max_value=200))
+    i = np.arange(m, dtype=float)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    kind = draw(st.sampled_from(["kink", "peak", "tilt"]))
+    if kind == "kink":
+        planes = rng.normal(size=(draw(st.integers(2, 4)), 2))
+        psi = np.max([a + b * i for a, b in planes], axis=0)
+    elif kind == "peak":
+        psi = np.abs(i - rng.uniform(-0.5, m - 0.5)) ** draw(st.floats(1.0, 2.0))
+    else:
+        psi = rng.normal() * i
+    psi = psi * draw(st.floats(1e-3, 300.0)) / max(np.abs(psi).max(), 1e-300)
+    return psi[:, None]
+
+
+@given(psi=convex_lines())
+@settings(max_examples=300, deadline=None)
+def test_chord_bounds_cover_every_ratio_and_are_tight(psi):
+    # each centre c of the left half (widest half-gap H = c): with the library's
+    # rounding allowance, the screen and the chord bound both exceed the largest
+    # log ratio at half-gaps 2..H - 1; and the closed form is the chord bound,
+    # max over real h in [2, H - 1] of log 2 - log(e^(a h) + e^(b h))
+    f = np.exp(-psi)
+    m, k = len(psi), (len(psi) - 1) // 2
+    scale = max(1.0, float(np.abs(psi).max()))
+    screened = density._screen_exceeds(psi, k, -np.inf)
+    assert screened.shape == (k - 2, 1) and screened.all()
+    for c in range(3, k + 1):
+        h = np.arange(2, c)
+        top = float(np.log(2.0 * f[c, 0] / (f[c - h, 0] + f[c + h, 0])).max())
+        floor = top - np.finfo(float).eps * (scale * (2.0 * m * m + 128.0) + 4.0 * abs(top))
+        assert density._screen_exceeds(psi, k, floor)[c - 3, 0]
+        one = (np.array([c]), np.array([0]))
+        assert density._chord_bound_exceeds(psi, *one, floor)[0]
+        a, b = (psi[c, 0] - psi[0, 0]) / c, (psi[c, 0] - psi[2 * c, 0]) / c
+        grid = np.linspace(2.0, c - 1.0, 20001)
+        chord = float((np.log(2.0) - np.logaddexp(a * grid, b * grid)).max())
+        assert not density._chord_bound_exceeds(psi, *one, chord + 1e-6 * (1.0 + abs(chord)))[0]
 
 
 def test_midpoint_log_concavity_scans_every_gap_when_tol_is_below_rounding():
@@ -348,6 +519,20 @@ def test_diag_second_derivative_exact_for_standard_gaussian():
     d = build_density(RestrictedGaussian((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))), grid)
     est = estimate_diag_second_derivative_bound(d)
     assert est == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("dim,m", [(1, 300), (2, 40), (3, 12)])
+def test_diag_second_derivative_is_the_per_axis_maximum_bitwise(dim, m):
+    # the centered second differences of -log f along each axis, divided by h^2
+    rng = np.random.default_rng([dim, m])
+    grid = unit_cube_grid(dim, m)
+    for d in (build_density(random_logconcave_spec_nd(rng, dim, grid.origin, grid.side), grid),
+              random_smooth_density(rng, grid, amplitude=1.0)):
+        psi = -np.log(d.values)
+        want = max(float(((np.moveaxis(psi, k, -1)[..., :-2] - 2.0 * np.moveaxis(psi, k, -1)[..., 1:-1]
+                           + np.moveaxis(psi, k, -1)[..., 2:]) / grid.h ** 2).max())
+                   for k in range(dim))
+        assert estimate_diag_second_derivative_bound(d) == want
 
 
 def test_diag_second_derivative_zero_for_uniform():
