@@ -32,9 +32,8 @@ from .concentration import (alpha_theorem1, check_concentration,
                             counterexample_scaling, covariance_ratio,
                             halfspace_profile, lipschitz_tail,
                             poincare_lsi_check, r_from_m)
-from .density import (ConvexPower, DensityError, Grid, GridDensity,
-                      RestrictedGaussian, Uniform, build_density,
-                      check_midpoint_log_concavity,
+from .density import (DensityError, Grid, GridDensity, RestrictedGaussian,
+                      Uniform, build_density, check_midpoint_log_concavity,
                       estimate_axis_convexity_ratio,
                       estimate_diag_second_derivative_bound, marginalize_last,
                       normalize, spec_from_dict, unit_cube_grid)
@@ -155,8 +154,9 @@ def _validate_config(cfg: dict) -> None:
     if big:
         raise ConfigError(f"dims {big} need concentration grids beyond the cell budget 2^24")
     ns = cfg["ns"]
-    if not (isinstance(ns, list) and len(ns) >= 2 and all(_is_int(n) and n >= 2 for n in ns)):
-        raise ConfigError("ns must be a list of at least two integers >= 2")
+    if not (isinstance(ns, list) and all(_is_int(n) and n >= 2 for n in ns)
+            and len(set(ns)) >= 2):
+        raise ConfigError("ns must be a list of integers >= 2 with at least two distinct values")
     if not isinstance(cfg["plot"], bool):
         raise ConfigError("plot must be true or false")
     if not (isinstance(cfg["out_dir"], str) and cfg["out_dir"]):
@@ -200,8 +200,13 @@ def _rng(cfg, label: str) -> np.random.Generator:
     return philox(cfg["seed"], 0, int.from_bytes(label.encode(), "little"))
 
 
-def _linear_target_1d(grid: Grid) -> GridDensity:
-    return build_density(ConvexPower(0.0, (2.0 / grid.side,), 1.0), grid)
+def _linear_product_target(grid: Grid) -> GridDensity:
+    """The density prod_i 2 (x_i - origin_i) / side, normalized."""
+    mesh = grid.centers_mesh()
+    vals = np.ones(grid.shape)
+    for axis in range(grid.dim):
+        vals = vals * 2.0 * (mesh[axis] - grid.origin[axis]) / grid.side
+    return normalize(GridDensity(grid, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +253,7 @@ def suite_verify_1d(cfg) -> dict:
     # fixed anchor pair: uniform onto the linear density at high resolution
     anchor_grid = unit_cube_grid(1, 1024)
     f0 = build_density(Uniform(), anchor_grid)
-    g0 = _linear_target_1d(anchor_grid)
+    g0 = _linear_product_target(anchor_grid)
     t0 = monotone_map(f0, g0)
     metrics["anchor_map_at_quarter"] = float(t0(0.25))
     metrics["anchor_cost"] = quadratic_cost_1d(f0, t0)
@@ -271,8 +276,9 @@ def suite_verify_1d(cfg) -> dict:
         f = build_density(spec, grid)
         g = trig_density(coeffs, grid)
         ratio = estimate_axis_convexity_ratio(f)
-        coarse_prop = check_prop_quadratic(f, g, ratio)
-        coarse_lam = check_lemma_lambda(f, g)
+        t = monotone_map(f, g)
+        coarse_prop = check_prop_quadratic(f, g, ratio, t)
+        coarse_lam = check_lemma_lambda(f, g, t)
         reports.extend([coarse_prop, coarse_lam])
         f2 = build_density(spec, fine_grid)
         g2 = trig_density(coeffs, fine_grid)
@@ -288,14 +294,6 @@ def suite_verify_1d(cfg) -> dict:
     return {"reports": reports, "metrics": metrics}
 
 
-def _product_target_2d(grid: Grid) -> GridDensity:
-    mesh = grid.centers_mesh()
-    vals = np.ones(grid.shape)
-    for axis in range(grid.dim):
-        vals = vals * 2.0 * (mesh[axis] - grid.origin[axis]) / grid.side
-    return normalize(GridDensity(grid, vals))
-
-
 def suite_verify_knothe(cfg) -> dict:
     rng = _rng(cfg, "vkn")
     reports = []
@@ -303,9 +301,9 @@ def suite_verify_knothe(cfg) -> dict:
     # anchor: uniform onto the separable linear product on the square
     grid = unit_cube_grid(2, 64)
     f0 = build_density(Uniform(), grid)
-    g0 = _product_target_2d(grid)
+    g0 = _linear_product_target(grid)
     t0 = knothe_map(f0, g0)
-    metrics["anchor_cost"] = displacement_cost(t0, f0)
+    metrics["anchor_cost"] = anchor_cost = displacement_cost(t0, f0)
     metrics["anchor_tire"] = tire_bracket(f0, g0, t0)
     reports.append(check_theorem31(f0, g0, estimate_axis_convexity_ratio(f0), t0))
     reports.append(check_facet_preservation(t0))
@@ -314,7 +312,7 @@ def suite_verify_knothe(cfg) -> dict:
                                2.0 / np.sqrt(cfg["n_samples"]) + 2.0 * grid.h,
                                2.0, grid_m=64))
     base_cost, fiber_cost = cost_split(t0, f0)
-    split_gap = abs(displacement_cost(t0, f0) - base_cost - fiber_cost)
+    split_gap = abs(anchor_cost - base_cost - fiber_cost)
     reports.append(make_report("cost-decomposition", split_gap, 0.0, 1.0,
                                grid_m=64, abs_tol=1e-9))
     # random pairs in 2d, one in 3d
@@ -336,9 +334,9 @@ def suite_tire(cfg) -> dict:
     # anchor: uniform onto linear in 1d, where the bracket meets the entropy
     grid = unit_cube_grid(1, 512)
     f0 = build_density(Uniform(), grid)
-    g0 = _linear_target_1d(grid)
+    g0 = _linear_product_target(grid)
     reports.append(check_tire_le_entropy(f0, g0))
-    metrics["anchor_tire"] = tire_bracket(f0, g0)
+    metrics["anchor_tire"] = reports[-1].lhs
     metrics["anchor_entropy"] = relative_entropy(g0, f0)
     metrics["anchor_legendre"] = legendre_tire_bound(f0, g0)
     reports.append(make_report("eq-4.2", metrics["anchor_tire"],
@@ -355,7 +353,7 @@ def suite_tire(cfg) -> dict:
         g = random_smooth_density(rng, g_grid, amplitude=0.5)
         t = knothe_map(f, g)
         reports.append(check_tire_le_entropy(f, g, t))
-        reports.append(make_report("eq-4.2", tire_bracket(f, g, t),
+        reports.append(make_report("eq-4.2", reports[-1].lhs,
                                    legendre_tire_bound(f, g), 1.0,
                                    grid_m=g_grid.cells_per_axis))
     # exact-coupling sandwich at small scale

@@ -302,8 +302,8 @@ def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
     it, so the acceptance is 1 by construction.
     """
     ns = sorted(int(n) for n in ns)
-    if len(ns) < 2:
-        raise DensityError("need at least two dimensions to fit a slope")
+    if len(set(ns)) < 2:
+        raise DensityError("need at least two distinct dimensions to fit a slope")
     if min(ns) < 64:
         raise DensityError("scaling experiment is stated for n >= 64")
     if n_samples < 1000:

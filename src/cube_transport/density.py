@@ -434,13 +434,15 @@ def _chord_bound_exceeds(psi: np.ndarray, c: np.ndarray, lines: np.ndarray,
     return _LOG2 - (h * up + np.log1p(np.exp(-h * (up - dn)))) > floor
 
 
-def _pruned_scan(f: np.ndarray, psi: np.ndarray, scale: float, best: float) -> float:
-    """max(best, every ratio of the lines (columns) of f) for lines whose
-    psi = -log f has unit second differences >= -32 eps scale; see
-    estimate_axis_convexity_ratio."""
+def _chord_prune(f: np.ndarray, psi: np.ndarray, scale: float, best: float):
+    """(L, full) for lines (columns) of f whose psi = -log f has unit second
+    differences >= -32 eps scale: L is max(best, the ratios at h = 1 and at
+    the widest gap), and full marks the lines with a centre whose chord bound
+    exceeds L, to be scanned in full; see estimate_axis_convexity_ratio."""
     m, n = f.shape
+    full = np.zeros(n, dtype=bool)
     if n == 0:
-        return best
+        return best, full
     best = max(best, float((2.0 * f[1:-1] / (f[:-2] + f[2:])).max()))
     # a centre c of the left half reaches the first cell at its widest half-gap
     # H = c; mirrored, so do those of the right half (the middle one of odd m
@@ -451,26 +453,10 @@ def _pruned_scan(f: np.ndarray, psi: np.ndarray, scale: float, best: float) -> f
         best = max(best, float((2.0 * fh[1:k + 1] / (fh[:1] + fh[2:2 * k + 1:2])).max()))
     log_best = math.log(best)
     floor = log_best - _EPS * (scale * (2.0 * m * m + 128.0) + 4.0 * abs(log_best))
-    found = []
-    for fh, ph, k in halves:
+    for _, ph, k in halves:
         c, lines = np.nonzero(_screen_exceeds(ph, k, floor))
-        c += 3
-        keep = _chord_bound_exceeds(ph, c, lines, floor)
-        found.append((fh, c[keep], lines[keep]))
-    # a line with more than m / 8 centres left, whose gaps may cost more than
-    # a quarter of its full scan, is scanned in full (bounds that tie with L,
-    # as on a linear f whose ratios are all 1 up to rounding, leave them all)
-    dense = 8 * sum(np.bincount(lines, minlength=n) for _, _, lines in found) > m
-    best = max(best, _gap_scan(np.compress(dense, f, axis=1)))
-    for fh, c, lines in found:
-        sparse = ~dense[lines]
-        order = np.argsort(-c[sparse], kind="stable")
-        c, lines = c[sparse][order], lines[sparse][order]
-        for half in range(2, int(c[0]) if len(c) else 0):
-            j = int(np.searchsorted(-c, -half))  # the centres with H > half
-            x, y = c[:j], lines[:j]
-            best = max(best, float((2.0 * fh[x, y] / (fh[x - half, y] + fh[x + half, y])).max()))
-    return best
+        full[lines[_chord_bound_exceeds(ph, c + 3, lines, floor)]] = True
+    return best, full
 
 
 def estimate_axis_convexity_ratio(d: GridDensity) -> float:
@@ -507,12 +493,11 @@ def estimate_axis_convexity_ratio(d: GridDensity) -> float:
       eps (S (2 m^2 + 128) + 4 |log L|). That covers the e H^2 / 8 of the
       chords, and the rounding of log, exp, the slopes, log L and the ratio's
       own two operations, each a few eps S at most.
-    - Scan. Only centres whose bound exceeds that are scanned, gap by gap
-      over all of them at once. A line with more than m / 8 of them is
-      scanned in full instead. Bounds tie with L where every ratio is 1 up to
-      rounding, as on a linear f. On log-concave densities few or no centres
-      remain: the widest gap, where the chord is exact, usually holds the
-      maximum.
+    - Scan. A line with a centre whose bound exceeds that is scanned in full,
+      in the one gap scan of its axis with the uncertified lines. Bounds tie
+      with L where every ratio is 1 up to rounding, as on a linear f. On
+      log-concave densities no line is usually left: the widest gap, where
+      the chord is exact, holds the maximum.
     """
     v = d.require_positive()
     m = d.grid.cells_per_axis
@@ -523,10 +508,11 @@ def estimate_axis_convexity_ratio(d: GridDensity) -> float:
     best = 1.0
     for lines, psi_lines in zip(_axis_lines(v), _axis_lines(psi)):
         convex = _unit_second_differences(psi_lines).min(axis=0) >= -32.0 * _EPS * scale
-        best = max(best, _gap_scan(np.compress(~convex, lines, axis=1)))
+        scan = ~convex
         convex &= lines.max(axis=0) > lines.min(axis=0)
-        best = _pruned_scan(np.compress(convex, lines, axis=1),
-                            np.compress(convex, psi_lines, axis=1), scale, best)
+        best, scan[convex] = _chord_prune(np.compress(convex, lines, axis=1),
+                                          np.compress(convex, psi_lines, axis=1), scale, best)
+        best = max(best, _gap_scan(np.compress(scan, lines, axis=1)))
     return best
 
 

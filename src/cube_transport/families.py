@@ -35,14 +35,21 @@ def trig_density(coeffs: np.ndarray, grid: Grid) -> GridDensity:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (grid.dim, MAX_FREQUENCY, 2):
         raise ValueError(f"coeffs must have shape ({grid.dim}, {MAX_FREQUENCY}, 2)")
+    return normalize(GridDensity(grid, np.exp(_mode_field(coeffs, grid, 2.0 * np.pi))))
+
+
+def _mode_field(coeffs: np.ndarray, grid: Grid, omega: float) -> np.ndarray:
+    """Sum over axes i and k = 1..MAX_FREQUENCY of a sin(omega k x_i) +
+    b cos(omega k x_i) at the cell centres, (a, b) = coeffs[i, k - 1] and x_i
+    rescaled to [0, 1]."""
     mesh = grid.centers_mesh()
-    log_f = np.zeros(grid.shape)
+    out = np.zeros(grid.shape)
     for axis in range(grid.dim):
         x = (mesh[axis] - grid.origin[axis]) / grid.side
         for k in range(1, MAX_FREQUENCY + 1):
             a, b = coeffs[axis, k - 1]
-            log_f = log_f + a * np.sin(2.0 * np.pi * k * x) + b * np.cos(2.0 * np.pi * k * x)
-    return normalize(GridDensity(grid, np.exp(log_f)))
+            out = out + a * np.sin(omega * k * x) + b * np.cos(omega * k * x)
+    return out
 
 
 def random_smooth_density(rng: np.random.Generator, grid: Grid,
@@ -91,11 +98,6 @@ def random_node_test_function(rng: np.random.Generator, grid: Grid) -> np.ndarra
 
 def random_center_test_function(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     """Smooth cell-center test function for the variance/entropy checks."""
-    mesh = grid.centers_mesh()
-    out = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        x = (mesh[axis] - grid.origin[axis]) / grid.side
-        for k in range(1, MAX_FREQUENCY + 1):
-            a, b = rng.normal(0.0, 1.0 / k, size=2)
-            out = out + a * np.sin(np.pi * k * x) + b * np.cos(np.pi * k * x)
-    return out + rng.normal(0.0, 0.5)
+    scale = 1.0 / np.arange(1, MAX_FREQUENCY + 1, dtype=float)[:, None]
+    coeffs = rng.normal(0.0, scale, size=(grid.dim, MAX_FREQUENCY, 2))
+    return _mode_field(coeffs, grid, np.pi) + rng.normal(0.0, 0.5)

@@ -277,9 +277,10 @@ def assert_rejected(capsys, args):
     {"n_samples": MAX_POINT_BUDGET // 2 + 1},
     {"t_count": MAX_T_COUNT + 1},
     {"t_count": 10 ** 30},
+    {"ns": [256, 256]},
 ], ids=["seed-2^64", "seed-bool", "t_max-string", "t_max-nan", "t_max-inf",
         "threads", "dim-3e6", "dims-40", "spec-missing-key", "spec-ill-typed",
-        "n_samples-beyond-budget", "t_count-beyond-cap", "t_count-1e30"])
+        "n_samples-beyond-budget", "t_count-beyond-cap", "t_count-1e30", "ns-one-distinct"])
 def test_bad_config_exits_2(tmp_path, capsys, cfg):
     path = _write_config(tmp_path, cfg)
     with pytest.raises(ConfigError):

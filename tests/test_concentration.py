@@ -5,6 +5,7 @@ import pytest
 
 from cube_transport import (
     DegenerateDensityError,
+    DensityError,
     GridDensity,
     RestrictedGaussian,
     Uniform,
@@ -256,3 +257,9 @@ def test_scaling_input_validation():
         counterexample_scaling([16, 32], n_samples=5000, seed=0)
     with pytest.raises(ValueError):
         counterexample_scaling([256, 512], n_samples=10, seed=0)
+
+
+def test_scaling_needs_two_distinct_dimensions():
+    # one distinct n leaves the slope undetermined: no fit through a single point
+    with pytest.raises(DensityError, match="two distinct dimensions"):
+        counterexample_scaling([256, 256], n_samples=5000, seed=0)

@@ -175,17 +175,22 @@ def brute_force_axis_ratio(d: GridDensity) -> float:
     return worst
 
 
-def pruned_lines(monkeypatch) -> list:
-    """Spy on the pruned path: the number of lines handed to it, per call."""
+def spy_lines(monkeypatch, name: str) -> list:
+    """Spy on density.<name>, the chord bounds (_chord_prune) or the full scan
+    (_gap_scan): the number of lines handed to it, per call."""
     calls = []
-    real = density._pruned_scan
+    real = getattr(density, name)
 
-    def spy(f, *args):
-        calls.append(f.shape[1])
-        return real(f, *args)
+    def spy(lines, *args):
+        calls.append(lines.shape[1])
+        return real(lines, *args)
 
-    monkeypatch.setattr(density, "_pruned_scan", spy)
+    monkeypatch.setattr(density, name, spy)
     return calls
+
+
+def pruned_lines(monkeypatch) -> list:
+    return spy_lines(monkeypatch, "_chord_prune")
 
 
 @pytest.mark.parametrize("dim,m,kind,full_scan_max", [
@@ -217,9 +222,31 @@ def test_axis_ratio_matches_gap_scan_at_benchmark_size(monkeypatch):
     grid = unit_cube_grid(2, 1024)
     spec = random_logconcave_spec_nd(np.random.default_rng([1, 1]), 2, grid.origin, grid.side)
     d = build_density(spec, grid)
+    want = loop_oracles.axis_convexity_ratio(d)
     calls = pruned_lines(monkeypatch)
-    assert estimate_axis_convexity_ratio(d) == loop_oracles.axis_convexity_ratio(d)
+    scanned = spy_lines(monkeypatch, "_gap_scan")
+    assert estimate_axis_convexity_ratio(d) == want
+    # every line is certified, and the bounds leave none to the full scan
     assert calls == [1024, 1024]
+    assert scanned == [0, 0]
+
+
+def test_axis_ratio_scans_a_kinked_line_in_full(monkeypatch):
+    # -log f = max(-i, -i / 2 - 50) / 50 turns less steep at cell 100: the
+    # ratio peaks near 1.058 at an interior half-gap, far above L (near 1.005,
+    # the ratios at h = 1 and at the widest gap), so the chord bound leaves the
+    # line to the full scan
+    i = np.arange(257.0)
+    psi = 0.02 * np.maximum(-i, -0.5 * i - 50.0)
+    d = GridDensity(unit_cube_grid(1, 257), np.exp(-psi))
+    want = loop_oracles.axis_convexity_ratio(d)
+    scale = max(1.0, float(np.abs(psi).max()))
+    low, full = density._chord_prune(d.values[:, None], psi[:, None], scale, 1.0)
+    assert low < 1.01 < 1.05 < want and full.tolist() == [True]
+    calls = pruned_lines(monkeypatch)
+    scanned = spy_lines(monkeypatch, "_gap_scan")
+    assert estimate_axis_convexity_ratio(d) == want
+    assert (calls, scanned) == ([1], [1])
 
 
 def test_axis_ratio_of_uniform_is_one():
