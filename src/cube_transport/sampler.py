@@ -81,7 +81,10 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
             row_cdf = np.where(totals > 0, row_cdf / totals, 1.0)
         stacked = (row_cdf + np.arange(rows.shape[0])[:, None]).reshape(-1)
         pos = np.searchsorted(stacked, prefix + u_cell[:, k], side="right")
-        cells[:, k] = pos - prefix * m
+        # prefix + u can round up to prefix + 1, past the row's last cell of
+        # positive mass: such draws take that cell
+        last = m - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+        cells[:, k] = np.minimum(pos - prefix * m, last[prefix])
         prefix = prefix * m + cells[:, k]
     points = grid.origin + (cells + u_jit) * grid.h
     return SampleBatch(points)

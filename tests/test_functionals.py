@@ -40,7 +40,7 @@ from cube_transport import (
     unit_cube_grid,
 )
 from cube_transport.families import (random_logconcave_spec_1d, random_logconcave_spec_nd,
-                                     random_smooth_density)
+                                     random_smooth_density, trig_density)
 
 
 # ---------------------------------------------------------------- entropy
@@ -193,15 +193,16 @@ def test_w2_matches_dense_oracle(dim, m):
 
 
 def _crossed_gaussians(m):
-    # opposite correlations: the triangular coupling is far from optimal,
-    # so column generation needs several rounds
+    # opposite correlations: the triangular couplings are far from optimal.
+    # Seeded with those of both axis orders, the LP certifies m = 8 and 12 in
+    # one round; m = 16 takes four
     grid = unit_cube_grid(2, m)
     return (build_density(RestrictedGaussian((0.4, 0.6), ((3.0, 2.0), (2.0, 3.0))), grid),
             build_density(RestrictedGaussian((0.6, 0.4), ((3.0, -2.0), (-2.0, 3.0))), grid))
 
 
 def test_w2_matches_dense_oracle_over_several_rounds():
-    _, plan = _assert_matches_dense_oracle(*_crossed_gaussians(12))
+    _, plan = _assert_matches_dense_oracle(*_crossed_gaussians(16))
     assert plan.rounds > 2
 
 
@@ -238,19 +239,87 @@ def test_w2_calls_linprog_with_the_sparse_cost_first(monkeypatch):
         return solve(c, **kwargs)
 
     monkeypatch.setattr(functionals, "linprog", spy)
-    f, g = _crossed_gaussians(8)
+    f, g = _crossed_gaussians(16)
     _, plan = exact_w2_small(f, g)
     assert len(sizes) == plan.rounds > 1
     assert sizes == sorted(sizes) and sizes[-1] < f.grid.n_cells ** 2 // 4
 
 
 def test_w2_raises_when_round_cap_hit_without_certificate(monkeypatch):
-    f, g = _crossed_gaussians(8)
+    f, g = _crossed_gaussians(16)
     _, plan = exact_w2_small(f, g)
     assert plan.rounds > 1
     monkeypatch.setattr(functionals, "W2_MAX_ROUNDS", plan.rounds - 1)
     with pytest.raises(RuntimeError, match="certificate"):
         exact_w2_small(f, g)
+
+
+@pytest.mark.parametrize("dim,m", [(1, 24), (2, 8), (2, 12), (3, 4), (3, 6)])
+def test_w2_seeds_with_the_triangular_coupling_of_every_cyclic_axis_order(monkeypatch, dim, m):
+    calls, lp_costs = [], []
+    couple, solve = functionals.triangular_coupling, functionals.linprog
+
+    def spy(a, b):
+        calls.append((a, b))
+        return couple(a, b)
+
+    def lp_spy(c, **kwargs):
+        lp_costs.append(c)
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(functionals, "triangular_coupling", spy)
+    monkeypatch.setattr(functionals, "linprog", lp_spy)
+    rng = np.random.default_rng([9, dim, m])
+    grid = unit_cube_grid(dim, m)
+    f = build_density(random_logconcave_spec_nd(rng, dim, grid.origin, grid.side), grid)
+    g = random_smooth_density(rng, grid, amplitude=0.5)
+    cost, plan = exact_w2_small(f, g)
+    a, b = _masses(f), _masses(g)
+    orders = [np.roll(np.arange(dim), -k) for k in range(dim)]  # (0, ..., d-1), (1, ..., 0), ...
+    assert len(calls) == dim
+    centers, triangular, seed = grid.centers(), [], []
+    for (got_a, got_b), order in zip(calls, orders):
+        assert np.array_equal(got_a, np.transpose(a, order))
+        assert np.array_equal(got_b, np.transpose(b, order))
+        # the order's atoms, mapped back to cells of the grid, couple f and g
+        i, j, w = couple(got_a, got_b)
+        flat = np.transpose(np.arange(grid.n_cells).reshape(grid.shape), order).reshape(-1)
+        i, j = flat[i], flat[j]
+        np.testing.assert_allclose(np.bincount(i, weights=w, minlength=grid.n_cells),
+                                   a.ravel(), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.bincount(j, weights=w, minlength=grid.n_cells),
+                                   b.ravel(), rtol=0, atol=1e-15)
+        triangular.append(float(w @ ((centers[i] - centers[j]) ** 2).sum(axis=1)))
+        seed.append(i * grid.n_cells + j)
+    # the first LP runs over the union of those atoms, sorted by flat pair index
+    i, j = np.divmod(np.unique(np.concatenate(seed)), grid.n_cells)
+    assert np.array_equal(lp_costs[0], ((centers[i] - centers[j]) ** 2).sum(axis=1))
+    # the first order is the coupling of triangular_coupling_cost
+    assert triangular[0] == pytest.approx(triangular_coupling_cost(f, g), rel=1e-13)
+    assert plan.lower_bound <= min(triangular) and cost <= min(triangular) + 1e-12
+
+
+# the pinned 2d pairs of the exact-coupling benchmark: (cells per axis,
+# source, trig_density coefficients of the target before its seeded 1% jitter)
+_BENCH_TARGET = np.array([[[0.3, -0.2], [0.1, 0.05], [0.02, -0.04]],
+                          [[-0.25, 0.15], [0.08, -0.1], [0.03, 0.01]]])
+_BENCH_LP_PAIRS_2D = [
+    (16, RestrictedGaussian((0.4, 0.6), ((3.0, 1.0), (1.0, 2.0))), _BENCH_TARGET),
+    (16, RestrictedGaussian((0.55, 0.45), ((2.0, -0.5), (-0.5, 4.0))), _BENCH_TARGET[::-1]),
+    (24, RestrictedGaussian((0.4, 0.6), ((3.0, 1.0), (1.0, 2.0))), _BENCH_TARGET),
+]
+
+
+@pytest.mark.parametrize("m,source,target", _BENCH_LP_PAIRS_2D, ids=["16-0", "16-1", "24"])
+@pytest.mark.parametrize("jitter_seed", [None, 1, 2])
+def test_w2_certifies_the_benchmark_pairs_in_one_round(m, source, target, jitter_seed):
+    grid = unit_cube_grid(2, m)
+    if jitter_seed is not None:
+        target = target + 0.01 * np.random.default_rng(jitter_seed).normal(size=target.shape)
+    f, g = build_density(source, grid), trig_density(target, grid)
+    _, plan = exact_w2_small(f, g)
+    assert plan.rounds == 1
+    assert plan.min_reduced_cost >= -1e-9
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

@@ -1,6 +1,7 @@
 """Reproducible grid sampling, and the equicorrelated row sums against an
 exact-rejection oracle."""
 
+import itertools
 from statistics import NormalDist
 
 import numpy as np
@@ -21,6 +22,7 @@ from cube_transport import (
     sample_grid,
     unit_cube_grid,
 )
+from cube_transport import sampler
 from cube_transport.density import DensityError
 from cube_transport.sampler import (LOG10_REJECTION_LIMIT, MAX_POINT_BUDGET,
                                     equicorrelated_scale, philox)
@@ -67,6 +69,37 @@ def test_samples_land_in_cube():
     assert batch.points.shape == (20000, 2)
     assert batch.points.min() >= 0.0
     assert batch.points.max() <= 1.0
+
+
+class _LargestUniform:
+    """Stands in for a Philox generator whose every uniform is 1 - 2^-53."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("dim,m", [(1, 1024), (2, 1024), (3, 64)])
+def test_largest_uniform_stays_on_cells_of_positive_mass(monkeypatch, dim, m):
+    # prefix + u rounds to prefix + 1 on every axis after the first, and a
+    # row's last cells have no mass, so an unclamped draw leaves its row
+    monkeypatch.setattr(sampler, "philox", lambda *key: _LargestUniform())
+    rng = np.random.default_rng([dim, m])
+    grid = unit_cube_grid(dim, m)
+    vals = rng.uniform(0.1, 1.0, grid.shape)
+    for axis in range(dim):
+        vals[(slice(None),) * axis + (slice(m - 3, None),)] = 0.0
+    d = normalize(GridDensity(grid, vals))
+    points = sample_grid(d, 50, seed=0).points
+    assert np.all((points >= 0.0) & (points <= 1.0))
+    # the jitter can round a point onto its cell's upper face, so it lies on
+    # a cell of positive mass when one of the closed cells holding it has mass
+    t = (points - grid.origin) / grid.h
+    sides = [np.clip(np.floor(t), 0, m - 1), np.clip(np.ceil(t) - 1, 0, m - 1)]
+    on_mass = np.zeros(len(points), dtype=bool)
+    for pick in itertools.product(sides, repeat=dim):
+        cells = tuple(side[:, k].astype(int) for k, side in enumerate(pick))
+        on_mass |= d.values[cells] > 0
+    assert on_mass.all()
 
 
 def test_uniform_marginals_pass_ks():
