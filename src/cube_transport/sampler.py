@@ -86,7 +86,20 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
         last = m - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
         cells[:, k] = np.minimum(pos - prefix * m, last[prefix])
         prefix = prefix * m + cells[:, k]
-    points = grid.origin + (cells + u_jit) * grid.h
+    # origin + (cells + u) h, in the jitter's buffer: one (N, dim) array fewer
+    points = np.add(u_jit, cells, out=u_jit)
+    points *= grid.h
+    points += grid.origin
+    for k, x in enumerate(points.T):
+        # rounding can put x on a face of its cell (cells + u rounds up to
+        # cells + 1 for u within half an ulp of 1): step such coordinates by
+        # ulps until their unclipped cell index is their cell
+        while True:
+            off = np.floor((x - grid.origin[k]) / grid.h) - cells[:, k]
+            out = np.flatnonzero(off)
+            if not len(out):
+                break
+            x[out] = np.nextafter(x[out], np.where(off[out] > 0, -np.inf, np.inf))
     return SampleBatch(points)
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,6 +111,92 @@ def test_legendre_dominates_tire_2d():
         f = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
         g = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
         assert legendre_tire_bound(f, g) >= tire_bracket(f, g) - 1e-6
+
+
+def _legendre_pair(kind, grid, rng):
+    """A log-concave Gaussian source and a target of the given kind; "anchor"
+    is the tire suite's uniform source onto prod 2 x_i."""
+    f = build_density(random_logconcave_spec_nd(rng, grid.dim, grid.origin, grid.side), grid)
+    if kind == "anchor":
+        vals = np.prod([2.0 * c for c in grid.centers_mesh()], axis=0)
+        return build_density(Uniform(), grid), normalize(GridDensity(grid, vals))
+    if kind == "uniform":  # every last-axis line collinear
+        return f, build_density(Uniform(), grid)
+    if kind == "tilt":  # -log g affine
+        return f, build_density(ExponentialTilt(tuple(rng.normal(0.0, 2.0, grid.dim))), grid)
+    if kind == "gaussian":  # -log g convex: every point a hull vertex
+        return f, build_density(random_logconcave_spec_nd(rng, grid.dim, grid.origin,
+                                                          grid.side), grid)
+    vals = random_smooth_density(rng, grid, amplitude=0.5).values.copy()
+    m = grid.cells_per_axis
+    if kind == "zero-rows":  # whole slabs across the first axis off the support
+        vals[:m // 4] = 0.0
+        vals[m // 2] = 0.0
+    elif kind == "zero-line":  # gaps in every line, and a whole last-axis line
+        vals[..., 1::5] = 0.0
+        if grid.dim > 1:
+            vals[(m // 3,) * (grid.dim - 1)] = 0.0
+    return f, normalize(GridDensity(grid, vals))
+
+
+def _assert_legendre_matches_dense_oracle(f, g):
+    want = lp_oracles.dense_legendre_tire_bound(f, g)
+    assert abs(legendre_tire_bound(f, g) - want) <= 1e-15 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("kind", ["anchor", "uniform", "tilt", "gaussian", "smooth",
+                                  "zero-rows", "zero-line"])
+@pytest.mark.parametrize("dim,m", [(1, 512), (2, 16), (2, 64), (2, 128), (3, 25)])
+def test_legendre_matches_dense_oracle(dim, m, kind):
+    rng = np.random.default_rng([dim, m, len(kind)])
+    _assert_legendre_matches_dense_oracle(*_legendre_pair(kind, unit_cube_grid(dim, m), rng))
+
+
+@st.composite
+def legendre_pairs(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=2, max_value=6))
+    grid = unit_cube_grid(dim, m)
+    f = draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                      min_size=m ** dim, max_size=m ** dim))
+    g = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+                      min_size=m ** dim, max_size=m ** dim))
+    assume(sum(g) > 0)
+    return tuple(normalize(GridDensity(grid, np.reshape(x, grid.shape))) for x in (f, g))
+
+
+@given(pair=legendre_pairs())
+@settings(max_examples=200, deadline=None)
+def test_legendre_matches_dense_oracle_property(pair):
+    _assert_legendre_matches_dense_oracle(*pair)
+
+
+def _peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_legendre_peak_memory():
+    rng = np.random.default_rng(2)
+    grid = unit_cube_grid(2, 64)  # the size of the benchmark's Legendre pair
+    f = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
+    g = random_smooth_density(rng, grid, amplitude=0.5)
+    assert _peak_mib(legendre_tire_bound, f, g) <= 8.0
+    f, g = _legendre_pair("smooth", unit_cube_grid(3, 25), rng)
+    assert (_peak_mib(legendre_tire_bound, f, g)
+            <= _peak_mib(lp_oracles.dense_legendre_tire_bound, f, g) / 4)
+
+
+def test_legendre_cell_limit_raises_before_any_work():
+    # zero cells would fail the positivity check, so the limit must come first
+    grid = unit_cube_grid(1, functionals.LEGENDRE_CELL_LIMIT + 1)
+    d = GridDensity(grid, np.zeros(grid.shape))
+    with pytest.raises(DensityError, match=r"cells\^2 / m; limit is 16384 cells"):
+        legendre_tire_bound(d, d)
 
 
 # ---------------------------------------------------------------- exact W2
