@@ -50,9 +50,8 @@ print(f"entropy D        {entropy:.7f}   (closed form log 2 - 1/2 = {np.log(2)-0
 print(f"deficit          {deficit:.7f}   (meets D in this equality case)")
 
 # T' is constant on each piece of the map; take the piece holding x = 0.5
-pieces = tmap.pieces
-k = np.searchsorted(pieces.x, 0.5, side="right") - 1
-print(f"T'(x) at x=0.5   {pieces.slope[k]:.5f}   (closed form 1/(2 sqrt(x)) = {0.5/np.sqrt(0.5):.5f})")
+k = np.searchsorted(tmap.x, 0.5, side="right") - 1
+print(f"T'(x) at x=0.5   {tmap.slope[k]:.5f}   (closed form 1/(2 sqrt(x)) = {0.5/np.sqrt(0.5):.5f})")
 
 print()
 ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))

@@ -163,8 +163,8 @@ def lipschitz_tail(values: np.ndarray, ts, alpha: float) -> LipschitzTailFit:
     against the profile C exp(-rate * (t/alpha)^2). Never asserts."""
     ts = _validate_ts(ts)
     v = np.asarray(values, dtype=float).reshape(-1)
-    dev = np.abs(v - np.median(v))
-    tails = np.array([(dev >= t).mean() for t in ts])
+    dev = np.sort(np.abs(v - np.median(v)))
+    tails = (len(dev) - np.searchsorted(dev, ts, side="left")) / len(dev)
     usable = tails > 0
     if usable.sum() >= 2:
         x = (ts[usable] / alpha) ** 2

@@ -7,9 +7,10 @@ image point (multilinear interpolation between neighboring target fibers).
 The result is "triangular": coordinate i of the output depends only on the
 first i input coordinates. All fiber maps of a level form one node table.
 
-Displacements are tabulated at cell centers; off-center evaluation
-interpolates the piecewise-linear 1d maps, which keeps every coordinate
-inside the cube and fixes facets by construction.
+Displacements are tabulated at cell centers. Off-center evaluation
+interpolates each 1d map's values at the source nodes, not the map itself
+(which also bends where its source CDF crosses a target node); this keeps
+every coordinate inside the cube and fixes facets by construction.
 """
 
 from __future__ import annotations
@@ -32,25 +33,22 @@ class KnotheMap:
     the node values of the 1d map of coordinate k above cell r (C order) of
     the first k axes. ``displacement`` is T(x) - x at cell centers."""
 
-    dim: int
     grid: Grid
     node_tables: list
     displacement: np.ndarray
 
     def __post_init__(self):
-        m = self.grid.cells_per_axis
-        if self.dim != self.grid.dim:
-            raise DensityError("dim must match grid dim")
-        if [t.shape for t in self.node_tables] != [(m ** k, m + 1) for k in range(self.dim)]:
+        n, m = self.grid.dim, self.grid.cells_per_axis
+        if [t.shape for t in self.node_tables] != [(m ** k, m + 1) for k in range(n)]:
             raise DensityError("need one (m**k, m+1) node table per coordinate k")
-        if self.displacement.shape != self.grid.shape + (self.dim,):
+        if self.displacement.shape != self.grid.shape + (n,):
             raise DensityError("displacement must have shape grid.shape + (dim,)")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Apply the map to finite points of shape (N, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DensityError(f"points must have shape (N, {self.dim})")
+        if pts.ndim != 2 or pts.shape[1] != self.grid.dim:
+            raise DensityError(f"points must have shape (N, {self.grid.dim})")
         if not np.all(np.isfinite(pts)):
             raise DensityError("points must be finite")
         out = np.empty_like(pts)
@@ -123,7 +121,7 @@ def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
     disp[..., :n - 1] = lead.reshape((m,) * (n - 1) + (1, n - 1))
     disp[..., n - 1] = (0.5 * (t[:, :-1] + t[:, 1:]) - last_grid.axis_centers()).reshape(
         f.grid.shape)
-    return KnotheMap(n, f.grid, tables + [t], disp)
+    return KnotheMap(f.grid, tables + [t], disp)
 
 
 def displacement_cost(tmap: KnotheMap, f: GridDensity) -> float:

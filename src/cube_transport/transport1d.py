@@ -21,7 +21,6 @@ bounds quantify, and the mixed cost is min(|t|, t^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,46 +48,19 @@ def log_gap(x):
     return (x - 1.0) - np.log(x) - LOG_GAP_SLOPE * mixed_cost(x - 1.0)
 
 
-class MapPieces(NamedTuple):
-    """Source positions ``x`` of the merged breakpoints of F and G, and per
-    piece between them: normalized mass ``du``, slope T' (the normalized
-    ratio f/g) and displacement T - x at its left and right end."""
+class MonotoneMap1D(NamedTuple):
+    """The increasing map T with F = G o T, linear between the merged
+    breakpoints of F and G: their source positions ``x`` and images
+    ``t = T(x)``, then per piece between them the normalized mass ``du`` and
+    the slope T' (the normalized ratio f/g). Both endpoints are fixed exactly."""
 
     x: np.ndarray
+    t: np.ndarray
     du: np.ndarray
     slope: np.ndarray
-    d0: np.ndarray
-    d1: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class MonotoneMap1D:
-    """Increasing map, linear between the merged breakpoints of F and G.
-
-    It bends inside a source cell wherever F crosses a node of G, so
-    ``node_values`` is only its interpolant at the source nodes, which
-    ``__call__`` and the Knothe tables use; ``pieces`` is T itself, which the
-    1d functionals integrate.
-    """
-
-    source_grid: Grid
-    node_values: np.ndarray
-    pieces: MapPieces
-
-    def __post_init__(self):
-        nodes = np.asarray(self.node_values, dtype=float)
-        m = self.source_grid.cells_per_axis
-        if self.source_grid.dim != 1:
-            raise DensityError("MonotoneMap1D needs a 1d grid")
-        if nodes.shape != (m + 1,):
-            raise DensityError(f"node_values must have shape ({m + 1},)")
-        if np.any(np.diff(nodes) <= 0):
-            raise DensityError("node_values must be strictly increasing")
-        object.__setattr__(self, "node_values", nodes)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.interp(x, self.source_grid.axis_nodes(), self.node_values)
+        return np.interp(x, self.x, self.t)
 
 
 def _check_same_interval(f: GridDensity, g: GridDensity) -> None:
@@ -105,50 +77,55 @@ def merge_rows(a: np.ndarray, b: np.ndarray) -> tuple:
     return np.take_along_axis(both, order, axis=1), order < a.shape[1]
 
 
-def monotone_nodes(f_rows: np.ndarray, g_rows: np.ndarray, grid: Grid) -> np.ndarray:
-    """Node values, shape (rows, m+1), of the CDF-matching maps from each row
-    of cell values ``f_rows`` to the same row of ``g_rows`` on the 1d grid."""
-    if np.any(f_rows <= 0) or np.any(g_rows <= 0):
+def _positive_cdfs(values: np.ndarray) -> np.ndarray:
+    if np.any(values <= 0):
         raise PositivityError("density has zero cells where positivity is required")
-    nodes, F, G = grid.axis_nodes(), row_cdfs(f_rows), row_cdfs(g_rows)
-    # target cell j(k) holding F[k]: last j with G[j] <= F[k], which is one
-    # less than the number of G entries merged before F[k]
-    from_g = merge_rows(G, F)[1]
-    below = np.cumsum(from_g, axis=1)[~from_g].reshape(F.shape)
-    j = np.clip(below - 1, 0, grid.cells_per_axis - 1)
-    Gj, Gj1 = np.take_along_axis(G, j, axis=1), np.take_along_axis(G, j + 1, axis=1)
-    t = nodes[j] + (F - Gj) / (Gj1 - Gj) * grid.h
-    t[:, 0], t[:, -1] = nodes[0], nodes[-1]  # endpoints fixed exactly
-    if np.any(np.diff(t, axis=1) <= 0):
+    return row_cdfs(values)
+
+
+def _invert(C: np.ndarray, levels: np.ndarray, grid: Grid) -> tuple:
+    """Where each row of the CDF table ``C`` reaches the same row of
+    ``levels`` (sorted, from 0 to 1) on the 1d grid, and the cell holding
+    each level but the last: the last k with C[k] <= level (one less than
+    the number of C entries merged before it), at most the last cell. The end
+    levels map to the ends exactly; 1 is not inverted, since a last cell too
+    light to move C would give 0/0 there."""
+    nodes, last = grid.axis_nodes(), grid.cells_per_axis - 1
+    inner = levels[:, :-1]
+    from_c = merge_rows(C, inner)[1]
+    k = np.clip(np.cumsum(from_c, axis=1)[~from_c].reshape(inner.shape) - 1, 0, last)
+    Ck, Ck1 = np.take_along_axis(C, k, axis=1), np.take_along_axis(C, k + 1, axis=1)
+    pos = np.empty(levels.shape)
+    pos[:, :-1] = nodes[k] + (inner - Ck) / (Ck1 - Ck) * grid.h
+    pos[:, 0], pos[:, -1] = nodes[0], nodes[-1]
+    return pos, k
+
+
+def _increasing(t: np.ndarray) -> np.ndarray:
+    if np.any(np.diff(t, axis=-1) <= 0):
         raise DensityError("computed map is not strictly increasing; density too degenerate")
     return t
 
 
-def _map_pieces(f_values: np.ndarray, g_values: np.ndarray, grid: Grid) -> MapPieces:
-    """Pieces of the CDF-matching map from the cell values ``f_values`` to
-    ``g_values`` on the 1d grid, cut at the union of both CDFs' breakpoints."""
-    nodes, F, G = grid.axis_nodes(), row_cdfs(f_values), row_cdfs(g_values)
-    u = np.union1d(F, G)
-    last = grid.cells_per_axis - 1
-
-    def invert(C):
-        # where C reaches each breakpoint (a node of C exactly), and each piece's CDF step
-        k = np.minimum(np.searchsorted(C, u, side="right") - 1, last)
-        return nodes[k] + (u - C[k]) / (C[k + 1] - C[k]) * grid.h, np.diff(C)[k[:-1]]
-
-    x, p = invert(F)
-    t, q = invert(G)
-    return MapPieces(x, np.diff(u), p / q, (t - x)[:-1], (t - x)[1:])
+def monotone_nodes(f_rows: np.ndarray, g_rows: np.ndarray, grid: Grid) -> np.ndarray:
+    """Node values, shape (rows, m+1), of the CDF-matching maps from each row
+    of cell values ``f_rows`` to the same row of ``g_rows`` on the 1d grid."""
+    return _increasing(_invert(_positive_cdfs(g_rows), _positive_cdfs(f_rows), grid)[0])
 
 
 def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
-    """CDF-matching map from f to g on a shared interval.
+    """CDF-matching map from f to g on a shared interval, cut at the union of
+    both CDFs' breakpoints.
 
     Masses are normalized internally, so unnormalized inputs are accepted.
     """
     _check_same_interval(f, g)
-    t = monotone_nodes(f.values[None], g.values[None], f.grid)[0]
-    return MonotoneMap1D(f.grid, t, _map_pieces(f.values, g.values, f.grid))
+    C = _positive_cdfs(np.stack((f.values, g.values)))
+    u = np.union1d(C[0], C[1])
+    (x, t), k = _invert(C, np.stack((u, u)), f.grid)
+    _increasing(t[np.searchsorted(u, C[0])])  # T at the source nodes
+    p, q = np.take_along_axis(np.diff(C), k, axis=1)
+    return MonotoneMap1D(x, t, np.diff(u), p / q)
 
 
 def deficit_1d(f: GridDensity, g: GridDensity, tmap: MonotoneMap1D) -> float:
@@ -158,14 +135,15 @@ def deficit_1d(f: GridDensity, g: GridDensity, tmap: MonotoneMap1D) -> float:
     the map, so the integrand is, and it is nonnegative piece by piece.
     """
     _check_same_interval(f, g)
-    du, r = tmap.pieces.du, tmap.pieces.slope
+    du, r = tmap.du, tmap.slope
     return f.total_mass * float((du * (r - 1.0 - np.log(r))).sum())
 
 
 def quadratic_cost_1d(f: GridDensity, tmap: MonotoneMap1D) -> float:
     """integral of (T x - x)^2 f(x) dx, exact: the displacement is linear on
-    each piece, with mean square (d0^2 + d0 d1 + d1^2) / 3."""
-    du, d0, d1 = tmap.pieces.du, tmap.pieces.d0, tmap.pieces.d1
+    each piece, with mean square (d0^2 + d0 d1 + d1^2) / 3 from its ends."""
+    d = tmap.t - tmap.x
+    du, d0, d1 = tmap.du, d[:-1], d[1:]
     return f.total_mass * float((du * (d0 * d0 + d0 * d1 + d1 * d1)).sum()) / 3.0
 
 
@@ -189,7 +167,7 @@ def check_lemma_lambda(f: GridDensity, g: GridDensity,
     _check_same_interval(f, g)
     if tmap is None:
         tmap = monotone_map(f, g)
-    du, r = tmap.pieces.du, tmap.pieces.slope
+    du, r = tmap.du, tmap.slope
     lhs = f.total_mass * float((du * mixed_cost(r - 1.0)).sum())
     rhs = MIXED_COST_FACTOR * deficit_1d(f, g, tmap)
     return make_report("lem-2.2", lhs, rhs, MIXED_COST_FACTOR,

@@ -133,6 +133,18 @@ def test_lipschitz_tail_gaussian_rate():
     assert 0.7 <= fit.rate <= 1.4
 
 
+def test_lipschitz_tail_counts_equal_the_per_offset_loop():
+    # deviations that land exactly on the offsets count as in the tail
+    rng = np.random.default_rng(4)
+    ts = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 4.0])
+    z = rng.normal(0.0, 1.0, 500)
+    vals = np.concatenate([z, -z, [0.0], np.repeat(np.concatenate([ts, -ts]), 3)])
+    dev = np.abs(vals - np.median(vals))
+    assert np.median(vals) == 0.0 and np.isin(ts, dev).all()
+    fit = lipschitz_tail(vals, ts, alpha=1.0)
+    assert np.array_equal(fit.tails, np.array([(dev >= t).mean() for t in ts]))
+
+
 # ---------------------------------------------------------------- covariance
 
 

@@ -1,6 +1,8 @@
-"""Every narrative demo runs to completion against the imported package."""
+"""Every narrative demo, and the README quick start, runs to completion
+against the imported package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +11,25 @@ import pytest
 
 import cube_transport
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_python(args, cwd):
+    src = os.path.dirname(os.path.dirname(cube_transport.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    src = os.path.dirname(os.path.dirname(cube_transport.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    proc = run_python([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    proc = run_python(["-c", blocks[0]], tmp_path)
     assert proc.returncode == 0, proc.stderr

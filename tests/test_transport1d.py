@@ -8,8 +8,10 @@ import loop_oracles
 
 from cube_transport import (
     ConvexPower,
+    DensityError,
     ExponentialTilt,
     GridDensity,
+    PositivityError,
     RestrictedGaussian,
     Uniform,
     build_density,
@@ -86,9 +88,9 @@ def test_uniform_to_linear_map_nodes():
     nodes = f.grid.axis_nodes(0)
     # node CDFs are exact here, so the only error is the in-cell
     # linearization of the target CDF, h^2 / (8 s) at image point s
-    np.testing.assert_allclose(tmap.node_values, np.sqrt(nodes), atol=1e-5)
-    assert tmap.node_values[0] == 0.0
-    assert tmap.node_values[-1] == 1.0
+    np.testing.assert_allclose(tmap(nodes), np.sqrt(nodes), atol=1e-5)
+    assert tmap(nodes)[0] == 0.0
+    assert tmap(nodes)[-1] == 1.0
     assert tmap(np.array([0.25]))[0] == pytest.approx(0.5, abs=1e-3)
 
 
@@ -107,14 +109,14 @@ def test_uniform_to_linear_cost_and_deficit():
 
 def test_map_derivative_matches_analytic():
     f, g = uniform_1d(), linear_1d()
-    pieces = monotone_map(f, g).pieces
-    mid = 0.5 * (pieces.x[:-1] + pieces.x[1:])
+    tmap = monotone_map(f, g)
+    mid = 0.5 * (tmap.x[:-1] + tmap.x[1:])
     # T'(x) = 1 / (2 sqrt(x)); the map of the cell densities has slope
     # 1 / (2 y) on the target cell centred at y, which is off by O(h / y)
     # near the origin, so compare past the first cells
     past = mid > 8.0 / M
-    np.testing.assert_allclose(pieces.slope[past], 0.5 / np.sqrt(mid[past]), rtol=5e-3)
-    assert np.all(pieces.slope > 0.0)
+    np.testing.assert_allclose(tmap.slope[past], 0.5 / np.sqrt(mid[past]), rtol=5e-3)
+    assert np.all(tmap.slope > 0.0)
 
 
 def test_uniform_source_deficit_is_relative_entropy():
@@ -133,7 +135,7 @@ def test_functionals_vanish_exactly_for_equal_densities():
     for d in (GridDensity(grid, rng.uniform(0.01, 5.0, 100)),
               build_density(RestrictedGaussian((0.3,), ((6.0,),)), grid)):
         tmap = monotone_map(d, d)
-        assert np.all(tmap.pieces.slope == 1.0)
+        assert np.all(tmap.slope == 1.0)
         assert deficit_1d(d, d, tmap) == 0.0
         assert quadratic_cost_1d(d, tmap) == 0.0
         assert check_lemma_lambda(d, d, tmap).lhs == 0.0
@@ -143,7 +145,7 @@ def test_identity_map_for_equal_densities():
     d = build_density(ExponentialTilt((1.1,)), unit_cube_grid(1, 256))
     tmap = monotone_map(d, d)
     nodes = d.grid.axis_nodes(0)
-    np.testing.assert_allclose(tmap.node_values, nodes, atol=1e-12)
+    np.testing.assert_allclose(tmap(nodes), nodes, atol=1e-12)
     assert quadratic_cost_1d(d, tmap) == pytest.approx(0.0, abs=1e-15)
     assert deficit_1d(d, d, tmap) == pytest.approx(0.0, abs=1e-10)
 
@@ -154,7 +156,21 @@ def test_map_is_strictly_increasing():
     f = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, 128)))
     g = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, 128)))
     tmap = monotone_map(f, g)
-    assert np.all(np.diff(tmap.node_values) > 0)
+    assert np.all(np.diff(tmap(grid.axis_nodes())) > 0)
+
+
+@pytest.mark.parametrize("light", [1, 3])
+def test_degenerate_or_vanishing_source_raises(light):
+    # a cell too light to move the CDF, so two source nodes would share one
+    # image; in the last cell, with no 0/0 warning on the way
+    grid = unit_cube_grid(1, 4)
+    uniform = build_density(Uniform(), grid)
+    values = np.ones(4)
+    values[light] = 1e-300
+    with pytest.raises(DensityError, match="not strictly increasing"):
+        monotone_map(GridDensity(grid, values), uniform)
+    with pytest.raises(PositivityError):
+        monotone_map(GridDensity(grid, np.array([1.0, 0.0, 1.0, 1.0])), uniform)
 
 
 def test_pushforward_cdf_matches_target():
@@ -166,7 +182,7 @@ def test_pushforward_cdf_matches_target():
     tmap = monotone_map(f, g)
     h = grid.h
     F = np.concatenate([[0.0], np.cumsum(f.values) * h]) / f.total_mass
-    tv = tmap.node_values
+    tv = tmap(grid.axis_nodes())
     # evaluate G at the image nodes by linear interpolation of the target CDF
     Gn = np.concatenate([[0.0], np.cumsum(g.values) * h]) / g.total_mass
     G = np.interp(tv, grid.axis_nodes(0), Gn)
