@@ -202,10 +202,11 @@ def _rng(cfg, label: str) -> np.random.Generator:
 
 def _linear_product_target(grid: Grid) -> GridDensity:
     """The density prod_i 2 (x_i - origin_i) / side, normalized."""
-    mesh = grid.centers_mesh()
     vals = np.ones(grid.shape)
-    for axis in range(grid.dim):
-        vals = vals * 2.0 * (mesh[axis] - grid.origin[axis]) / grid.side
+    for axis, x in enumerate(grid.open_centers()):
+        vals *= 2.0  # ((vals * 2) * (x - origin)) / side, in place
+        vals *= x - grid.origin[axis]
+        vals /= grid.side
     return normalize(GridDensity(grid, vals))
 
 

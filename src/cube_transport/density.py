@@ -31,7 +31,13 @@ class DegenerateDensityError(DensityError):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Regular grid of ``cells_per_axis`` cells per axis on origin + [0, side]^dim."""
+    """Regular grid of ``cells_per_axis`` cells per axis on origin + [0, side]^dim.
+
+    Value arrays have ``shape`` (m,) * dim, cells in C order. Fields are
+    evaluated on ``open_centers``, one m-point coordinate array per axis that
+    broadcasts against a value array; ``centers_mesh`` and ``centers`` are
+    derived from it for callers that need every cell's coordinates.
+    """
 
     dim: int
     cells_per_axis: int
@@ -76,14 +82,21 @@ class Grid:
     def axis_nodes(self, axis: int = 0) -> np.ndarray:
         return self.origin[axis] + np.arange(self.cells_per_axis + 1) * self.h
 
+    def open_centers(self) -> list:
+        """Cell-center coordinates of each axis k, shaped (m,) along axis k and
+        1 along the others, as np.ix_ gives them: they broadcast against a
+        value array, so a field whose terms each read a few coordinates is
+        built from m-point arrays instead of full meshes."""
+        return list(np.ix_(*(self.axis_centers(k) for k in range(self.dim))))
+
     def centers_mesh(self) -> list:
-        """Cell-center coordinate arrays, each shaped like a value array."""
-        axes = [self.axis_centers(i) for i in range(self.dim)]
-        return list(np.meshgrid(*axes, indexing="ij"))
+        """Cell-center coordinate arrays, each shaped like a value array: read-only
+        broadcast views of open_centers, with no memory of their own."""
+        return list(np.broadcast_arrays(*self.open_centers()))
 
     def centers(self) -> np.ndarray:
         """Cell centers as an (n_cells, dim) array, cells in C order."""
-        return np.stack([c.reshape(-1) for c in self.centers_mesh()], axis=1)
+        return np.stack(self.centers_mesh(), axis=-1).reshape(-1, self.dim)
 
     def gradient(self, values: np.ndarray) -> list:
         """Finite-difference partial derivatives of cell-center data, one
@@ -313,25 +326,28 @@ def spec_from_dict(d: dict) -> DensitySpec:
 
 
 def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
-    """Evaluate a density spec at cell centers, normalized to mass 1."""
-    mesh = grid.centers_mesh()
+    """Evaluate a density spec at cell centers, normalized to mass 1. Fields
+    are built from the grid's open centers, term by term in the order of the
+    spec's formula, so no full coordinate mesh is ever made."""
+    x = grid.open_centers()
     if isinstance(spec, Uniform):
         vals = np.ones(grid.shape)
     elif isinstance(spec, RestrictedGaussian):
         c, a = spec.arrays(grid.dim)
-        vals = _gaussian_values(mesh, c, a)
+        vals = _gaussian_values(x, c, a)
     elif isinstance(spec, EquicorrelatedGaussian):
         if spec.dim != grid.dim:
             raise DensityError("spec dim does not match grid dim")
         c = grid.origin + grid.side / 2.0
-        vals = _gaussian_values(mesh, c, spec.inverse_covariance())
+        vals = _gaussian_values(x, c, spec.inverse_covariance())
     elif isinstance(spec, ExponentialTilt):
         tilt = _sized(spec.tilt, (grid.dim,), "tilt")
-        lin = sum(tilt[k] * mesh[k] for k in range(grid.dim))
-        vals = np.exp(lin - lin.max())
+        lin = sum(tilt[k] * x[k] for k in range(grid.dim))
+        lin -= lin.max()
+        vals = np.exp(lin, out=lin)
     elif isinstance(spec, ConvexPower):
         v = _sized(spec.direction, (grid.dim,), "direction")
-        lin = spec.offset + sum(v[k] * mesh[k] for k in range(grid.dim))
+        lin = spec.offset + sum(v[k] * x[k] for k in range(grid.dim))
         if lin.min() <= 0:
             raise DensityError("ConvexPower base offset + x.direction must stay positive on the cube")
         vals = lin ** float(spec.power)
@@ -349,16 +365,22 @@ def _sized(values, shape: tuple, what: str) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _gaussian_values(mesh, center, inv_cov):
-    dim = len(mesh)
-    delta = [mesh[k] - center[k] for k in range(dim)]
-    quad = np.zeros_like(mesh[0])
+def _gaussian_values(x, center, inv_cov):
+    """exp(-(q - min q) / 2) for q the quadratic form of inv_cov in x - center,
+    x the open centers: each term a_ij d_i d_j is an outer product of two
+    m-point arrays, added into one full array."""
+    dim = len(x)
+    delta = [x[k] - center[k] for k in range(dim)]
+    quad = np.zeros(np.broadcast_shapes(*(d.shape for d in delta)))
     for i in range(dim):
         for j in range(dim):
             if inv_cov[i, j] != 0.0:
-                quad = quad + inv_cov[i, j] * delta[i] * delta[j]
-    # shift before exp: normalization later absorbs the constant
-    return np.exp(-(quad - quad.min()) / 2.0)
+                quad += inv_cov[i, j] * delta[i] * delta[j]
+    # shift before exp: normalization later absorbs the constant. In place,
+    # -(q - min q) / 2 is (q - min q) / -2 bit for bit: rounding is symmetric
+    quad -= quad.min()
+    quad /= -2.0
+    return np.exp(quad, out=quad)
 
 
 def normalize(d: GridDensity) -> GridDensity:

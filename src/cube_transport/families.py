@@ -41,14 +41,15 @@ def trig_density(coeffs: np.ndarray, grid: Grid) -> GridDensity:
 def _mode_field(coeffs: np.ndarray, grid: Grid, omega: float) -> np.ndarray:
     """Sum over axes i and k = 1..MAX_FREQUENCY of a sin(omega k x_i) +
     b cos(omega k x_i) at the cell centres, (a, b) = coeffs[i, k - 1] and x_i
-    rescaled to [0, 1]."""
-    mesh = grid.centers_mesh()
+    rescaled to [0, 1]. Each sin and cos runs on the m centres of its axis;
+    the terms are added into the field as (out + a sin) + b cos, term by term."""
     out = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        x = (mesh[axis] - grid.origin[axis]) / grid.side
+    for axis, centres in enumerate(grid.open_centers()):
+        x = (centres - grid.origin[axis]) / grid.side
         for k in range(1, MAX_FREQUENCY + 1):
             a, b = coeffs[axis, k - 1]
-            out = out + a * np.sin(omega * k * x) + b * np.cos(omega * k * x)
+            out += a * np.sin(omega * k * x)
+            out += b * np.cos(omega * k * x)
     return out
 
 

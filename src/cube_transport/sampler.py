@@ -80,7 +80,12 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
         with np.errstate(invalid="ignore", divide="ignore"):
             row_cdf = np.where(totals > 0, row_cdf / totals, 1.0)
         stacked = (row_cdf + np.arange(rows.shape[0])[:, None]).reshape(-1)
-        pos = np.searchsorted(stacked, prefix + u_cell[:, k], side="right")
+        # sorted keys make searchsorted walk the table in order; the position
+        # of each key does not depend on the order it is searched in
+        keys = prefix + u_cell[:, k]
+        order = np.argsort(keys)
+        pos = np.empty(n_samples, dtype=np.intp)
+        pos[order] = np.searchsorted(stacked, keys[order], side="right")
         # prefix + u can round up to prefix + 1, past the row's last cell of
         # positive mass: such draws take that cell
         last = m - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)

@@ -78,9 +78,15 @@ def merge_rows(a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def _positive_cdfs(values: np.ndarray) -> np.ndarray:
+    """Normalized CDF rows of positive cell values, strictly increasing: a
+    cell too light to move its row's CDF would give the map a jump there."""
     if np.any(values <= 0):
         raise PositivityError("density has zero cells where positivity is required")
-    return row_cdfs(values)
+    C = row_cdfs(values)
+    if np.any(np.diff(C, axis=-1) <= 0):
+        raise DensityError("CDF is not strictly increasing: a cell is too light to move "
+                           "it; density too degenerate")
+    return C
 
 
 def _invert(C: np.ndarray, levels: np.ndarray, grid: Grid) -> tuple:
@@ -88,8 +94,7 @@ def _invert(C: np.ndarray, levels: np.ndarray, grid: Grid) -> tuple:
     ``levels`` (sorted, from 0 to 1) on the 1d grid, and the cell holding
     each level but the last: the last k with C[k] <= level (one less than
     the number of C entries merged before it), at most the last cell. The end
-    levels map to the ends exactly; 1 is not inverted, since a last cell too
-    light to move C would give 0/0 there."""
+    levels map to the ends exactly; 1 is not inverted."""
     nodes, last = grid.axis_nodes(), grid.cells_per_axis - 1
     inner = levels[:, :-1]
     from_c = merge_rows(C, inner)[1]

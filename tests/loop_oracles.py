@@ -9,8 +9,11 @@ gap, which the library now prunes by chord bounds on log-concave lines, and
 the coupling cost summed over the built atoms, which the library now sums
 batch by batch. The library must reproduce them bit for bit, so they are
 kept here as oracles and nowhere else.
-Last is a plain-float walk along the pieces of one 1d monotone map, which
-the library's 1d functionals must match to rounding.
+Then a plain-float walk along the pieces of one 1d monotone map, which
+the library's 1d functionals must match to rounding. Last are the field
+builders as they were before they read the grid's open centers: every term
+evaluated on full coordinate meshes, bit for bit the fields the library
+must still build.
 """
 
 import math
@@ -18,8 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cube_transport.density import (DensityError, PositivityError, _midpoint_directions,
-                                    marginalize_last)
+from cube_transport.density import (ConvexPower, CustomGrid, DensityError,
+                                    EquicorrelatedGaussian, ExponentialTilt, GridDensity,
+                                    PositivityError, RestrictedGaussian, Uniform,
+                                    _midpoint_directions, _sized, marginalize_last,
+                                    normalize)
+from cube_transport.families import MAX_FREQUENCY
 from cube_transport.knothe import _multilinear
 
 
@@ -224,3 +231,62 @@ def monotone_map_integrals(f_values, g_values, grid):
         u, d0 = nxt, d1
     mass = sum(f) * h
     return mass * deficit, mass * cost, mass * mixed
+
+
+def full_mesh(grid):
+    return np.meshgrid(*[grid.axis_centers(k) for k in range(grid.dim)], indexing="ij")
+
+
+def build_density(spec, grid):
+    """Cell-center values of a density spec from full meshes, normalized."""
+    mesh = full_mesh(grid)
+    if isinstance(spec, Uniform):
+        vals = np.ones(grid.shape)
+    elif isinstance(spec, RestrictedGaussian):
+        c, a = spec.arrays(grid.dim)
+        vals = gaussian_values(mesh, c, a)
+    elif isinstance(spec, EquicorrelatedGaussian):
+        vals = gaussian_values(mesh, grid.origin + grid.side / 2.0, spec.inverse_covariance())
+    elif isinstance(spec, ExponentialTilt):
+        tilt = _sized(spec.tilt, (grid.dim,), "tilt")
+        lin = sum(tilt[k] * mesh[k] for k in range(grid.dim))
+        vals = np.exp(lin - lin.max())
+    elif isinstance(spec, ConvexPower):
+        v = _sized(spec.direction, (grid.dim,), "direction")
+        lin = spec.offset + sum(v[k] * mesh[k] for k in range(grid.dim))
+        vals = lin ** float(spec.power)
+    elif isinstance(spec, CustomGrid):
+        vals = _sized(spec.values, grid.shape, "custom_grid values")
+    return normalize(GridDensity(grid, vals))
+
+
+def gaussian_values(mesh, center, inv_cov):
+    dim = len(mesh)
+    delta = [mesh[k] - center[k] for k in range(dim)]
+    quad = np.zeros_like(mesh[0])
+    for i in range(dim):
+        for j in range(dim):
+            if inv_cov[i, j] != 0.0:
+                quad = quad + inv_cov[i, j] * delta[i] * delta[j]
+    return np.exp(-(quad - quad.min()) / 2.0)
+
+
+def mode_field(coeffs, grid, omega):
+    """Sum of a sin(omega k x_i) + b cos(omega k x_i) on full meshes."""
+    mesh = full_mesh(grid)
+    out = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        x = (mesh[axis] - grid.origin[axis]) / grid.side
+        for k in range(1, MAX_FREQUENCY + 1):
+            a, b = coeffs[axis, k - 1]
+            out = out + a * np.sin(omega * k * x) + b * np.cos(omega * k * x)
+    return out
+
+
+def linear_product_target(grid):
+    """prod_i 2 (x_i - origin_i) / side on full meshes, normalized."""
+    mesh = full_mesh(grid)
+    vals = np.ones(grid.shape)
+    for axis in range(grid.dim):
+        vals = vals * 2.0 * (mesh[axis] - grid.origin[axis]) / grid.side
+    return normalize(GridDensity(grid, vals))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -19,6 +20,7 @@ from cube_transport import (
     DensityError,
     EquicorrelatedGaussian,
     ExponentialTilt,
+    Grid,
     GridDensity,
     RestrictedGaussian,
     Uniform,
@@ -32,9 +34,11 @@ from cube_transport import (
     spec_from_dict,
     unit_cube_grid,
 )
-from cube_transport import density
+from cube_transport import cli, density, families
 from cube_transport.density import _FULL_SCAN_MAX_CELLS, _midpoint_directions
-from cube_transport.families import random_logconcave_spec_nd, random_smooth_density
+from cube_transport.families import (draw_trig_coeffs, random_center_test_function,
+                                     random_logconcave_spec_nd, random_smooth_density,
+                                     trig_density)
 
 
 # ---------------------------------------------------------------- grid
@@ -154,6 +158,92 @@ def test_normalize_idempotent():
     again = normalize(d)
     np.testing.assert_allclose(again.values, d.values, rtol=1e-14)
     assert d.is_normalized()
+
+
+# ---------------------------------------------------------------- open centers
+
+
+def test_open_centers_broadcast_to_the_full_meshes():
+    grid = Grid(3, 5, np.array([-0.3, 0.0, 1.7]), 0.6)
+    x = grid.open_centers()
+    assert [a.shape for a in x] == [(5, 1, 1), (1, 5, 1), (1, 1, 5)]
+    mesh = loop_oracles.full_mesh(grid)
+    assert all(np.array_equal(a, b) and a.shape == grid.shape
+               for a, b in zip(grid.centers_mesh(), mesh))
+    assert np.array_equal(grid.centers(), np.stack([c.reshape(-1) for c in mesh], axis=1))
+
+
+@st.composite
+def field_cases(draw):
+    """A grid with random origin and side, d = 1-5 and m from 1, and a seed."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=(64, 24, 10, 6, 4)[dim - 1]))
+    unit = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    origin = np.array(draw(st.lists(unit, min_size=dim, max_size=dim)))
+    side = draw(st.floats(min_value=0.05, max_value=3.0))
+    return Grid(dim, m, origin, side), draw(st.integers(min_value=0, max_value=2 ** 32))
+
+
+def every_spec(grid, rng):
+    dim, reach = grid.dim, np.abs(grid.origin) + grid.side
+    yield Uniform()
+    yield ExponentialTilt(tuple(rng.uniform(-3.0, 3.0, dim)))
+    spec = random_logconcave_spec_nd(rng, dim, grid.origin, grid.side)
+    yield spec
+    # a sparse inverse covariance: zero entries add no term
+    yield RestrictedGaussian(spec.center, tuple(map(tuple, np.diag(rng.uniform(0.5, 4.0, dim)))))
+    if dim >= 2:
+        yield EquicorrelatedGaussian(dim, float(rng.uniform(0.05, 1.0)))
+    direction = rng.uniform(-2.0, 2.0, dim)
+    for power in (1.0, 2.0, 0.5, float(rng.uniform(-3.0, 4.0))):
+        yield ConvexPower(1.0 + float(np.abs(direction) @ reach), tuple(direction), power)
+    yield CustomGrid(rng.uniform(0.1, 2.0, grid.shape))
+
+
+@given(case=field_cases())
+@settings(max_examples=150, deadline=None)
+def test_fields_are_bitwise_the_full_mesh_fields(case):
+    grid, seed = case
+    rng = np.random.default_rng(seed)
+    for spec in every_spec(grid, rng):
+        got, want = build_density(spec, grid), loop_oracles.build_density(spec, grid)
+        assert np.array_equal(got.values, want.values), spec
+    coeffs = draw_trig_coeffs(rng, grid.dim)
+    for omega in (2.0 * np.pi, np.pi):
+        assert np.array_equal(families._mode_field(coeffs, grid, omega),
+                              loop_oracles.mode_field(coeffs, grid, omega))
+    want = normalize(GridDensity(grid, np.exp(loop_oracles.mode_field(coeffs, grid, 2.0 * np.pi))))
+    assert np.array_equal(trig_density(coeffs, grid).values, want.values)
+    state = rng.bit_generator.state
+    u = random_center_test_function(rng, grid)
+    rng.bit_generator.state = state
+    scale = 1.0 / np.arange(1, families.MAX_FREQUENCY + 1, dtype=float)[:, None]
+    coeffs = rng.normal(0.0, scale, size=(grid.dim, families.MAX_FREQUENCY, 2))
+    assert np.array_equal(u, loop_oracles.mode_field(coeffs, grid, np.pi) + rng.normal(0.0, 0.5))
+    assert np.array_equal(cli._linear_product_target(grid).values,
+                          loop_oracles.linear_product_target(grid).values)
+
+
+def test_field_builders_peak_at_a_few_value_arrays():
+    # full meshes cost dim arrays for the coordinates alone, and one more per
+    # operation of each term; open centers leave the value array, the
+    # normalized copy and one term or temporary
+    grid = Grid(3, 64, np.array([-0.5, 0.1, 0.3]), 0.8)
+    rng = np.random.default_rng(11)
+    coeffs = draw_trig_coeffs(rng, 3)
+    builders = [(spec, lambda spec=spec: build_density(spec, grid))
+                for spec in every_spec(grid, rng)]
+    builders += [("trig_density", lambda: trig_density(coeffs, grid)),
+                 ("random_center_test_function", lambda: random_center_test_function(rng, grid)),
+                 ("linear_product_target", lambda: cli._linear_product_target(grid))]
+    for name, build in builders:
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * grid.n_cells * 8, (name, peak / (grid.n_cells * 8))
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -154,6 +154,18 @@ def test_degenerate_source_raises(dim):
         knothe_map(f, build_density(Uniform(), grid))
 
 
+@pytest.mark.parametrize("light", [1, 3])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_target_cell_too_light_to_move_its_cdf_raises(light, axis):
+    # along axis 0 the marginal map jumps, along axis 1 every fiber map
+    grid = unit_cube_grid(2, 4)
+    profile = np.ones(4)
+    profile[light] = 1e-300
+    g = GridDensity(grid, np.broadcast_to(np.expand_dims(profile, 1 - axis), grid.shape).copy())
+    with pytest.raises(DensityError, match="not strictly increasing"):
+        knothe_map(build_density(Uniform(), grid), g)
+
+
 def probe_points(grid, rng):
     """Samples inside the cube, grid nodes, and points on and beyond the faces."""
     lattice = np.stack(np.meshgrid(*[grid.axis_nodes(a)[::max(1, grid.cells_per_axis // 8)]

@@ -173,6 +173,17 @@ def test_degenerate_or_vanishing_source_raises(light):
         monotone_map(GridDensity(grid, np.array([1.0, 0.0, 1.0, 1.0])), uniform)
 
 
+@pytest.mark.parametrize("light", [1, 3])
+def test_target_cell_too_light_to_move_its_cdf_raises(light):
+    # the map would jump over the cell: with g = [1, 1e-300, 1, 1] a piece
+    # had T-slope 3.75 where its slope read 0.75; in the last cell, 1.75
+    grid = unit_cube_grid(1, 4)
+    values = np.ones(4)
+    values[light] = 1e-300
+    with pytest.raises(DensityError, match="not strictly increasing"):
+        monotone_map(build_density(Uniform(), grid), GridDensity(grid, values))
+
+
 def test_pushforward_cdf_matches_target():
     # F(x) = G(T(x)) at the nodes, by construction
     rng = np.random.default_rng(23)
