@@ -10,6 +10,7 @@ statements about the grid data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +28,65 @@ LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance
 LEGENDRE_CELL_LIMIT = 16384
 
 
-def linprog(c, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use: scipy.optimize
-    takes about a quarter second to import, and most CLI suites solve no LP."""
-    from scipy.optimize import linprog as solve
-    return solve(c, **kwargs)
+def _highs():
+    """scipy's HiGHS binding, imported on first use: scipy.optimize takes
+    about a quarter second to import, and most CLI suites solve no LP."""
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError as exc:
+        raise ImportError("exact_w2_small needs scipy>=1.15, the first release that "
+                          "ships the HiGHS binding scipy.optimize._highspy._core") from exc
+    return core
+
+
+class LPRound(NamedTuple):
+    """One solve of the transport model."""
+
+    x: np.ndarray  # mass on each column of the model
+    fun: float  # cost of x
+    y: np.ndarray  # row duals: u on the source rows, then v without its last entry
+    nit: int  # simplex iterations of this round
+
+
+def _transport_model(b_eq: np.ndarray):
+    """A silent HiGHS model with no columns yet, whose row r is fixed at
+    b_eq[r], with the LP_OPTIONS tolerances."""
+    highs = _highs()._Highs()
+    highs.setOptionValue("output_flag", False)
+    for key, value in LP_OPTIONS.items():
+        highs.setOptionValue(key, value)
+    none = np.zeros(0, dtype=np.int32)
+    highs.addRows(len(b_eq), b_eq, b_eq, 0, none, none, np.zeros(0))
+    return highs
+
+
+def linprog(c, *, highs, i, j, start=None) -> LPRound:
+    """One column-generation round on the HiGHS transport model ``highs``:
+    append the columns past those it holds (column k moves mass from source
+    cell i[k] to target cell j[k] at cost c[k]), then run the dual simplex
+    from the kept basis, or in the first round from the feasible plan
+    ``start``. c is the round's full cost vector."""
+    n = (highs.getNumRow() + 1) // 2
+    held = highs.getNumCol()
+    i, j, cost = i[held:], j[held:], c[held:]
+    rows = np.stack([i, n + j], axis=1)
+    keep = rows < 2 * n - 1  # the last target row is dropped
+    counts = keep.sum(axis=1)
+    index = rows[keep].astype(np.int32)
+    highs.addCols(len(cost), cost, np.zeros(len(cost)), np.full(len(cost), np.inf),
+                  len(index), (np.cumsum(counts) - counts).astype(np.int32), index,
+                  np.ones(len(index)))
+    if start is not None:
+        solution = _highs().HighsSolution()
+        solution.col_value = start
+        highs.setSolution(solution)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highs().HighsModelStatus.kOptimal:
+        raise RuntimeError(f"transport LP failed: {highs.modelStatusToString(status)}")
+    solution, info = highs.getSolution(), highs.getInfo()
+    return LPRound(np.array(solution.col_value), info.objective_function_value,
+                   np.array(solution.row_dual), info.simplex_iteration_count)
 
 
 def relative_entropy(g: GridDensity, f: GridDensity) -> float:
@@ -160,7 +215,9 @@ class CouplingPlan:
     smallest reduced cost over all cell pairs is ``min_reduced_cost``, and
     ``lower_bound`` (the dual objective, plus that cost when negative, less a
     rounding allowance) is at most the cost of every coupling of the two
-    marginals."""
+    marginals. ``u`` and ``v`` are the duals it is made from, one per source
+    and target cell (v[-1] = 0): the reduced cost of moving mass from cell i
+    to cell j is |x_i - x_j|^2 - u[i] - v[j]."""
 
     source_index: np.ndarray
     target_index: np.ndarray
@@ -170,6 +227,8 @@ class CouplingPlan:
     rounds: int
     min_reduced_cost: float
     lower_bound: float
+    u: np.ndarray
+    v: np.ndarray
 
     def marginal_error(self, source_masses: np.ndarray, target_masses: np.ndarray) -> float:
         row = np.bincount(self.source_index, weights=self.weights, minlength=self.n_source)
@@ -204,18 +263,18 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
 
     Returns (squared cost, CouplingPlan). Cell centers carry the cell mass,
     so this is the exact discrete optimum for the center-supported measures
-    (an O(h) object against the continuum). Column generation: HiGHS solves
-    the LP over a sparse set of cell pairs, seeded with the union of the
-    atoms of the triangular couplings in the dim cyclic axis orders (0, 1,
-    ..., d-1), (1, ..., d-1, 0), ... (each a feasible plan; the first is that
-    of ``triangular_coupling_cost``); its duals price every pair, the most
-    negative reduced costs join the set, and the loop stops when none is
-    below -W2_PRICING_TOL, which certifies the plan optimal, or raises
+    (an O(h) object against the continuum). Column generation: one HiGHS
+    model solves the LP over a sparse set of cell pairs, seeded with the
+    union of the atoms of the triangular couplings in the dim cyclic axis
+    orders (0, 1, ..., d-1), (1, ..., d-1, 0), ... (each a feasible plan; the
+    first is that of ``triangular_coupling_cost``, and the first solve starts
+    from it); its duals price every pair, the most negative reduced costs
+    join the model as new columns, the next solve starts from the last
+    basis, and the loop stops when no reduced cost is below
+    -W2_PRICING_TOL, which certifies the plan optimal, or raises
     RuntimeError after W2_MAX_ROUNDS. On a 2-core machine the benchmark's
-    576-cell pairs take about 0.1 s in one round, a 4096-cell pair about 35 s
-    in five."""
-    from scipy import sparse  # imported here: scipy.sparse is slow to import
-
+    576-cell pairs take about 0.06 s in one round, a 1024-cell pair about
+    0.2 s, and a 4096-cell pair about 8 s in five."""
     if not f.grid.matches(g.grid):
         raise DensityError("densities must share the same grid")
     n, shape = f.grid.n_cells, f.grid.shape
@@ -223,32 +282,27 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
         raise DensityError(f"exact_w2_small is limited to {W2_CELL_LIMIT} cells")
     a, b = f.cell_masses(), g.cell_masses()
     centers = f.grid.centers()
-    seeds = []
+    seeds = []  # (flat pair indices i * n + j, weights) of each order's coupling
     for order in (np.roll(np.arange(f.grid.dim), -k) for k in range(f.grid.dim)):
         # flat[p]: the cell at flat position p of the transposed grid
         flat = np.transpose(np.arange(n).reshape(shape), order).reshape(-1)
-        src, tgt, _ = triangular_coupling(np.transpose(a.reshape(shape), order),
+        src, tgt, w = triangular_coupling(np.transpose(a.reshape(shape), order),
                                           np.transpose(b.reshape(shape), order))
-        seeds.append(flat[src] * n + flat[tgt])
-    pairs = np.unique(np.concatenate(seeds))
+        seeds.append((flat[src] * n + flat[tgt], w))
+    pairs = np.unique(np.concatenate([p for p, _ in seeds]))
+    start = np.bincount(np.searchsorted(pairs, seeds[0][0]), weights=seeds[0][1],
+                        minlength=len(pairs))
     # last target constraint is redundant (masses both sum to 1); drop it, so v[-1] = 0
-    b_eq = np.concatenate([a, b[:-1]])
+    highs = _transport_model(np.concatenate([a, b[:-1]]))
     for rounds in range(1, W2_MAX_ROUNDS + 1):
         i, j = np.divmod(pairs, n)
-        cost = ((centers[i] - centers[j]) ** 2).sum(axis=1)
-        rows, cols = np.concatenate([i, n + j]), np.tile(np.arange(len(pairs)), 2)
-        keep = rows < 2 * n - 1
-        a_eq = sparse.csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])),
-                                 shape=(2 * n - 1, len(pairs)))
-        res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                      options=LP_OPTIONS)
-        if res.status != 0:
-            raise RuntimeError(f"transport LP failed: {res.message}")
-        u, v = res.eqlin.marginals[:n], np.append(res.eqlin.marginals[n:], 0.0)
+        res = linprog(((centers[i] - centers[j]) ** 2).sum(axis=1), highs=highs, i=i, j=j,
+                      start=start if rounds == 1 else None)
+        u, v = res.y[:n], np.append(res.y[n:], 0.0)
         smallest, new = _price(centers, u, v)
         if smallest >= -W2_PRICING_TOL:
             break
-        pairs = np.union1d(pairs, new)
+        pairs = np.concatenate([pairs, np.setdiff1d(new, pairs)])
     else:
         raise RuntimeError(f"column generation found no optimality certificate "
                            f"in {W2_MAX_ROUNDS} rounds")
@@ -257,7 +311,7 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     rounding = 4 * n * np.finfo(float).eps * (np.abs(u).max() + np.abs(v).max() + diameter_sq)
     lower_bound = float(a @ u + b @ v + min(0.0, smallest) * a.sum() - rounding)
     nz = res.x > 1e-15
-    plan = CouplingPlan(i[nz], j[nz], res.x[nz], n, n, rounds, smallest, lower_bound)
+    plan = CouplingPlan(i[nz], j[nz], res.x[nz], n, n, rounds, smallest, lower_bound, u, v)
     return float(res.fun), plan
 
 

@@ -253,6 +253,33 @@ def test_w2_symmetric():
     assert ab == pytest.approx(ba, rel=1e-9, abs=1e-12)
 
 
+def _assert_certified(f, g, cost, plan):
+    """The plan's certificate, checked from its duals alone: the plan is
+    feasible and costs ``cost``, no reduced cost over all cell pairs (priced
+    in chunks of about 2^22 pairs) is below -W2_PRICING_TOL, and the dual
+    objective is within the rounding allowance of the cost."""
+    a, b = f.cell_masses(), g.cell_masses()
+    centers = f.grid.centers()
+    n = len(a)
+    assert np.all(plan.weights > 0)
+    assert plan.marginal_error(a, b) <= 1e-9
+    moved = ((centers[plan.source_index] - centers[plan.target_index]) ** 2).sum(axis=1)
+    assert plan.weights @ moved == pytest.approx(cost, rel=1e-12, abs=1e-15)
+    assert plan.u.shape == plan.v.shape == (n,) and plan.v[-1] == 0.0
+    smallest, step = np.inf, max(1, (1 << 22) // n)
+    for s in range(0, n, step):
+        rc = ((centers[s:s + step, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        smallest = min(smallest, float((rc - plan.u[s:s + step, None] - plan.v).min()))
+    assert smallest >= -functionals.W2_PRICING_TOL
+    assert smallest == pytest.approx(plan.min_reduced_cost, abs=1e-12)
+    diameter_sq = float(((centers.max(axis=0) - centers.min(axis=0)) ** 2).sum())
+    rounding = 4 * n * np.finfo(float).eps * (np.abs(plan.u).max() + np.abs(plan.v).max()
+                                               + diameter_sq)
+    dual = a @ plan.u + b @ plan.v + min(0.0, smallest) * a.sum()
+    assert abs(cost - dual) <= rounding
+    assert plan.lower_bound <= cost <= plan.lower_bound + 2 * rounding
+
+
 def _assert_matches_dense_oracle(f, g):
     """Cost equals the dense LP's to 1e-9, the plan has the marginals to
     1e-9, and the certificate holds: no reduced cost below -1e-9, and the
@@ -265,6 +292,7 @@ def _assert_matches_dense_oracle(f, g):
     assert plan.min_reduced_cost >= -1e-9
     assert plan.lower_bound <= cost <= plan.lower_bound + 1e-9
     assert np.all(plan.weights > 0)
+    _assert_certified(f, g, cost, plan)
     return cost, plan
 
 
@@ -330,6 +358,34 @@ def test_w2_calls_linprog_with_the_sparse_cost_first(monkeypatch):
     _, plan = exact_w2_small(f, g)
     assert len(sizes) == plan.rounds > 1
     assert sizes == sorted(sizes) and sizes[-1] < f.grid.n_cells ** 2 // 4
+
+
+def test_w2_rounds_after_the_first_start_from_the_kept_basis(monkeypatch):
+    # one HiGHS model across rounds: the first solve starts from the
+    # triangular coupling of triangular_coupling_cost, and every later one
+    # from the last basis, so it takes fewer simplex iterations
+    calls = []
+    solve = functionals.linprog
+
+    def spy(c, **kwargs):
+        res = solve(c, **kwargs)
+        calls.append((c, kwargs["start"], res.nit))
+        return res
+
+    monkeypatch.setattr(functionals, "linprog", spy)
+    f, g = _crossed_gaussians(16)
+    _, plan = _assert_matches_dense_oracle(f, g)
+    assert len(calls) == plan.rounds == 4
+    (c, start, first), later = calls[0], calls[1:]
+    assert c @ start == pytest.approx(triangular_coupling_cost(f, g), rel=1e-13)
+    assert all(start is None and nit < first for _, start, nit in later)
+
+
+def test_w2_names_the_scipy_it_needs(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    d = build_density(Uniform(), unit_cube_grid(1, 4))
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        exact_w2_small(d, d)
 
 
 def test_w2_raises_when_round_cap_hit_without_certificate(monkeypatch):
@@ -407,6 +463,19 @@ def test_w2_certifies_the_benchmark_pairs_in_one_round(m, source, target, jitter
     _, plan = exact_w2_small(f, g)
     assert plan.rounds == 1
     assert plan.min_reduced_cost >= -1e-9
+
+
+def test_w2_certifies_the_cell_cap_from_its_duals():
+    # the benchmark's first 2d pair, unjittered, at 64^2 = 4096 cells, where
+    # the dense oracle would take hours: the duals alone certify the cost.
+    # On a 2-core machine it solves in about 9 s, in five rounds
+    _, source, target = _BENCH_LP_PAIRS_2D[0]
+    grid = unit_cube_grid(2, 64)
+    assert grid.n_cells == functionals.W2_CELL_LIMIT
+    f, g = build_density(source, grid), trig_density(target, grid)
+    cost, plan = exact_w2_small(f, g)
+    assert plan.rounds > 1
+    _assert_certified(f, g, cost, plan)
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
