@@ -49,7 +49,7 @@ from .knothe import (check_facet_preservation, check_theorem31, cost_split,
                      tire_bracket)
 from .reports import CSV_HEADER, make_report, refinement_report
 from .sampler import (LOG10_REJECTION_LIMIT, MAX_POINT_BUDGET, SEED_LIMIT,
-                      philox, sample_grid)
+                      philox)
 from .svg import write_profile_svg
 from .transport1d import (check_lemma_lambda, check_prop_quadratic,
                           check_segment_bound, check_cheeger_lambda,
@@ -370,7 +370,7 @@ def suite_tire(cfg) -> dict:
 
 
 def _grid_m_for_dim(n: int) -> int:
-    # keep total cells near 2^16 so sampling tables stay small
+    # keep total cells near 2^16 so every grid and its marginal CDFs stay cheap
     return max(4, int(round((1 << 16) ** (1.0 / n))))
 
 
@@ -380,21 +380,11 @@ def suite_concentration(cfg) -> dict:
     profiles = []
     ts = np.linspace(0.0, cfg["t_max"], cfg["t_count"])
     rng = _rng(cfg, "con")
-    seed = cfg["seed"]
-    n_samples = cfg["n_samples"]
     # uniform measure: the dimension-free profile with alpha = 3
-    uni_grid = unit_cube_grid(2, 64)
-    uni = build_density(Uniform(), uni_grid)
+    uni = build_density(Uniform(), unit_cube_grid(2, 64))
     direction = np.array([1.0, 0.0])
-    grid_profile = halfspace_profile(uni, direction, ts, 3.0, label="uniform-grid")
-    profiles.append(grid_profile)
-    reports.append(check_concentration(grid_profile, "cor-1.3", grid_m=64))
-    batch = sample_grid(uni, n_samples, seed)
-    sample_profile = halfspace_profile(batch, direction, ts, 3.0,
-                                       label="uniform-samples")
-    profiles.append(sample_profile)
-    reports.append(check_concentration(sample_profile, "cor-1.3", grid_m=64,
-                                       note="sampled"))
+    profiles.append(halfspace_profile(uni, direction, ts, 3.0, label="uniform-grid"))
+    reports.append(check_concentration(profiles[-1], "cor-1.3", grid_m=64))
     # negative control: a strict alpha must fail. One fixed offset keeps it
     # apart from the configured ts: at t = 0.25 the bound 1 - e^-6.25 exceeds
     # the measured mass 0.75
@@ -404,7 +394,7 @@ def suite_concentration(cfg) -> dict:
                                1.0 if control_report.passed else 0.0, 0.0, 0.1,
                                grid_m=64, note="passes when the strict alpha fails"))
     metrics["covariance_ratio_uniform"] = covariance_ratio(uni, 3.0)
-    # restricted Gaussians across dimensions
+    # restricted Gaussians across dimensions, exact along e1 from the marginal CDF
     for n in cfg["dims"]:
         m = _grid_m_for_dim(n)
         grid = unit_cube_grid(n, m)
@@ -415,14 +405,13 @@ def suite_concentration(cfg) -> dict:
         metrics[f"curvature_bound_n{n}"] = curv
         alpha_t1 = alpha_theorem1(grid.side, max(curv, 0.0))
         alpha_ratio = 3.0 * r_from_m(max(curv, 0.0), grid.side)
-        batch = sample_grid(d, n_samples, seed)
         u = np.zeros(n)
         u[0] = 1.0
         for alpha, tag, name in ((alpha_t1, "thm1", "thm-1.1"), (alpha_ratio, "ratio", "thm-1.2")):
-            profiles.append(halfspace_profile(batch, u, ts, alpha, label=f"gaussian-n{n}-{tag}"))
+            profiles.append(halfspace_profile(d, u, ts, alpha, label=f"gaussian-n{n}-{tag}"))
             reports.append(check_concentration(profiles[-1], name, grid_m=m, note=f"n={n}"))
-        metrics[f"covariance_ratio_n{n}"] = covariance_ratio(batch, alpha_t1)
-        fit = lipschitz_tail(batch.points @ u, ts[1:], alpha_t1)
+        metrics[f"covariance_ratio_n{n}"] = covariance_ratio(d, alpha_t1)
+        fit = lipschitz_tail(d, ts[1:], alpha_t1, u)
         metrics[f"tail_rate_n{n}"] = fit.rate
         metrics[f"tail_prefactor_n{n}"] = fit.prefactor
     # variance and entropy checks on three measures
@@ -472,7 +461,6 @@ def suite_counterexample(cfg) -> dict:
                                    row.rejection_log10_bound, LOG10_REJECTION_LIMIT,
                                    LOG10_REJECTION_LIMIT, rel_tol=0.0, abs_tol=0.0,
                                    note="log10 of the certified rejection bound"))
-        metrics[f"acceptance_n{row.n}"] = row.acceptance
         metrics[f"t_star_n{row.n}"] = row.t_star
     reports.append(make_report("rem-5.1-slope", abs(result.slope - 0.5), 0.10,
                                0.5, rel_tol=0.0, abs_tol=0.0,

@@ -158,13 +158,23 @@ class LipschitzTailFit:
     prefactor: float
 
 
-def lipschitz_tail(values: np.ndarray, ts, alpha: float) -> LipschitzTailFit:
-    """Empirical two-sided tails P(|v - median| >= t) with a log-linear fit
-    against the profile C exp(-rate * (t/alpha)^2). Never asserts."""
+def lipschitz_tail(mu, ts, alpha: float, direction=None) -> LipschitzTailFit:
+    """Two-sided tails P(|x.u - c| >= t) about the median c of x.u, with a
+    log-linear fit against C exp(-rate * (t/alpha)^2). Never asserts. A
+    GridDensity's tails along ``direction`` are F(c - t) + 1 - F(c + t), from
+    the masses of halfspace_profile; otherwise ``mu`` holds sampled values
+    of x.u, and its tails are sample fractions."""
     ts = _validate_ts(ts)
-    v = np.asarray(values, dtype=float).reshape(-1)
-    dev = np.sort(np.abs(v - np.median(v)))
-    tails = (len(dev) - np.searchsorted(dev, ts, side="left")) / len(dev)
+    if isinstance(mu, GridDensity):
+        if direction is None:
+            raise DensityError("a grid tail needs a direction")
+        u = _unit(direction, mu.grid.dim)
+        _, masses = _grid_halfspace_masses(mu, u, np.concatenate((-ts, ts)))
+        tails = masses[:len(ts)] + (1.0 - masses[len(ts):])
+    else:
+        v = np.asarray(mu, dtype=float).reshape(-1)
+        dev = np.sort(np.abs(v - np.median(v)))
+        tails = (len(dev) - np.searchsorted(dev, ts, side="left")) / len(dev)
     usable = tails > 0
     if usable.sum() >= 2:
         x = (ts[usable] / alpha) ** 2
@@ -267,7 +277,6 @@ class ScalingRow:
     predicted: float
     std_error: float
     mass_fraction: float
-    acceptance: float
     n_samples: int
     rejection_log10_bound: float
 
@@ -298,8 +307,8 @@ def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
     halfspace {sum x_i <= 0} enlarged by t (in the Euclidean ball metric,
     which reduces to the threshold t sqrt(n) for the row sum) still holds at
     most 2/3 of the mass. Only row sums are drawn, two normals per sample,
-    and every row carries the certificate that the cube restriction keeps
-    it, so the acceptance is 1 by construction.
+    and every row carries the certified log10 bound on the chance that the
+    cube restriction rejects a draw, in place of a rejection step.
     """
     ns = sorted(int(n) for n in ns)
     if len(set(ns)) < 2:
@@ -315,8 +324,7 @@ def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
         t_star = float(np.partition(sums, k)[k] / math.sqrt(n))
         predicted, std_error = closed_form_t_star(n, n_samples)
         rows.append(ScalingRow(n, t_star, predicted, std_error,
-                               float((sums <= 0).mean()), 1.0, n_samples,
-                               log10_bound))
+                               float((sums <= 0).mean()), n_samples, log10_bound))
     log_n = np.log([r.n for r in rows])
     log_t = np.log([r.t_star for r in rows])
     slope = float(np.polyfit(log_n, log_t, 1)[0])

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 import cube_transport
 from cube_transport.cli import (_SCAN_STEP_TRIPLES, DEFAULTS, MAX_SCAN_TRIPLES, MAX_T_COUNT,
-                                ConfigError, _rng, build_parser, load_config, main,
-                                scan_triples, suite_verify_1d)
-from cube_transport.density import _midpoint_directions
+                                ConfigError, _grid_m_for_dim, _rng, build_parser,
+                                load_config, main, scan_triples, suite_verify_1d)
+from cube_transport.concentration import check_concentration, halfspace_profile
+from cube_transport.density import (RestrictedGaussian, _midpoint_directions, build_density,
+                                    unit_cube_grid)
 from cube_transport.sampler import MAX_POINT_BUDGET
 from cube_transport.reports import CSV_HEADER
 
@@ -181,7 +183,6 @@ def test_counterexample_run(tmp_path):
     assert code == 0
     payload = json.loads((out / "report.json").read_text())
     assert [row["n"] for row in payload["scaling"]] == [256, 1024]
-    assert all(row["acceptance"] == 1.0 for row in payload["scaling"])
     assert all(row["rejection_log10_bound"] < -15.95 for row in payload["scaling"])
     names = {r["name"] for r in payload["reports"]}
     for n in (256, 1024):
@@ -383,6 +384,48 @@ def test_unestimated_metrics_are_strict_json_nulls(tmp_path):
     metrics = payload["metrics"]
     assert metrics["tail_rate_n2"] is None and metrics["tail_prefactor_n2"] is None
     assert all(math.isfinite(v) for v in metrics.values() if v is not None)
+
+
+def test_concentration_draws_nothing_and_ignores_the_seed(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the concentration suite drew grid samples")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cube_transport" and hasattr(module, "sample_grid"):
+            monkeypatch.setattr(module, "sample_grid", refuse)
+    payloads = []
+    for seed in (0, 1):
+        out = tmp_path / f"seed-{seed}"
+        assert run_cli(["concentration", "--seed", str(seed), "--no-plot",
+                        "--out", str(out)]) == 0
+        payloads.append(json.loads((out / "report.json").read_text()))
+    rows, metrics = [], []
+    for payload in payloads:
+        rows.append([r for r in payload["reports"]
+                     if r["name"] in ("cor-1.3", "thm-1.1", "thm-1.2", "negative-control")])
+        metrics.append({k: v for k, v in payload["metrics"].items()
+                        if k.startswith(("covariance_ratio_", "tail_"))})
+    assert len(rows[0]) == 6 and len(metrics[0]) == 7
+    assert rows[0] == rows[1] and metrics[0] == metrics[1]
+
+
+def test_exact_profile_rows_fail_a_planted_strict_alpha():
+    """The suite's exact n = 2 Gaussian profile along e1 fails at alpha = 0.1.
+
+    At the paper's alpha >= 3 no measure on the cube can fail these rows:
+    from the median the measured mass is >= 1/2 at every t >= 0, and it is
+    1 from t = 1 on, because the marginal lives on an interval of length 1.
+    The bound 1 - exp(-t^2/alpha^2) stays below 1 - exp(-1/9) < 1/2 for t < 1
+    and below 1 always, so only a planted alpha below the paper's makes a
+    row fail.
+    """
+    n = 2
+    d = build_density(RestrictedGaussian((0.5,) * n, tuple(map(tuple, np.eye(n)))),
+                      unit_cube_grid(n, _grid_m_for_dim(n)))
+    u = np.array([1.0, 0.0])
+    ts = np.linspace(0.0, DEFAULTS["t_max"], DEFAULTS["t_count"])
+    assert not check_concentration(halfspace_profile(d, u, ts, 0.1)).passed
+    assert check_concentration(halfspace_profile(d, u, ts, 3.0)).passed
 
 
 def test_huge_dim_rejected_without_forming_the_grid_size():
