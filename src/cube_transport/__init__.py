@@ -23,7 +23,7 @@ from .functionals import (CouplingPlan, check_tire_le_entropy,
                           triangular_coupling, triangular_coupling_cost)
 from .knothe import (KnotheMap, check_facet_preservation, check_theorem31,
                      displacement_cost, knothe_map, pushforward_error,
-                     s_integral_nd, tire_bracket)
+                     tire_bracket)
 from .reports import (VerificationReport, make_report, refinement_consistent,
                       refinement_report)
 from .sampler import (SampleBatch, empirical_marginal_distance,

@@ -570,8 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="cells per axis for random suites")
         p.add_argument("--dim", type=int, help="dimension for density-check")
         p.add_argument("--pairs", type=int, help="random pairs per suite")
-        p.add_argument("--samples", type=int, dest="n_samples",
-                       help="sample count for empirical checks")
+        if name in ("verify-knothe", "counterexample", "all"):  # the suites that sample
+            p.add_argument("--samples", type=int, dest="n_samples",
+                           help="sample count for empirical checks")
         p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--dims", help="comma list of dimensions (concentration)")
         p.add_argument("--ns", help="comma list of dimensions (counterexample)")
@@ -597,7 +598,7 @@ def main(argv=None) -> int:
         "m": args.m,
         "dim": args.dim,
         "pairs": args.pairs,
-        "n_samples": args.n_samples,
+        "n_samples": getattr(args, "n_samples", None),
         "out_dir": args.out_dir,
         "plot": args.plot,
     }

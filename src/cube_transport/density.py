@@ -121,9 +121,6 @@ class Grid:
             raise DensityError("cannot drop an axis from a 1d grid")
         return Grid(self.dim - 1, self.cells_per_axis, self.origin[:-1], self.side)
 
-    def last_axis_grid(self) -> "Grid":
-        return Grid(1, self.cells_per_axis, self.origin[-1:], self.side)
-
 
 def unit_cube_grid(dim: int, cells_per_axis: int) -> Grid:
     return Grid(dim, cells_per_axis, np.zeros(dim), 1.0)

@@ -16,9 +16,10 @@ import numpy as np
 
 from .density import (DensityError, GridDensity,
                       check_midpoint_log_concavity)
-from .knothe import KnotheMap, displacement_cost, knothe_map, tire_bracket
+from .knothe import (KnotheMap, _checked_masses, _coupling_batches, _flat_atoms,
+                     displacement_cost, knothe_map, tire_bracket)
 from .reports import VerificationReport, make_report
-from .transport1d import QUADRATIC_COST_FACTOR, merge_rows
+from .transport1d import QUADRATIC_COST_FACTOR
 
 W2_CELL_LIMIT = 4096
 W2_MAX_ROUNDS = 100  # column-generation rounds before giving up on a certificate
@@ -161,14 +162,16 @@ def legendre_tire_bound(f: GridDensity, g: GridDensity) -> float:
         integral of [ f phi*(grad psi) + grad f . x - f log f ]
             - mass_f log(mass_g / mass_f)
 
-    with psi = -log f and phi*(v) = sup over target cells y of (v.y - phi(y)).
-    The sup splits over the lines of cells along the last axis: phi*(v) is the
-    max over leading cells of v_lead . y_lead + h(v_last), where h(s) = max_j
-    (s y_j - phi(lead, j)) is attained at the vertex of the line's lower
-    convex hull whose edge slopes bracket s (Lucet, "Faster than the fast
-    Legendre transform", Numer. Algorithms 1997). The hulls cost O(cells);
-    one searchsorted of every cell's v_last per line costs O(cells^2 / m
-    log m), so the cell count is still capped.
+    with psi = -log f and phi*(v) = sup over the points y of the support's
+    cells of (v.y - phi(y)): phi is constant on a cell, whose sup is at the
+    corner (h/2)|v|_1 past the center. Over the centers, the sup splits over
+    the lines of cells along the last axis: it is the max over leading cells
+    of v_lead . y_lead + h(v_last), where h(s) = max_j (s y_j - phi(lead, j))
+    is attained at the vertex of the line's lower convex hull whose edge
+    slopes bracket s (Lucet, "Faster than the fast Legendre transform",
+    Numer. Algorithms 1997). The hulls cost O(cells); one searchsorted of
+    every cell's v_last per line costs O(cells^2 / m log m), so the cell
+    count is still capped.
     """
     if not f.grid.matches(g.grid):
         raise DensityError("densities must share the same grid")
@@ -199,6 +202,7 @@ def legendre_tire_bound(f: GridDensity, g: GridDensity) -> float:
         slopes = np.diff(phi_v[a:b]) / np.diff(y[a:b])
         best = a + np.searchsorted(slopes, s)  # past the hull edges with slopes below s
         np.maximum(phi_star, v_lead @ lead[k] + s * y[best] - phi_v[best], out=phi_star)
+    phi_star += 0.5 * grid.h * np.abs(v_mat).sum(axis=1)  # the best corner of the cell
     grads_f = grid.gradient(fv)
     inner = sum(grads_f[k] * centers[:, k].reshape(grid.shape) for k in range(n))
     integrand = fv * phi_star.reshape(grid.shape) + inner - fv * np.log(fv)
@@ -315,68 +319,6 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     return float(res.fun), plan
 
 
-def _northwest_rows(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Monotone (northwest) coupling of each row of a with the same row of b
-    (equal totals), as (row, source cell, target cell, weight) per atom: the
-    mass between consecutive distinct cumulative masses, in the cells whose
-    cumulative masses first pass their midpoint. Optimal for convex costs."""
-    values, from_a = merge_rows(np.cumsum(a, axis=1), np.cumsum(b, axis=1))
-    first = np.ones(values.shape, dtype=bool)
-    first[:, 1:] = values[:, 1:] != values[:, :-1]
-    row, pos = np.nonzero(first)
-    edges = values[first]
-    i = (np.cumsum(from_a, axis=1) - from_a)[first]  # cumulative masses of a below
-    j = pos - i
-    prev = np.where(pos == 0, 0.0, np.roll(edges, 1))
-    # the midpoint of adjacent doubles can round onto prev: count only below prev
-    on_prev = (pos > 0) & ((edges + prev) / 2.0 == prev)
-    i, j = np.where(on_prev, np.roll(i, 1), i), np.where(on_prev, np.roll(j, 1), j)
-    w = edges - prev
-    keep = w > 0
-    row, i, j = row[keep], i[keep], j[keep]
-    # mass past a row's total (totals differ by rounding) goes to the row's
-    # last cell of positive mass, so no atom lands on a cell of zero mass
-    for cells, x in ((i, a), (j, b)):
-        past = np.flatnonzero(cells == x.shape[1])
-        cells[past] = x.shape[1] - 1 - np.argmax(x[row[past], ::-1] > 0, axis=1)
-    return row, i, j, w[keep]
-
-
-def _checked_masses(f_masses, g_masses) -> tuple:
-    a, b = np.asarray(f_masses, dtype=float), np.asarray(g_masses, dtype=float)
-    if a.shape != b.shape or a.ndim < 1:
-        raise DensityError(f"mass arrays must share one shape, got {a.shape} and {b.shape}")
-    if not (np.all((a >= 0) & (a < np.inf)) and np.all((b >= 0) & (b < np.inf))):
-        raise DensityError("masses must be finite and nonnegative")
-    total_a, total_b = a.sum(), b.sum()
-    if not (total_a > 0 and abs(total_a - total_b) <= 1e-12 * max(total_a, total_b)):
-        raise DensityError(f"mass totals must be positive and equal, got {total_a} and {total_b}")
-    return a, b
-
-
-def _coupling_batches(a: np.ndarray, b: np.ndarray):
-    """Triangular coupling of checked masses, its last level in batches (s0,
-    t0, rows, fi, fj, fw): atom k moves fw[k] from flat cell s0[rows[k]] +
-    fi[k] to t0[rows[k]] + fj[k]; s0, t0 are the coupled fibers' first cells."""
-    if a.ndim == 1:  # one pair of fibers, starting at cell 0
-        yield (np.zeros(1, dtype=np.intp),) * 2 + _northwest_rows(a[None], b[None])
-        return
-    src, tgt, w = _flat_atoms(_coupling_batches(a.sum(axis=-1), b.sum(axis=-1)))
-    m = a.shape[-1]
-    a_rows, b_rows = a.reshape(-1, m), b.reshape(-1, m)
-    step = max(1, (1 << 15) // m)  # fibers per batch: about 2^16 merged entries
-    for s in range(0, len(w), step):
-        li, lj, lw = src[s:s + step], tgt[s:s + step], w[s:s + step, None]
-        a_fib, b_fib = a_rows[li], b_rows[lj]
-        yield (li * m, lj * m) + _northwest_rows(a_fib * (lw / a_fib.sum(axis=1)[:, None]),
-                                                 b_fib * (lw / b_fib.sum(axis=1)[:, None]))
-
-
-def _flat_atoms(batches) -> tuple:
-    parts = [(s0[rows] + fi, t0[rows] + fj, fw) for s0, t0, rows, fi, fj, fw in batches]
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
 def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
     """Discrete counterpart of the triangular map: couple the leading-axis
     marginals recursively, then couple conditional last-axis fibers by the
@@ -418,7 +360,7 @@ def check_transport_entropy_sandwich(f: GridDensity, g: GridDensity,
       seeded with a superset of its atoms, so this is an optimality check of
       the linear program),
     * exact coupling cost <= (40/9) R^2 * entropy,
-    * triangular-map quadrature cost <= (40/9) R^2 * entropy.
+    * exact triangular-map cost <= (40/9) R^2 * entropy.
 
     The entropy comparisons assume a midpoint-log-concave source.
     """

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityError, Grid, GridDensity, PositivityError, row_cdfs
+from .density import DensityError, GridDensity, PositivityError, row_cdfs
 from .reports import VerificationReport, make_report
 
 # explicit constants used on right-hand sides
@@ -89,33 +89,74 @@ def _positive_cdfs(values: np.ndarray) -> np.ndarray:
     return C
 
 
-def _invert(C: np.ndarray, levels: np.ndarray, grid: Grid) -> tuple:
-    """Where each row of the CDF table ``C`` reaches the same row of
-    ``levels`` (sorted, from 0 to 1) on the 1d grid, and the cell holding
-    each level but the last: the last k with C[k] <= level (one less than
-    the number of C entries merged before it), at most the last cell. The end
-    levels map to the ends exactly; 1 is not inverted."""
-    nodes, last = grid.axis_nodes(), grid.cells_per_axis - 1
-    inner = levels[:, :-1]
-    from_c = merge_rows(C, inner)[1]
-    k = np.clip(np.cumsum(from_c, axis=1)[~from_c].reshape(inner.shape) - 1, 0, last)
-    Ck, Ck1 = np.take_along_axis(C, k, axis=1), np.take_along_axis(C, k + 1, axis=1)
-    pos = np.empty(levels.shape)
-    pos[:, :-1] = nodes[k] + (inner - Ck) / (Ck1 - Ck) * grid.h
-    pos[:, 0], pos[:, -1] = nodes[0], nodes[-1]
-    return pos, k
+def _pieces(F: np.ndarray, G: np.ndarray, nodes: np.ndarray, h: float) -> tuple:
+    """The monotone maps from each row of the CDF table ``F`` onto the same
+    row of ``G`` (normalized, strictly increasing, at the 1d ``nodes`` of
+    spacing ``h``), one merge per row pair. Flat over the rows: position ``x``
+    and image ``t`` of each breakpoint (each level of either row once, ends
+    exact), then for piece p, from breakpoint p to p + 1, its row, its mass
+    ``du`` (0 across rows) and its slope T', the ratio of the cell masses."""
+    m = F.shape[1] - 1
+    levels, from_f = merge_rows(F, G)
+    # the last copy of each level: every entry of F and G up to it is <= it
+    last = np.ones(levels.shape, dtype=bool)
+    last[:, :-1] = levels[:, :-1] != levels[:, 1:]
+    row, col = np.nonzero(last)
+    u, n_f = levels[last], np.cumsum(from_f, axis=1)[last]
+    i, j = np.minimum(n_f - 1, m - 1), np.minimum(col - n_f, m - 1)  # cells holding u
+    fi, gj = row * (m + 1) + i, row * (m + 1) + j
+    F, G = F.reshape(-1), G.reshape(-1)
+    Fi, Gj = F[fi], G[gj]
+    p, q = F[fi + 1] - Fi, G[gj + 1] - Gj
+    x = nodes[i] + (u - Fi) / p * h
+    t = nodes[j] + (u - Gj) / q * h
+    end = col == levels.shape[1] - 1
+    x[end] = t[end] = nodes[-1]
+    if not np.all((np.diff(t) > 0) | end[:-1]):  # then T at the source nodes must rise
+        on_node = (Fi == u) | end
+        t_node, row_node = t[on_node], row[on_node]
+        if np.any((np.diff(t_node) <= 0) & (row_node[1:] == row_node[:-1])):
+            raise DensityError("computed map is not strictly increasing; density too degenerate")
+    du = np.diff(u)
+    du[end[:-1]] = 0.0
+    return x, t, row[:-1], du, p[:-1] / q[:-1]
 
 
-def _increasing(t: np.ndarray) -> np.ndarray:
-    if np.any(np.diff(t, axis=-1) <= 0):
-        raise DensityError("computed map is not strictly increasing; density too degenerate")
-    return t
+def _square_terms(d0: np.ndarray, d1: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Three times each linear piece's share of the quadratic cost."""
+    return du * (d0 * d0 + d0 * d1 + d1 * d1)
 
 
-def monotone_nodes(f_rows: np.ndarray, g_rows: np.ndarray, grid: Grid) -> np.ndarray:
-    """Node values, shape (rows, m+1), of the CDF-matching maps from each row
-    of cell values ``f_rows`` to the same row of ``g_rows`` on the 1d grid."""
-    return _increasing(_invert(_positive_cdfs(g_rows), _positive_cdfs(f_rows), grid)[0])
+def _deficit_terms(du: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Each piece's share of the deficit, integral of T' - 1 - log T'."""
+    return du * (slope - 1.0 - np.log(slope))
+
+
+def _northwest_rows(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Monotone (northwest) coupling of each row of a with the same row of b
+    (equal totals), as (row, source cell, target cell, weight) per atom: the
+    mass between consecutive distinct cumulative masses, in the cells whose
+    cumulative masses first pass their midpoint. Optimal for convex costs."""
+    values, from_a = merge_rows(np.cumsum(a, axis=1), np.cumsum(b, axis=1))
+    first = np.ones(values.shape, dtype=bool)
+    first[:, 1:] = values[:, 1:] != values[:, :-1]
+    row, pos = np.nonzero(first)
+    edges = values[first]
+    i = (np.cumsum(from_a, axis=1) - from_a)[first]  # cumulative masses of a below
+    j = pos - i
+    prev = np.where(pos == 0, 0.0, np.roll(edges, 1))
+    # the midpoint of adjacent doubles can round onto prev: count only below prev
+    on_prev = (pos > 0) & ((edges + prev) / 2.0 == prev)
+    i, j = np.where(on_prev, np.roll(i, 1), i), np.where(on_prev, np.roll(j, 1), j)
+    w = edges - prev
+    keep = w > 0
+    row, i, j = row[keep], i[keep], j[keep]
+    # mass past a row's total (totals differ by rounding) goes to the row's
+    # last cell of positive mass, so no atom lands on a cell of zero mass
+    for cells, x in ((i, a), (j, b)):
+        past = np.flatnonzero(cells == x.shape[1])
+        cells[past] = x.shape[1] - 1 - np.argmax(x[row[past], ::-1] > 0, axis=1)
+    return row, i, j, w[keep]
 
 
 def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
@@ -126,11 +167,8 @@ def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     """
     _check_same_interval(f, g)
     C = _positive_cdfs(np.stack((f.values, g.values)))
-    u = np.union1d(C[0], C[1])
-    (x, t), k = _invert(C, np.stack((u, u)), f.grid)
-    _increasing(t[np.searchsorted(u, C[0])])  # T at the source nodes
-    p, q = np.take_along_axis(np.diff(C), k, axis=1)
-    return MonotoneMap1D(x, t, np.diff(u), p / q)
+    x, t, _, du, slope = _pieces(C[:1], C[1:], f.grid.axis_nodes(), f.grid.h)
+    return MonotoneMap1D(x, t, du, slope)
 
 
 def deficit_1d(f: GridDensity, g: GridDensity, tmap: MonotoneMap1D) -> float:
@@ -140,16 +178,14 @@ def deficit_1d(f: GridDensity, g: GridDensity, tmap: MonotoneMap1D) -> float:
     the map, so the integrand is, and it is nonnegative piece by piece.
     """
     _check_same_interval(f, g)
-    du, r = tmap.du, tmap.slope
-    return f.total_mass * float((du * (r - 1.0 - np.log(r))).sum())
+    return f.total_mass * float(_deficit_terms(tmap.du, tmap.slope).sum())
 
 
 def quadratic_cost_1d(f: GridDensity, tmap: MonotoneMap1D) -> float:
     """integral of (T x - x)^2 f(x) dx, exact: the displacement is linear on
     each piece, with mean square (d0^2 + d0 d1 + d1^2) / 3 from its ends."""
     d = tmap.t - tmap.x
-    du, d0, d1 = tmap.du, d[:-1], d[1:]
-    return f.total_mass * float((du * (d0 * d0 + d0 * d1 + d1 * d1)).sum()) / 3.0
+    return f.total_mass * float(_square_terms(d[:-1], d[1:], tmap.du).sum()) / 3.0
 
 
 def check_prop_quadratic(f: GridDensity, g: GridDensity, ratio_bound: float,

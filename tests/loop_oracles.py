@@ -1,14 +1,17 @@
 """Loop references for the batched fiber transport and the shortcut scans.
 
-These are the loops the library ran before it built, evaluated and coupled
-all fibers of a level at once: one 1d CDF match per fiber, one ``np.interp``
-per fiber, one northwest coupling per leading atom. Next to them are the
+These are the loops the library ran before it coupled all fibers of a
+level at once: one northwest coupling per leading atom. Next to them are the
 midpoint log-concavity scan over every gap, which the library now runs only
 when unit steps find a violation, the axis convexity ratio scanned at every
 gap, which the library now prunes by chord bounds on log-concave lines, and
 the coupling cost summed over the built atoms, which the library now sums
 batch by batch. The library must reproduce them bit for bit, so they are
 kept here as oracles and nowhere else.
+The triangular map's oracles loop too: one ``monotone_map`` per coupling
+atom for each level's cost and deficit, and two ``np.interp`` calls per
+point and coordinate for its evaluation; the library's row-batched pieces
+must match them to rounding.
 Then a plain-float walk along the pieces of one 1d monotone map, which
 the library's 1d functionals must match to rounding. Last are the field
 builders as they were before they read the grid's open centers: every term
@@ -17,17 +20,15 @@ must still build.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from cube_transport.density import (ConvexPower, CustomGrid, DensityError,
-                                    EquicorrelatedGaussian, ExponentialTilt, GridDensity,
-                                    PositivityError, RestrictedGaussian, Uniform,
-                                    _midpoint_directions, _sized, marginalize_last,
-                                    normalize)
+from cube_transport.density import (ConvexPower, CustomGrid, EquicorrelatedGaussian,
+                                    ExponentialTilt, Grid, GridDensity, PositivityError,
+                                    RestrictedGaussian, Uniform, _midpoint_directions,
+                                    _sized, normalize)
 from cube_transport.families import MAX_FREQUENCY
-from cube_transport.knothe import _multilinear
+from cube_transport.transport1d import deficit_1d, monotone_map, quadratic_cost_1d
 
 
 def midpoint_log_concavity(d, tol=1e-9, max_gap=None):
@@ -117,78 +118,56 @@ def _cdf(values):
     return cdf / cdf[-1]
 
 
-def monotone_nodes(f_values, g_values, grid):
-    """Node values of the CDF-matching map of one 1d fiber pair."""
-    if np.any(f_values <= 0) or np.any(g_values <= 0):
-        raise PositivityError("density has zero cells where positivity is required")
-    m = grid.cells_per_axis
-    nodes = grid.axis_nodes()
-    F = _cdf(f_values)
-    G = _cdf(g_values)
-    j = np.clip(np.searchsorted(G, F, side="right") - 1, 0, m - 1)
-    t = nodes[j] + (F - G[j]) / (G[j + 1] - G[j]) * grid.h
-    t[0] = nodes[0]
-    t[-1] = nodes[-1]
-    if np.any(np.diff(t) <= 0):
-        raise DensityError("computed map is not strictly increasing; density too degenerate")
-    return t
+def _marginal_rows(d, k):
+    """Rows, one per cell of the first k axes, of d's (k+1)-axis marginal."""
+    m = d.grid.cells_per_axis
+    return d.values.reshape(m ** (k + 1), -1).sum(axis=1).reshape(-1, m)
 
 
-@dataclass
-class LoopMap:
-    """Base map on the leading coordinates plus one node array per base cell."""
-
-    grid: object
-    base: "LoopMap | None"
-    fibers: list
-    displacement: np.ndarray
-
-
-def knothe_map(f, g):
-    """The triangular map by recursion on the last coordinate, one 1d map per fiber."""
+def knothe_levels(f, g):
+    """Per level k, the normalized quadratic cost and deficit of the
+    triangular map: one ``monotone_map`` per atom (i, j, w) of the triangular
+    coupling of the first k axes, from row i of f's (k+1)-axis marginal onto
+    row j of g's, its ``quadratic_cost_1d`` and ``deficit_1d`` weighted by w."""
     if np.any(f.values <= 0) or np.any(g.values <= 0):
         raise PositivityError("density has zero cells where positivity is required")
-    n = f.grid.dim
-    last_grid = f.grid.last_axis_grid()
-    if n == 1:
-        t = monotone_nodes(f.values, g.values, last_grid)
-        disp = 0.5 * (t[:-1] + t[1:]) - last_grid.axis_centers()
-        return LoopMap(f.grid, None, [t], disp[:, None])
-    base = knothe_map(marginalize_last(f), marginalize_last(g))
-    m = f.grid.cells_per_axis
-    image_pts = base.grid.centers() + base.displacement.reshape(-1, n - 1)
-    target_fibers = _multilinear(g.values, image_pts, f.grid, n - 1)
-    src_fibers = f.values.reshape(-1, m)
-    disp = np.empty(f.grid.shape + (n,))
-    disp[..., : n - 1] = base.displacement.reshape((m,) * (n - 1) + (1, n - 1))
-    disp_flat = disp.reshape(-1, m, n)
-    fibers = []
-    for b in range(src_fibers.shape[0]):
-        t = monotone_nodes(src_fibers[b], target_fibers[b], last_grid)
-        fibers.append(t)
-        disp_flat[b, :, n - 1] = 0.5 * (t[:-1] + t[1:]) - last_grid.axis_centers()
-    return LoopMap(f.grid, base, fibers, disp)
+    n, m = f.grid.dim, f.grid.cells_per_axis
+    costs, deficits = np.zeros(n), np.zeros(n)
+    for k in range(n):
+        line = Grid(1, m, f.grid.origin[k:k + 1], f.grid.side)
+        if k == 0:
+            atoms = [(0, 0, 1.0)]
+        else:
+            lead = [d.cell_masses().reshape(m ** k, -1).sum(axis=1).reshape((m,) * k)
+                    for d in (f, g)]
+            atoms = zip(*triangular_coupling(*lead))
+        f_rows, g_rows = _marginal_rows(f, k), _marginal_rows(g, k)
+        for i, j, w in atoms:
+            fi, gj = GridDensity(line, f_rows[i]), GridDensity(line, g_rows[j])
+            tmap = monotone_map(fi, gj)
+            costs[k] += w * quadratic_cost_1d(fi, tmap) / fi.total_mass
+            deficits[k] += w * deficit_1d(fi, gj, tmap) / fi.total_mass
+    return costs, deficits
 
 
-def evaluate(tmap, pts):
-    """Apply the map to points of shape (N, dim), one ``np.interp`` per fiber."""
-    grid = tmap.grid
-    last_nodes = grid.last_axis_grid().axis_nodes()
-    if grid.dim == 1:
-        return np.interp(pts[:, 0], last_nodes, tmap.fibers[0])[:, None]
-    base_img = evaluate(tmap.base, pts[:, :-1])
-    m = grid.cells_per_axis
-    idx_cols = [grid.cell_index(pts[:, k], k) for k in range(grid.dim - 1)]
-    flat = np.ravel_multi_index(idx_cols, (m,) * (grid.dim - 1))
-    out_last = np.empty(len(pts))
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    uniq, run_starts = np.unique(sorted_flat, return_index=True)
-    run_ends = np.append(run_starts[1:], len(sorted_flat))
-    for fiber_ix, s, e in zip(uniq, run_starts, run_ends):
-        sel = order[s:e]
-        out_last[sel] = np.interp(pts[sel, -1], last_nodes, tmap.fibers[fiber_ix])
-    return np.column_stack([base_img, out_last])
+def knothe_evaluate(f, g, pts):
+    """The triangular map at each point, one point and one coordinate at a
+    time: coordinate k goes to G_s^-1(F_r(x_k)) by two ``np.interp`` calls,
+    F_r the CDF of f's (k+1)-axis marginal above the point's cell r of the
+    first k axes, G_s that of g's above the cell s its image lies in."""
+    n, m = f.grid.dim, f.grid.cells_per_axis
+    F = [[_cdf(row) for row in _marginal_rows(f, k)] for k in range(n)]
+    G = [[_cdf(row) for row in _marginal_rows(g, k)] for k in range(n)]
+    out = np.empty((len(pts), n))
+    for p, x in enumerate(pts):
+        r = s = 0
+        for k in range(n):
+            nodes = f.grid.axis_nodes(k)
+            u = np.interp(x[k], nodes, F[k][r])
+            out[p, k] = np.interp(u, G[k][s], nodes)
+            r = r * m + int(f.grid.cell_index(x[k], k))
+            s = s * m + min(int(np.searchsorted(G[k][s], u, side="right")) - 1, m - 1)
+    return out
 
 
 def monotone_map_integrals(f_values, g_values, grid):

@@ -47,7 +47,8 @@ def dense_w2(a, b, centers):
 
 def dense_legendre_tire_bound(f, g):
     """The Legendre upper bound of ``legendre_tire_bound``, with phi*(v) the
-    max of v.y - phi(y) over every target cell y of the support."""
+    max of v.y - phi(y) over every target cell y of the support, plus the
+    (h/2)|v|_1 that the cell's best corner adds to its center."""
     if not f.grid.matches(g.grid):
         raise DensityError("densities must share the same grid")
     fv = f.require_positive()
@@ -67,6 +68,7 @@ def dense_legendre_tire_bound(f, g):
         stop = min(start + chunk, n_cells)
         scores = v_mat[start:stop] @ targets.T - phi[None, :]
         phi_star[start:stop] = scores.max(axis=1)
+    phi_star += 0.5 * grid.h * np.abs(v_mat).sum(axis=1)
     grads_f = grid.gradient(fv)
     inner = sum(grads_f[k] * centers[:, k].reshape(grid.shape) for k in range(n))
     integrand = fv * phi_star.reshape(grid.shape) + inner - fv * np.log(fv)

@@ -158,7 +158,7 @@ def test_verify_1d_scan_budget_exits_2_before_any_grid(tmp_path, capsys, monkeyp
 
 def test_concentration_emits_svg(tmp_path):
     out = tmp_path / "run"
-    code = run_cli(["concentration", "--samples", "5000", "--dims", "2",
+    code = run_cli(["concentration", "--dims", "2",
                     "--out", str(out)])
     assert code == 0
     svgs = list(out.glob("profile-*.svg"))
@@ -169,10 +169,20 @@ def test_concentration_emits_svg(tmp_path):
 
 def test_no_plot_suppresses_svg(tmp_path):
     out = tmp_path / "run"
-    code = run_cli(["concentration", "--samples", "5000", "--dims", "2",
+    code = run_cli(["concentration", "--dims", "2",
                     "--no-plot", "--out", str(out)])
     assert code == 0
     assert not list(out.glob("*.svg"))
+
+
+@pytest.mark.parametrize("command", ["density-check", "verify-1d", "tire", "concentration"])
+def test_samples_flag_rejected_where_nothing_is_sampled(tmp_path, capsys, command):
+    # only verify-knothe, counterexample and all draw samples
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--samples", "5000", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_counterexample_run(tmp_path):

@@ -23,12 +23,16 @@ from cube_transport import (
     monotone_map,
     normalize,
     pushforward_error,
+    quadratic_cost_1d,
+    deficit_1d,
     relative_entropy,
-    s_integral_nd,
     tire_bracket,
     unit_cube_grid,
 )
-from cube_transport.families import random_logconcave_spec_nd, random_smooth_density
+from cube_transport import cli
+from cube_transport.knothe import cost_split
+from cube_transport.families import (draw_trig_coeffs, random_logconcave_spec_nd,
+                                     random_smooth_density, trig_density)
 
 
 def product_pair(m=64):
@@ -79,7 +83,9 @@ def test_identity_on_equal_densities():
     grid = unit_cube_grid(2, 16)
     d = normalize(GridDensity(grid, rng.uniform(0.5, 2.0, grid.shape)))
     tmap = knothe_map(d, d)
-    assert np.abs(tmap.displacement).max() < 1e-10
+    # equal rows give equal ends on every piece, and slope 1
+    assert displacement_cost(tmap, d) == 0.0
+    assert tire_bracket(d, d, tmap) == 0.0
     centers = np.stack(np.meshgrid(*[grid.axis_centers(a) for a in range(2)],
                                    indexing="ij"), axis=-1).reshape(-1, 2)
     np.testing.assert_allclose(tmap.evaluate(centers), centers, atol=1e-10)
@@ -111,24 +117,27 @@ def test_base_map_is_marginal_map():
     tmap = knothe_map(f, g)
     fm, gm = marginalize_last(f), marginalize_last(g)
     base = monotone_map(fm, gm)
-    # at the source nodes; between them the 1d map is T itself, while the
-    # Knothe level interpolates its node values
-    nodes = fm.grid.axis_nodes(0)
-    assert np.array_equal(tmap.evaluate(np.column_stack([nodes, np.full(25, 0.5)]))[:, 0],
-                          base(nodes))
+    # at the source nodes and between them: both are T itself
+    x = np.concatenate([fm.grid.axis_nodes(0), rng.uniform(0.0, 1.0, 200)])
+    np.testing.assert_allclose(tmap.evaluate(np.column_stack([x, np.full(len(x), 0.5)]))[:, 0],
+                               base(x), rtol=0, atol=1e-14)
 
 
 def test_displacement_shape_and_evaluate_consistency():
+    # the exact cost against the midpoint rule for |T x - x|^2 f on a grid 32
+    # times finer: T is piecewise linear, so the two agree to O((h / 32)^2)
     rng = np.random.default_rng(9)
     grid = unit_cube_grid(2, 12)
     f = random_smooth_density(rng, grid)
     g = random_smooth_density(rng, grid)
     tmap = knothe_map(f, g)
-    assert tmap.displacement.shape == (12, 12, 2)
-    centers = np.stack(np.meshgrid(*[grid.axis_centers(a) for a in range(2)],
-                                   indexing="ij"), axis=-1)
-    out = tmap.evaluate(centers.reshape(-1, 2)).reshape(12, 12, 2)
-    np.testing.assert_allclose(out, centers + tmap.displacement, atol=1e-12)
+    fine = unit_cube_grid(2, 12 * 32)
+    pts = fine.centers()
+    out = tmap.evaluate(pts)
+    assert out.shape == pts.shape
+    weights = f.values[tuple(grid.cell_index(pts[:, k], k) for k in range(2))]
+    midpoint = float((((out - pts) ** 2).sum(axis=1) * weights).sum() * fine.cell_volume)
+    assert midpoint == pytest.approx(displacement_cost(tmap, f), rel=1e-3)
 
 
 def test_three_dimensional_map_runs():
@@ -138,7 +147,7 @@ def test_three_dimensional_map_runs():
     g = random_smooth_density(rng, grid)
     tmap = knothe_map(f, g)
     assert tmap.grid.dim == 3
-    assert tmap.displacement.shape == (8, 8, 8, 3)
+    assert [t.shape for t in tmap.target_cdfs] == [(1, 9), (8, 9), (64, 9)]
     assert check_facet_preservation(tmap).passed
     assert displacement_cost(tmap, f) >= 0.0
 
@@ -166,6 +175,21 @@ def test_target_cell_too_light_to_move_its_cdf_raises(light, axis):
         knothe_map(build_density(Uniform(), grid), g)
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_cell_too_light_at_any_level_raises(side, axis):
+    # a light cell along axis k moves no CDF row of the level-k tables
+    grid = unit_cube_grid(3, 4)
+    profile = np.ones(4)
+    profile[2] = 1e-300
+    light = GridDensity(grid, np.broadcast_to(
+        profile.reshape([4 if k == axis else 1 for k in range(3)]), grid.shape).copy())
+    uniform = build_density(Uniform(), grid)
+    pair = (light, uniform) if side == "source" else (uniform, light)
+    with pytest.raises(DensityError, match="not strictly increasing"):
+        knothe_map(*pair)
+
+
 def probe_points(grid, rng):
     """Samples inside the cube, grid nodes, and points on and beyond the faces."""
     lattice = np.stack(np.meshgrid(*[grid.axis_nodes(a)[::max(1, grid.cells_per_axis // 8)]
@@ -176,27 +200,23 @@ def probe_points(grid, rng):
 
 
 def assert_equals_loop_oracle(f, g, rng):
+    """Each level's cost and deficit against one monotone map per coupling
+    atom, and the map against the per-point np.interp walk."""
     tmap = knothe_map(f, g)
-    oracle = loop_oracles.knothe_map(f, g)
-    assert np.array_equal(tmap.displacement, oracle.displacement)
-    for table, nodes in zip(tmap.node_tables[::-1], _oracle_levels(oracle)):
-        assert np.array_equal(table, nodes)
+    costs, deficits = loop_oracles.knothe_levels(f, g)
+    np.testing.assert_allclose(tmap.square_sums / 3.0, costs, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(tmap.deficits, deficits, rtol=1e-12, atol=1e-300)
     pts = probe_points(f.grid, rng)
-    assert np.array_equal(tmap.evaluate(pts), loop_oracles.evaluate(oracle, pts))
-    return tmap, oracle
-
-
-def _oracle_levels(oracle):
-    while oracle is not None:
-        yield np.array(oracle.fibers)
-        oracle = oracle.base
+    np.testing.assert_allclose(tmap.evaluate(pts), loop_oracles.knothe_evaluate(f, g, pts),
+                               rtol=0, atol=1e-12)
+    return tmap
 
 
 @pytest.mark.parametrize("dim,m", [(1, 300), (2, 64), (3, 16), (4, 8)])
 def test_knothe_map_equals_loop_oracle(dim, m):
     # seeded pairs like the benchmark's (log-concave source, smooth target),
-    # the product anchor and a source onto itself: node tables, displacements
-    # and evaluation are bitwise those of the per-fiber loops
+    # the product anchor and a source onto itself: level sums and evaluation
+    # match the per-atom loops, and every facet point maps to itself
     rng = np.random.default_rng([dim, m, 1])
     grid = unit_cube_grid(dim, m)
     pairs = [(build_density(Uniform(), grid),
@@ -207,26 +227,19 @@ def test_knothe_map_equals_loop_oracle(dim, m):
                       random_smooth_density(rng, grid, amplitude=0.5)))
     pairs.append((pairs[-1][0], pairs[-1][0]))  # equal CDFs: every node is a tie
     for f, g in pairs:
-        tmap, oracle = assert_equals_loop_oracle(f, g, rng)
-        if dim == 1:
-            assert np.array_equal(monotone_map(f, g)(grid.axis_nodes()), oracle.fibers[0])
-        # the facet check maps all facets in one call; same worst deviation
-        centers = grid.centers().reshape(grid.shape + (dim,))
-        worst = 0.0
-        for axis in range(dim):
-            pts = np.take(centers, 0, axis=axis).reshape(-1, dim)
-            for bound_value in (grid.origin[axis], grid.origin[axis] + grid.side):
-                pts[:, axis] = bound_value
-                out = loop_oracles.evaluate(oracle, pts)
-                worst = max(worst, float(np.abs(out[:, axis] - bound_value).max()))
-        assert check_facet_preservation(tmap).lhs == worst
+        tmap = assert_equals_loop_oracle(f, g, rng)
+        if dim == 1:  # one code path: bitwise the 1d functionals
+            t1 = monotone_map(f, g)
+            assert displacement_cost(tmap, f) == quadratic_cost_1d(f, t1)
+            assert tire_bracket(f, g, tmap) == deficit_1d(f, g, t1)
+        assert check_facet_preservation(tmap).lhs == 0.0
 
 
-@given(dim=st.integers(min_value=1, max_value=3), m=st.integers(min_value=2, max_value=6),
-       data=st.data())
+@given(dim=st.integers(min_value=1, max_value=4), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_knothe_map_equals_loop_oracle_property(dim, m, data):
+def test_knothe_map_equals_loop_oracle_property(dim, data):
     # unnormalized cell values; a zero cell must raise the oracle's error
+    m = data.draw(st.integers(min_value=2, max_value=6 if dim < 4 else 3))
     grid = unit_cube_grid(dim, m)
     cells = st.lists(st.one_of(st.integers(min_value=0, max_value=4).map(float),
                                st.floats(min_value=1e-3, max_value=1.0)),
@@ -234,7 +247,7 @@ def test_knothe_map_equals_loop_oracle_property(dim, m, data):
     f = GridDensity(grid, np.array(data.draw(cells)).reshape(grid.shape))
     g = GridDensity(grid, np.array(data.draw(cells)).reshape(grid.shape))
     try:
-        loop_oracles.knothe_map(f, g)
+        loop_oracles.knothe_levels(f, g)
     except DensityError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             knothe_map(f, g)
@@ -243,14 +256,14 @@ def test_knothe_map_equals_loop_oracle_property(dim, m, data):
 
 
 def test_evaluate_interpolates_at_nodes_and_outside():
-    # node hits, the last node and points beyond either end take np.interp's
-    # branches for node values
+    # node hits, the last node and points beyond either end: the ends map
+    # onto the ends exactly
     f, g = product_pair(8)
     tmap = knothe_map(f, g)
     x = np.array([-0.5, 0.0, 0.125, 0.3, 0.999, 1.0, 1.5])
     pts = np.column_stack([np.full(len(x), 0.3), x])
     out = tmap.evaluate(pts)
-    assert np.array_equal(out, loop_oracles.evaluate(loop_oracles.knothe_map(f, g), pts))
+    np.testing.assert_allclose(out, loop_oracles.knothe_evaluate(f, g, pts), rtol=0, atol=1e-15)
     assert out[0, 1] == 0.0 and out[1, 1] == 0.0
     assert out[5, 1] == 1.0 and out[6, 1] == 1.0
 
@@ -284,7 +297,8 @@ def test_pushforward_marginals_close():
     tmap = knothe_map(f, g)
     n = 100000
     err = pushforward_error(tmap, f, g, n_samples=n, seed=0)
-    assert err <= 2.0 / np.sqrt(n) + 2.0 * f.grid.h
+    # the exact map pushes f onto g: sampling error only, no 2h allowance
+    assert err <= 2.0 / np.sqrt(n)
 
 
 def test_axis_marginal_cdf_is_cdf():
@@ -322,17 +336,12 @@ def test_theorem_quadratic_bound_random_logconcave(seed):
 
 
 def test_tire_bracket_invariant_under_target_scaling():
-    # scaling g by c shifts the raw integral by mass_f log c, and the
-    # mass correction removes exactly that shift
+    # the map reads normalized CDFs and cell masses, so scaling g by 2 leaves
+    # the bracket bitwise unchanged, and scaling f by 2 doubles it
     f, g = product_pair(32)
-    tmap = knothe_map(f, g)
-    raw = s_integral_nd(f, g, tmap)
-    tire = tire_bracket(f, g, tmap)
-    assert tire == pytest.approx(raw, abs=1e-12)  # both normalized here
-    g2 = GridDensity(g.grid, 2.0 * g.values)
-    tmap2 = knothe_map(f, g2)
-    assert s_integral_nd(f, g2, tmap2) == pytest.approx(raw + np.log(2.0), abs=1e-9)
-    assert tire_bracket(f, g2, tmap2) == pytest.approx(tire, abs=1e-9)
+    tire = tire_bracket(f, g)
+    assert tire_bracket(f, GridDensity(g.grid, 2.0 * g.values)) == tire
+    assert tire_bracket(GridDensity(f.grid, 2.0 * f.values), g) == 2.0 * tire
 
 
 def test_tire_bracket_below_entropy_under_refinement():
@@ -341,3 +350,93 @@ def test_tire_bracket_below_entropy_under_refinement():
         tire = tire_bracket(f, g)
         ent = relative_entropy(g, f)
         assert tire <= ent + 1e-9
+
+
+# ---------------------------------------------------------------- refinement
+
+# A seeded log-concave source onto a seeded smooth target, in 2d at
+# m = 16 -> 32 and in 3d at m = 8 -> 16 (the pairs whose quadrature drift
+# the roadmap records). The pinned (cost, bracket) are those of the earlier
+# node-table map, whose fibers read g by multilinear interpolation and whose
+# cost and bracket were cell-center quadratures with finite-difference
+# gradients.
+QUADRATURE_VALUES = {
+    (2, 16): ((0.056194489888416244, 0.4450187846590428),
+              (0.0576369957157186, 0.509836130038689)),
+    (3, 8): ((0.03809392793343597, 0.25131125125947007),
+             (0.04016801237020652, 0.32151792962932707)),
+}
+
+
+@pytest.mark.parametrize("dim,m,key", [(2, 16, [0, 1]), (3, 8, [3, 1])])
+def test_exact_values_move_less_under_refinement_than_the_quadrature(dim, m, key):
+    rng = np.random.default_rng(key)
+    spec = random_logconcave_spec_nd(rng, dim, np.zeros(dim), 1.0)
+    coeffs = draw_trig_coeffs(rng, dim, 0.5)
+    values = []
+    for cells in (m, 2 * m):
+        grid = unit_cube_grid(dim, cells)
+        f, g = build_density(spec, grid), trig_density(coeffs, grid)
+        tmap = knothe_map(f, g)
+        values.append((displacement_cost(tmap, f), tire_bracket(f, g, tmap)))
+    coarse, fine = QUADRATURE_VALUES[(dim, m)]
+    for k in range(2):
+        exact_move = abs(values[1][k] - values[0][k])
+        quadrature_move = abs(fine[k] - coarse[k])
+        assert exact_move < 0.25 * quadrature_move
+
+
+# ---------------------------------------------------------------- planted defects
+
+# facet-preservation, cost-decomposition and pushforward-ks hold by
+# construction for the exact map; each must still fail on a planted defect
+
+
+def _verify_knothe(**overrides):
+    """The suite's rows by name, the first of each name (the 64^2 anchor's)."""
+    cfg = cli.load_config(None, {"pairs": 1, **overrides})
+    rows = {}
+    for r in cli.suite_verify_knothe(cfg)["reports"]:
+        rows.setdefault(r.name, r)
+    return rows
+
+
+def test_verify_knothe_rows_hold_on_the_exact_map():
+    rows = _verify_knothe()
+    assert rows["facet-preservation"].lhs == 0.0
+    assert rows["cost-decomposition"].lhs <= 1e-15
+    assert rows["pushforward-ks"].lhs <= 2.0 / np.sqrt(cli.DEFAULTS["n_samples"])
+    assert all(r.passed for r in rows.values())
+
+
+def test_facet_row_fails_when_a_facet_point_moves(monkeypatch):
+    def shifted(f, g):
+        tmap = knothe_map(f, g)
+        exact = tmap.evaluate
+
+        def evaluate(points):
+            out = exact(points)
+            out[0, 0] += 3.0 * tmap.grid.h  # the first point lies on the facet x_0 = 0
+            return out
+        tmap.evaluate = evaluate
+        return tmap
+    monkeypatch.setattr(cli, "knothe_map", shifted)
+    rep = _verify_knothe()["facet-preservation"]
+    assert rep.lhs == pytest.approx(3.0 / 64.0) and not rep.passed
+
+
+def test_cost_decomposition_row_fails_on_a_wrong_split(monkeypatch):
+    def split(tmap, f):
+        lead, last = cost_split(tmap, f)
+        return lead + 1e-6, last
+    monkeypatch.setattr(cli, "cost_split", split)
+    rep = _verify_knothe()["cost-decomposition"]
+    assert rep.lhs == pytest.approx(1e-6) and not rep.passed
+
+
+def test_pushforward_row_fails_for_the_identity_on_a_non_uniform_target(monkeypatch):
+    # the anchor's uniform source mapped by the identity keeps its uniform
+    # marginals, a quarter away in KS from the target's marginals 2x
+    monkeypatch.setattr(cli, "knothe_map", lambda f, g: knothe_map(f, f))
+    rep = _verify_knothe()["pushforward-ks"]
+    assert rep.lhs == pytest.approx(0.25, abs=0.01) and not rep.passed
