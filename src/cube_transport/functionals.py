@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import (DensityError, GridDensity,
                       check_midpoint_log_concavity)
-from .knothe import (KnotheMap, _checked_masses, _coupling_batches, _flat_atoms,
+from .knothe import (KnotheMap, _coupling_atoms,
                      displacement_cost, knothe_map, tire_bracket)
 from .reports import VerificationReport, make_report
 from .transport1d import QUADRATIC_COST_FACTOR
@@ -49,15 +49,20 @@ class LPRound(NamedTuple):
     nit: int  # simplex iterations of this round
 
 
+def _checked(status, call: str) -> None:
+    """Raise if HiGHS rejected ``call``: kError leaves the model unchanged."""
+    if status == _highs().HighsStatus.kError:
+        raise RuntimeError(f"HiGHS rejected {call}")
+
+
 def _transport_model(b_eq: np.ndarray):
     """A silent HiGHS model with no columns yet, whose row r is fixed at
     b_eq[r], with the LP_OPTIONS tolerances."""
     highs = _highs()._Highs()
-    highs.setOptionValue("output_flag", False)
-    for key, value in LP_OPTIONS.items():
-        highs.setOptionValue(key, value)
+    for key, value in {"output_flag": False, **LP_OPTIONS}.items():
+        _checked(highs.setOptionValue(key, value), f"setOptionValue({key!r}, {value!r})")
     none = np.zeros(0, dtype=np.int32)
-    highs.addRows(len(b_eq), b_eq, b_eq, 0, none, none, np.zeros(0))
+    _checked(highs.addRows(len(b_eq), b_eq, b_eq, 0, none, none, np.zeros(0)), "addRows")
     return highs
 
 
@@ -74,13 +79,13 @@ def linprog(c, *, highs, i, j, start=None) -> LPRound:
     keep = rows < 2 * n - 1  # the last target row is dropped
     counts = keep.sum(axis=1)
     index = rows[keep].astype(np.int32)
-    highs.addCols(len(cost), cost, np.zeros(len(cost)), np.full(len(cost), np.inf),
-                  len(index), (np.cumsum(counts) - counts).astype(np.int32), index,
-                  np.ones(len(index)))
+    _checked(highs.addCols(len(cost), cost, np.zeros(len(cost)), np.full(len(cost), np.inf),
+                           len(index), (np.cumsum(counts) - counts).astype(np.int32), index,
+                           np.ones(len(index))), "addCols")
     if start is not None:
         solution = _highs().HighsSolution()
         solution.col_value = start
-        highs.setSolution(solution)
+        _checked(highs.setSolution(solution), "setSolution")
     highs.run()
     status = highs.getModelStatus()
     if status != _highs().HighsModelStatus.kOptimal:
@@ -270,9 +275,10 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     (an O(h) object against the continuum). Column generation: one HiGHS
     model solves the LP over a sparse set of cell pairs, seeded with the
     union of the atoms of the triangular couplings in the dim cyclic axis
-    orders (0, 1, ..., d-1), (1, ..., d-1, 0), ... (each a feasible plan; the
-    first is that of ``triangular_coupling_cost``, and the first solve starts
-    from it); its duals price every pair, the most negative reduced costs
+    orders (0, 1, ..., d-1), (1, ..., d-1, 0), ... (each the last level of
+    the triangular walk over the cell masses, a plan feasible to rounding;
+    the first is that of ``triangular_coupling_cost``, and the first solve
+    starts from it); its duals price every pair, the most negative reduced costs
     join the model as new columns, the next solve starts from the last
     basis, and the loop stops when no reduced cost is below
     -W2_PRICING_TOL, which certifies the plan optimal, or raises
@@ -320,22 +326,25 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
 
 
 def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
-    """Discrete counterpart of the triangular map: couple the leading-axis
-    marginals recursively, then couple conditional last-axis fibers by the
-    monotone rule inside each marginal atom. Masses: finite, nonnegative, one
+    """Discrete counterpart of the triangular map, walked over cell masses:
+    the monotone coupling of the axis-0 marginals, then in each atom that of
+    the next axis's fibers, and so on. Masses: finite, nonnegative, one
     shape, equal positive totals. Returns flat-index triples (source_cells,
-    target_cells, weights) with exact marginals; no atom lies on a cell of
-    zero mass."""
-    return _flat_atoms(_coupling_batches(*_checked_masses(f_masses, g_masses)))
+    target_cells, weights) with marginals exact to rounding; no atom lies on
+    a cell of zero mass."""
+    parts = [(s0[r] + i, t0[r] + j, w)
+             for s0, t0, r, i, j, w in _coupling_atoms(f_masses, g_masses)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
     """Quadratic cost of the discrete triangular coupling between the
     normalized cell distributions (its atoms are among the seed of
     ``exact_w2_small``, so the exact optimum can never exceed this). The
-    atoms are never built: each batch of the last level takes their costs
-    from per-axis tables of squared center differences, added axis by axis as
-    in ``((x_i - x_j) ** 2).sum()``, so the cost is bitwise that of the built
+    atoms are never built: each batch of the last level's fiber pairs takes
+    a lead cost per pair and a last-axis cost per atom from per-axis tables
+    of squared center differences, added axis by axis as in
+    ``((x_i - x_j) ** 2).sum()``, so the cost is bitwise that of the built
     coupling."""
     if not f.grid.matches(g.grid):
         raise DensityError("densities must share the same grid")
@@ -343,7 +352,7 @@ def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
     tables = [(c[:, None] - c[None, :]) ** 2 for c in map(grid.axis_centers, range(grid.dim))]
     masses = (d.cell_masses().reshape(grid.shape) for d in (f, g))
     parts = []
-    for s0, t0, rows, fi, fj, fw in _coupling_batches(*_checked_masses(*masses)):
+    for s0, t0, rows, fi, fj, fw in _coupling_atoms(*masses):
         lead = np.zeros(len(s0))
         for table, i, j in zip(tables[:-1], np.unravel_index(s0, grid.shape),
                                np.unravel_index(t0, grid.shape)):

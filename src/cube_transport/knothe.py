@@ -1,15 +1,16 @@
 """Triangular (Knothe) transport between densities on a cube.
 
 Coordinate k of the map depends only on the first k + 1 input coordinates.
-For piecewise-constant f and g the map is exact: above an atom (i, j, w) of
-the triangular coupling of the first k axes' marginals, coordinate k moves
-by the 1d monotone map from row i of f's (k+1)-axis marginal onto row j of
-g's. The map keeps, per level, the normalized row CDFs of both marginals and
-the level's quadratic cost and deficit, summed exactly over its linear
-pieces. Since the map fixes every facet, integrating grad f . (T - x) by
-parts makes the bracket the sum of the levels' deficits. The fiber pairs
-come from the northwest recursion that also builds the triangular coupling
-of cell masses (``_coupling_batches``): one triangular recursion serves both.
+For piecewise-constant f and g the map is exact, and one walk down the
+levels builds it (``_walk``). At level k each pair of fibers (li, lj) is
+merged once, into the 1d monotone map from row li of f's (k+1)-axis
+marginal onto row lj of g's; its piece of mass du in cells (i, j) is the
+pair (li m + i, lj m + j) of level k + 1. The map keeps, per level, the
+normalized row CDFs of both marginals and the level's quadratic cost and
+deficit, summed exactly over its linear pieces. Since the map fixes every
+facet, integrating grad f . (T - x) by parts makes the bracket the sum of
+the levels' deficits. Walked over cell masses, the same merges give the
+triangular coupling: its atoms are the last level's pieces.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityError, Grid, GridDensity
+from .density import DensityError, Grid, GridDensity, row_cdfs
 from .reports import VerificationReport, make_report
 from .sampler import empirical_marginal_distance, sample_grid
-from .transport1d import (QUADRATIC_COST_FACTOR, _deficit_terms, _northwest_rows,
-                          _pieces, _positive_cdfs, _square_terms)
+from .transport1d import (QUADRATIC_COST_FACTOR, _deficit_terms, _merge, _pieces,
+                          _positive_cdfs, _square_terms)
 
 
 @dataclass(eq=False)
@@ -97,40 +98,6 @@ def _checked_masses(f_masses, g_masses) -> tuple:
     return a, b
 
 
-def _fiber_pairs(a: np.ndarray, b: np.ndarray):
-    """Pairs of last-axis fibers of checked masses a and b, in batches (li,
-    lj, lw): the atoms of the triangular coupling of the leading marginals,
-    row li of a's fibers coupled to row lj of b's with mass lw. In 1d, the
-    one pair of whole rows, with mass 1."""
-    if a.ndim == 1:
-        yield np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
-        return
-    src, tgt, w = _flat_atoms(_coupling_batches(a.sum(axis=-1), b.sum(axis=-1)))
-    step = max(1, (1 << 15) // a.shape[-1])  # fibers per batch: about 2^16 merged entries
-    for s in range(0, len(w), step):
-        yield src[s:s + step], tgt[s:s + step], w[s:s + step]
-
-
-def _coupling_batches(a: np.ndarray, b: np.ndarray):
-    """Triangular coupling of checked masses, its last level in batches (s0,
-    t0, rows, fi, fj, fw): atom k moves fw[k] from flat cell s0[rows[k]] +
-    fi[k] to t0[rows[k]] + fj[k]; s0, t0 are the coupled fibers' first cells."""
-    if a.ndim == 1:  # one pair of fibers, starting at cell 0
-        yield (np.zeros(1, dtype=np.intp),) * 2 + _northwest_rows(a[None], b[None])
-        return
-    m = a.shape[-1]
-    a_rows, b_rows = a.reshape(-1, m), b.reshape(-1, m)
-    for li, lj, lw in _fiber_pairs(a, b):
-        a_fib, b_fib, lw = a_rows[li], b_rows[lj], lw[:, None]
-        yield (li * m, lj * m) + _northwest_rows(a_fib * (lw / a_fib.sum(axis=1)[:, None]),
-                                                 b_fib * (lw / b_fib.sum(axis=1)[:, None]))
-
-
-def _flat_atoms(batches) -> tuple:
-    parts = [(s0[rows] + fi, t0[rows] + fj, fw) for s0, t0, rows, fi, fj, fw in batches]
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
 def _marginals(values: np.ndarray) -> list:
     """Entry k: values summed over every axis past k."""
     out = [values]
@@ -139,23 +106,66 @@ def _marginals(values: np.ndarray) -> list:
     return out
 
 
+def _walk(m: int, dim: int, weight: float, merge):
+    """The triangular construction on ``dim`` axes of ``m`` cells, level by
+    level, from the pair of rows 0 at mass ``weight``. ``merge(k, li, lj)``
+    merges a batch of level k's pairs of rows (about 2^16 merged entries),
+    its first outputs those of ``_merge``; each piece of mass du > 0 in cells
+    (i, j) of the pair (li, lj, lw) is the pair (li m + i, lj m + j, lw du)
+    of level k + 1, its rows flat C-order cells. Yields (k, li, lj, lw,
+    merged) per batch."""
+    step = max(1, (1 << 15) // m)
+    pairs = [(np.zeros(1, dtype=np.intp),) * 2 + (np.full(1, weight),)]
+    for k in range(dim):
+        li, lj, lw = (np.concatenate(p) for p in zip(*pairs))
+        pairs = []
+        for s in range(0, len(lw), step):
+            batch = li[s:s + step], lj[s:s + step], lw[s:s + step]
+            merged = merge(k, *batch[:2])
+            yield (k, *batch, merged)
+            if k + 1 < dim:
+                r, i, j, w = _atoms(batch[2], merged)
+                pairs.append((batch[0][r] * m + i, batch[1][r] * m + j, w))
+
+
+def _atoms(lw: np.ndarray, merged: tuple) -> tuple:
+    """Pair r, cells i, j and mass lw[r] du of each piece with du > 0."""
+    row, i, j, du = merged[:4]
+    p = np.flatnonzero(du > 0)
+    r = row[p]
+    return r, i[p], j[p], lw[r] * du[p]
+
+
+def _coupling_atoms(f_masses, g_masses):
+    """The last level of the walk over masses (finite, nonnegative, one
+    shape, equal positive totals) from the level-0 marginal's own sum, in
+    batches (s0, t0, r, i, j, w): atom k moves w[k] from flat cell s0[r[k]] +
+    i[k] to t0[r[k]] + j[k]. Only paired rows, of positive mass, get CDFs."""
+    a, b = _checked_masses(f_masses, g_masses)
+    m = a.shape[-1]
+    A, B = ([v.reshape(-1, m) for v in _marginals(x)] for x in (a, b))
+    walk = _walk(m, a.ndim, A[0][0].sum(),
+                 lambda k, li, lj: _merge(row_cdfs(A[k][li]), row_cdfs(B[k][lj])))
+    for k, li, lj, lw, merged in walk:
+        if k == a.ndim - 1:
+            yield (li * m, lj * m) + _atoms(lw, merged)
+
+
 def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
     """Build the exact triangular map pushing f forward to g (same grid, both
-    positive): per level, one row-batched pass over the pairs of fibers."""
+    positive): one walk, each pair of fibers merged once."""
     _check_pair(f, g)
     grid, m = f.grid, f.grid.cells_per_axis
-    tables = [[_positive_cdfs(v.reshape(-1, m)) for v in _marginals(d.values)]
-              for d in (f, g)]
-    masses = [_marginals(d.cell_masses().reshape(grid.shape)) for d in (f, g)]
+    F, G = ([_positive_cdfs(v.reshape(-1, m)) for v in _marginals(d.values)]
+            for d in (f, g))
     square_sums, deficits = np.zeros(grid.dim), np.zeros(grid.dim)
-    for k, (F, G, a, b) in enumerate(zip(*tables, *masses)):
-        nodes = grid.axis_nodes(k)
-        for li, lj, lw in _fiber_pairs(a, b):
-            x, t, row, du, slope = _pieces(F[li], G[lj], nodes, grid.h)
-            d, w = t - x, lw[row] * du
-            square_sums[k] += _square_terms(d[:-1], d[1:], w).sum()
-            deficits[k] += _deficit_terms(w, slope).sum()
-    return KnotheMap(grid, *tables, square_sums, deficits)
+    walk = _walk(m, grid.dim, 1.0,
+                 lambda k, li, lj: _pieces(F[k][li], G[k][lj], grid.axis_nodes(k), grid.h))
+    for k, _, _, lw, (row, _, _, du, slope, x, t) in walk:
+        d, w = t - x, lw[row[:-1]] * du
+        square_sums[k] += _square_terms(d[:-1], d[1:], w).sum()
+        deficits[k] += _deficit_terms(w, slope).sum()
+    return KnotheMap(grid, F, G, square_sums, deficits)
 
 
 def _check_grid(tmap: KnotheMap, f: GridDensity) -> None:

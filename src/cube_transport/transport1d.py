@@ -6,7 +6,9 @@ Both CDFs are piecewise linear with nodes at their own cell boundaries, so T
 is piecewise linear with nodes at the merged breakpoints of F and G, strictly
 increasing, and fixes both endpoints exactly; f = g gives the identity
 bitwise. On each piece T' is a constant density ratio, so the 1d functionals
-below are exact sums over the pieces.
+below are exact sums over the pieces. The same merge of CDF rows
+(``_merge``) gives the monotone coupling of cell masses: piece p moves its
+mass du from the source cell i to the target cell j that hold it.
 
 Checks in this module:
 
@@ -70,13 +72,6 @@ def _check_same_interval(f: GridDensity, g: GridDensity) -> None:
         raise DensityError("source and target must share the same 1d grid")
 
 
-def merge_rows(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Stable merge of sorted rows of a and b: values, and which came from a (first on ties)."""
-    both = np.concatenate((a, b), axis=1)
-    order = np.argsort(both, axis=1, kind="stable")
-    return np.take_along_axis(both, order, axis=1), order < a.shape[1]
-
-
 def _positive_cdfs(values: np.ndarray) -> np.ndarray:
     """Normalized CDF rows of positive cell values, strictly increasing: a
     cell too light to move its row's CDF would give the map a jump there."""
@@ -89,37 +84,49 @@ def _positive_cdfs(values: np.ndarray) -> np.ndarray:
     return C
 
 
-def _pieces(F: np.ndarray, G: np.ndarray, nodes: np.ndarray, h: float) -> tuple:
-    """The monotone maps from each row of the CDF table ``F`` onto the same
-    row of ``G`` (normalized, strictly increasing, at the 1d ``nodes`` of
-    spacing ``h``), one merge per row pair. Flat over the rows: position ``x``
-    and image ``t`` of each breakpoint (each level of either row once, ends
-    exact), then for piece p, from breakpoint p to p + 1, its row, its mass
-    ``du`` (0 across rows) and its slope T', the ratio of the cell masses."""
+def _merge(F: np.ndarray, G: np.ndarray) -> tuple:
+    """One merge of each row of the CDF table ``F`` with the same row of
+    ``G`` (nondecreasing from 0 to 1), flat over the rows. Per level ``u``,
+    each distinct entry of either row once and in order: its ``row``, the
+    cells ``i`` of F and ``j`` of G holding it (the last whose CDF entry is
+    <= u, m - 1 at the end) and whether it ends its row. Piece p runs from
+    level p to p + 1 in cells (i[p], j[p]) with mass ``du[p]`` (0 across
+    rows), so no piece of positive mass lies on a cell of zero mass.
+    Returns (row, i, j, du, u, end)."""
     m = F.shape[1] - 1
-    levels, from_f = merge_rows(F, G)
+    both = np.concatenate((F, G), axis=1)
+    order = np.argsort(both, axis=1, kind="stable")  # F's entries first on ties
+    levels, from_f = np.take_along_axis(both, order, axis=1), order <= m
     # the last copy of each level: every entry of F and G up to it is <= it
     last = np.ones(levels.shape, dtype=bool)
     last[:, :-1] = levels[:, :-1] != levels[:, 1:]
     row, col = np.nonzero(last)
     u, n_f = levels[last], np.cumsum(from_f, axis=1)[last]
-    i, j = np.minimum(n_f - 1, m - 1), np.minimum(col - n_f, m - 1)  # cells holding u
-    fi, gj = row * (m + 1) + i, row * (m + 1) + j
+    i, j = np.minimum(n_f - 1, m - 1), np.minimum(col - n_f, m - 1)
+    end = col == levels.shape[1] - 1
+    return row, i, j, np.where(end[:-1], 0.0, np.diff(u)), u, end
+
+
+def _pieces(F: np.ndarray, G: np.ndarray, nodes: np.ndarray, h: float) -> tuple:
+    """The monotone maps from each row of the CDF table ``F`` onto the same
+    row of ``G`` (strictly increasing, at the 1d ``nodes`` of spacing
+    ``h``) on the pieces of ``_merge``: its row, i, j and du, the slope T'
+    of each piece (the ratio of its cell masses), then the position ``x``
+    and image ``t = T(x)`` of each level (ends exact)."""
+    row, i, j, du, u, end = _merge(F, G)
+    fi, gj = row * F.shape[1] + i, row * G.shape[1] + j
     F, G = F.reshape(-1), G.reshape(-1)
     Fi, Gj = F[fi], G[gj]
     p, q = F[fi + 1] - Fi, G[gj + 1] - Gj
     x = nodes[i] + (u - Fi) / p * h
     t = nodes[j] + (u - Gj) / q * h
-    end = col == levels.shape[1] - 1
     x[end] = t[end] = nodes[-1]
     if not np.all((np.diff(t) > 0) | end[:-1]):  # then T at the source nodes must rise
         on_node = (Fi == u) | end
         t_node, row_node = t[on_node], row[on_node]
         if np.any((np.diff(t_node) <= 0) & (row_node[1:] == row_node[:-1])):
             raise DensityError("computed map is not strictly increasing; density too degenerate")
-    du = np.diff(u)
-    du[end[:-1]] = 0.0
-    return x, t, row[:-1], du, p[:-1] / q[:-1]
+    return row, i, j, du, p[:-1] / q[:-1], x, t
 
 
 def _square_terms(d0: np.ndarray, d1: np.ndarray, du: np.ndarray) -> np.ndarray:
@@ -132,33 +139,6 @@ def _deficit_terms(du: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return du * (slope - 1.0 - np.log(slope))
 
 
-def _northwest_rows(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Monotone (northwest) coupling of each row of a with the same row of b
-    (equal totals), as (row, source cell, target cell, weight) per atom: the
-    mass between consecutive distinct cumulative masses, in the cells whose
-    cumulative masses first pass their midpoint. Optimal for convex costs."""
-    values, from_a = merge_rows(np.cumsum(a, axis=1), np.cumsum(b, axis=1))
-    first = np.ones(values.shape, dtype=bool)
-    first[:, 1:] = values[:, 1:] != values[:, :-1]
-    row, pos = np.nonzero(first)
-    edges = values[first]
-    i = (np.cumsum(from_a, axis=1) - from_a)[first]  # cumulative masses of a below
-    j = pos - i
-    prev = np.where(pos == 0, 0.0, np.roll(edges, 1))
-    # the midpoint of adjacent doubles can round onto prev: count only below prev
-    on_prev = (pos > 0) & ((edges + prev) / 2.0 == prev)
-    i, j = np.where(on_prev, np.roll(i, 1), i), np.where(on_prev, np.roll(j, 1), j)
-    w = edges - prev
-    keep = w > 0
-    row, i, j = row[keep], i[keep], j[keep]
-    # mass past a row's total (totals differ by rounding) goes to the row's
-    # last cell of positive mass, so no atom lands on a cell of zero mass
-    for cells, x in ((i, a), (j, b)):
-        past = np.flatnonzero(cells == x.shape[1])
-        cells[past] = x.shape[1] - 1 - np.argmax(x[row[past], ::-1] > 0, axis=1)
-    return row, i, j, w[keep]
-
-
 def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     """CDF-matching map from f to g on a shared interval, cut at the union of
     both CDFs' breakpoints.
@@ -167,7 +147,7 @@ def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     """
     _check_same_interval(f, g)
     C = _positive_cdfs(np.stack((f.values, g.values)))
-    x, t, _, du, slope = _pieces(C[:1], C[1:], f.grid.axis_nodes(), f.grid.h)
+    *_, du, slope, x, t = _pieces(C[:1], C[1:], f.grid.axis_nodes(), f.grid.h)
     return MonotoneMap1D(x, t, du, slope)
 
 

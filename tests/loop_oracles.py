@@ -1,13 +1,14 @@
 """Loop references for the batched fiber transport and the shortcut scans.
 
-These are the loops the library ran before it coupled all fibers of a
-level at once: one northwest coupling per leading atom. Next to them are the
-midpoint log-concavity scan over every gap, which the library now runs only
-when unit steps find a violation, the axis convexity ratio scanned at every
-gap, which the library now prunes by chord bounds on log-concave lines, and
-the coupling cost summed over the built atoms, which the library now sums
-batch by batch. The library must reproduce them bit for bit, so they are
-kept here as oracles and nowhere else.
+First the triangular coupling one fiber pair at a time, where the library
+walks all pairs of a level at once: per leading atom, the monotone coupling
+of the normalized fiber CDFs by ``np.union1d`` and ``searchsorted``. Next
+to it are the midpoint log-concavity scan over every gap, which the library
+now runs only when unit steps find a violation, the axis convexity ratio
+scanned at every gap, which the library now prunes by chord bounds on
+log-concave lines, and the coupling cost summed over the built atoms, which
+the library now sums batch by batch. The library must reproduce them bit
+for bit, so they are kept here as oracles and nowhere else.
 The triangular map's oracles loop too: one ``monotone_map`` per coupling
 atom for each level's cost and deficit, and two ``np.interp`` calls per
 point and coordinate for its evaluation; the library's row-batched pieces
@@ -75,27 +76,31 @@ def triangular_coupling_cost(f, g):
     return float((sq * w).sum())
 
 
-def northwest_coupling(a, b):
-    """Monotone coupling of two 1d mass vectors with equal totals, as
-    (source_cells, target_cells, weights)."""
-    ca = np.cumsum(a)
-    cb = np.cumsum(b)
-    edges = np.union1d(ca, cb)
-    prev = np.concatenate(([0.0], edges[:-1]))
-    w = edges - prev
-    mid = (edges + prev) / 2.0
-    # mass past a total goes to the last cell of positive mass
-    i = np.clip(np.searchsorted(ca, mid, side="left"), 0, np.flatnonzero(a)[-1])
-    j = np.clip(np.searchsorted(cb, mid, side="left"), 0, np.flatnonzero(b)[-1])
-    keep = w > 0
-    return i[keep], j[keep], w[keep]
+def _cdf(values):
+    cdf = np.concatenate(([0.0], np.cumsum(values)))
+    return cdf / cdf[-1]
+
+
+def fiber_coupling(a, b, weight):
+    """Monotone coupling at total mass ``weight`` of two 1d mass vectors, as
+    (source_cells, target_cells, weights): between consecutive levels of
+    either normalized CDF, the cells whose CDF entry is the last at most the
+    lower level, with weight times the level gap."""
+    F, G = _cdf(a), _cdf(b)
+    levels = np.union1d(F, G)
+    du = np.diff(levels)
+    i = np.searchsorted(F, levels[:-1], side="right") - 1
+    j = np.searchsorted(G, levels[:-1], side="right") - 1
+    keep = du > 0
+    return i[keep], j[keep], weight * du[keep]
 
 
 def triangular_coupling(f_masses, g_masses):
-    """Leading marginals coupled recursively, then one northwest coupling of
-    the rescaled last-axis fibers per leading atom."""
+    """Leading marginals coupled recursively, then one monotone coupling of
+    the last-axis fibers per leading atom, at the atom's mass; the axis-0
+    marginals at their own total."""
     if f_masses.ndim == 1:
-        return northwest_coupling(f_masses, g_masses)
+        return fiber_coupling(f_masses, g_masses, f_masses.sum())
     m = f_masses.shape[-1]
     lead_i, lead_j, lead_w = triangular_coupling(f_masses.sum(axis=-1),
                                                  g_masses.sum(axis=-1))
@@ -103,19 +108,11 @@ def triangular_coupling(f_masses, g_masses):
     b_rows = g_masses.reshape(-1, m)
     out_i, out_j, out_w = [], [], []
     for bi, bj, bw in zip(lead_i, lead_j, lead_w):
-        a_fib = a_rows[bi]
-        b_fib = b_rows[bj]
-        fi, fj, fw = northwest_coupling(a_fib * (bw / a_fib.sum()),
-                                        b_fib * (bw / b_fib.sum()))
+        fi, fj, fw = fiber_coupling(a_rows[bi], b_rows[bj], bw)
         out_i.append(bi * m + fi)
         out_j.append(bj * m + fj)
         out_w.append(fw)
     return (np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_w))
-
-
-def _cdf(values):
-    cdf = np.concatenate(([0.0], np.cumsum(values)))
-    return cdf / cdf[-1]
 
 
 def _marginal_rows(d, k):

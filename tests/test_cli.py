@@ -438,6 +438,50 @@ def test_exact_profile_rows_fail_a_planted_strict_alpha():
     assert check_concentration(halfspace_profile(d, u, ts, 3.0)).passed
 
 
+def _scaled(fn, factor):
+    """fn with its float result, or the first entry of its tuple, times factor."""
+    def wrong(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return (out[0] * factor,) + tuple(out[1:]) if isinstance(out, tuple) else out * factor
+    return wrong
+
+
+# the tire suite's planted-defect table: per row, one wrong input that makes
+# it fail, and every row name that then fails. The anchor's bracket meets
+# its entropy, so a halved entropy fails lem-4.1 alone. The thm-4.2 rows
+# hold with a 60- to 80-fold slack, and no single input of theirs reaches
+# it without also lifting the exact cost above the triangular coupling's
+TIRE_DEFECTS = {
+    "lem-4.1": (cube_transport.functionals, "relative_entropy", 0.5, {"lem-4.1"}),
+    "eq-4.2": (cube_transport.cli, "legendre_tire_bound", 0.0, {"eq-4.2"}),
+    "sandwich-w2-knothe": (cube_transport.functionals, "triangular_coupling_cost", 0.5,
+                           {"sandwich-w2-knothe"}),
+    "thm-4.2": (cube_transport.functionals, "exact_w2_small", 1e3,
+                {"sandwich-w2-knothe", "thm-4.2"}),
+    "sandwich-knothe-entropy": (cube_transport.functionals, "displacement_cost", 1e3,
+                                {"sandwich-knothe-entropy"}),
+}
+
+
+def _tire_failures(tmp_path):
+    """Exit code and failing row names of ``tire --pairs 2``."""
+    out = tmp_path / "tire"
+    code = run_cli(["tire", "--pairs", "2", "--out", str(out)])
+    rows = json.loads((out / "report.json").read_text())["reports"]
+    return code, {r["name"] for r in rows if not r["pass"]}
+
+
+def test_tire_rows_pass_without_a_planted_defect(tmp_path):
+    assert _tire_failures(tmp_path) == (0, set())
+
+
+@pytest.mark.parametrize("row", sorted(TIRE_DEFECTS))
+def test_tire_row_fails_on_its_planted_defect(tmp_path, monkeypatch, row):
+    module, name, factor, failing = TIRE_DEFECTS[row]
+    monkeypatch.setattr(module, name, _scaled(getattr(module, name), factor))
+    assert _tire_failures(tmp_path) == (1, failing)
+
+
 def test_huge_dim_rejected_without_forming_the_grid_size():
     start = time.perf_counter()
     with pytest.raises(ConfigError):

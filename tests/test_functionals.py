@@ -1,6 +1,7 @@
 """Entropy, Legendre bound, exact quadratic coupling, triangular coupling."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -450,6 +451,30 @@ def test_w2_names_the_scipy_it_needs(monkeypatch):
         exact_w2_small(d, d)
 
 
+@pytest.mark.parametrize("key,value", [("primal_feasibility_tolerance", 1e-12),
+                                       ("dual_feasibility_tolerance", -1.0),
+                                       ("no_such_option", 1.0)])
+def test_w2_raises_when_highs_rejects_an_option(monkeypatch, key, value):
+    # 1e-12 is below the 1e-10 floor of HiGHS's feasibility tolerances: the
+    # call returns kError and would leave the tolerance where it was
+    monkeypatch.setitem(functionals.LP_OPTIONS, key, value)
+    d = build_density(Uniform(), unit_cube_grid(1, 4))
+    with pytest.raises(RuntimeError, match=re.escape(f"setOptionValue({key!r}, {value!r})")):
+        exact_w2_small(d, d)
+
+
+def test_w2_raises_when_highs_rejects_the_start(monkeypatch):
+    # a start plan with the wrong number of columns is rejected by setSolution
+    f, g = _crossed_gaussians(16)
+    solve = functionals.linprog
+
+    def short_start(c, start=None, **kwargs):
+        return solve(c, start=None if start is None else start[:-1], **kwargs)
+    monkeypatch.setattr(functionals, "linprog", short_start)
+    with pytest.raises(RuntimeError, match="setSolution"):
+        exact_w2_small(f, g)
+
+
 def test_w2_raises_when_round_cap_hit_without_certificate(monkeypatch):
     f, g = _crossed_gaussians(16)
     _, plan = exact_w2_small(f, g)
@@ -624,22 +649,27 @@ def test_triangular_coupling_equals_loop_oracle(dim, m):
 
 
 def test_triangular_coupling_midpoint_on_adjacent_doubles():
-    # cumulative masses 0.5 and 0.5 + 2^-53 are adjacent doubles: their
-    # midpoint rounds onto 0.5, so the atom between them goes to cells (0, 0)
+    # cumulative masses 0.5 and 0.5 + 2^-53 are adjacent doubles: the level
+    # gap between them is one atom of 2^-53 from source cell 1 (its CDF
+    # entry 0.5 is the last at most 0.5) to target cell 0, and every cell
+    # gets its mass back bitwise
     u = 2.0 ** -53
     a = np.array([0.5, 0.5])
     b = np.array([0.5 + u, 0.5 - u])
-    assert (0.5 + (0.5 + u)) / 2.0 == 0.5
     got = triangular_coupling(a, b)
-    _assert_same_triples(got, loop_oracles.northwest_coupling(a, b))
-    _assert_same_triples(got, (np.array([0, 0, 1]), np.array([0, 0, 1]),
+    _assert_same_triples(got, loop_oracles.triangular_coupling(a, b))
+    _assert_same_triples(got, (np.array([0, 1, 1]), np.array([0, 0, 1]),
                                np.array([0.5, u, 0.5 - u])))
+    i, j, w = got
+    assert np.array_equal(np.bincount(i, weights=w), a)
+    assert np.array_equal(np.bincount(j, weights=w), b)
 
 
 def test_triangular_coupling_zero_mass_fibers():
-    # the leading sums of these 3x3x3 masses differ in the last bit, so the
-    # northwest rule once put a rounding-size atom on a zero-mass leading
-    # cell, and the next level divided by that fiber's zero sum
+    # the leading sums of these 3x3x3 masses differ in the last bit, so a
+    # rule reading cumulative sums past a row's total once put a
+    # rounding-size atom on a zero-mass leading cell, and the next level
+    # divided by that fiber's zero sum
     a = np.array([[[3, 2, 0], [0, 2, 1], [0, 0, 0]], [[3, 2, 0], [2, 2, 1], [0, 0, 0]],
                   [[0, 0, 0], [3, 3, 1], [0, 0, 0]]], dtype=float)
     b = np.array([[[2, 2, 0], [3, 2, 3], [0, 0, 2]], [[3, 2, 3], [0, 0, 3], [0, 2, 0]],

@@ -29,7 +29,8 @@ from cube_transport import (
     tire_bracket,
     unit_cube_grid,
 )
-from cube_transport import cli
+from cube_transport import cli, knothe, transport1d
+from cube_transport.functionals import triangular_coupling
 from cube_transport.knothe import cost_split
 from cube_transport.families import (draw_trig_coeffs, random_logconcave_spec_nd,
                                      random_smooth_density, trig_density)
@@ -253,6 +254,42 @@ def test_knothe_map_equals_loop_oracle_property(dim, data):
             knothe_map(f, g)
         return
     assert_equals_loop_oracle(f, g, np.random.default_rng(m))
+
+
+def test_one_walk_merges_each_fiber_pair_once(monkeypatch):
+    # level 0 merges its one pair, and level k + 1 one pair per atom of level
+    # k: the atoms of the coupling of the map's own 1- and 2-axis marginals
+    rng = np.random.default_rng(31)
+    grid = unit_cube_grid(3, 6)
+    f = build_density(random_logconcave_spec_nd(rng, 3, grid.origin, grid.side), grid)
+    g = random_smooth_density(rng, grid, amplitude=0.5)
+    lead = [(f.values.sum(axis=-1), g.values.sum(axis=-1))]
+    lead.insert(0, tuple(x.sum(axis=-1) for x in lead[0]))
+    atoms = [len(triangular_coupling(*pair)[2]) for pair in lead]
+    assert 1 < atoms[0] < atoms[1]
+    merge, walk = transport1d._merge, knothe._walk
+    rows, levels = [], []
+
+    def merge_spy(F, G):
+        rows.append(len(F))
+        return merge(F, G)
+
+    def walk_spy(*args):
+        levels.append([])
+        for batch in walk(*args):
+            levels[-1].append(batch[0])
+            yield batch
+    for module in (transport1d, knothe):
+        monkeypatch.setattr(module, "_merge", merge_spy)
+    monkeypatch.setattr(knothe, "_walk", walk_spy)
+    knothe_map(f, g)
+    assert sum(rows) == 1 + atoms[0] + atoms[1]
+    assert levels == [[0, 1, 2]]
+    rows.clear()
+    levels.clear()
+    triangular_coupling(f.values, g.values)
+    assert sum(rows) == 1 + atoms[0] + atoms[1]
+    assert levels == [[0, 1, 2]]
 
 
 def test_evaluate_interpolates_at_nodes_and_outside():
