@@ -176,10 +176,12 @@ class GridDensity:
 
 
 def row_cdfs(values: np.ndarray) -> np.ndarray:
-    """Normalized CDFs along the last axis, at the cell boundaries."""
-    cdf = np.cumsum(values, axis=-1)
-    cdf = np.concatenate((np.zeros(cdf.shape[:-1] + (1,)), cdf), axis=-1)
-    return cdf / cdf[..., -1:]
+    """Normalized CDFs along the last axis, at the cell boundaries; a row of
+    zero mass stays 0."""
+    cdf = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    np.cumsum(values, axis=-1, out=cdf[..., 1:])
+    total = cdf[..., -1:]
+    return cdf / np.where(total > 0, total, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ W2_MAX_ROUNDS = 100  # column-generation rounds before giving up on a certificat
 W2_PRICING_TOL = 1e-9  # every reduced cost >= -tol certifies the plan optimal
 W2_COLUMNS_PER_ROW = 4  # most negative reduced costs added per source cell and round
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+W2_MASS_SCALE = 1e6  # the model's masses total W2_MASS_SCALE / cells (see _transport_model)
 LEGENDRE_CELL_LIMIT = 16384
 
 
@@ -57,12 +58,17 @@ def _checked(status, call: str) -> None:
 
 def _transport_model(b_eq: np.ndarray):
     """A silent HiGHS model with no columns yet, whose row r is fixed at
-    b_eq[r], with the LP_OPTIONS tolerances."""
+    b_eq[r] W2_MASS_SCALE / n (n source cells, 2n - 1 rows), with the
+    LP_OPTIONS tolerances; ``linprog`` reads and writes unit masses. HiGHS
+    accepts basics down to -1e-10, the floor of its feasibility tolerance:
+    -1e-16 n in unit masses, so dropping one moves the plan's cost off the
+    dual objective by less than the certificate's rounding allowance."""
     highs = _highs()._Highs()
     for key, value in {"output_flag": False, **LP_OPTIONS}.items():
         _checked(highs.setOptionValue(key, value), f"setOptionValue({key!r}, {value!r})")
     none = np.zeros(0, dtype=np.int32)
-    _checked(highs.addRows(len(b_eq), b_eq, b_eq, 0, none, none, np.zeros(0)), "addRows")
+    rows = b_eq * (W2_MASS_SCALE / ((len(b_eq) + 1) // 2))
+    _checked(highs.addRows(len(b_eq), rows, rows, 0, none, none, np.zeros(0)), "addRows")
     return highs
 
 
@@ -73,6 +79,7 @@ def linprog(c, *, highs, i, j, start=None) -> LPRound:
     from the kept basis, or in the first round from the feasible plan
     ``start``. c is the round's full cost vector."""
     n = (highs.getNumRow() + 1) // 2
+    scale = W2_MASS_SCALE / n
     held = highs.getNumCol()
     i, j, cost = i[held:], j[held:], c[held:]
     rows = np.stack([i, n + j], axis=1)
@@ -84,14 +91,14 @@ def linprog(c, *, highs, i, j, start=None) -> LPRound:
                            np.ones(len(index))), "addCols")
     if start is not None:
         solution = _highs().HighsSolution()
-        solution.col_value = start
+        solution.col_value = start * scale
         _checked(highs.setSolution(solution), "setSolution")
     highs.run()
     status = highs.getModelStatus()
     if status != _highs().HighsModelStatus.kOptimal:
         raise RuntimeError(f"transport LP failed: {highs.modelStatusToString(status)}")
     solution, info = highs.getSolution(), highs.getInfo()
-    return LPRound(np.array(solution.col_value), info.objective_function_value,
+    return LPRound(np.array(solution.col_value) / scale, info.objective_function_value / scale,
                    np.array(solution.row_dual), info.simplex_iteration_count)
 
 
@@ -270,7 +277,8 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     """Exact squared quadratic-cost distance between the normalized cell
     distributions, via the transportation linear program.
 
-    Returns (squared cost, CouplingPlan). Cell centers carry the cell mass,
+    Returns (squared cost, CouplingPlan), the cost that of the plan's own
+    atoms, sum of w |x_i - x_j|^2. Cell centers carry the cell mass,
     so this is the exact discrete optimum for the center-supported measures
     (an O(h) object against the continuum). Column generation: one HiGHS
     model solves the LP over a sparse set of cell pairs, seeded with the
@@ -306,8 +314,8 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     highs = _transport_model(np.concatenate([a, b[:-1]]))
     for rounds in range(1, W2_MAX_ROUNDS + 1):
         i, j = np.divmod(pairs, n)
-        res = linprog(((centers[i] - centers[j]) ** 2).sum(axis=1), highs=highs, i=i, j=j,
-                      start=start if rounds == 1 else None)
+        moved = ((centers[i] - centers[j]) ** 2).sum(axis=1)
+        res = linprog(moved, highs=highs, i=i, j=j, start=start if rounds == 1 else None)
         u, v = res.y[:n], np.append(res.y[n:], 0.0)
         smallest, new = _price(centers, u, v)
         if smallest >= -W2_PRICING_TOL:
@@ -320,9 +328,9 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     diameter_sq = float(((centers.max(axis=0) - centers.min(axis=0)) ** 2).sum())
     rounding = 4 * n * np.finfo(float).eps * (np.abs(u).max() + np.abs(v).max() + diameter_sq)
     lower_bound = float(a @ u + b @ v + min(0.0, smallest) * a.sum() - rounding)
-    nz = res.x > 1e-15
+    nz = res.x > 0  # basics below 0 are dropped (see _transport_model)
     plan = CouplingPlan(i[nz], j[nz], res.x[nz], n, n, rounds, smallest, lower_bound, u, v)
-    return float(res.fun), plan
+    return float(plan.weights @ moved[nz]), plan
 
 
 def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
@@ -332,7 +340,7 @@ def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
     shape, equal positive totals. Returns flat-index triples (source_cells,
     target_cells, weights) with marginals exact to rounding; no atom lies on
     a cell of zero mass."""
-    parts = [(s0[r] + i, t0[r] + j, w)
+    parts = [(np.take(s0, r) + i, np.take(t0, r) + j, w)
              for s0, t0, r, i, j, w in _coupling_atoms(f_masses, g_masses)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
@@ -350,6 +358,7 @@ def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
         raise DensityError("densities must share the same grid")
     grid = f.grid
     tables = [(c[:, None] - c[None, :]) ** 2 for c in map(grid.axis_centers, range(grid.dim))]
+    m = grid.cells_per_axis
     masses = (d.cell_masses().reshape(grid.shape) for d in (f, g))
     parts = []
     for s0, t0, rows, fi, fj, fw in _coupling_atoms(*masses):
@@ -357,7 +366,7 @@ def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
         for table, i, j in zip(tables[:-1], np.unravel_index(s0, grid.shape),
                                np.unravel_index(t0, grid.shape)):
             lead = lead + table[i, j]
-        parts.append((lead[rows] + tables[-1][fi, fj]) * fw)
+        parts.append((np.take(lead, rows) + np.take(tables[-1], fi * m + fj)) * fw)
     return float(np.concatenate(parts).sum())
 
 

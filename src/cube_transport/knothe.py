@@ -25,6 +25,9 @@ from .sampler import empirical_marginal_distance, sample_grid
 from .transport1d import (QUADRATIC_COST_FACTOR, _deficit_terms, _merge, _pieces,
                           _positive_cdfs, _square_terms)
 
+WALK_BATCH = 1 << 13  # m times the fiber pairs merged per batch (see _walk)
+SUM_BLOCK = 1 << 16  # terms per block of a level's sums (see _LevelSum)
+
 
 @dataclass(eq=False)
 class KnotheMap:
@@ -109,12 +112,13 @@ def _marginals(values: np.ndarray) -> list:
 def _walk(m: int, dim: int, weight: float, merge):
     """The triangular construction on ``dim`` axes of ``m`` cells, level by
     level, from the pair of rows 0 at mass ``weight``. ``merge(k, li, lj)``
-    merges a batch of level k's pairs of rows (about 2^16 merged entries),
-    its first outputs those of ``_merge``; each piece of mass du > 0 in cells
-    (i, j) of the pair (li, lj, lw) is the pair (li m + i, lj m + j, lw du)
-    of level k + 1, its rows flat C-order cells. Yields (k, li, lj, lw,
-    merged) per batch."""
-    step = max(1, (1 << 15) // m)
+    merges a batch of level k's pairs of rows, its first outputs those of
+    ``_merge``; each piece of mass du in cells (i, j) of the pair (li, lj,
+    lw) is the pair (li m + i, lj m + j, lw du) of level k + 1, its rows flat
+    C-order cells. A batch holds WALK_BATCH // m pairs, about 2^14 merged
+    entries, so that the dozen or so temporaries of a merge, 128 KiB each,
+    stay in a core's L2 cache. Yields (k, li, lj, lw, merged) per batch."""
+    step = max(1, WALK_BATCH // m)
     pairs = [(np.zeros(1, dtype=np.intp),) * 2 + (np.full(1, weight),)]
     for k in range(dim):
         li, lj, lw = (np.concatenate(p) for p in zip(*pairs))
@@ -124,47 +128,71 @@ def _walk(m: int, dim: int, weight: float, merge):
             merged = merge(k, *batch[:2])
             yield (k, *batch, merged)
             if k + 1 < dim:
-                r, i, j, w = _atoms(batch[2], merged)
-                pairs.append((batch[0][r] * m + i, batch[1][r] * m + j, w))
-
-
-def _atoms(lw: np.ndarray, merged: tuple) -> tuple:
-    """Pair r, cells i, j and mass lw[r] du of each piece with du > 0."""
-    row, i, j, du = merged[:4]
-    p = np.flatnonzero(du > 0)
-    r = row[p]
-    return r, i[p], j[p], lw[r] * du[p]
+                row, i, j, du = merged[:4]
+                pairs.append((np.take(batch[0], row) * m + i, np.take(batch[1], row) * m + j,
+                              np.take(batch[2], row) * du))
 
 
 def _coupling_atoms(f_masses, g_masses):
     """The last level of the walk over masses (finite, nonnegative, one
     shape, equal positive totals) from the level-0 marginal's own sum, in
     batches (s0, t0, r, i, j, w): atom k moves w[k] from flat cell s0[r[k]] +
-    i[k] to t0[r[k]] + j[k]. Only paired rows, of positive mass, get CDFs."""
+    i[k] to t0[r[k]] + j[k]. Only paired rows, of positive mass, get CDFs:
+    one table per level would stay in the heap as the atoms pile up (about
+    17 MiB more resident at d = 2, m = 1024)."""
     a, b = _checked_masses(f_masses, g_masses)
     m = a.shape[-1]
     A, B = ([v.reshape(-1, m) for v in _marginals(x)] for x in (a, b))
-    walk = _walk(m, a.ndim, A[0][0].sum(),
+    walk = _walk(m, a.ndim, A[0].sum(),
                  lambda k, li, lj: _merge(row_cdfs(A[k][li]), row_cdfs(B[k][lj])))
-    for k, li, lj, lw, merged in walk:
+    for k, li, lj, lw, (row, i, j, du, _) in walk:
         if k == a.ndim - 1:
-            yield (li * m, lj * m) + _atoms(lw, merged)
+            yield li * m, lj * m, row, i, j, np.take(lw, row) * du
+
+
+class _LevelSum:
+    """The sum of a level's terms, added batch by batch, the last term a
+    zero left out: np.sum over each block of SUM_BLOCK consecutive terms,
+    then over the block sums. So no batch size moves a bit, a level of at
+    most SUM_BLOCK terms sums as one np.sum, and at most a block's worth of
+    terms is held."""
+
+    def __init__(self):
+        self.held, self.count, self.sums = [], 0, []
+
+    def add(self, terms: np.ndarray) -> None:
+        self.held.append(terms)
+        self.count += len(terms)
+        if self.count > SUM_BLOCK:  # keep the last term held
+            flat = np.concatenate(self.held)
+            cut = (len(flat) - 1) // SUM_BLOCK * SUM_BLOCK
+            self.sums += [flat[s:s + SUM_BLOCK].sum() for s in range(0, cut, SUM_BLOCK)]
+            self.held, self.count = [flat[cut:]], len(flat) - cut
+
+    def total(self) -> float:
+        return np.sum(self.sums + [np.concatenate(self.held)[:-1].sum()])
 
 
 def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
     """Build the exact triangular map pushing f forward to g (same grid, both
-    positive): one walk, each pair of fibers merged once."""
+    positive): one walk, each pair of fibers merged once. Each level's cost
+    and deficit are summed over its pieces by ``_LevelSum``."""
     _check_pair(f, g)
     grid, m = f.grid, f.grid.cells_per_axis
     F, G = ([_positive_cdfs(v.reshape(-1, m)) for v in _marginals(d.values)]
             for d in (f, g))
-    square_sums, deficits = np.zeros(grid.dim), np.zeros(grid.dim)
+    sums = [(_LevelSum(), _LevelSum()) for _ in range(grid.dim)]
     walk = _walk(m, grid.dim, 1.0,
                  lambda k, li, lj: _pieces(F[k][li], G[k][lj], grid.axis_nodes(k), grid.h))
-    for k, _, _, lw, (row, _, _, du, slope, x, t) in walk:
-        d, w = t - x, lw[row[:-1]] * du
-        square_sums[k] += _square_terms(d[:-1], d[1:], w).sum()
-        deficits[k] += _deficit_terms(w, slope).sum()
+    for k, _, _, lw, (row, _, _, du, slope, x, t, last) in walk:
+        d, w = t - x, np.take(lw, row) * du
+        upper = np.append(d[1:], 0.0)  # T(x) - x at each piece's upper end, 0 at a row's
+        upper[last] = 0.0
+        # with a zero after each row, as one merge of the whole level has them
+        sums[k][0].add(np.insert(_square_terms(d, upper, w), last + 1, 0.0))
+        sums[k][1].add(np.insert(_deficit_terms(w, slope), last + 1, 0.0))
+    square_sums, deficits = (np.array([level[side].total() for level in sums])
+                             for side in (0, 1))
     return KnotheMap(grid, F, G, square_sums, deficits)
 
 
@@ -225,10 +253,13 @@ def check_facet_preservation(tmap: KnotheMap) -> VerificationReport:
     max over facet points of |T(x)_i - x_i| must stay below 2h."""
     grid = tmap.grid
     n, m, h = grid.dim, grid.cells_per_axis, grid.h
-    centers = grid.centers().reshape(grid.shape + (n,))
     # first-layer cell centers along each axis, moved onto its lower, then upper facet
-    pts = np.concatenate([np.take(centers, 0, axis=axis).reshape(-1, n)
-                          for axis in range(n) for _ in range(2)])
+    layers = []
+    for axis in range(n):
+        coords = [grid.axis_centers(k) for k in range(n)]
+        coords[axis] = coords[axis][:1]
+        layers += [np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1).reshape(-1, n)] * 2
+    pts = np.concatenate(layers)
     on_facet = np.repeat(np.eye(n, dtype=bool), 2 * m ** (n - 1), axis=0)
     facets = np.stack([grid.origin, grid.origin + grid.side], axis=1).reshape(-1)
     pts[on_facet] = np.repeat(facets, m ** (n - 1))

@@ -85,48 +85,57 @@ def _positive_cdfs(values: np.ndarray) -> np.ndarray:
 
 
 def _merge(F: np.ndarray, G: np.ndarray) -> tuple:
-    """One merge of each row of the CDF table ``F`` with the same row of
-    ``G`` (nondecreasing from 0 to 1), flat over the rows. Per level ``u``,
-    each distinct entry of either row once and in order: its ``row``, the
-    cells ``i`` of F and ``j`` of G holding it (the last whose CDF entry is
-    <= u, m - 1 at the end) and whether it ends its row. Piece p runs from
-    level p to p + 1 in cells (i[p], j[p]) with mass ``du[p]`` (0 across
-    rows), so no piece of positive mass lies on a cell of zero mass.
-    Returns (row, i, j, du, u, end)."""
-    m = F.shape[1] - 1
+    """The monotone coupling of each row of the CDF table ``F`` with the
+    same row of ``G`` (nondecreasing from 0 to 1), flat over the rows: per
+    piece of positive mass, in order, its ``row``, the cells ``i`` of F and
+    ``j`` of G holding it (the last whose CDF entry is <= its lower level
+    ``u``) and its mass ``du``, up to the next level of either row. So no
+    piece lies on a cell of zero mass. Returns (row, i, j, du, u)."""
+    n, m = F.shape[0], F.shape[1] - 1
+    width = 2 * m + 2
     both = np.concatenate((F, G), axis=1)
     order = np.argsort(both, axis=1, kind="stable")  # F's entries first on ties
-    levels, from_f = np.take_along_axis(both, order, axis=1), order <= m
-    # the last copy of each level: every entry of F and G up to it is <= it
-    last = np.ones(levels.shape, dtype=bool)
-    last[:, :-1] = levels[:, :-1] != levels[:, 1:]
-    row, col = np.nonzero(last)
-    u, n_f = levels[last], np.cumsum(from_f, axis=1)[last]
-    i, j = np.minimum(n_f - 1, m - 1), np.minimum(col - n_f, m - 1)
-    end = col == levels.shape[1] - 1
-    return row, i, j, np.where(end[:-1], 0.0, np.diff(u)), u, end
+    levels = np.take(both, order + np.arange(0, n * width, width)[:, None])
+    gap = levels[:, 1:] - levels[:, :-1]
+    # A positive gap follows the last copy of a level u, so every entry up
+    # to u is at or before it. F entry o is then cell i = o of F, and G entry
+    # q = o - m - 1 at column col has col - q entries of F up to it: cell
+    # i = col + m - o, which is < o; for F entries it is >= m >= o. Then
+    # j = col - 1 - i. Below u = 1 no cell needs a clamp.
+    positive = gap > 0
+    at = np.flatnonzero(positive)
+    row = np.repeat(np.arange(n), np.count_nonzero(positive, axis=1))
+    flat = at + row  # the entry's position in the (n, width) tables
+    o = np.take(order, flat)
+    c = flat - row * width + m  # col + m
+    i = np.minimum(o, c - o)
+    return row, i, c - m - 1 - i, np.take(gap, at), np.take(levels, flat)
 
 
 def _pieces(F: np.ndarray, G: np.ndarray, nodes: np.ndarray, h: float) -> tuple:
     """The monotone maps from each row of the CDF table ``F`` onto the same
     row of ``G`` (strictly increasing, at the 1d ``nodes`` of spacing
     ``h``) on the pieces of ``_merge``: its row, i, j and du, the slope T'
-    of each piece (the ratio of its cell masses), then the position ``x``
-    and image ``t = T(x)`` of each level (ends exact)."""
-    row, i, j, du, u, end = _merge(F, G)
+    of each piece (the ratio of its cell masses), the position ``x`` and
+    image ``t = T(x)`` of its lower end, and the index of each row's last
+    piece, whose upper end is the row's end x = t = nodes[-1] (exact)."""
+    row, i, j, du, u = _merge(F, G)
     fi, gj = row * F.shape[1] + i, row * G.shape[1] + j
-    F, G = F.reshape(-1), G.reshape(-1)
-    Fi, Gj = F[fi], G[gj]
-    p, q = F[fi + 1] - Fi, G[gj + 1] - Gj
-    x = nodes[i] + (u - Fi) / p * h
-    t = nodes[j] + (u - Gj) / q * h
-    x[end] = t[end] = nodes[-1]
-    if not np.all((np.diff(t) > 0) | end[:-1]):  # then T at the source nodes must rise
-        on_node = (Fi == u) | end
-        t_node, row_node = t[on_node], row[on_node]
+    Fi, Gj = np.take(F, fi), np.take(G, gj)
+    p, q = np.take(F, fi + 1) - Fi, np.take(G, gj + 1) - Gj
+    x = np.take(nodes, i) + (u - Fi) / p * h
+    t = np.take(nodes, j) + (u - Gj) / q * h
+    last = np.searchsorted(row, np.arange(len(F)), side="right") - 1  # of each row
+    upper = np.append(t[1:], nodes[-1])
+    upper[last] = nodes[-1]
+    if not np.all(upper > t):  # then T at the source nodes and the row ends must rise
+        ends = last + 1
+        on_node = np.insert(Fi == u, ends, True)
+        t_node = np.insert(t, ends, nodes[-1])[on_node]
+        row_node = np.insert(row, ends, np.arange(len(F)))[on_node]
         if np.any((np.diff(t_node) <= 0) & (row_node[1:] == row_node[:-1])):
             raise DensityError("computed map is not strictly increasing; density too degenerate")
-    return row, i, j, du, p[:-1] / q[:-1], x, t
+    return row, i, j, du, p / q, x, t, last
 
 
 def _square_terms(d0: np.ndarray, d1: np.ndarray, du: np.ndarray) -> np.ndarray:
@@ -147,8 +156,9 @@ def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     """
     _check_same_interval(f, g)
     C = _positive_cdfs(np.stack((f.values, g.values)))
-    *_, du, slope, x, t = _pieces(C[:1], C[1:], f.grid.axis_nodes(), f.grid.h)
-    return MonotoneMap1D(x, t, du, slope)
+    nodes = f.grid.axis_nodes()
+    *_, du, slope, x, t, _ = _pieces(C[:1], C[1:], nodes, f.grid.h)
+    return MonotoneMap1D(np.append(x, nodes[-1]), np.append(t, nodes[-1]), du, slope)
 
 
 def deficit_1d(f: GridDensity, g: GridDensity, tmap: MonotoneMap1D) -> float:

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cube_transport
 import loop_oracles
@@ -712,8 +712,24 @@ def test_triangular_coupling_equals_loop_oracle_property(pair):
     assert np.all(a.ravel()[i] > 0) and np.all(b.ravel()[j] > 0)
 
 
+def _cells(chars, tiny):
+    """5^3 masses, one character per cell: a digit, or 'e' for ``tiny``."""
+    return np.array([tiny if c == "e" else float(c) for c in chars]).reshape(5, 5, 5)
+
+
+def _equal_totals(a, b):
+    return a * b.sum(), b * a.sum()
+
+
 @given(pair=mass_pairs())
 @settings(max_examples=60, deadline=None)
+# HiGHS left a basic at -7e-11 here; dropping it from the plan moved the
+# plan's own cost 7e-11 relative off the returned LP objective
+@example(pair=_equal_totals(
+    _cells("006000000600000600060020000600044400206000000e2000000004406004060"
+           "000004006000200022060602000422602640104406102000000012200202", 2e-6),
+    _cells("000200200202000200000300020000030202030300003e0002003000000000000"
+           "003300310000021101010033001020100000002103010003000000112131", 1e-6)))
 def test_w2_matches_dense_oracle_property(pair):
     grid = unit_cube_grid(pair[0].ndim, pair[0].shape[0])
     _assert_matches_dense_oracle(*(GridDensity(grid, x) for x in pair))

@@ -1,6 +1,8 @@
 """Triangular transport on the cube: anchors, structure, pushforward."""
 
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import loop_oracles
 from cube_transport import (
     ConvexPower,
     CustomGrid,
+    Grid,
     DensityError,
     GridDensity,
     Uniform,
@@ -30,7 +33,7 @@ from cube_transport import (
     unit_cube_grid,
 )
 from cube_transport import cli, knothe, transport1d
-from cube_transport.functionals import triangular_coupling
+from cube_transport.functionals import triangular_coupling, triangular_coupling_cost
 from cube_transport.knothe import cost_split
 from cube_transport.families import (draw_trig_coeffs, random_logconcave_spec_nd,
                                      random_smooth_density, trig_density)
@@ -292,6 +295,83 @@ def test_one_walk_merges_each_fiber_pair_once(monkeypatch):
     assert levels == [[0, 1, 2]]
 
 
+def _walk_outputs(f, g, masses):
+    tmap = knothe_map(f, g)
+    return ([tmap.source_cdfs, tmap.target_cdfs, tmap.square_sums, tmap.deficits],
+            triangular_coupling(*masses), triangular_coupling_cost(f, g))
+
+
+@pytest.mark.parametrize("batch", [1, 1 << 62], ids=["one-pair", "whole-level"])
+def test_walk_batch_size_moves_no_output(monkeypatch, batch):
+    # batches of one fiber pair, or of a whole level, against the default
+    # size: the maps' tables and level sums, the coupling's atoms and its
+    # cost stay bitwise equal. The (2, 512) pair spans 64 default batches;
+    # the coupling side also gets zero-mass cells and rows
+    rng = np.random.default_rng(41)
+    cases = []
+    for dim, m in [(2, 512), (3, 16)]:
+        grid = unit_cube_grid(dim, m)
+        f = build_density(random_logconcave_spec_nd(rng, dim, grid.origin, grid.side), grid)
+        g = random_smooth_density(rng, grid, amplitude=0.5)
+        holes = [x.values * (rng.uniform(size=grid.shape) > 0.3) for x in (f, g)]
+        holes[0][1] = 0.0
+        cases.append((f, g, [d / d.sum() for d in holes]))
+    want = [_walk_outputs(*case) for case in cases]
+    monkeypatch.setattr(knothe, "WALK_BATCH", batch)
+    for case, (tables, atoms, cost) in zip(cases, want):
+        got_tables, got_atoms, got_cost = _walk_outputs(*case)
+        for got, expected in zip(got_tables, tables):
+            assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+        for got, expected in zip(got_atoms, atoms):
+            assert np.array_equal(got, expected)
+        assert got_cost == cost
+
+
+def _oracle_cases():
+    """Dyadic uniform -> prod 2 x_i anchors, whose CDFs meet at interior
+    values, m = 2 pairs, and zero-mass cells and rows (coupling only)."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for dim, m in [(1, 16), (2, 8), (3, 4), (4, 4)]:
+        grid = unit_cube_grid(dim, m)
+        cases.append((f"anchor-d{dim}-m{m}", build_density(Uniform(), grid),
+                      loop_oracles.linear_product_target(grid)))
+    for dim in range(1, 5):
+        grid = unit_cube_grid(dim, 2)
+        cases.append((f"m2-d{dim}", *(GridDensity(grid, rng.uniform(0.1, 1.0, grid.shape))
+                                       for _ in range(2))))
+    for dim, m in [(2, 5), (3, 4)]:
+        grid = unit_cube_grid(dim, m)
+        a, b = (rng.uniform(0.0, 1.0, grid.shape) * (rng.uniform(size=grid.shape) > 0.4)
+                for _ in range(2))
+        a[0], b[-1], a[(m - 1,) * (dim - 1)] = 0.0, 0.0, 0.0  # zero rows at every level
+        cases.append((f"zeros-d{dim}-m{m}", GridDensity(grid, a + (a.sum() == 0)),
+                      GridDensity(grid, b + (b.sum() == 0))))
+    return cases
+
+
+@pytest.mark.parametrize("name,f,g", _oracle_cases(),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_walk_edge_cases_equal_loop_oracles(name, f, g):
+    # the map's level sums and the coupling's atoms and cost against the
+    # per-fiber loops, with every numpy warning an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = (d.cell_masses().reshape(d.grid.shape) for d in (f, g))
+        i, j, w = triangular_coupling(a, b)
+        for got, want in zip((i, j, w), loop_oracles.triangular_coupling(a, b)):
+            assert np.array_equal(got, want)
+        assert triangular_coupling_cost(f, g) == loop_oracles.triangular_coupling_cost(f, g)
+        if name.startswith("zeros"):
+            assert 0 in a.sum(axis=-1) and 0 in b.sum(axis=-1)
+            return
+        if name.startswith("anchor"):
+            tmap = knothe_map(f, g)
+            F, G = tmap.source_cdfs[-1], tmap.target_cdfs[-1]
+            assert np.intersect1d(F[0, 1:-1], G[0, 1:-1]).size > 0  # interior ties
+        assert_equals_loop_oracle(f, g, np.random.default_rng(7))
+
+
 def test_evaluate_interpolates_at_nodes_and_outside():
     # node hits, the last node and points beyond either end: the ends map
     # onto the ends exactly
@@ -327,6 +407,36 @@ def test_facet_preservation_anchor():
     assert rep.passed
     assert rep.lhs == 0.0
     assert rep.rhs == pytest.approx(2.0 / 64.0)
+
+
+def test_facet_points_are_the_first_layers_moved_onto_the_facets():
+    # against the points read off the full (cells, dim) centers array, on a
+    # grid with a different origin on every axis
+    grid = Grid(3, 5, np.array([0.1, -2.3, 7.3]), 0.7)
+    tmap = knothe_map(*(GridDensity(grid, np.ones(grid.shape)),) * 2)
+    seen = []
+    tmap.evaluate = lambda pts: seen.append(pts) or pts
+    check_facet_preservation(tmap)
+    centers = grid.centers().reshape(grid.shape + (3,))
+    want = []
+    for axis in range(3):
+        for face in (grid.origin[axis], grid.origin[axis] + grid.side):
+            layer = np.take(centers, 0, axis=axis).reshape(-1, 3)
+            layer[:, axis] = face
+            want.append(layer)
+    assert np.array_equal(seen[0], np.concatenate(want))
+
+
+def test_facet_check_builds_no_centers_array():
+    # the (cells, dim) centers array would take 16 MiB at d = 2, m = 1024
+    f = build_density(Uniform(), unit_cube_grid(2, 1024))
+    tmap = knothe_map(f, f)
+    tracemalloc.start()
+    try:
+        assert check_facet_preservation(tmap).lhs == 0.0
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_pushforward_marginals_close():
