@@ -339,10 +339,11 @@ def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
     the next axis's fibers, and so on. Masses: finite, nonnegative, one
     shape, equal positive totals. Returns flat-index triples (source_cells,
     target_cells, weights) with marginals exact to rounding; no atom lies on
-    a cell of zero mass."""
-    parts = [(np.take(s0, r) + i, np.take(t0, r) + j, w)
-             for s0, t0, r, i, j, w in _coupling_atoms(f_masses, g_masses)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    a cell of zero mass. They are written in place into arrays of the walk's
+    bound, (2m - 1)^d atoms on generic positive masses; where two CDF rows
+    share a level inside (0, 1), the triples are prefix views of longer ones."""
+    return _coupling_atoms(f_masses, g_masses, lambda s0, t0, r, i, j, w: (
+        np.take(s0, r) + i, np.take(t0, r) + j, w))
 
 
 def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
@@ -352,22 +353,21 @@ def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
     atoms are never built: each batch of the last level's fiber pairs takes
     a lead cost per pair and a last-axis cost per atom from per-axis tables
     of squared center differences, added axis by axis as in
-    ``((x_i - x_j) ** 2).sum()``, so the cost is bitwise that of the built
-    coupling."""
+    ``((x_i - x_j) ** 2).sum()``, and writes its atoms' terms in place; one
+    np.sum over them makes the cost bitwise that of the built coupling."""
     if not f.grid.matches(g.grid):
         raise DensityError("densities must share the same grid")
     grid = f.grid
     tables = [(c[:, None] - c[None, :]) ** 2 for c in map(grid.axis_centers, range(grid.dim))]
-    m = grid.cells_per_axis
-    masses = (d.cell_masses().reshape(grid.shape) for d in (f, g))
-    parts = []
-    for s0, t0, rows, fi, fj, fw in _coupling_atoms(*masses):
+
+    def terms(s0, t0, rows, fi, fj, fw):
         lead = np.zeros(len(s0))
         for table, i, j in zip(tables[:-1], np.unravel_index(s0, grid.shape),
                                np.unravel_index(t0, grid.shape)):
             lead = lead + table[i, j]
-        parts.append((np.take(lead, rows) + np.take(tables[-1], fi * m + fj)) * fw)
-    return float(np.concatenate(parts).sum())
+        return ((np.take(lead, rows) + np.take(tables[-1], fi * grid.cells_per_axis + fj)) * fw,)
+    masses = (d.cell_masses().reshape(grid.shape) for d in (f, g))
+    return float(_coupling_atoms(*masses, terms)[0].sum())
 
 
 def check_transport_entropy_sandwich(f: GridDensity, g: GridDensity,

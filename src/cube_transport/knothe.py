@@ -26,7 +26,6 @@ from .transport1d import (QUADRATIC_COST_FACTOR, _deficit_terms, _merge, _pieces
                           _positive_cdfs, _square_terms)
 
 WALK_BATCH = 1 << 13  # m times the fiber pairs merged per batch (see _walk)
-SUM_BLOCK = 1 << 16  # terms per block of a level's sums (see _LevelSum)
 
 
 @dataclass(eq=False)
@@ -102,97 +101,96 @@ def _checked_masses(f_masses, g_masses) -> tuple:
 
 
 def _marginals(values: np.ndarray) -> list:
-    """Entry k: values summed over every axis past k."""
+    """Entry k: values summed over every axis past k, a row of m cells per
+    cell of the first k axes."""
     out = [values]
     while out[0].ndim > 1:
         out.insert(0, out[0].sum(axis=-1))
-    return out
+    return [v.reshape(-1, values.shape[-1]) for v in out]
 
 
-def _walk(m: int, dim: int, weight: float, merge):
-    """The triangular construction on ``dim`` axes of ``m`` cells, level by
-    level, from the pair of rows 0 at mass ``weight``. ``merge(k, li, lj)``
-    merges a batch of level k's pairs of rows, its first outputs those of
-    ``_merge``; each piece of mass du in cells (i, j) of the pair (li, lj,
-    lw) is the pair (li m + i, lj m + j, lw du) of level k + 1, its rows flat
-    C-order cells. A batch holds WALK_BATCH // m pairs, about 2^14 merged
-    entries, so that the dozen or so temporaries of a merge, 128 KiB each,
-    stay in a core's L2 cache. Yields (k, li, lj, lw, merged) per batch."""
+def _walk(A: list, B: list, weight: float, merge):
+    """The triangular construction over the ``_marginals`` tables A and B,
+    level by level from the pair of rows 0 at mass ``weight``.
+    ``merge(k, li, lj)`` merges a batch of level k's pairs of rows, its first
+    outputs those of ``_merge``; each piece of mass du in cells (i, j) of the
+    pair (li, lj, lw) is the pair (li m + i, lj m + j, lw du) of level k + 1.
+    Pieces lie between consecutive distinct levels of the pair's CDF rows,
+    so a pair has at most (positive cells of its row of A[k]) + (those of
+    B[k]) - 1: summed when a level starts, that bounds its pieces, and the
+    next level's pairs are written in place into arrays of that size. A
+    batch holds WALK_BATCH // m pairs, about 2^14 merged entries, so that the
+    dozen or so temporaries of a merge, 128 KiB each, stay in a core's L2
+    cache. Yields (k, li, lj, lw, merged, pairs, n_pairs, pieces, n_pieces)
+    per batch: slice ``pairs`` of the level's pairs, ``pieces`` of its bound."""
+    m, dim = A[0].shape[-1], len(A)
     step = max(1, WALK_BATCH // m)
-    pairs = [(np.zeros(1, dtype=np.intp),) * 2 + (np.full(1, weight),)]
+    li, lj, lw = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.full(1, weight)
     for k in range(dim):
-        li, lj, lw = (np.concatenate(p) for p in zip(*pairs))
-        pairs = []
+        cells = [np.count_nonzero(X[k] > 0, axis=1) for X in (A, B)]
+        size = int(np.take(cells[0], li).sum() + np.take(cells[1], lj).sum()) - len(lw)
+        if k + 1 < dim:
+            level = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp), np.empty(size)
+        at = 0
         for s in range(0, len(lw), step):
-            batch = li[s:s + step], lj[s:s + step], lw[s:s + step]
-            merged = merge(k, *batch[:2])
-            yield (k, *batch, merged)
+            pairs = slice(s, min(s + step, len(lw)))
+            merged = merge(k, li[pairs], lj[pairs])
+            row, i, j, du = merged[:4]
+            pieces = slice(at, at + len(du))
+            yield k, li[pairs], lj[pairs], lw[pairs], merged, pairs, len(lw), pieces, size
             if k + 1 < dim:
-                row, i, j, du = merged[:4]
-                pairs.append((np.take(batch[0], row) * m + i, np.take(batch[1], row) * m + j,
-                              np.take(batch[2], row) * du))
+                level[0][pieces] = np.take(li[pairs], row) * m + i
+                level[1][pieces] = np.take(lj[pairs], row) * m + j
+                level[2][pieces] = np.take(lw[pairs], row) * du
+            at = pieces.stop
+        if k + 1 < dim:
+            li, lj, lw = (x[:at] for x in level)
 
 
-def _coupling_atoms(f_masses, g_masses):
+def _coupling_atoms(f_masses, g_masses, atoms):
     """The last level of the walk over masses (finite, nonnegative, one
-    shape, equal positive totals) from the level-0 marginal's own sum, in
-    batches (s0, t0, r, i, j, w): atom k moves w[k] from flat cell s0[r[k]] +
-    i[k] to t0[r[k]] + j[k]. Only paired rows, of positive mass, get CDFs:
-    one table per level would stay in the heap as the atoms pile up (about
-    17 MiB more resident at d = 2, m = 1024)."""
+    shape, equal positive totals) from the level-0 marginal's own sum.
+    ``atoms(s0, t0, r, i, j, w)`` maps a batch, atom k moving w[k] from flat
+    cell s0[r[k]] + i[k] to t0[r[k]] + j[k], to per-atom arrays, written in
+    place into arrays of the walk's bound; returns their filled prefixes.
+    Row CDFs come from one table per level; zero rows are never paired."""
     a, b = _checked_masses(f_masses, g_masses)
     m = a.shape[-1]
-    A, B = ([v.reshape(-1, m) for v in _marginals(x)] for x in (a, b))
-    walk = _walk(m, a.ndim, A[0].sum(),
-                 lambda k, li, lj: _merge(row_cdfs(A[k][li]), row_cdfs(B[k][lj])))
-    for k, li, lj, lw, (row, i, j, du, _) in walk:
+    A, B = _marginals(a), _marginals(b)
+    F, G = ([row_cdfs(v) for v in X] for X in (A, B))
+    walk = _walk(A, B, A[0].sum(), lambda k, li, lj: _merge(F[k][li], G[k][lj]))
+    for k, li, lj, lw, (row, i, j, du, _), _, _, pieces, size in walk:
         if k == a.ndim - 1:
-            yield li * m, lj * m, row, i, j, np.take(lw, row) * du
-
-
-class _LevelSum:
-    """The sum of a level's terms, added batch by batch, the last term a
-    zero left out: np.sum over each block of SUM_BLOCK consecutive terms,
-    then over the block sums. So no batch size moves a bit, a level of at
-    most SUM_BLOCK terms sums as one np.sum, and at most a block's worth of
-    terms is held."""
-
-    def __init__(self):
-        self.held, self.count, self.sums = [], 0, []
-
-    def add(self, terms: np.ndarray) -> None:
-        self.held.append(terms)
-        self.count += len(terms)
-        if self.count > SUM_BLOCK:  # keep the last term held
-            flat = np.concatenate(self.held)
-            cut = (len(flat) - 1) // SUM_BLOCK * SUM_BLOCK
-            self.sums += [flat[s:s + SUM_BLOCK].sum() for s in range(0, cut, SUM_BLOCK)]
-            self.held, self.count = [flat[cut:]], len(flat) - cut
-
-    def total(self) -> float:
-        return np.sum(self.sums + [np.concatenate(self.held)[:-1].sum()])
+            cols = atoms(li * m, lj * m, row, i, j, np.take(lw, row) * du)
+            if pieces.start == 0:
+                out = [np.empty(size, dtype=x.dtype) for x in cols]
+            for x, col in zip(out, cols):
+                x[pieces] = col
+    return tuple(x[:pieces.stop] for x in out)
 
 
 def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
     """Build the exact triangular map pushing f forward to g (same grid, both
-    positive): one walk, each pair of fibers merged once. Each level's cost
-    and deficit are summed over its pieces by ``_LevelSum``."""
+    positive): one walk, each pair of fibers merged once. A level's cost and
+    deficit are summed per fiber pair where it is merged, by np.add.reduceat,
+    then by one np.sum over its pairs, so no batch size moves a bit."""
     _check_pair(f, g)
     grid, m = f.grid, f.grid.cells_per_axis
-    F, G = ([_positive_cdfs(v.reshape(-1, m)) for v in _marginals(d.values)]
-            for d in (f, g))
-    sums = [(_LevelSum(), _LevelSum()) for _ in range(grid.dim)]
-    walk = _walk(m, grid.dim, 1.0,
+    A, B = _marginals(f.values), _marginals(g.values)
+    F, G = ([_positive_cdfs(v) for v in X] for X in (A, B))
+    sums = []  # per level, each fiber pair's cost and deficit
+    walk = _walk(A, B, 1.0,
                  lambda k, li, lj: _pieces(F[k][li], G[k][lj], grid.axis_nodes(k), grid.h))
-    for k, _, _, lw, (row, _, _, du, slope, x, t, last) in walk:
+    for k, _, _, lw, (row, _, _, du, slope, x, t, last), pairs, n_pairs, *_ in walk:
+        if pairs.start == 0:
+            sums.append(np.empty((2, n_pairs)))
         d, w = t - x, np.take(lw, row) * du
         upper = np.append(d[1:], 0.0)  # T(x) - x at each piece's upper end, 0 at a row's
         upper[last] = 0.0
-        # with a zero after each row, as one merge of the whole level has them
-        sums[k][0].add(np.insert(_square_terms(d, upper, w), last + 1, 0.0))
-        sums[k][1].add(np.insert(_deficit_terms(w, slope), last + 1, 0.0))
-    square_sums, deficits = (np.array([level[side].total() for level in sums])
-                             for side in (0, 1))
+        starts = np.append(0, last[:-1] + 1)
+        sums[k][0, pairs] = np.add.reduceat(_square_terms(d, upper, w), starts)
+        sums[k][1, pairs] = np.add.reduceat(_deficit_terms(w, slope), starts)
+    square_sums, deficits = np.stack([level.sum(axis=1) for level in sums], axis=1)
     return KnotheMap(grid, F, G, square_sums, deficits)
 
 

@@ -372,6 +372,73 @@ def test_walk_edge_cases_equal_loop_oracles(name, f, g):
         assert_equals_loop_oracle(f, g, np.random.default_rng(7))
 
 
+def _peak_bytes(fn, *args):
+    """(tracemalloc peak of fn(*args), its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def _piece_bound(a, b, i, j):
+    """The walk's bound on the last level's pieces: per pair of rows of the
+    atoms (i, j), its positive cells of a and of b, less 1."""
+    m = a.shape[-1]
+    rows = np.unique(np.stack([i // m, j // m]), axis=1)
+    cells = [np.count_nonzero(x.reshape(-1, m) > 0, axis=1) for x in (a, b)]
+    return int((cells[0][rows[0]] + cells[1][rows[1]] - 1).sum())
+
+
+@pytest.mark.parametrize("dim,m", [(1, 50), (2, 16), (3, 8), (4, 4)])
+def test_coupling_of_positive_masses_fills_its_bound(dim, m):
+    # (2m - 1)^d atoms, as many as the positive-cell bound, written into
+    # arrays of exactly that size
+    rng = np.random.default_rng([dim, m, 47])
+    a, b = (rng.uniform(0.1, 1.0, (m,) * dim) for _ in range(2))
+    atoms = triangular_coupling(a, b / b.sum() * a.sum())
+    assert _piece_bound(a, b, *atoms[:2]) == len(atoms[2]) == (2 * m - 1) ** dim
+    assert all(x.base.shape == (len(x),) for x in atoms)
+
+
+@pytest.mark.parametrize("name,f,g", _oracle_cases(),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_coupling_stays_within_its_bound(name, f, g):
+    # zero-mass cells lower the bound with the pieces; a level shared by two
+    # CDF rows inside (0, 1), as in the anchors, merges two pieces, and the
+    # atoms are then a prefix of arrays of the bound
+    a, b = (d.cell_masses().reshape(d.grid.shape) for d in (f, g))
+    atoms = triangular_coupling(a, b)
+    bound = _piece_bound(a, b, *atoms[:2])
+    assert len(atoms[2]) <= bound
+    assert (len(atoms[2]) < bound) == name.startswith("anchor")
+    assert all(x.base.shape == (bound,) for x in atoms)
+
+
+@pytest.mark.parametrize("dim,m", [(2, 256), (3, 32)])
+def test_coupling_peak_memory_is_near_what_it_returns(dim, m):
+    # the atoms are written in place: no per-batch parts and no concatenated
+    # copy, which alone would double the peak
+    rng = np.random.default_rng([dim, m, 53])
+    grid = unit_cube_grid(dim, m)
+    f = build_density(random_logconcave_spec_nd(rng, dim, grid.origin, grid.side), grid)
+    g = random_smooth_density(rng, grid, amplitude=0.5)
+    a, b = (d.cell_masses().reshape(grid.shape) for d in (f, g))
+    peak, atoms = _peak_bytes(triangular_coupling, a, b)
+    assert peak < 1.75 * sum(x.nbytes for x in atoms)
+
+
+def test_knothe_map_peak_memory():
+    # the d = 2, m = 256 map returns about 1 MiB of CDF tables; the walk
+    # holds each level's pairs and per-pair sums, and one batch's merge
+    rng = np.random.default_rng(59)
+    grid = unit_cube_grid(2, 256)
+    f = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
+    g = random_smooth_density(rng, grid, amplitude=0.5)
+    assert _peak_bytes(knothe_map, f, g)[0] < 5 * 2 ** 20
+
+
 def test_evaluate_interpolates_at_nodes_and_outside():
     # node hits, the last node and points beyond either end: the ends map
     # onto the ends exactly
