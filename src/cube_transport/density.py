@@ -180,8 +180,32 @@ def row_cdfs(values: np.ndarray) -> np.ndarray:
     zero mass stays 0."""
     cdf = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
     np.cumsum(values, axis=-1, out=cdf[..., 1:])
-    total = cdf[..., -1:]
-    return cdf / np.where(total > 0, total, 1.0)
+    cdf /= np.where(cdf[..., -1:] > 0, cdf[..., -1:], 1.0)
+    return cdf
+
+
+def _marginals(values: np.ndarray) -> list:
+    """Entry k: values summed over every axis past k, a row of m cells per
+    cell of the first k axes."""
+    out = [values]
+    while out[0].ndim > 1:
+        out.insert(0, out[0].sum(axis=-1))
+    return [v.reshape(-1, values.shape[-1]) for v in out]
+
+
+def cdf_cells(table: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per point, the last cell j < m with table[rows, j] <= v, for a table
+    of shape (R, m+1) whose rows are ``row_cdfs`` (nondecreasing from 0) and
+    v >= 0: bisection, one gather per halving. The inverse CDF: for v < 1 in
+    a row of positive mass, table[j] <= v < table[j + 1], so cell j has
+    positive mass."""
+    m = table.shape[-1] - 1
+    flat, base = table.reshape(-1), rows * (m + 1)
+    j = np.zeros(len(v), dtype=np.intp)
+    for step in 1 << np.arange((m - 1).bit_length())[::-1]:
+        up = np.minimum(j + step, m - 1)
+        j = np.where(flat[base + up] <= v, up, j)
+    return j
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityError, Grid, GridDensity, row_cdfs
+from .density import DensityError, Grid, GridDensity, _marginals, cdf_cells, row_cdfs
 from .reports import VerificationReport, make_report
 from .sampler import empirical_marginal_distance, sample_grid
 from .transport1d import (QUADRATIC_COST_FACTOR, _deficit_terms, _merge, _pieces,
@@ -52,7 +52,10 @@ class KnotheMap:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Apply the map to finite points of shape (N, dim): coordinate k of a
         point above source cell r, whose image so far lies above target cell
-        s, goes to G_s^-1(F_r(x_k)). Points beyond a face map onto it."""
+        s, goes to G_s^-1(F_r(x_k)). The level F_r(x_k) is interpolated in
+        the point's cell, its target cell j is ``cdf_cells`` of row s (the
+        search ``sample_grid`` draws with) and the image is linear in cell j.
+        Points beyond a face map onto it."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != self.grid.dim:
             raise DensityError(f"points must have shape (N, {self.grid.dim})")
@@ -65,17 +68,13 @@ class KnotheMap:
             for k, (F, G) in enumerate(zip(self.source_cdfs, self.target_cdfs)):
                 nodes, x = self.grid.axis_nodes(k), chunk[:, k]
                 c = self.grid.cell_index(x, k)
-                F, G = F.reshape(-1), G.reshape(-1)
-                fc, gs = r * (m + 1) + c, s * (m + 1)
+                fc, F = r * (m + 1) + c, F.reshape(-1)
                 Fc = F[fc]
                 level = np.clip(Fc + (x - nodes[c]) / h * (F[fc + 1] - Fc), 0.0, 1.0)
-                # bisection for the last cell j < m with G_s[j] <= level
-                j = np.zeros(len(x), dtype=np.intp)
-                for step in 1 << np.arange((m - 1).bit_length())[::-1]:
-                    up = np.minimum(j + step, m - 1)
-                    j = np.where(G[gs + up] <= level, up, j)
-                Gj = G[gs + j]
-                t = nodes[j] + (level - Gj) / (G[gs + j + 1] - Gj) * h
+                j = cdf_cells(G, s, level)
+                gj, G = s * (m + 1) + j, G.reshape(-1)
+                Gj = G[gj]
+                t = nodes[j] + (level - Gj) / (G[gj + 1] - Gj) * h
                 out[lo:lo + len(x), k] = np.where(x >= nodes[-1], nodes[-1], t)
                 r, s = r * m + c, s * m + j
         return out
@@ -98,15 +97,6 @@ def _checked_masses(f_masses, g_masses) -> tuple:
     if not (total_a > 0 and abs(total_a - total_b) <= 1e-12 * max(total_a, total_b)):
         raise DensityError(f"mass totals must be positive and equal, got {total_a} and {total_b}")
     return a, b
-
-
-def _marginals(values: np.ndarray) -> list:
-    """Entry k: values summed over every axis past k, a row of m cells per
-    cell of the first k axes."""
-    out = [values]
-    while out[0].ndim > 1:
-        out.insert(0, out[0].sum(axis=-1))
-    return [v.reshape(-1, values.shape[-1]) for v in out]
 
 
 def _walk(A: list, B: list, weight: float, merge):

@@ -5,8 +5,9 @@ Each sampler reads one counter-based Philox stream, keyed by (seed, domain
 tag, 0), from its start, so equal arguments give bit-for-bit equal draws.
 
 Grid sampling is exact for the piecewise-constant density: cells are drawn
-coordinate by coordinate through conditional CDF tables, then a uniform
-jitter places the point inside the cell.
+coordinate by coordinate by inverting the row CDF tables of the density's
+marginals, the tables and the search the triangular map evaluates with,
+then a uniform jitter places the point inside the cell.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (DegenerateDensityError, DensityError, GridDensity,
-                      equicorrelated_scale)
+from .density import (DegenerateDensityError, DensityError, GridDensity, _marginals,
+                      cdf_cells, equicorrelated_scale, row_cdfs)
 
 # domain 0 holds the CLI suites (by label bytes), domain 2 the tests' rejection oracle
 _DOMAIN_GRID = 1
@@ -48,9 +49,11 @@ class SampleBatch:
 def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
     """Draw n_samples points from a normalized grid density.
 
-    Sequential conditional sampling: coordinate k is drawn from its exact
-    conditional distribution given the cells already chosen, via one
-    searchsorted against an offset-stacked CDF table per axis.
+    Sequential conditional sampling: cell k is the exact inverse CDF, by
+    ``cdf_cells``, of a uniform under the row of the (k+1)-axis marginal's
+    ``row_cdfs`` table above the cells already chosen. The search lands
+    only on cells of positive mass; a uniform jitter then places the point
+    inside its cell.
     """
     if n_samples < 1:
         raise DensityError("n_samples must be >= 1")
@@ -60,36 +63,13 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
     n, m = grid.dim, grid.cells_per_axis
     if n_samples * n > MAX_POINT_BUDGET:
         raise DensityError("requested batch exceeds the materialized-point budget")
-    # tail[k] = values summed over axes > k, shape (m,)*(k+1)
-    tail = [None] * n
-    tail[n - 1] = d.values
-    for k in range(n - 2, -1, -1):
-        tail[k] = tail[k + 1].sum(axis=-1)
     rng = philox(seed, _DOMAIN_GRID, 0)
     u_cell = rng.random((n_samples, n))
     u_jit = rng.random((n_samples, n))
-    cells = np.empty((n_samples, n), dtype=np.int64)
-    first = np.cumsum(tail[0])
-    cells[:, 0] = np.clip(np.searchsorted(first, u_cell[:, 0] * first[-1],
-                                          side="right"), 0, m - 1)
-    prefix = cells[:, 0].copy()
-    for k in range(1, n):
-        rows = tail[k].reshape(-1, m)
-        row_cdf = np.cumsum(rows, axis=1)
-        totals = row_cdf[:, -1:]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            row_cdf = np.where(totals > 0, row_cdf / totals, 1.0)
-        stacked = (row_cdf + np.arange(rows.shape[0])[:, None]).reshape(-1)
-        # sorted keys make searchsorted walk the table in order; the position
-        # of each key does not depend on the order it is searched in
-        keys = prefix + u_cell[:, k]
-        order = np.argsort(keys)
-        pos = np.empty(n_samples, dtype=np.intp)
-        pos[order] = np.searchsorted(stacked, keys[order], side="right")
-        # prefix + u can round up to prefix + 1, past the row's last cell of
-        # positive mass: such draws take that cell
-        last = m - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
-        cells[:, k] = np.minimum(pos - prefix * m, last[prefix])
+    cells = np.empty((n_samples, n), dtype=np.intp)
+    prefix = np.zeros(n_samples, dtype=np.intp)
+    for k, marginal in enumerate(_marginals(d.values)):
+        cells[:, k] = cdf_cells(row_cdfs(marginal), prefix, u_cell[:, k])
         prefix = prefix * m + cells[:, k]
     # origin + (cells + u) h, in the jitter's buffer: one (N, dim) array fewer
     points = np.add(u_jit, cells, out=u_jit)

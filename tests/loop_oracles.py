@@ -12,7 +12,9 @@ for bit, so they are kept here as oracles and nowhere else.
 The triangular map's oracles loop too: one ``monotone_map`` per coupling
 atom for each level's cost and deficit, and two ``np.interp`` calls per
 point and coordinate for its evaluation; the library's row-batched pieces
-must match them to rounding.
+must match them to rounding. The grid sampler's oracle draws one point at
+a time, one ``np.searchsorted`` per level, and its cells must match the
+sampler's exactly.
 Then a plain-float walk along the pieces of one 1d monotone map, which
 the library's 1d functionals must match to rounding. Last are the field
 builders as they were before they read the grid's open centers: every term
@@ -165,6 +167,22 @@ def knothe_evaluate(f, g, pts):
             r = r * m + int(f.grid.cell_index(x[k], k))
             s = s * m + min(int(np.searchsorted(G[k][s], u, side="right")) - 1, m - 1)
     return out
+
+
+def grid_sample_cells(d, u):
+    """Cells of the grid sampler's draws from their cell uniforms u, shape
+    (N, dim), one draw and one level at a time: cell k is the last entry of
+    the row CDF at most u[k], ``np.searchsorted`` on the row of d's
+    (k+1)-axis marginal above the cells already drawn."""
+    n, m = d.grid.dim, d.grid.cells_per_axis
+    rows = [_marginal_rows(d, k) for k in range(n)]
+    cells = np.empty(u.shape, dtype=np.intp)
+    for p, draw in enumerate(u):
+        r = 0
+        for k in range(n):
+            cells[p, k] = np.searchsorted(_cdf(rows[k][r]), draw[k], side="right") - 1
+            r = r * m + cells[p, k]
+    return cells
 
 
 def monotone_map_integrals(f_values, g_values, grid):

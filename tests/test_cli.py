@@ -20,8 +20,8 @@ from cube_transport.cli import (_SCAN_STEP_TRIPLES, DEFAULTS, MAX_SCAN_TRIPLES, 
                                 ConfigError, _grid_m_for_dim, _rng, build_parser,
                                 load_config, main, scan_triples, suite_verify_1d)
 from cube_transport.concentration import check_concentration, halfspace_profile
-from cube_transport.density import (RestrictedGaussian, _midpoint_directions, build_density,
-                                    unit_cube_grid)
+from cube_transport.density import (GridDensity, RestrictedGaussian, _midpoint_directions,
+                                    build_density, unit_cube_grid)
 from cube_transport.sampler import MAX_POINT_BUDGET
 from cube_transport.reports import CSV_HEADER
 
@@ -480,6 +480,19 @@ def test_tire_row_fails_on_its_planted_defect(tmp_path, monkeypatch, row):
     module, name, factor, failing = TIRE_DEFECTS[row]
     monkeypatch.setattr(module, name, _scaled(getattr(module, name), factor))
     assert _tire_failures(tmp_path) == (1, failing)
+
+
+def test_mass_normalization_fails_on_a_planted_scale(tmp_path, monkeypatch):
+    # densities 1% too heavy: the midpoint and marginal-ratio rows compare
+    # values with values, so they do not see the scale, and only the mass
+    # row fails
+    build = cube_transport.cli.build_density
+    monkeypatch.setattr(cube_transport.cli, "build_density",
+                        lambda spec, grid: GridDensity(grid, build(spec, grid).values * 1.01))
+    out = tmp_path / "dc"
+    assert run_cli(["density-check", "--m", "16", "--dim", "2", "--out", str(out)]) == 1
+    rows = json.loads((out / "report.json").read_text())["reports"]
+    assert {r["name"] for r in rows if not r["pass"]} == {"mass-normalization-source"}
 
 
 def test_huge_dim_rejected_without_forming_the_grid_size():

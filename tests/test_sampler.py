@@ -1,11 +1,14 @@
 """Reproducible grid sampling, and the equicorrelated row sums against an
 exact-rejection oracle."""
 
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
+
+import loop_oracles
 
 from cube_transport import (
     DegenerateDensityError,
@@ -22,7 +25,7 @@ from cube_transport import (
     unit_cube_grid,
 )
 from cube_transport import sampler
-from cube_transport.density import DensityError
+from cube_transport.density import DensityError, cdf_cells, row_cdfs
 from cube_transport.sampler import (LOG10_REJECTION_LIMIT, MAX_POINT_BUDGET,
                                     equicorrelated_scale, philox)
 
@@ -79,10 +82,10 @@ class _LargestUniform:
 
 @pytest.mark.parametrize("dim,m", [(1, 1024), (2, 1024), (3, 64), (1, 3), (3, 3), (2, 1000)])
 def test_largest_uniform_stays_on_cells_of_positive_mass(monkeypatch, dim, m):
-    # prefix + u rounds to prefix + 1 on every axis after the first, and a
-    # row's last cells have no mass, so an unclamped draw leaves its row; the
-    # jitter rounds cells + u onto the cell's upper face, whose cell_index is
-    # the next cell
+    # a row's last cells have no mass, so their CDF entries tie at 1: u just
+    # below 1 must take the last cell of positive mass, not a tied cell past
+    # it; the jitter rounds cells + u onto the cell's upper face, whose
+    # cell_index is the next cell, and the face nudge must step it back
     monkeypatch.setattr(sampler, "philox", lambda *key: _LargestUniform())
     rng = np.random.default_rng([dim, m])
     grid = unit_cube_grid(dim, m)
@@ -94,6 +97,73 @@ def test_largest_uniform_stays_on_cells_of_positive_mass(monkeypatch, dim, m):
     assert np.all((points >= 0.0) & (points < 1.0))
     cells = tuple(grid.cell_index(points[:, k], k) for k in range(dim))
     assert np.all(d.values[cells] > 0)
+
+
+def _sparse_density(rng, dim, m):
+    """Random values with zero cells and, past the first axis, zero rows."""
+    grid = unit_cube_grid(dim, m)
+    vals = rng.uniform(0.0, 1.0, grid.shape) * (rng.uniform(size=grid.shape) < 0.6)
+    if dim > 1:
+        vals.reshape(-1, m)[rng.uniform(size=m ** (dim - 1)) < 0.3] = 0.0
+    vals.reshape(-1)[rng.integers(grid.n_cells)] = 1.0
+    return normalize(GridDensity(grid, vals))
+
+
+def test_draw_is_the_exact_inverse_cdf():
+    # draw 0's level-1 uniform at seed 0 is u; row 2 of the first axis holds
+    # all the mass, and its row CDF entry after cell 0 is c, one ulp above
+    # u, so the exact inverse CDF draws cell 0. A search that adds the row
+    # index to both sides rounds 2 + u up to 2 + c and draws cell 1
+    u = philox(0, 1, 0).random((1, 2))[0, 1]
+    assert u == 0.6759717634657245
+    c = np.nextafter(u, 1.0)
+    grid = unit_cube_grid(2, 4)
+    vals = np.zeros(grid.shape)
+    vals[2] = [16.0 * c, 16.0 * (1.0 - c), 0.0, 0.0]
+    d = GridDensity(grid, vals)
+    assert row_cdfs(vals[2])[1] == c
+    np.testing.assert_array_equal(grid.cell_index(sample_grid(d, 1, seed=0).points), [[2, 0]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 16])
+def test_cells_match_the_per_draw_oracle(dim, m):
+    rng = np.random.default_rng([dim, m])
+    n = 3000 if m ** dim < 1000 else 500
+    for seed in range(3):
+        d = _sparse_density(rng, dim, m)
+        cells = d.grid.cell_index(sample_grid(d, n, seed).points)
+        u = philox(seed, 1, 0).random((n, dim))
+        np.testing.assert_array_equal(cells, loop_oracles.grid_sample_cells(d, u))
+        assert np.all(d.values[tuple(cells.T)] > 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 1000])
+def test_cdf_cells_matches_per_row_searchsorted(m):
+    # the last cell j < m with table[r, j] <= v: ties from zero cells, zero
+    # rows (all entries 0), and v on table entries, at 0 and at or near 1
+    rng = np.random.default_rng(m)
+    vals = rng.uniform(size=(12, m)) * (rng.uniform(size=(12, m)) < 0.5)
+    vals[[0, 5]] = 0.0
+    table = row_cdfs(vals)
+    rows = rng.integers(0, 12, 400)
+    v = np.concatenate([[0.0, 1.0 - 2.0 ** -53, 1.0] * 40, table[rows[120:200], m // 2],
+                        rng.uniform(size=200)])
+    expected = [min(np.searchsorted(table[r], x, side="right") - 1, m - 1)
+                for r, x in zip(rows, v)]
+    np.testing.assert_array_equal(cdf_cells(table, rows, v), expected)
+
+
+def test_sampler_peak_memory_at_1024_squared():
+    # the 1024^2 row CDF table is 8 MiB and the draws' arrays 0.8 to 1.6 MiB
+    # each: the descent holds one table at a time and no copy of it (17 MiB)
+    d = build_density(Uniform(), unit_cube_grid(2, 1024))
+    tracemalloc.start()
+    try:
+        sample_grid(d, 100_000, seed=0)
+        assert tracemalloc.get_traced_memory()[1] < 25 * 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_uniform_marginals_pass_ks():
