@@ -11,6 +11,7 @@ error, and the check allows a 3 SE statistical margin.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -135,8 +136,9 @@ def check_concentration(profile: ConcentrationProfile, name: str = "thm-1.2",
                         grid_m: int = 0, note: str = "") -> VerificationReport:
     """Pass when measured + 3 SE >= bound at every offset.
 
-    Encoded as lhs = max(bound - measured - 3 SE) <= 0, so the default
-    absolute tolerance 1e-6 is the only margin for exact (grid) profiles.
+    Encoded as lhs = max(bound - measured - 3 SE) <= 0, so for exact (grid)
+    profiles the only margin is the abs_tol of the family ``name`` in
+    ``reports.TOLERANCES`` (1e-6 for the profile rows).
     """
     margin = profile.bound - profile.measured - 3.0 * profile.std_error
     lhs = float(margin.max())
@@ -190,17 +192,23 @@ def covariance_ratio(mu, alpha: float) -> float:
     """Largest covariance eigenvalue divided by alpha^2.
 
     Grid densities include the within-cell uniform contribution h^2/12 per
-    axis, so a one-cell density has the exact single-cell covariance.
+    axis, so a one-cell density has the exact single-cell covariance. Their
+    mean and covariance are read off the 1- and 2-axis marginals of the cell
+    masses, so no (cells, dim) array is formed.
     """
     if alpha <= 0:
         raise DensityError("alpha must be positive")
     if isinstance(mu, GridDensity):
         grid = mu.grid
-        w = mu.cell_masses()
-        centers = grid.centers()
-        mean = w @ centers
-        centered = centers - mean
-        cov = (centered * w[:, None]).T @ centered
+        w = mu.cell_masses().reshape(grid.shape)
+
+        def marginal(*keep):
+            return w.sum(axis=tuple(k for k in range(grid.dim) if k not in keep))
+
+        dev = [x - marginal(k) @ x for k, x in enumerate(map(grid.axis_centers, range(grid.dim)))]
+        cov = np.diag([marginal(k) @ (d * d) for k, d in enumerate(dev)])
+        for k, j in itertools.combinations(range(grid.dim), 2):
+            cov[k, j] = cov[j, k] = dev[k] @ marginal(k, j) @ dev[j]
         cov += np.eye(grid.dim) * (grid.h ** 2 / 12.0)
     elif isinstance(mu, SampleBatch):
         pts = mu.points

@@ -1,23 +1,44 @@
-"""Verification reports and the shared pass/fail tolerance contract.
+"""Verification reports and the one table of pass rules.
 
 Every inequality check in this package produces a :class:`VerificationReport`.
-The pass rule is uniform across the whole package:
+A row passes when
 
-    pass  <=>  lhs <= rhs * (1 + rel_tol) + abs_tol
+    lhs <= rhs * (1 + rel_tol) + abs_tol
 
-with ``rel_tol = 0.05`` and ``abs_tol = 1e-6`` unless a check explicitly
-overrides them. Both tolerances are recorded in the report so a serialized
-report is self-describing.
+with the ``(rel_tol, abs_tol)`` that ``TOLERANCES`` gives the row's family:
+its name less a ``-source``, ``-target`` or ``-n<N>`` suffix. ``make_report``
+raises KeyError for a row of no family in the table. Both tolerances are
+recorded in the report so a serialized report is self-describing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-DEFAULT_REL_TOL = 0.05
-DEFAULT_ABS_TOL = 1e-6
+import re
+from dataclasses import dataclass, replace
 
 CSV_HEADER = ("name", "lhs", "rhs", "constant", "slack", "pass", "m", "note")
+
+# (rel_tol, abs_tol) of each row family, by suite. _STRICT rows carry their whole
+# allowance in rhs: a statistical margin, a limit, or prop-2.1's allowed drift
+_BLANKET, _STRICT = (0.05, 1e-6), (0.0, 0.0)
+TOLERANCES = {
+    # density-check: rhs is 0, or a ratio of the same data
+    "mass-normalization": (0.05, 1e-12), "midpoint-log-concavity": (0.05, 1e-9),
+    "marginal-ratio-monotone": (0.0, 1e-9),
+    # verify-1d and verify-knothe
+    **dict.fromkeys(["prop-2.1", "lem-2.2", "lem-2.4", "lem-2.5"], _BLANKET),
+    "eq-2.3": (0.05, 1e-12), "prop-2.1-refinement": _STRICT,
+    **dict.fromkeys(["thm-3.1", "facet-preservation", "pushforward-ks"], _BLANKET),
+    "cost-decomposition": (0.05, 1e-9),
+    # tire, concentration and counterexample
+    **dict.fromkeys(["lem-4.1", "eq-4.2", "sandwich-w2-knothe", "thm-4.2",
+                     "sandwich-knothe-entropy", "cor-1.3", "negative-control", "thm-1.1",
+                     "thm-1.2", "cor-4.5-poincare", "cor-4.5-lsi"], _BLANKET),
+    **dict.fromkeys(["rem-5.1-mass", "rem-5.1-t-star-closed", "rem-5.1-cube",
+                     "rem-5.1-slope", "rem-5.1-t-star"], _STRICT),
+}
+
+_SUFFIX = re.compile(r"-(source|target|n\d+)$")
 
 
 @dataclass(frozen=True)
@@ -38,8 +59,8 @@ class VerificationReport:
     slack: float
     passed: bool
     grid_m: int
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
+    rel_tol: float
+    abs_tol: float
     note: str = ""
 
     def to_dict(self) -> dict:
@@ -54,28 +75,22 @@ class VerificationReport:
                 "true" if self.passed else "false", str(self.grid_m), self.note]
 
 
-def passes(lhs: float, rhs: float, rel_tol: float = DEFAULT_REL_TOL,
-           abs_tol: float = DEFAULT_ABS_TOL) -> bool:
-    return float(lhs) <= float(rhs) * (1.0 + rel_tol) + abs_tol
+def row_family(name: str) -> str:
+    """Row ``name`` less a -source, -target or -n<N> suffix: its TOLERANCES key."""
+    return _SUFFIX.sub("", name)
 
 
 def make_report(name: str, lhs: float, rhs: float, constant_used: float,
-                grid_m: int = 0, rel_tol: float = DEFAULT_REL_TOL,
-                abs_tol: float = DEFAULT_ABS_TOL, note: str = "") -> VerificationReport:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    return VerificationReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        constant_used=float(constant_used),
-        slack=rhs - lhs,
-        passed=passes(lhs, rhs, rel_tol, abs_tol),
-        grid_m=int(grid_m),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        note=note,
-    )
+                grid_m: int = 0, note: str = "") -> VerificationReport:
+    rel_tol, abs_tol = TOLERANCES[row_family(name)]
+    lhs, rhs = float(lhs), float(rhs)
+    return VerificationReport(name, lhs, rhs, float(constant_used), rhs - lhs,
+                              lhs <= rhs * (1.0 + rel_tol) + abs_tol, int(grid_m),
+                              rel_tol, abs_tol, note)
+
+
+def _drift(coarse: VerificationReport, fine: VerificationReport) -> float:
+    return coarse.rel_tol * max(abs(coarse.rhs), abs(fine.rhs)) + coarse.abs_tol
 
 
 def refinement_report(name: str, coarse: VerificationReport,
@@ -83,18 +98,14 @@ def refinement_report(name: str, coarse: VerificationReport,
     """Row for the slack drift of one check under grid refinement: lhs is the
     slack lost from coarse to fine, rhs the allowed drift
     ``rel_tol * max(|rhs_coarse|, |rhs_fine|) + abs_tol`` (coarse tolerances).
-    It passes when the fine check passes and the loss stays within the drift.
+    It passes when the pair is ``refinement_consistent``.
     """
-    drift = coarse.rel_tol * max(abs(coarse.rhs), abs(fine.rhs)) + coarse.abs_tol
-    loss = coarse.slack - fine.slack
-    return VerificationReport(
-        name=name, lhs=loss, rhs=drift, constant_used=1.0, slack=drift - loss,
-        passed=fine.passed and (fine.slack >= coarse.slack - drift),
-        grid_m=fine.grid_m, rel_tol=0.0, abs_tol=0.0,
-        note="slack drift under grid refinement")
+    row = make_report(name, coarse.slack - fine.slack, _drift(coarse, fine), 1.0,
+                      grid_m=fine.grid_m, note="slack drift under grid refinement")
+    return replace(row, passed=refinement_consistent(coarse, fine))
 
 
 def refinement_consistent(coarse: VerificationReport, fine: VerificationReport) -> bool:
     """Whether refining the grid kept the check passing without the slack
-    degrading by more than the tolerance budget (see refinement_report)."""
-    return refinement_report("refinement", coarse, fine).passed
+    degrading by more than the drift its coarse tolerances allow."""
+    return fine.passed and fine.slack >= coarse.slack - _drift(coarse, fine)

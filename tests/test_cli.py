@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,7 @@ from cube_transport.concentration import check_concentration, halfspace_profile
 from cube_transport.density import (GridDensity, RestrictedGaussian, _midpoint_directions,
                                     build_density, unit_cube_grid)
 from cube_transport.sampler import MAX_POINT_BUDGET
-from cube_transport.reports import CSV_HEADER
+from cube_transport.reports import CSV_HEADER, TOLERANCES, row_family
 
 
 def run_cli(args):
@@ -446,40 +447,127 @@ def _scaled(fn, factor):
     return wrong
 
 
-# the tire suite's planted-defect table: per row, one wrong input that makes
-# it fail, and every row name that then fails. The anchor's bracket meets
-# its entropy, so a halved entropy fails lem-4.1 alone. The thm-4.2 rows
-# hold with a 60- to 80-fold slack, and no single input of theirs reaches
-# it without also lifting the exact cost above the triangular coupling's
-TIRE_DEFECTS = {
-    "lem-4.1": (cube_transport.functionals, "relative_entropy", 0.5, {"lem-4.1"}),
-    "eq-4.2": (cube_transport.cli, "legendre_tire_bound", 0.0, {"eq-4.2"}),
-    "sandwich-w2-knothe": (cube_transport.functionals, "triangular_coupling_cost", 0.5,
+_KNOTHE_TESTS = "tests/test_knothe.py::test_"
+_PROFILE_TEST = "tests/test_cli.py::test_exact_profile_rows_fail_a_planted_strict_alpha"
+
+# one planted defect per row family: the command, the wrong input, and every
+# row name that then fails. A wrong input is (module, attribute, factor), a
+# function's result or a module constant times factor, or a config the command
+# runs with. A family without one names the test that plants its defect, or
+# says why no input fails it. The tire anchor's bracket meets its entropy, so
+# a halved entropy fails lem-4.1 alone. The thm-4.2 rows hold with a 60- to
+# 80-fold slack, and no single input of theirs reaches it without also
+# lifting the exact cost above the triangular coupling's
+DEFECTS = {
+    "mass-normalization": "tests/test_cli.py::test_mass_normalization_fails_on_a_planted_scale",
+    "midpoint-log-concavity": ("density-check", {"m": 4, "dim": 1, "source": {
+        "variant": "custom_grid", "values": [1.0, 0.25, 1.0, 1.0]}},
+        {"midpoint-log-concavity-source"}),
+    "marginal-ratio-monotone": "holds for every positive density: summing "
+                               "2 f(c, y) <= R (f(c - h, y) + f(c + h, y)) over y gives the "
+                               "marginal's triples; only rounding can fail it",
+    "prop-2.1": ("verify-1d", (cube_transport.transport1d, "quadratic_cost_1d", 1e3),
+                 {"prop-2.1", "prop-2.1-refinement"}),
+    "lem-2.2": ("verify-1d", (cube_transport.transport1d, "mixed_cost", 1e3),
+                {"lem-2.2", "eq-2.3"}),
+    "eq-2.3": ("verify-1d", (cube_transport.cli, "log_gap", -1.0), {"eq-2.3"}),
+    "prop-2.1-refinement": ("verify-1d", (cube_transport.transport1d, "quadratic_cost_1d", 1e3),
+                            {"prop-2.1", "prop-2.1-refinement"}),
+    "lem-2.4": ("verify-1d", (cube_transport.transport1d, "_interval_mass", 10.0), {"lem-2.4"}),
+    "lem-2.5": ("verify-1d", (cube_transport.transport1d, "GRADIENT_ENERGY_FACTOR", 1e-3),
+                {"lem-2.5"}),
+    "thm-3.1": ("verify-knothe", (cube_transport.knothe, "displacement_cost", 1e3), {"thm-3.1"}),
+    "facet-preservation": _KNOTHE_TESTS + "facet_row_fails_when_a_facet_point_moves",
+    "pushforward-ks": _KNOTHE_TESTS + "pushforward_row_fails_for_the_identity_on_a_non_uniform_target",
+    "cost-decomposition": _KNOTHE_TESTS + "cost_decomposition_row_fails_on_a_wrong_split",
+    "lem-4.1": ("tire", (cube_transport.functionals, "relative_entropy", 0.5), {"lem-4.1"}),
+    "eq-4.2": ("tire", (cube_transport.cli, "legendre_tire_bound", 0.0), {"eq-4.2"}),
+    "sandwich-w2-knothe": ("tire", (cube_transport.functionals, "triangular_coupling_cost", 0.5),
                            {"sandwich-w2-knothe"}),
-    "thm-4.2": (cube_transport.functionals, "exact_w2_small", 1e3,
+    "thm-4.2": ("tire", (cube_transport.functionals, "exact_w2_small", 1e3),
                 {"sandwich-w2-knothe", "thm-4.2"}),
-    "sandwich-knothe-entropy": (cube_transport.functionals, "displacement_cost", 1e3,
+    "sandwich-knothe-entropy": ("tire", (cube_transport.functionals, "displacement_cost", 1e3),
                                 {"sandwich-knothe-entropy"}),
+    "cor-1.3": _PROFILE_TEST,
+    "negative-control": "is a planted defect itself: the cor-1.3 check at the strict alpha 0.1",
+    "thm-1.1": _PROFILE_TEST,
+    "thm-1.2": _PROFILE_TEST,
+    "cor-4.5-poincare": ("concentration", (cube_transport.concentration, "POINCARE_FACTOR", 1e-3),
+                         {"cor-4.5-poincare"}),
+    "cor-4.5-lsi": ("concentration", (cube_transport.concentration, "LSI_FACTOR", 1e-3),
+                    {"cor-4.5-lsi"}),
+    "rem-5.1-mass": "the row sums are symmetric about 0 at every n, so no factor on them or on "
+                    "a constant moves the fraction at or below 0; only a shifted draw fails it",
+    "rem-5.1-t-star-closed": ("counterexample",
+                              (cube_transport.concentration, "equicorrelated_row_sums", 1.5),
+                              {"rem-5.1-t-star-closed-n256", "rem-5.1-t-star-closed-n1024",
+                               "rem-5.1-t-star-closed-n4096", "rem-5.1-t-star"}),
+    "rem-5.1-cube": ("counterexample", (cube_transport.cli, "LOG10_REJECTION_LIMIT", 1e3),
+                     {"rem-5.1-cube-n256", "rem-5.1-cube-n1024", "rem-5.1-cube-n4096"}),
+    # at small n, t*(n) grows slower than sqrt(n): its closed form's slope is
+    # 0.38 from n = 64 to 128, so the asymptotic slope 1/2 fails there
+    "rem-5.1-slope": ("counterexample", {"ns": [64, 128]}, {"rem-5.1-slope"}),
+    "rem-5.1-t-star": ("counterexample", (cube_transport.cli, "REFERENCE_T_STAR_1024", 2.0),
+                       {"rem-5.1-t-star"}),
 }
+PLANTED = sorted(family for family, entry in DEFECTS.items() if isinstance(entry, tuple))
 
 
-def _tire_failures(tmp_path):
-    """Exit code and failing row names of ``tire --pairs 2``."""
-    out = tmp_path / "tire"
-    code = run_cli(["tire", "--pairs", "2", "--out", str(out)])
+def _failures(tmp_path, command, config=None):
+    """Exit code and failing row names of ``command --pairs 2``."""
+    out = tmp_path / command
+    args = [command, "--pairs", "2", "--no-plot", "--out", str(out)]
+    code = run_cli(args + (["--config", _write_config(tmp_path, config)] if config else []))
     rows = json.loads((out / "report.json").read_text())["reports"]
     return code, {r["name"] for r in rows if not r["pass"]}
 
 
-def test_tire_rows_pass_without_a_planted_defect(tmp_path):
-    assert _tire_failures(tmp_path) == (0, set())
+def test_defect_table_covers_every_family():
+    assert set(DEFECTS) == set(TOLERANCES)
+    root = os.path.dirname(os.path.dirname(__file__))
+    for entry in DEFECTS.values():
+        if isinstance(entry, str) and entry.startswith("tests/"):
+            path, name = entry.split("::")
+            with open(os.path.join(root, path)) as fh:
+                assert f"def {name}(" in fh.read(), entry
 
 
-@pytest.mark.parametrize("row", sorted(TIRE_DEFECTS))
-def test_tire_row_fails_on_its_planted_defect(tmp_path, monkeypatch, row):
-    module, name, factor, failing = TIRE_DEFECTS[row]
-    monkeypatch.setattr(module, name, _scaled(getattr(module, name), factor))
-    assert _tire_failures(tmp_path) == (1, failing)
+@pytest.mark.parametrize("command", sorted({DEFECTS[family][0] for family in PLANTED}))
+def test_rows_pass_without_a_planted_defect(tmp_path, command):
+    assert _failures(tmp_path, command) == (0, set())
+
+
+@pytest.mark.parametrize("family", PLANTED)
+def test_row_fails_on_its_planted_defect(tmp_path, monkeypatch, family):
+    command, wrong, failing = DEFECTS[family]
+    config = wrong if isinstance(wrong, dict) else None
+    if config is None:
+        module, name, factor = wrong
+        value = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            _scaled(value, factor) if callable(value) else value * factor)
+    assert family in {row_family(name) for name in failing}
+    assert _failures(tmp_path, command, config) == (1, failing)
+
+
+def test_all_emits_every_family_under_its_table_rule(tmp_path):
+    families = set()
+    for seed in range(4):
+        out = tmp_path / f"seed-{seed}"
+        assert run_cli(["all", "--seed", str(seed), "--no-plot", "--out", str(out)]) == 0
+        for row in json.loads((out / "report.json").read_text())["reports"]:
+            families.add(row_family(row["name"]))
+            assert (row["rel_tol"], row["abs_tol"]) == TOLERANCES[row_family(row["name"])]
+    assert families == set(TOLERANCES)
+    # criterion 9 for all: a second run at seed 0 differs in its timestamp alone
+    out = tmp_path / "seed-0"
+    first = [(out / name).read_text() for name in ("report.json", "report.csv")]
+    assert run_cli(["all", "--seed", "0", "--no-plot", "--out", str(out)]) == 0
+    second = [(out / name).read_text() for name in ("report.json", "report.csv")]
+    assert second[1] == first[1]
+    stamp = re.compile(r'^  "timestamp": .*$', re.M)
+    assert stamp.sub("", second[0]) == stamp.sub("", first[0])
+    assert len(stamp.findall(first[0])) == 1
 
 
 def test_mass_normalization_fails_on_a_planted_scale(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Half-space concentration profiles, functional inequalities, scaling law."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,38 @@ def test_covariance_ratio_samples_close_to_grid():
     grid_ratio = covariance_ratio(d, 3.0)
     samp_ratio = covariance_ratio(batch, 3.0)
     assert samp_ratio == pytest.approx(grid_ratio, rel=0.05)
+
+
+def _covariance_ratio_from_centers(d, alpha):
+    """The (cells, dim) oracle: the cell-centre covariance plus h^2/12 per axis."""
+    w, centers = d.cell_masses(), d.grid.centers()
+    centered = centers - w @ centers
+    cov = (centered * w[:, None]).T @ centered + np.eye(d.grid.dim) * (d.grid.h ** 2 / 12.0)
+    return float(np.linalg.eigvalsh(cov)[-1]) / alpha ** 2
+
+
+@pytest.mark.parametrize("dim, m", [(1, 1024), (2, 256), (4, 16), (8, 4), (10, 4)])
+def test_covariance_ratio_matches_the_cell_centre_formula(dim, m):
+    # the second Gaussian is correlated and off-centre, so every entry counts
+    corr = 3.0 * (np.eye(dim) + 0.4 * np.ones((dim, dim)))
+    for spec in (RestrictedGaussian((0.5,) * dim, tuple(map(tuple, np.eye(dim)))),
+                 RestrictedGaussian(tuple(np.linspace(0.2, 0.7, dim)), tuple(map(tuple, corr)))):
+        d = build_density(spec, unit_cube_grid(dim, m))
+        assert covariance_ratio(d, 1.7) == pytest.approx(_covariance_ratio_from_centers(d, 1.7),
+                                                         rel=1e-12, abs=0.0)
+
+
+def test_grid_covariance_ratio_forms_no_cells_by_dim_array():
+    # at 4^10 cells a (cells, dim) array alone is ten value arrays
+    d = build_density(RestrictedGaussian((0.5,) * 10, tuple(map(tuple, np.eye(10)))),
+                      unit_cube_grid(10, 4))
+    tracemalloc.start()
+    try:
+        covariance_ratio(d, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * d.values.nbytes
 
 
 # ---------------------------------------------------------------- poincare/lsi
