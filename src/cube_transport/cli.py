@@ -310,7 +310,7 @@ def suite_verify_knothe(cfg) -> dict:
     # the exact map pushes f onto g, so ks is a sampling error: by DKW-Massart
     # over the axes, P(ks > c / sqrt(N)) <= 2 dim exp(-2 c^2) = KS_FAILURE_PROBABILITY
     ks_const = np.sqrt(np.log(2 * grid.dim / KS_FAILURE_PROBABILITY) / 2.0)
-    reports.append(make_report("pushforward-ks", ks, ks_const / np.sqrt(cfg["n_samples"]),
+    reports.append(make_report("pushforward-ks", ks, 1.0 / np.sqrt(cfg["n_samples"]),
                                ks_const, grid_m=64))
     base_cost, fiber_cost = cost_split(t0, f0)
     split_gap = abs(anchor_cost - base_cost - fiber_cost)
@@ -446,24 +446,25 @@ def suite_counterexample(cfg) -> dict:
     scaling = []
     for row in result.rows:
         scaling.append({k: v for k, v in asdict(row).items() if k != "std_error"})
-        reports.append(make_report(f"rem-5.1-mass-n{row.n}",
-                                   abs(row.mass_fraction - 0.5),
-                                   3.0 / np.sqrt(row.n_samples), 3.0))
+        reports.append(make_report(f"rem-5.1-mass-n{row.n}", abs(row.mass_fraction - 0.5),
+                                   1.0 / np.sqrt(row.n_samples), 3.0))
         reports.append(make_report(f"rem-5.1-t-star-closed-n{row.n}",
-                                   abs(row.t_star - row.predicted),
-                                   T_STAR_STD_ERRORS * row.std_error,
+                                   abs(row.t_star - row.predicted), row.std_error,
                                    T_STAR_STD_ERRORS, note=f"closed form {row.predicted:.6g}"))
-        reports.append(make_report(f"rem-5.1-cube-n{row.n}",
-                                   row.rejection_log10_bound, LOG10_REJECTION_LIMIT,
+        reports.append(make_report(f"rem-5.1-cube-n{row.n}", row.rejection_log10_bound, 1.0,
                                    LOG10_REJECTION_LIMIT,
                                    note="log10 of the certified rejection bound"))
         metrics[f"t_star_n{row.n}"] = row.t_star
-    reports.append(make_report("rem-5.1-slope", abs(result.slope - 0.5), 0.10,
-                               0.5, note=f"slope {result.slope:.4f}"))
+    # t*(n) grows slower than sqrt(n) at small n, so the fitted slope is held
+    # to its closed form's slope over the same ns, not to the asymptotic 1/2
+    log_n = np.log([row.n for row in result.rows])
+    closed = float(np.polyfit(log_n, np.log([row.predicted for row in result.rows]), 1)[0])
+    reports.append(make_report("rem-5.1-slope", abs(result.slope - closed), 0.10, 1.0,
+                               note=f"slope {result.slope:.4f}, closed form {closed:.4f}"))
     for row in result.rows:
         if row.n == 1024:
             rel_err = abs(row.t_star - REFERENCE_T_STAR_1024) / REFERENCE_T_STAR_1024
-            reports.append(make_report("rem-5.1-t-star", rel_err, 0.15, REFERENCE_T_STAR_1024))
+            reports.append(make_report("rem-5.1-t-star", rel_err, 0.15, 1.0))
     metrics["slope"] = result.slope
     return {"reports": reports, "metrics": metrics, "scaling": scaling}
 

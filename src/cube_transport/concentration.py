@@ -249,15 +249,11 @@ def poincare_lsi_check(mu: GridDensity, curvature_bound: float, side: float,
         energy = float(sum((gk * gk * w).sum() for gk in grads))
         mean = float((fvals * w).sum())
         var = float(((fvals - mean) ** 2 * w).sum())
-        reports.append(make_report("cor-4.5-poincare", var,
-                                   POINCARE_FACTOR * factor * energy,
-                                   POINCARE_FACTOR * factor,
-                                   grid_m=grid.cells_per_axis,
-                                   note=f"test {i}"))
+        reports.append(make_report("cor-4.5-poincare", var, energy, POINCARE_FACTOR * factor,
+                                   grid_m=grid.cells_per_axis, note=f"test {i}"))
         nrm2 = float((fvals * fvals * w).sum())
         if nrm2 <= 0:
-            reports.append(make_report("cor-4.5-lsi", 0.0, 0.0,
-                                       LSI_FACTOR * factor,
+            reports.append(make_report("cor-4.5-lsi", 0.0, 0.0, LSI_FACTOR * factor,
                                        grid_m=grid.cells_per_axis,
                                        note=f"test {i}: zero function, skipped"))
             continue
@@ -266,11 +262,8 @@ def poincare_lsi_check(mu: GridDensity, curvature_bound: float, side: float,
                              scaled_sq * np.log(np.where(scaled_sq > 0, scaled_sq, 1.0)),
                              0.0)
         entropy = float((ent_terms * w).sum())
-        reports.append(make_report("cor-4.5-lsi", entropy,
-                                   LSI_FACTOR * factor * energy / nrm2,
-                                   LSI_FACTOR * factor,
-                                   grid_m=grid.cells_per_axis,
-                                   note=f"test {i}"))
+        reports.append(make_report("cor-4.5-lsi", entropy, energy / nrm2, LSI_FACTOR * factor,
+                                   grid_m=grid.cells_per_axis, note=f"test {i}"))
     return reports
 
 

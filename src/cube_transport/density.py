@@ -165,7 +165,8 @@ class GridDensity:
         total = w.sum()
         if total <= 0:
             raise DegenerateDensityError("density has zero mass")
-        return w / total
+        w /= total  # in place: the product is the one array this makes
+        return w
 
     def marginal_cdf(self, axis: int) -> tuple:
         """Nodes and normalized CDF of the 1d marginal along one axis; exact

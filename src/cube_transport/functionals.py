@@ -45,7 +45,6 @@ class LPRound(NamedTuple):
     """One solve of the transport model."""
 
     x: np.ndarray  # mass on each column of the model
-    fun: float  # cost of x
     y: np.ndarray  # row duals: u on the source rows, then v without its last entry
     nit: int  # simplex iterations of this round
 
@@ -98,8 +97,8 @@ def linprog(c, *, highs, i, j, start=None) -> LPRound:
     if status != _highs().HighsModelStatus.kOptimal:
         raise RuntimeError(f"transport LP failed: {highs.modelStatusToString(status)}")
     solution, info = highs.getSolution(), highs.getInfo()
-    return LPRound(np.array(solution.col_value) / scale, info.objective_function_value / scale,
-                   np.array(solution.row_dual), info.simplex_iteration_count)
+    return LPRound(np.array(solution.col_value) / scale, np.array(solution.row_dual),
+                   info.simplex_iteration_count)
 
 
 def relative_entropy(g: GridDensity, f: GridDensity) -> float:
@@ -127,9 +126,8 @@ def check_tire_le_entropy(f: GridDensity, g: GridDensity,
     if not ok:
         raise DensityError(
             f"bound requires a midpoint-log-concave source (violation {worst:.3g})")
-    lhs = tire_bracket(f, g, tmap)
-    rhs = relative_entropy(g, f)
-    return make_report("lem-4.1", lhs, rhs, 1.0, grid_m=f.grid.cells_per_axis)
+    return make_report("lem-4.1", tire_bracket(f, g, tmap), relative_entropy(g, f), 1.0,
+                       grid_m=f.grid.cells_per_axis)
 
 
 def _lower_hull_vertices(lines: np.ndarray) -> np.ndarray:
@@ -392,9 +390,6 @@ def check_transport_entropy_sandwich(f: GridDensity, g: GridDensity,
     tri_discrete = triangular_coupling_cost(f, g)
     w2_sq, _ = exact_w2_small(f, g)
     entropy = relative_entropy(g, f)
-    const = QUADRATIC_COST_FACTOR * ratio_bound ** 2
-    return [
-        make_report("sandwich-w2-knothe", w2_sq, tri_discrete, 1.0, grid_m=m),
-        make_report("thm-4.2", w2_sq, const * entropy, const, grid_m=m),
-        make_report("sandwich-knothe-entropy", tri_cost, const * entropy, const, grid_m=m),
-    ]
+    return [make_report("sandwich-w2-knothe", w2_sq, tri_discrete, 1.0, grid_m=m)] + [
+        make_report(name, lhs, entropy, QUADRATIC_COST_FACTOR * ratio_bound ** 2, grid_m=m)
+        for name, lhs in (("thm-4.2", w2_sq), ("sandwich-knothe-entropy", tri_cost))]

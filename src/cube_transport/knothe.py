@@ -221,10 +221,8 @@ def check_theorem31(f: GridDensity, g: GridDensity, ratio_bound: float,
         raise DensityError("cost bound is stated for cubes of side <= 1")
     if tmap is None:
         tmap = knothe_map(f, g)
-    lhs = displacement_cost(tmap, f)
-    const = QUADRATIC_COST_FACTOR * ratio_bound ** 2
-    rhs = const * tire_bracket(f, g, tmap)
-    return make_report("thm-3.1", lhs, rhs, const, grid_m=f.grid.cells_per_axis)
+    return make_report("thm-3.1", displacement_cost(tmap, f), tire_bracket(f, g, tmap),
+                       QUADRATIC_COST_FACTOR * ratio_bound ** 2, grid_m=f.grid.cells_per_axis)
 
 
 def pushforward_error(tmap: KnotheMap, f: GridDensity, g: GridDensity,
@@ -252,4 +250,4 @@ def check_facet_preservation(tmap: KnotheMap) -> VerificationReport:
     facets = np.stack([grid.origin, grid.origin + grid.side], axis=1).reshape(-1)
     pts[on_facet] = np.repeat(facets, m ** (n - 1))
     worst = float(np.abs(tmap.evaluate(pts) - pts)[on_facet].max())
-    return make_report("facet-preservation", worst, 2.0 * h, 2.0, grid_m=m)
+    return make_report("facet-preservation", worst, h, 2.0, grid_m=m)

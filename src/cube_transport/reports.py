@@ -1,6 +1,8 @@
-"""Verification reports and the one table of pass rules.
+"""Verification reports, the one table of pass rules, and their right sides.
 
 Every inequality check in this package produces a :class:`VerificationReport`.
+Its right side is ``rhs = constant * base``: the paper's explicit constant
+times a base the data gives, multiplied in ``make_report`` and nowhere else.
 A row passes when
 
     lhs <= rhs * (1 + rel_tol) + abs_tol
@@ -46,7 +48,8 @@ class VerificationReport:
     """Outcome of one checked inequality lhs <= rhs.
 
     ``slack`` is ``rhs - lhs`` (positive when the inequality holds strictly),
-    ``constant_used`` is the explicit constant appearing in ``rhs``, and
+    ``constant_used`` is the explicit constant appearing in ``rhs``, which
+    ``make_report`` alone multiplies by the row's base, and
     ``grid_m`` the per-axis resolution of the grid the check ran on (0 when
     no grid is involved). ``note`` flags degenerate inputs that were skipped
     rather than checked.
@@ -80,11 +83,12 @@ def row_family(name: str) -> str:
     return _SUFFIX.sub("", name)
 
 
-def make_report(name: str, lhs: float, rhs: float, constant_used: float,
+def make_report(name: str, lhs: float, base: float, constant: float,
                 grid_m: int = 0, note: str = "") -> VerificationReport:
+    """Row ``lhs <= constant * base`` under its family's TOLERANCES rule."""
     rel_tol, abs_tol = TOLERANCES[row_family(name)]
-    lhs, rhs = float(lhs), float(rhs)
-    return VerificationReport(name, lhs, rhs, float(constant_used), rhs - lhs,
+    lhs, rhs = float(lhs), float(constant) * float(base)
+    return VerificationReport(name, lhs, rhs, float(constant), rhs - lhs,
                               lhs <= rhs * (1.0 + rel_tol) + abs_tol, int(grid_m),
                               rel_tol, abs_tol, note)
 

@@ -25,6 +25,7 @@ _DOMAIN_GRID = 1
 _DOMAIN_ROW_SUMS = 3
 
 MAX_POINT_BUDGET = 1 << 27  # rows * dim guard for materialized batches
+FACE_NUDGE_STEPS = 16  # steps a draw may take back into its cell; the most seen is 3
 SEED_LIMIT = 1 << 64  # seeds fill one 64-bit Philox key word
 # a per-row rejection chance below 2^-53 cannot move a 53-bit uniform
 LOG10_REJECTION_LIMIT = -53 * math.log10(2.0)
@@ -77,14 +78,19 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
     points += grid.origin
     for k, x in enumerate(points.T):
         # rounding can put x on a face of its cell (cells + u rounds up to
-        # cells + 1 for u within half an ulp of 1): step such coordinates by
-        # ulps until their unclipped cell index is their cell
-        while True:
+        # cells + 1 for u within half an ulp of 1): step such coordinates
+        # back until their unclipped cell index is their cell, by one ulp of
+        # the larger of |x| and |origin|, so that each step moves x - origin
+        for _ in range(FACE_NUDGE_STEPS + 1):
             off = np.floor((x - grid.origin[k]) / grid.h) - cells[:, k]
             out = np.flatnonzero(off)
             if not len(out):
                 break
-            x[out] = np.nextafter(x[out], np.where(off[out] > 0, -np.inf, np.inf))
+            x[out] -= np.sign(off[out]) * np.spacing(np.maximum(abs(x[out]),
+                                                                abs(grid.origin[k])))
+        else:
+            raise DensityError(f"{len(out)} draws on axis {k} stay off their cells, "
+                               f"which are too narrow for their coordinates' ulp")
     return SampleBatch(points)
 
 

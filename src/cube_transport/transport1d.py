@@ -188,10 +188,8 @@ def check_prop_quadratic(f: GridDensity, g: GridDensity, ratio_bound: float,
         raise DensityError("quadratic-cost bound is stated for intervals of length <= 1")
     if tmap is None:
         tmap = monotone_map(f, g)
-    lhs = quadratic_cost_1d(f, tmap)
-    rhs = QUADRATIC_COST_FACTOR * ratio_bound ** 2 * deficit_1d(f, g, tmap)
-    return make_report("prop-2.1", lhs, rhs, QUADRATIC_COST_FACTOR * ratio_bound ** 2,
-                       grid_m=f.grid.cells_per_axis)
+    return make_report("prop-2.1", quadratic_cost_1d(f, tmap), deficit_1d(f, g, tmap),
+                       QUADRATIC_COST_FACTOR * ratio_bound ** 2, grid_m=f.grid.cells_per_axis)
 
 
 def check_lemma_lambda(f: GridDensity, g: GridDensity,
@@ -202,8 +200,7 @@ def check_lemma_lambda(f: GridDensity, g: GridDensity,
         tmap = monotone_map(f, g)
     du, r = tmap.du, tmap.slope
     lhs = f.total_mass * float((du * mixed_cost(r - 1.0)).sum())
-    rhs = MIXED_COST_FACTOR * deficit_1d(f, g, tmap)
-    return make_report("lem-2.2", lhs, rhs, MIXED_COST_FACTOR,
+    return make_report("lem-2.2", lhs, deficit_1d(f, g, tmap), MIXED_COST_FACTOR,
                        grid_m=f.grid.cells_per_axis)
 
 
@@ -227,11 +224,9 @@ def check_segment_bound(rho: GridDensity, ratio_bound: float, a: float,
     if not (lo - 1e-12 <= a < b <= hi + 1e-12):
         raise DensityError("need origin <= a < b <= origin + side")
     rho.require_positive()
-    lhs = _interval_mass(rho, a, b)
     ends = rho.values[rho.grid.cell_index(np.array([a, b]))]
-    rhs = SEGMENT_FACTOR * ratio_bound * float(ends.sum())
-    return make_report("lem-2.4", lhs, rhs, SEGMENT_FACTOR * ratio_bound,
-                       grid_m=rho.grid.cells_per_axis)
+    return make_report("lem-2.4", _interval_mass(rho, a, b), float(ends.sum()),
+                       SEGMENT_FACTOR * ratio_bound, grid_m=rho.grid.cells_per_axis)
 
 
 def check_cheeger_lambda(rho: GridDensity, ratio_bound: float,
@@ -254,6 +249,6 @@ def check_cheeger_lambda(rho: GridDensity, ratio_bound: float,
     u_mid = 0.5 * (u[:-1] + u[1:])
     u_slope = np.diff(u) / h
     lhs = float((mixed_cost(u_mid) * rho.values).sum() * h)
-    const = GRADIENT_ENERGY_FACTOR * ratio_bound ** 2
-    rhs = const * float((mixed_cost(u_slope) * rho.values).sum() * h)
-    return make_report("lem-2.5", lhs, rhs, const, grid_m=m)
+    energy = float((mixed_cost(u_slope) * rho.values).sum() * h)
+    return make_report("lem-2.5", lhs, energy, GRADIENT_ENERGY_FACTOR * ratio_bound ** 2,
+                       grid_m=m)

@@ -504,9 +504,7 @@ DEFECTS = {
                                "rem-5.1-t-star-closed-n4096", "rem-5.1-t-star"}),
     "rem-5.1-cube": ("counterexample", (cube_transport.cli, "LOG10_REJECTION_LIMIT", 1e3),
                      {"rem-5.1-cube-n256", "rem-5.1-cube-n1024", "rem-5.1-cube-n4096"}),
-    # at small n, t*(n) grows slower than sqrt(n): its closed form's slope is
-    # 0.38 from n = 64 to 128, so the asymptotic slope 1/2 fails there
-    "rem-5.1-slope": ("counterexample", {"ns": [64, 128]}, {"rem-5.1-slope"}),
+    "rem-5.1-slope": "tests/test_cli.py::test_slope_row_fails_on_an_n_dependent_scale",
     "rem-5.1-t-star": ("counterexample", (cube_transport.cli, "REFERENCE_T_STAR_1024", 2.0),
                        {"rem-5.1-t-star"}),
 }
@@ -581,6 +579,27 @@ def test_mass_normalization_fails_on_a_planted_scale(tmp_path, monkeypatch):
     assert run_cli(["density-check", "--m", "16", "--dim", "2", "--out", str(out)]) == 1
     rows = json.loads((out / "report.json").read_text())["reports"]
     assert {r["name"] for r in rows if not r["pass"]} == {"mass-normalization-source"}
+
+
+def test_slope_row_fails_on_an_n_dependent_scale(tmp_path, monkeypatch):
+    # row sums n^0.2 too wide lift the fitted slope 0.2 above its closed
+    # form's, and every t*(n) off its closed form; no uniform factor moves a slope
+    row_sums = cube_transport.concentration.equicorrelated_row_sums
+    monkeypatch.setattr(cube_transport.concentration, "equicorrelated_row_sums",
+                        lambda n, *args: _scaled(row_sums, n ** 0.2)(n, *args))
+    assert _failures(tmp_path, "counterexample") == (1, {
+        "rem-5.1-slope", "rem-5.1-t-star", "rem-5.1-t-star-closed-n256",
+        "rem-5.1-t-star-closed-n1024", "rem-5.1-t-star-closed-n4096"})
+
+
+def test_slope_row_holds_where_t_star_grows_slower_than_sqrt_n(tmp_path):
+    # the closed form's own slope is 0.38 from n = 64 to 128, far from the
+    # asymptotic 1/2; the row compares the fit with it
+    out = tmp_path / "run"
+    assert run_cli(["counterexample", "--ns", "64,128", "--no-plot", "--out", str(out)]) == 0
+    slope = [r for r in json.loads((out / "report.json").read_text())["reports"]
+             if r["name"] == "rem-5.1-slope"]
+    assert len(slope) == 1 and slope[0]["note"].endswith("closed form 0.3832")
 
 
 def test_huge_dim_rejected_without_forming_the_grid_size():

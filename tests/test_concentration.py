@@ -274,6 +274,27 @@ def test_poincare_lsi_gaussian_measure():
     assert all(r.passed for r in reps)
 
 
+def test_poincare_lsi_rows_carry_the_curvature_factor():
+    # the CLI's gaussian-1d measure: M = 4 on a side of 1, so the factor
+    # side^2 exp(M side^2 / 4) is e; each rhs is its constant times a base
+    # recomputed here from the masses and a hand-rolled gradient
+    grid = unit_cube_grid(1, 256)
+    d = build_density(RestrictedGaussian((0.5,), ((4.0,),)), grid)
+    x, h = grid.axis_centers(0), grid.h
+    w = d.values / d.values.sum()
+    fns = [np.cos(np.pi * x), x ** 2, np.exp(x), np.zeros(256)]
+    reps = poincare_lsi_check(d, 4.0, 1.0, fns)
+    assert [r.name for r in reps] == ["cor-4.5-poincare", "cor-4.5-lsi"] * len(fns)
+    for f, poincare, lsi in zip(fns, reps[::2], reps[1::2]):
+        grad = np.concatenate(([f[1] - f[0]], (f[2:] - f[:-2]) / 2.0, [f[-1] - f[-2]])) / h
+        energy, nrm2 = (grad * grad * w).sum(), (f * f * w).sum()
+        assert poincare.constant_used == pytest.approx(POINCARE_FACTOR * np.e, rel=1e-15)
+        assert lsi.constant_used == pytest.approx(LSI_FACTOR * np.e, rel=1e-15)
+        assert poincare.rhs == pytest.approx(POINCARE_FACTOR * np.e * energy, rel=1e-12)
+        base = energy / nrm2 if nrm2 > 0 else 0.0
+        assert lsi.rhs == pytest.approx(LSI_FACTOR * np.e * base, rel=1e-12)
+
+
 def test_constant_function_skipped_in_lsi():
     grid = unit_cube_grid(1, 64)
     d = build_density(Uniform(), grid)

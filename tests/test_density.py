@@ -246,6 +246,25 @@ def test_field_builders_peak_at_a_few_value_arrays():
         assert peak <= 4 * grid.n_cells * 8, (name, peak / (grid.n_cells * 8))
 
 
+@pytest.mark.parametrize("dim, m", [(1, 1024), (2, 256), (4, 16), (10, 4)])
+def test_cell_masses_are_the_normalized_product(dim, m):
+    grid = Grid(dim, m, np.full(dim, -0.3), 0.7)
+    d = GridDensity(grid, np.random.default_rng([dim, m]).uniform(0.1, 2.0, grid.shape))
+    w = d.values.reshape(-1) * grid.cell_volume
+    np.testing.assert_array_equal(d.cell_masses(), w / w.sum())
+
+
+def test_cell_masses_make_one_value_sized_array():
+    d = GridDensity(unit_cube_grid(10, 4), np.ones((4,) * 10))
+    tracemalloc.start()
+    try:
+        d.cell_masses()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * d.values.nbytes, peak / d.values.nbytes
+
+
 # ---------------------------------------------------------------- diagnostics
 
 

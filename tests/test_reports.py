@@ -1,4 +1,5 @@
-"""Pass rules of the verification reports: one table entry per row family."""
+"""Verification reports: one table entry per row family gives the pass rule,
+and make_report alone multiplies a row's constant by its base."""
 
 import pytest
 
@@ -43,24 +44,39 @@ def test_row_family_drops_one_suffix(name, family):
 @pytest.mark.parametrize("name", ["x", "negative-control-raw", "lem-4.1-n"])
 def test_a_row_of_no_family_cannot_be_made(name):
     with pytest.raises(KeyError):
-        make_report(name, lhs=0.0, rhs=1.0, constant_used=1.0)
+        make_report(name, lhs=0.0, base=1.0, constant=1.0)
+
+
+def test_rhs_is_the_constant_times_the_base():
+    rep = make_report("thm-3.1", lhs=0.3, base=0.25, constant=4.0)
+    assert (rep.rhs, rep.constant_used, rep.slack) == (1.0, 4.0, 0.7)
+    rep = make_report("cor-4.5-lsi", lhs=0.0, base=0.1, constant=3.0)
+    assert rep.rhs == 3.0 * 0.1 and rep.constant_used == 3.0
+    # the constant is recorded even where the base makes the right side 0
+    rep = make_report("negative-control", lhs=0.0, base=0.0, constant=0.1)
+    assert (rep.rhs, rep.constant_used) == (0.0, 0.1)
+
+
+def test_a_right_side_cannot_be_passed_whole():
+    with pytest.raises(TypeError):
+        make_report("lem-4.1", lhs=0.0, rhs=1.0, constant=1.0)
 
 
 def test_pass_rule_is_relative_plus_absolute():
     # pass iff lhs <= rhs (1 + rel) + abs
-    rep = make_report("lem-4.1", lhs=1.049, rhs=1.0, constant_used=1.0)
+    rep = make_report("lem-4.1", lhs=1.049, base=1.0, constant=1.0)
     assert rep.passed
-    rep = make_report("lem-4.1", lhs=1.051, rhs=1.0, constant_used=1.0)
+    rep = make_report("lem-4.1", lhs=1.051, base=1.0, constant=1.0)
     assert not rep.passed
     # a rel_tol of 0 takes no relative margin
-    rep = make_report("rem-5.1-slope", lhs=0.1 + 1e-15, rhs=0.1, constant_used=0.5)
+    rep = make_report("rem-5.1-slope", lhs=0.1 + 1e-15, base=0.1, constant=1.0)
     assert not rep.passed
 
 
 def test_abs_tol_guards_tiny_rhs():
-    rep = make_report("lem-4.1", lhs=5e-7, rhs=0.0, constant_used=1.0)
+    rep = make_report("lem-4.1", lhs=5e-7, base=0.0, constant=1.0)
     assert rep.passed
-    rep = make_report("lem-4.1", lhs=5e-6, rhs=0.0, constant_used=1.0)
+    rep = make_report("lem-4.1", lhs=5e-6, base=0.0, constant=1.0)
     assert not rep.passed
     # each family reads its own floor
     assert not make_report("mass-normalization-source", 5e-7, 0.0, 1.0).passed
@@ -68,15 +84,15 @@ def test_abs_tol_guards_tiny_rhs():
 
 
 def test_slack_sign_matches_pass():
-    rep = make_report("thm-3.1", lhs=0.3, rhs=1.0, constant_used=2.0)
+    rep = make_report("thm-3.1", lhs=0.3, base=0.5, constant=2.0)
     assert rep.slack == pytest.approx(0.7)
     assert rep.passed
-    rep = make_report("thm-3.1", lhs=2.0, rhs=1.0, constant_used=2.0)
+    rep = make_report("thm-3.1", lhs=2.0, base=0.5, constant=2.0)
     assert rep.slack == pytest.approx(-1.0)
 
 
 def test_to_dict_wire_keys():
-    rep = make_report("thm-1.1", lhs=1.0, rhs=2.0, constant_used=4.0, grid_m=16, note="n")
+    rep = make_report("thm-1.1", lhs=1.0, base=0.5, constant=4.0, grid_m=16, note="n")
     d = rep.to_dict()
     assert d["pass"] is True
     assert d["name"] == "thm-1.1"
@@ -85,29 +101,29 @@ def test_to_dict_wire_keys():
 
 
 def test_csv_row_matches_header():
-    rep = make_report("eq-4.2", lhs=1.0, rhs=2.0, constant_used=4.0)
+    rep = make_report("eq-4.2", lhs=1.0, base=0.5, constant=4.0)
     row = rep.to_csv_row()
     assert len(row) == len(CSV_HEADER)
 
 
 def test_refinement_allows_tolerance_drift():
-    coarse = make_report("prop-2.1", lhs=0.50, rhs=1.0, constant_used=1.0, grid_m=16)
-    fine_ok = make_report("prop-2.1", lhs=0.52, rhs=1.0, constant_used=1.0, grid_m=32)
-    fine_bad = make_report("prop-2.1", lhs=0.60, rhs=1.0, constant_used=1.0, grid_m=32)
+    coarse = make_report("prop-2.1", lhs=0.50, base=1.0, constant=1.0, grid_m=16)
+    fine_ok = make_report("prop-2.1", lhs=0.52, base=1.0, constant=1.0, grid_m=32)
+    fine_bad = make_report("prop-2.1", lhs=0.60, base=1.0, constant=1.0, grid_m=32)
     assert refinement_consistent(coarse, fine_ok)
     assert not refinement_consistent(coarse, fine_bad)
 
 
 def test_refinement_requires_fine_pass():
-    coarse = make_report("prop-2.1", lhs=0.9, rhs=1.0, constant_used=1.0, grid_m=16)
-    fine = make_report("prop-2.1", lhs=1.2, rhs=1.0, constant_used=1.0, grid_m=32)
+    coarse = make_report("prop-2.1", lhs=0.9, base=1.0, constant=1.0, grid_m=16)
+    fine = make_report("prop-2.1", lhs=1.2, base=1.0, constant=1.0, grid_m=32)
     assert not refinement_consistent(coarse, fine)
 
 
 @pytest.mark.parametrize("fine_lhs", [0.52, 0.60, 1.2])
 def test_refinement_row_records_its_table_rule(fine_lhs):
-    coarse = make_report("prop-2.1", lhs=0.50, rhs=1.0, constant_used=1.0, grid_m=16)
-    fine = make_report("prop-2.1", lhs=fine_lhs, rhs=1.0, constant_used=1.0, grid_m=32)
+    coarse = make_report("prop-2.1", lhs=0.50, base=1.0, constant=1.0, grid_m=16)
+    fine = make_report("prop-2.1", lhs=fine_lhs, base=1.0, constant=1.0, grid_m=32)
     row = refinement_report("prop-2.1-refinement", coarse, fine)
     assert (row.rel_tol, row.abs_tol) == TOLERANCES["prop-2.1-refinement"]
     assert row.lhs == coarse.slack - fine.slack and row.rhs == 0.05 * 1.0 + 1e-6

@@ -25,7 +25,7 @@ from cube_transport import (
     unit_cube_grid,
 )
 from cube_transport import sampler
-from cube_transport.density import DensityError, cdf_cells, row_cdfs
+from cube_transport.density import DensityError, Grid, cdf_cells, row_cdfs
 from cube_transport.sampler import (LOG10_REJECTION_LIMIT, MAX_POINT_BUDGET,
                                     equicorrelated_scale, philox)
 
@@ -97,6 +97,26 @@ def test_largest_uniform_stays_on_cells_of_positive_mass(monkeypatch, dim, m):
     assert np.all((points >= 0.0) & (points < 1.0))
     cells = tuple(grid.cell_index(points[:, k], k) for k in range(dim))
     assert np.all(d.values[cells] > 0)
+
+
+@pytest.mark.parametrize("origin, side", [(-1.0, 1.0), (0.7735851535939133, 3.0),
+                                          (-1e6, 1e-3)])
+def test_face_nudge_converges_off_the_unit_cube(monkeypatch, origin, side):
+    # with origin -1 the last cell's upper face rounds onto x = 0, where an ulp
+    # of x is far below one of x - origin: the nudge steps by the origin's ulp
+    monkeypatch.setattr(sampler, "philox", lambda *key: _LargestUniform())
+    grid = Grid(3, 8, [origin] * 3, side)
+    d = normalize(GridDensity(grid, np.ones(grid.shape)))
+    points = sample_grid(d, 20, seed=0).points
+    np.testing.assert_array_equal(np.floor((points - grid.origin) / grid.h), 7)
+
+
+def test_face_nudge_raises_on_cells_narrower_than_an_ulp():
+    # cells 5e-11 wide at 1e6, where an ulp is 1.2e-10: most hold no float
+    grid = Grid(1, 20000, [1e6], 1e-6)
+    d = normalize(GridDensity(grid, np.ones(grid.shape)))
+    with pytest.raises(DensityError, match="stay off their cells"):
+        sample_grid(d, 1000, seed=0)
 
 
 def _sparse_density(rng, dim, m):
