@@ -11,6 +11,8 @@ configuration or usage.
 
 Configuration precedence: command line flags > JSON config file >
 CUBE_TRANSPORT_SEED environment variable (seed only) > built-in defaults.
+A command has a flag only for a config key its suite reads (COMMANDS);
+every command takes --config, --seed and --out.
 """
 
 from __future__ import annotations
@@ -151,10 +153,6 @@ def _validate_config(cfg: dict) -> None:
     dims = cfg["dims"]
     if not (isinstance(dims, list) and dims and all(_is_int(n) and n >= 1 for n in dims)):
         raise ConfigError("dims must be a nonempty list of positive integers")
-    big = [n for n in dims
-           if not (n <= MAX_CELL_EXPONENT and _grid_m_for_dim(n) ** n <= MAX_TOTAL_CELLS)]
-    if big:
-        raise ConfigError(f"dims {big} need concentration grids beyond the cell budget 2^24")
     ns = cfg["ns"]
     if not (isinstance(ns, list) and all(_is_int(n) and n >= 2 for n in ns)
             and len(set(ns)) >= 2):
@@ -172,10 +170,16 @@ def _validate_config(cfg: dict) -> None:
 
 
 def check_grid_limits(command: str, cfg: dict) -> None:
-    """ConfigError unless every grid the command builds from m and dim stays
-    within the cell budget 2^24 and the scan budget of 2^31 cell triples per
-    density. density-check scans its m^dim grid and verify-1d its finer 1d
-    grid; the other suites use fixed grids or min(m, 32) cells per axis."""
+    """ConfigError unless every grid the command builds from its config stays
+    within the cell budget 2^24, and each scanned grid within 2^31 cell
+    triples per density. concentration builds one grid per entry of dims,
+    density-check scans its m^dim grid and verify-1d its finer 1d grid; the
+    other suites use fixed grids or min(m, 32) cells per axis."""
+    if command in ("concentration", "all"):
+        big = [n for n in cfg["dims"]
+               if not (n <= MAX_CELL_EXPONENT and _grid_m_for_dim(n) ** n <= MAX_TOTAL_CELLS)]
+        if big:
+            raise ConfigError(f"dims {big} need concentration grids beyond the cell budget 2^24")
     grids = {"density-check": (cfg["m"], cfg["dim"]), "verify-1d": (2 * cfg["m"], 1)}
     for suite, (m, dim) in grids.items():
         if command in (suite, "all") and (m ** dim > MAX_TOTAL_CELLS
@@ -524,8 +528,9 @@ def emit_report(out_dir: str, command: str, cfg: dict, outcome: dict) -> bool:
         writer.writerow(CSV_HEADER)
         for r in reports:
             writer.writerow(r.to_csv_row())
-    if cfg.get("plot", True):
-        for profile in outcome.get("profiles", []):
+    profiles = outcome.get("profiles", [])
+    if profiles and cfg.get("plot", True):
+        for profile in profiles:
             slug = profile.label.replace(" ", "-") or "profile"
             write_profile_svg(profile, os.path.join(out_dir, f"profile-{slug}.svg"))
     for r in reports:
@@ -543,75 +548,69 @@ def emit_report(out_dir: str, command: str, cfg: dict, outcome: dict) -> bool:
 # argument parsing
 
 
+def _int_list(text: str) -> list:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a comma list of integers: {text!r}") from None
+
+
+# the flag that sets each config key: name, argparse options and help
+FLAGS = {
+    "seed": ("--seed", {"type": int}, "master seed"),
+    "m": ("--m", {"type": int}, "cells per axis"),
+    "dim": ("--dim", {"type": int}, "dimension of the checked densities"),
+    "pairs": ("--pairs", {"type": int}, "random pairs"),
+    "n_samples": ("--samples", {"type": int}, "sample count for empirical checks"),
+    "out_dir": ("--out", {}, "output directory"),
+    "dims": ("--dims", {"type": _int_list}, "comma list of Gaussian dimensions"),
+    "ns": ("--ns", {"type": _int_list}, "comma list of equicorrelated dimensions"),
+    "plot": ("--plot", {"action": argparse.BooleanOptionalAction},
+             "write SVG profiles (default: on)"),
+}
+# each command's help and the config keys its suite reads that a flag sets, on
+# top of --config, --seed and --out; t_max, t_count, test_functions, source
+# and target are set in the config file alone. Only concentration reads plot:
+# emit_report writes SVGs for profiles alone
+COMMANDS = {
+    "density-check": ("structural diagnostics of configured densities", {"m", "dim"}),
+    "verify-1d": ("monotone-map inequality suite on the interval", {"m", "pairs"}),
+    "verify-knothe": ("triangular-map suite on squares and cubes", {"m", "pairs", "n_samples"}),
+    "tire": ("transport functional bounds and the exact-coupling sandwich", {"pairs"}),
+    "concentration": ("halfspace profiles and variance/entropy checks", {"dims", "plot"}),
+    "counterexample": ("dimension scaling of the equicorrelated construction",
+                       {"ns", "n_samples"}),
+}
+COMMANDS["all"] = ("every suite in sequence", set().union(*(k for _, k in COMMANDS.values())))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cube-transport",
+        prog="cube-transport", allow_abbrev=False,
         description="Verification suites for transport maps on cube densities")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("density-check", "structural diagnostics of configured densities"),
-        ("verify-1d", "monotone-map inequality suite on the interval"),
-        ("verify-knothe", "triangular-map suite on squares and cubes"),
-        ("tire", "transport functional bounds and the exact-coupling sandwich"),
-        ("concentration", "halfspace profiles and variance/entropy checks"),
-        ("counterexample", "dimension scaling of the equicorrelated construction"),
-        ("all", "every suite in sequence"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for name, (help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--m", type=int, help="cells per axis for random suites")
-        p.add_argument("--dim", type=int, help="dimension for density-check")
-        p.add_argument("--pairs", type=int, help="random pairs per suite")
-        if name in ("verify-knothe", "counterexample", "all"):  # the suites that sample
-            p.add_argument("--samples", type=int, dest="n_samples",
-                           help="sample count for empirical checks")
-        p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--dims", help="comma list of dimensions (concentration)")
-        p.add_argument("--ns", help="comma list of dimensions (counterexample)")
-        p.add_argument("--plot", dest="plot", action="store_true", default=None,
-                       help="write SVG profiles (default)")
-        p.add_argument("--no-plot", dest="plot", action="store_false",
-                       help="skip SVG output")
+        for key, (flag, options, flag_help) in FLAGS.items():
+            if key in keys or key in ("seed", "out_dir"):
+                p.add_argument(flag, dest=key, help=flag_help, **options)
     return parser
 
 
-def _parse_int_list(text: str, flag: str) -> list:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} must be a comma list of integers: {text!r}") from exc
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "m": args.m,
-        "dim": args.dim,
-        "pairs": args.pairs,
-        "n_samples": getattr(args, "n_samples", None),
-        "out_dir": args.out_dir,
-        "plot": args.plot,
-    }
+    overrides = vars(build_parser().parse_args(argv))
+    command, config = overrides.pop("command"), overrides.pop("config")
     try:
-        if args.dims is not None:
-            overrides["dims"] = _parse_int_list(args.dims, "--dims")
-        if args.ns is not None:
-            overrides["ns"] = _parse_int_list(args.ns, "--ns")
-        cfg = load_config(args.config, overrides)
-        check_grid_limits(args.command, cfg)
-        if args.command == "all":
-            outcome = run_all(cfg)
-        else:
-            outcome = SUITES[args.command](cfg)
+        cfg = load_config(config, overrides)
+        check_grid_limits(command, cfg)
+        outcome = run_all(cfg) if command == "all" else SUITES[command](cfg)
     except (ConfigError, DensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        all_pass = emit_report(cfg["out_dir"], args.command, cfg, outcome)
+        all_pass = emit_report(cfg["out_dir"], command, cfg, outcome)
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return 2

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 import cube_transport
 from cube_transport.cli import (_SCAN_STEP_TRIPLES, DEFAULTS, MAX_SCAN_TRIPLES, MAX_T_COUNT,
-                                ConfigError, _grid_m_for_dim, _rng, build_parser,
-                                load_config, main, scan_triples, suite_verify_1d)
+                                SUITES, ConfigError, _grid_m_for_dim, _rng, build_parser,
+                                check_grid_limits, emit_report, load_config, main, run_all,
+                                scan_triples, suite_verify_1d)
 from cube_transport.concentration import check_concentration, halfspace_profile
 from cube_transport.density import (GridDensity, RestrictedGaussian, _midpoint_directions,
                                     build_density, unit_cube_grid)
@@ -145,16 +146,35 @@ def test_grid_limits_apply_only_to_the_grids_a_command_builds(tmp_path, capsys):
     assert_rejected(capsys, ["density-check", "--m", "1200", "--out", str(tmp_path / "dc")])
 
 
-@pytest.mark.parametrize("command", ["verify-1d", "all"])
-def test_verify_1d_scan_budget_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, command):
-    # scan_triples(2m, 1) <= 2^31 holds up to m = 28926
+def _no_grid(monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr("cube_transport.cli.unit_cube_grid", no_grid)
-    assert_rejected(capsys, [command, "--dim", "1", "--m", "28927",
-                             "--out", str(tmp_path / "run")])
+
+
+@pytest.mark.parametrize("command", ["verify-1d", "all"])
+def test_verify_1d_scan_budget_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, command):
+    # scan_triples(2m, 1) <= 2^31 holds up to m = 28926; at dim 1 the
+    # density-check grid of all stays within its budgets
+    _no_grid(monkeypatch)
+    dim = ["--dim", "1"] if command == "all" else []
+    err = assert_rejected(capsys, [command, *dim, "--m", "28927", "--out", str(tmp_path / "run")])
+    assert err.startswith("error: verify-1d at m=28927")
     assert not (tmp_path / "run").exists()
+
+
+def test_concentration_grid_budget_binds_only_where_those_grids_are_built(
+        tmp_path, capsys, monkeypatch):
+    # only concentration builds a grid per entry of dims
+    path = _write_config(tmp_path, {"dims": [30]})
+    assert run_cli(["tire", "--pairs", "1", "--config", path, "--out", str(tmp_path / "tire")]) == 0
+    _no_grid(monkeypatch)
+    for command in ("concentration", "all"):
+        err = assert_rejected(capsys, [command, "--config", path,
+                                       "--out", str(tmp_path / command)])
+        assert "dims [30] need concentration grids beyond the cell budget 2^24" in err
+        assert not (tmp_path / command).exists()
 
 
 def test_concentration_emits_svg(tmp_path):
@@ -176,14 +196,81 @@ def test_no_plot_suppresses_svg(tmp_path):
     assert not list(out.glob("*.svg"))
 
 
-@pytest.mark.parametrize("command", ["density-check", "verify-1d", "tire", "concentration"])
-def test_samples_flag_rejected_where_nothing_is_sampled(tmp_path, capsys, command):
-    # only verify-knothe, counterexample and all draw samples
+# the flags each command takes besides --config, --seed and --out: those of
+# the config keys its suite reads. Written out here, not read from the parser
+TAKES = {
+    "density-check": {"--m", "--dim"},
+    "verify-1d": {"--m", "--pairs"},
+    "verify-knothe": {"--m", "--pairs", "--samples"},
+    "tire": {"--pairs"},
+    "concentration": {"--dims", "--plot", "--no-plot"},
+    "counterexample": {"--ns", "--samples"},
+    "all": {"--m", "--dim", "--pairs", "--samples", "--dims", "--ns", "--plot", "--no-plot"},
+}
+# each flag's values in a test run and the config key it sets
+FLAG_ARGS = {"--m": (["8"], "m"), "--dim": (["2"], "dim"), "--pairs": (["1"], "pairs"),
+             "--samples": (["5000"], "n_samples"), "--dims": (["2"], "dims"),
+             "--ns": (["64,128"], "ns"), "--plot": ([], "plot"), "--no-plot": ([], "plot")}
+
+
+def assert_usage_error(tmp_path, capsys, args, flag):
+    out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
-        main([command, "--samples", "5000", "--out", str(tmp_path / "run")])
+        main(args + ["--out", str(out)])
     assert exc.value.code == 2
-    assert "--samples" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", list(itertools.product(TAKES, FLAG_ARGS)))
+def test_each_command_takes_only_its_flags(tmp_path, capsys, command, flag):
+    values, key = FLAG_ARGS[flag]
+    if flag in TAKES[command]:
+        assert vars(build_parser().parse_args([command, flag, *values]))[key] is not None
+    else:
+        assert_usage_error(tmp_path, capsys, [command, flag, *values], flag)
+
+
+@pytest.mark.parametrize("command", TAKES)
+def test_help_lists_no_other_flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--seed", "--out", *TAKES[command]}
+
+
+@pytest.mark.parametrize("args, flag", [(["concentration", "--dim", "3"], "--dim"),
+                                        (["counterexample", "--sam", "2000", "--ns", "64,128"],
+                                         "--sam")], ids=["dim-for-dims", "sam-for-samples"])
+def test_abbreviated_flags_rejected(tmp_path, capsys, args, flag):
+    # --dim is not short for --dims, nor --sam for --samples
+    assert_usage_error(tmp_path, capsys, args, flag)
+
+
+class _ReadKeys(dict):
+    """A config that records the keys read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", TAKES)
+def test_suites_read_exactly_the_keys_their_flags_set(tmp_path, capsys, command):
+    # besides the seed, a suite reads a key no flag sets only from the config file
+    cfg = _ReadKeys(load_config(None, {"pairs": 1}))
+    outcome = run_all(cfg) if command == "all" else SUITES[command](cfg)
+    emit_report(str(tmp_path), command, cfg, outcome)
+    config_only = {"seed", "t_max", "t_count", "test_functions", "source", "target"}
+    assert cfg.read - config_only == {FLAG_ARGS[flag][1] for flag in TAKES[command]}
 
 
 def test_counterexample_run(tmp_path):
@@ -273,6 +360,7 @@ def assert_rejected(capsys, args):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("cfg", [
@@ -294,11 +382,12 @@ def assert_rejected(capsys, args):
         "threads", "dim-3e6", "dims-40", "spec-missing-key", "spec-ill-typed",
         "n_samples-beyond-budget", "t_count-beyond-cap", "t_count-1e30", "ns-one-distinct"])
 def test_bad_config_exits_2(tmp_path, capsys, cfg):
+    # dims sizes only the grids concentration builds; every command checks the other keys
+    command = "concentration" if "dims" in cfg else "density-check"
     path = _write_config(tmp_path, cfg)
     with pytest.raises(ConfigError):
-        load_config(path, {})
-    assert_rejected(capsys, ["density-check", "--config", path,
-                             "--out", str(tmp_path / "run")])
+        check_grid_limits(command, load_config(path, {}))
+    assert_rejected(capsys, [command, "--config", path, "--out", str(tmp_path / "run")])
 
 
 def test_largest_sample_and_offset_counts_accepted():
@@ -512,9 +601,11 @@ PLANTED = sorted(family for family, entry in DEFECTS.items() if isinstance(entry
 
 
 def _failures(tmp_path, command, config=None):
-    """Exit code and failing row names of ``command --pairs 2``."""
+    """Exit code and failing row names of ``command --pairs 2 --no-plot``, less
+    the flags the command does not take."""
     out = tmp_path / command
-    args = [command, "--pairs", "2", "--no-plot", "--out", str(out)]
+    args = [command, *(["--pairs", "2"] if "--pairs" in TAKES[command] else []),
+            *(["--no-plot"] if "--no-plot" in TAKES[command] else []), "--out", str(out)]
     code = run_cli(args + (["--config", _write_config(tmp_path, config)] if config else []))
     rows = json.loads((out / "report.json").read_text())["reports"]
     return code, {r["name"] for r in rows if not r["pass"]}
@@ -596,7 +687,7 @@ def test_slope_row_holds_where_t_star_grows_slower_than_sqrt_n(tmp_path):
     # the closed form's own slope is 0.38 from n = 64 to 128, far from the
     # asymptotic 1/2; the row compares the fit with it
     out = tmp_path / "run"
-    assert run_cli(["counterexample", "--ns", "64,128", "--no-plot", "--out", str(out)]) == 0
+    assert run_cli(["counterexample", "--ns", "64,128", "--out", str(out)]) == 0
     slope = [r for r in json.loads((out / "report.json").read_text())["reports"]
              if r["name"] == "rem-5.1-slope"]
     assert len(slope) == 1 and slope[0]["note"].endswith("closed form 0.3832")
