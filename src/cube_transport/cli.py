@@ -154,9 +154,11 @@ def _validate_config(cfg: dict) -> None:
     if not (isinstance(dims, list) and dims and all(_is_int(n) and n >= 1 for n in dims)):
         raise ConfigError("dims must be a nonempty list of positive integers")
     ns = cfg["ns"]
-    if not (isinstance(ns, list) and all(_is_int(n) and n >= 2 for n in ns)
-            and len(set(ns)) >= 2):
-        raise ConfigError("ns must be a list of integers >= 2 with at least two distinct values")
+    if not (isinstance(ns, list) and len(ns) >= 2 and all(_is_int(n) and n >= 2 for n in ns)):
+        raise ConfigError("ns must be a list of at least two integers >= 2")
+    for key in ("dims", "ns"):
+        if len(set(cfg[key])) < len(cfg[key]):
+            raise ConfigError(f"{key} must not repeat an entry")
     if not isinstance(cfg["plot"], bool):
         raise ConfigError("plot must be true or false")
     if not (isinstance(cfg["out_dir"], str) and cfg["out_dir"]):

@@ -74,13 +74,18 @@ def _unit(direction, dim: int) -> np.ndarray:
     return u / norm
 
 
+def _check_alpha(alpha: float) -> float:
+    if not 0 < alpha < math.inf:  # nan fails both comparisons
+        raise DensityError(f"alpha must be finite and positive, got {alpha!r}")
+    return float(alpha)
+
+
 def halfspace_profile(mu, direction, ts, alpha: float,
                       label: str = "") -> ConcentrationProfile:
     """Profile of mu{x . u <= c + t} against 1 - exp(-t^2/alpha^2), where c
     is the median of x . u. ``mu`` is a GridDensity or a SampleBatch."""
     ts = _validate_ts(ts)
-    if alpha <= 0:
-        raise DensityError("alpha must be positive")
+    alpha = _check_alpha(alpha)
     bound = 1.0 - np.exp(-((ts / alpha) ** 2))
     if isinstance(mu, GridDensity):
         u = _unit(direction, mu.grid.dim)
@@ -167,6 +172,7 @@ def lipschitz_tail(mu, ts, alpha: float, direction=None) -> LipschitzTailFit:
     the masses of halfspace_profile; otherwise ``mu`` holds sampled values
     of x.u, and its tails are sample fractions."""
     ts = _validate_ts(ts)
+    alpha = _check_alpha(alpha)
     if isinstance(mu, GridDensity):
         if direction is None:
             raise DensityError("a grid tail needs a direction")
@@ -196,8 +202,7 @@ def covariance_ratio(mu, alpha: float) -> float:
     mean and covariance are read off the 1- and 2-axis marginals of the cell
     masses, so no (cells, dim) array is formed.
     """
-    if alpha <= 0:
-        raise DensityError("alpha must be positive")
+    alpha = _check_alpha(alpha)
     if isinstance(mu, GridDensity):
         grid = mu.grid
         w = mu.cell_masses().reshape(grid.shape)

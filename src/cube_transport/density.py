@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -37,6 +38,14 @@ class Grid:
     evaluated on ``open_centers``, one m-point coordinate array per axis that
     broadcasts against a value array; ``centers_mesh`` and ``centers`` are
     derived from it for callers that need every cell's coordinates.
+
+    The nodes of axis k, ``axis_nodes(k)``, bound its cells: cell c holds
+    the x with nodes[c] <= x < nodes[c + 1], the last cell also the top
+    node and everything above it, the first cell everything below it (see
+    ``cell_index``). ``dim`` and ``cells_per_axis`` are integers, the origin
+    is finite, and every axis's cells are wider than two ulps of its
+    largest |coordinate|, so each cell holds floats and ``cell_index``'s
+    one correction step is exact.
     """
 
     dim: int
@@ -45,10 +54,13 @@ class Grid:
     side: float = 1.0
 
     def __post_init__(self):
+        for key in ("dim", "cells_per_axis"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DensityError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "cells_per_axis", int(self.cells_per_axis))
         object.__setattr__(self, "side", float(self.side))
         if self.dim < 1:
             raise DensityError("dim must be >= 1")
@@ -56,8 +68,15 @@ class Grid:
             raise DensityError("cells_per_axis must be >= 1")
         if origin.shape != (self.dim,):
             raise DensityError(f"origin must have shape ({self.dim},), got {origin.shape}")
+        if not np.all(np.isfinite(origin)):
+            raise DensityError("origin must be finite")
         if not (np.isfinite(self.side) and self.side > 0):
             raise DensityError("side must be positive and finite")
+        # the first and last nodes, as axis_nodes computes them
+        top = np.maximum(abs(origin), abs(origin + self.cells_per_axis * self.h))
+        if not np.all(self.h > 2.0 * np.spacing(top)):
+            raise DensityError(f"cells of width {self.h:.3g} are not wider than two ulps "
+                               f"of the largest |coordinate| {top.max():.3g}")
 
     @property
     def h(self) -> float:
@@ -104,9 +123,28 @@ class Grid:
         return [np.gradient(values, self.h, axis=k) for k in range(self.dim)]
 
     def cell_index(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Index of the cell containing each coordinate, clamped to the cube."""
-        idx = np.floor((np.asarray(x, dtype=float) - self.origin[axis]) / self.h).astype(int)
-        return np.clip(idx, 0, self.cells_per_axis - 1)
+        """Cell of each coordinate x on ``axis``, by its nodes: the last c with
+        nodes[c] <= x, clamped to [0, m - 1]; bitwise
+        clip(searchsorted(nodes, x, "right") - 1, 0, m - 1), so a point on a
+        node lies in the cell above it, and the top node, points past either
+        end and nan lie in an end cell."""
+        x = np.asarray(x, dtype=float)
+        m, o, h = self.cells_per_axis, self.origin[axis], self.h
+        # The floor estimate is off by at most one cell. At node c, rounding
+        # c h, adding the origin and subtracting it again move the offset
+        # from c h by at most 1.5 ulps of the largest |coordinate|, under
+        # 3/4 of a cell wider than two ulps (by 2 ulps where c h exceeds
+        # that coordinate, but then h is at least 1/m of it, and 2 ulps are
+        # under h/2 for m < 2^50). So the estimate at each node c is within
+        # 3/4 of c, and as rounding is monotone, each x in cell c has its
+        # floor in {c - 1, c, c + 1}: one comparison with each neighbouring
+        # node, computed as axis_nodes computes it, finds c. fmin and fmax
+        # send nan to m - 1, where searchsorted puts it.
+        est = np.floor((x - o) / h)
+        c = np.fmax(np.fmin(est, m - 1, out=est), 0, out=est).astype(np.intp)
+        c -= x < o + c * h
+        c += x >= o + (c + 1) * h
+        return np.clip(c, 0, m - 1, out=c)
 
     def matches(self, other: "Grid") -> bool:
         return (

@@ -25,7 +25,6 @@ _DOMAIN_GRID = 1
 _DOMAIN_ROW_SUMS = 3
 
 MAX_POINT_BUDGET = 1 << 27  # rows * dim guard for materialized batches
-FACE_NUDGE_STEPS = 16  # steps a draw may take back into its cell; the most seen is 3
 SEED_LIMIT = 1 << 64  # seeds fill one 64-bit Philox key word
 # a per-row rejection chance below 2^-53 cannot move a 53-bit uniform
 LOG10_REJECTION_LIMIT = -53 * math.log10(2.0)
@@ -54,7 +53,10 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
     ``cdf_cells``, of a uniform under the row of the (k+1)-axis marginal's
     ``row_cdfs`` table above the cells already chosen. The search lands
     only on cells of positive mass; a uniform jitter then places the point
-    inside its cell.
+    inside its cell: origin + (cell + u) h rounds onto the cell's nodes at
+    worst, never below its lower node, and a draw on its upper node is
+    moved to the float just below it, so ``grid.cell_index`` of every draw
+    is the cell it was drawn in.
     """
     if n_samples < 1:
         raise DensityError("n_samples must be >= 1")
@@ -77,20 +79,10 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
     points *= grid.h
     points += grid.origin
     for k, x in enumerate(points.T):
-        # rounding can put x on a face of its cell (cells + u rounds up to
-        # cells + 1 for u within half an ulp of 1): step such coordinates
-        # back until their unclipped cell index is their cell, by one ulp of
-        # the larger of |x| and |origin|, so that each step moves x - origin
-        for _ in range(FACE_NUDGE_STEPS + 1):
-            off = np.floor((x - grid.origin[k]) / grid.h) - cells[:, k]
-            out = np.flatnonzero(off)
-            if not len(out):
-                break
-            x[out] -= np.sign(off[out]) * np.spacing(np.maximum(abs(x[out]),
-                                                                abs(grid.origin[k])))
-        else:
-            raise DensityError(f"{len(out)} draws on axis {k} stay off their cells, "
-                               f"which are too narrow for their coordinates' ulp")
+        # each rounding is monotone, so x lies between its cell's nodes; it
+        # reaches the upper one when cells + u rounds up to cells + 1
+        below_top = np.nextafter(grid.axis_nodes(k)[1:], -np.inf)
+        np.minimum(x, below_top[cells[:, k]], out=x)
     return SampleBatch(points)
 
 

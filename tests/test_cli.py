@@ -378,9 +378,12 @@ def assert_rejected(capsys, args):
     {"t_count": MAX_T_COUNT + 1},
     {"t_count": 10 ** 30},
     {"ns": [256, 256]},
+    {"ns": [64, 64, 128]},
+    {"dims": [2, 2]},
 ], ids=["seed-2^64", "seed-bool", "t_max-string", "t_max-nan", "t_max-inf",
         "threads", "dim-3e6", "dims-40", "spec-missing-key", "spec-ill-typed",
-        "n_samples-beyond-budget", "t_count-beyond-cap", "t_count-1e30", "ns-one-distinct"])
+        "n_samples-beyond-budget", "t_count-beyond-cap", "t_count-1e30", "ns-one-distinct",
+        "ns-repeated", "dims-repeated"])
 def test_bad_config_exits_2(tmp_path, capsys, cfg):
     # dims sizes only the grids concentration builds; every command checks the other keys
     command = "concentration" if "dims" in cfg else "density-check"

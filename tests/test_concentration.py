@@ -188,6 +188,20 @@ def test_lipschitz_tail_needs_a_direction_on_a_grid():
         lipschitz_tail(d, [0.1, 0.2], 3.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("profile", [
+    lambda d, alpha: halfspace_profile(d, [1.0, 0.0], [0.1, 0.2], alpha),
+    lambda d, alpha: lipschitz_tail(d, [0.1, 0.2], alpha, [1.0, 0.0]),
+    lambda d, alpha: covariance_ratio(d, alpha),
+], ids=["halfspace_profile", "lipschitz_tail", "covariance_ratio"])
+def test_profiles_reject_alpha_that_is_not_finite_and_positive(profile, alpha):
+    # nan gave nan bounds and ratios, and lipschitz_tail fitted at alpha = -1
+    # and failed inside LAPACK at 0 and nan
+    d = build_density(Uniform(), unit_cube_grid(2, 8))
+    with pytest.raises(DensityError, match="alpha must be finite and positive"):
+        profile(d, alpha)
+
+
 # ---------------------------------------------------------------- covariance
 
 

@@ -68,6 +68,63 @@ def test_cell_index_interior_and_clamping():
     np.testing.assert_array_equal(idx[:, 0], [0, 9, 0, 9, 0, 9])
 
 
+def _node_rule(grid, x, axis):
+    nodes = grid.axis_nodes(axis)
+    return np.clip(np.searchsorted(nodes, x, "right") - 1, 0, grid.cells_per_axis - 1)
+
+
+def test_cell_index_is_the_node_rule_on_random_grids():
+    # unit grids and shifted ones, m < 5000, |origin| <= 1e6, side 1e-6 to
+    # 1e3: at every node, the floats on either side of it, and points off
+    # the cube, cell_index is the last node <= x, clamped to the cube. The
+    # rule floor((x - origin) / h) misses it on most of these grids
+    rng = np.random.default_rng(29)
+    for trial in range(600):
+        m = int(rng.integers(1, 5000))
+        if trial % 4 == 0:
+            origin, side = np.zeros(2), 1.0
+        else:
+            origin = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-6.0, 6.0, 2)
+            side = 10.0 ** rng.uniform(-6.0, 3.0)
+        grid = Grid(2, m, origin, side)
+        for axis in range(2):
+            nodes = grid.axis_nodes(axis)
+            x = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                                nodes[0] - side * np.array([1e-3, 1.0, 1e3]),
+                                nodes[-1] + side * np.array([1e-3, 1.0, 1e3]),
+                                [-np.inf, np.inf, np.nan]])
+            np.testing.assert_array_equal(grid.cell_index(x, axis), _node_rule(grid, x, axis))
+            np.testing.assert_array_equal(grid.cell_index(nodes[:-1], axis), np.arange(m))
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1, 20000, [1e6], 1e-6), "two ulps"),
+    ((1, 8, [np.nan], 1.0), "origin must be finite"),
+    ((1, 8, [np.inf], 1.0), "origin must be finite"),
+    ((2, 3.7, [0.0, 0.0], 1.0), "cells_per_axis must be an integer"),
+    ((2.0, 3, [0.0, 0.0], 1.0), "dim must be an integer"),
+    ((True, 3, [0.0], 1.0), "dim must be an integer"),
+    ((1, "8", [0.0], 1.0), "cells_per_axis must be an integer"),
+], ids=["cells-narrower-than-an-ulp", "origin-nan", "origin-inf", "m-3.7", "dim-2.0",
+        "dim-bool", "m-string"])
+def test_grid_rejects_cells_without_floats_and_non_integral_sizes(args, match):
+    # Grid(1, 20000, [1e6], 1e-6) has cells 5e-11 wide where an ulp is
+    # 1.2e-10; unit_cube_grid(2, 3.7) built 3 cells per axis
+    with pytest.raises(DensityError, match=match):
+        Grid(*args)
+
+
+@pytest.mark.parametrize("grid", [unit_cube_grid(1, 2 ** 24), Grid(3, 8, [-1e6] * 3, 1e-3),
+                                  Grid(1, np.int64(5), [0.0], 1.0)],
+                         ids=["unit-2^24", "shifted-1e6", "numpy-int"])
+def test_grid_accepts_narrow_cells_that_hold_floats(grid):
+    # 2^24 unit cells are 2^28 ulps of 1 wide; cells of 1.25e-4 at -1e6 are
+    # about 1e6 ulps wide
+    x = grid.origin[-1] + np.array([0, 1, 3, grid.cells_per_axis]) * grid.h
+    np.testing.assert_array_equal(grid.cell_index(x, grid.dim - 1),
+                                  [0, 1, 3, grid.cells_per_axis - 1])
+
+
 def test_drop_last_axis():
     grid = unit_cube_grid(3, 4)
     base = grid.drop_last_axis()

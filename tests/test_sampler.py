@@ -84,8 +84,8 @@ class _LargestUniform:
 def test_largest_uniform_stays_on_cells_of_positive_mass(monkeypatch, dim, m):
     # a row's last cells have no mass, so their CDF entries tie at 1: u just
     # below 1 must take the last cell of positive mass, not a tied cell past
-    # it; the jitter rounds cells + u onto the cell's upper face, whose
-    # cell_index is the next cell, and the face nudge must step it back
+    # it; the jitter rounds cells + u onto the cell's upper node, whose
+    # cell_index is the next cell, and the draw must stay below that node
     monkeypatch.setattr(sampler, "philox", lambda *key: _LargestUniform())
     rng = np.random.default_rng([dim, m])
     grid = unit_cube_grid(dim, m)
@@ -101,22 +101,16 @@ def test_largest_uniform_stays_on_cells_of_positive_mass(monkeypatch, dim, m):
 
 @pytest.mark.parametrize("origin, side", [(-1.0, 1.0), (0.7735851535939133, 3.0),
                                           (-1e6, 1e-3)])
-def test_face_nudge_converges_off_the_unit_cube(monkeypatch, origin, side):
-    # with origin -1 the last cell's upper face rounds onto x = 0, where an ulp
-    # of x is far below one of x - origin: the nudge steps by the origin's ulp
+def test_largest_uniform_stays_in_its_cell_off_the_unit_cube(monkeypatch, origin, side):
+    # with origin -1 the last cell's upper node rounds onto x = 0, and the
+    # float just below it, -5e-324, is still in cell 7 by the grid's nodes
     monkeypatch.setattr(sampler, "philox", lambda *key: _LargestUniform())
     grid = Grid(3, 8, [origin] * 3, side)
     d = normalize(GridDensity(grid, np.ones(grid.shape)))
     points = sample_grid(d, 20, seed=0).points
-    np.testing.assert_array_equal(np.floor((points - grid.origin) / grid.h), 7)
-
-
-def test_face_nudge_raises_on_cells_narrower_than_an_ulp():
-    # cells 5e-11 wide at 1e6, where an ulp is 1.2e-10: most hold no float
-    grid = Grid(1, 20000, [1e6], 1e-6)
-    d = normalize(GridDensity(grid, np.ones(grid.shape)))
-    with pytest.raises(DensityError, match="stay off their cells"):
-        sample_grid(d, 1000, seed=0)
+    for k in range(3):
+        np.testing.assert_array_equal(grid.cell_index(points[:, k], k), 7)
+        assert np.all(points[:, k] < grid.axis_nodes(k)[-1])
 
 
 def _sparse_density(rng, dim, m):
