@@ -140,11 +140,10 @@ class Grid:
         # floor in {c - 1, c, c + 1}: one comparison with each neighbouring
         # node, computed as axis_nodes computes it, finds c. fmin and fmax
         # send nan to m - 1, where searchsorted puts it.
-        est = np.floor((x - o) / h)
-        c = np.fmax(np.fmin(est, m - 1, out=est), 0, out=est).astype(np.intp)
+        c = np.fmax(np.fmin(np.floor((x - o) / h), m - 1), 0).astype(np.intp)
         c -= x < o + c * h
         c += x >= o + (c + 1) * h
-        return np.clip(c, 0, m - 1, out=c)
+        return np.clip(c, 0, m - 1)
 
     def matches(self, other: "Grid") -> bool:
         return (
