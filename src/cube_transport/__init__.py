@@ -13,7 +13,7 @@ from .density import (ConvexPower, CustomGrid, DegenerateDensityError,
                       DensityError, DensitySpec, EquicorrelatedGaussian,
                       ExponentialTilt, Grid, GridDensity, PositivityError,
                       RestrictedGaussian, Uniform, build_density,
-                      centered_cube_grid, check_midpoint_log_concavity,
+                      check_midpoint_log_concavity,
                       estimate_axis_convexity_ratio,
                       estimate_diag_second_derivative_bound, marginalize_last,
                       normalize, spec_from_dict, unit_cube_grid)

@@ -3,16 +3,18 @@ dimension-scaling experiment for the equicorrelated construction.
 
 A concentration profile compares, for a unit direction u and offsets t, the
 measured mass of {x . u <= median + t} against the target lower bound
-1 - exp(-t^2 / alpha^2). Grid measures are evaluated exactly along axis
-directions (piecewise-linear marginal CDFs) and by cell-center quadrature
-otherwise; sample batches use empirical fractions with a binomial standard
-error, and the check allows a 3 SE statistical margin.
+1 - exp(-t^2 / alpha^2). Grid measures are evaluated exactly along +-e_k
+(piecewise-linear marginal CDFs) and raise DensityError along any other
+direction; sample batches, such as the points of ``sample_grid``, take any
+direction and use empirical fractions with a binomial standard error, and
+the check allows a 3 SE statistical margin.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -83,7 +85,10 @@ def _check_alpha(alpha: float) -> float:
 def halfspace_profile(mu, direction, ts, alpha: float,
                       label: str = "") -> ConcentrationProfile:
     """Profile of mu{x . u <= c + t} against 1 - exp(-t^2/alpha^2), where c
-    is the median of x . u. ``mu`` is a GridDensity or a SampleBatch."""
+    is the median of x . u. A GridDensity is profiled exactly, along u = +-e_k
+    only; any other direction raises DensityError, and is profiled from the
+    points of ``sample_grid`` instead. A SampleBatch takes any direction and
+    gives sample fractions with their binomial standard errors."""
     ts = _validate_ts(ts)
     alpha = _check_alpha(alpha)
     bound = 1.0 - np.exp(-((ts / alpha) ** 2))
@@ -108,33 +113,21 @@ def halfspace_profile(mu, direction, ts, alpha: float,
 
 
 def _grid_halfspace_masses(mu: GridDensity, u: np.ndarray, ts: np.ndarray):
-    """Median offset and masses of {x.u <= c + t} for a grid density.
-
-    Axis-parallel directions are exact (piecewise-linear marginal CDF);
-    generic directions are resolved at cell centers, an O(h) step function.
-    """
-    grid = mu.grid
+    """Median offset and masses of {x.u <= c + t} for a grid density along
+    u = +-e_k, exact from the piecewise-linear marginal CDF of axis k."""
     nonzero = np.flatnonzero(np.abs(u) > 1e-12)
-    if len(nonzero) == 1:
-        axis = int(nonzero[0])
-        sign = float(np.sign(u[axis]))
-        nodes, cdf = mu.marginal_cdf(axis)
-        if sign > 0:
-            c = float(np.interp(0.5, cdf, nodes))
-            measured = np.interp(c + ts, nodes, cdf)
-        else:
-            c = -float(np.interp(0.5, cdf, nodes))
-            measured = 1.0 - np.interp(-c - ts, nodes, cdf)
-        return c, measured
-    proj = grid.centers() @ u
-    w = mu.cell_masses()
-    order = np.argsort(proj, kind="stable")
-    proj_sorted = proj[order]
-    cum = np.cumsum(w[order])
-    c = float(proj_sorted[np.searchsorted(cum, 0.5, side="left")])
-    idx = np.searchsorted(proj_sorted, c + ts, side="right")
-    cum_padded = np.concatenate(([0.0], cum))
-    return c, cum_padded[idx]
+    if len(nonzero) != 1:
+        raise DensityError("a grid density is profiled along +-e_k only; profile the "
+                           "projected points of sample_grid for other directions")
+    axis = int(nonzero[0])
+    nodes, cdf = mu.marginal_cdf(axis)
+    if u[axis] > 0:
+        c = float(np.interp(0.5, cdf, nodes))
+        measured = np.interp(c + ts, nodes, cdf)
+    else:
+        c = -float(np.interp(0.5, cdf, nodes))
+        measured = 1.0 - np.interp(-c - ts, nodes, cdf)
+    return c, measured
 
 
 def check_concentration(profile: ConcentrationProfile, name: str = "thm-1.2",
@@ -168,9 +161,10 @@ class LipschitzTailFit:
 def lipschitz_tail(mu, ts, alpha: float, direction=None) -> LipschitzTailFit:
     """Two-sided tails P(|x.u - c| >= t) about the median c of x.u, with a
     log-linear fit against C exp(-rate * (t/alpha)^2). Never asserts. A
-    GridDensity's tails along ``direction`` are F(c - t) + 1 - F(c + t), from
-    the masses of halfspace_profile; otherwise ``mu`` holds sampled values
-    of x.u, and its tails are sample fractions."""
+    GridDensity's tails along ``direction`` (+-e_k) are F(c - t) + 1 - F(c + t),
+    from the masses of halfspace_profile; otherwise ``mu`` is a 1-D array of
+    sampled values of x.u, given without a direction, and its tails are
+    sample fractions. Unprojected points raise DensityError."""
     ts = _validate_ts(ts)
     alpha = _check_alpha(alpha)
     if isinstance(mu, GridDensity):
@@ -180,7 +174,10 @@ def lipschitz_tail(mu, ts, alpha: float, direction=None) -> LipschitzTailFit:
         _, masses = _grid_halfspace_masses(mu, u, np.concatenate((-ts, ts)))
         tails = masses[:len(ts)] + (1.0 - masses[len(ts):])
     else:
-        v = np.asarray(mu, dtype=float).reshape(-1)
+        v = np.asarray(mu.points if isinstance(mu, SampleBatch) else mu, dtype=float)
+        if v.ndim != 1 or not len(v) or direction is not None:
+            raise DensityError("a sampled tail takes the projected values x.u as a nonempty "
+                               "1-D array, and no direction")
         dev = np.sort(np.abs(v - np.median(v)))
         tails = (len(dev) - np.searchsorted(dev, ts, side="left")) / len(dev)
     usable = tails > 0
@@ -195,33 +192,28 @@ def lipschitz_tail(mu, ts, alpha: float, direction=None) -> LipschitzTailFit:
 
 
 def covariance_ratio(mu, alpha: float) -> float:
-    """Largest covariance eigenvalue divided by alpha^2.
+    """Largest covariance eigenvalue of a grid density divided by alpha^2.
 
-    Grid densities include the within-cell uniform contribution h^2/12 per
-    axis, so a one-cell density has the exact single-cell covariance. Their
-    mean and covariance are read off the 1- and 2-axis marginals of the cell
-    masses, so no (cells, dim) array is formed.
+    The covariance includes the within-cell uniform contribution h^2/12 per
+    axis, so a one-cell density has the exact single-cell covariance. Mean
+    and covariance are read off the 1- and 2-axis marginals of the cell
+    masses, so no (cells, dim) array is formed. A sample's covariance is
+    ``np.cov`` of its points.
     """
     alpha = _check_alpha(alpha)
-    if isinstance(mu, GridDensity):
-        grid = mu.grid
-        w = mu.cell_masses().reshape(grid.shape)
+    if not isinstance(mu, GridDensity):
+        raise DensityError("mu must be a GridDensity")
+    grid = mu.grid
+    w = mu.cell_masses().reshape(grid.shape)
 
-        def marginal(*keep):
-            return w.sum(axis=tuple(k for k in range(grid.dim) if k not in keep))
+    def marginal(*keep):
+        return w.sum(axis=tuple(k for k in range(grid.dim) if k not in keep))
 
-        dev = [x - marginal(k) @ x for k, x in enumerate(map(grid.axis_centers, range(grid.dim)))]
-        cov = np.diag([marginal(k) @ (d * d) for k, d in enumerate(dev)])
-        for k, j in itertools.combinations(range(grid.dim), 2):
-            cov[k, j] = cov[j, k] = dev[k] @ marginal(k, j) @ dev[j]
-        cov += np.eye(grid.dim) * (grid.h ** 2 / 12.0)
-    elif isinstance(mu, SampleBatch):
-        pts = mu.points
-        if len(pts) < 2:
-            raise DensityError("need at least 2 samples for a covariance")
-        cov = np.atleast_2d(np.cov(pts, rowvar=False))
-    else:
-        raise DensityError("mu must be a GridDensity or a SampleBatch")
+    dev = [x - marginal(k) @ x for k, x in enumerate(map(grid.axis_centers, range(grid.dim)))]
+    cov = np.diag([marginal(k) @ (d * d) for k, d in enumerate(dev)])
+    for k, j in itertools.combinations(range(grid.dim), 2):
+        cov[k, j] = cov[j, k] = dev[k] @ marginal(k, j) @ dev[j]
+    cov += np.eye(grid.dim) * (grid.h ** 2 / 12.0)
     top = float(np.linalg.eigvalsh(cov)[-1])
     return top / (alpha * alpha)
 
@@ -316,6 +308,9 @@ def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
     and every row carries the certified log10 bound on the chance that the
     cube restriction rejects a draw, in place of a rejection step.
     """
+    ns = list(ns)
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in ns):
+        raise DensityError(f"dimensions must be integers, got {ns!r}")
     ns = sorted(int(n) for n in ns)
     if len(set(ns)) < 2:
         raise DensityError("need at least two distinct dimensions to fit a slope")

@@ -122,12 +122,14 @@ class Grid:
         array per axis: centered inside, one-sided at the ends."""
         return [np.gradient(values, self.h, axis=k) for k in range(self.dim)]
 
-    def cell_index(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Cell of each coordinate x on ``axis``, by its nodes: the last c with
-        nodes[c] <= x, clamped to [0, m - 1]; bitwise
+    def cell_index(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Cell of each coordinate x on ``axis``, by that axis's nodes: the
+        last c with nodes[c] <= x, clamped to [0, m - 1]; bitwise
         clip(searchsorted(nodes, x, "right") - 1, 0, m - 1), so a point on a
         node lies in the cell above it, and the top node, points past either
-        end and nan lie in an end cell."""
+        end and nan lie in an end cell. ``x`` holds coordinates of one axis,
+        in any shape; the cells of (N, dim) points are one call per column,
+        ``cell_index(points[:, k], k)``, since the axes' origins may differ."""
         x = np.asarray(x, dtype=float)
         m, o, h = self.cells_per_axis, self.origin[axis], self.h
         # The floor estimate is off by at most one cell. At node c, rounding
@@ -161,10 +163,6 @@ class Grid:
 
 def unit_cube_grid(dim: int, cells_per_axis: int) -> Grid:
     return Grid(dim, cells_per_axis, np.zeros(dim), 1.0)
-
-
-def centered_cube_grid(dim: int, cells_per_axis: int, side: float = 1.0) -> Grid:
-    return Grid(dim, cells_per_axis, np.full(dim, -side / 2.0), side)
 
 
 @dataclass(frozen=True, eq=False)

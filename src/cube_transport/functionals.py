@@ -236,19 +236,11 @@ class CouplingPlan:
     source_index: np.ndarray
     target_index: np.ndarray
     weights: np.ndarray
-    n_source: int
-    n_target: int
     rounds: int
     min_reduced_cost: float
     lower_bound: float
     u: np.ndarray
     v: np.ndarray
-
-    def marginal_error(self, source_masses: np.ndarray, target_masses: np.ndarray) -> float:
-        row = np.bincount(self.source_index, weights=self.weights, minlength=self.n_source)
-        col = np.bincount(self.target_index, weights=self.weights, minlength=self.n_target)
-        return float(max(np.abs(row - source_masses).max(),
-                         np.abs(col - target_masses).max()))
 
 
 def _price(centers: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
@@ -327,7 +319,7 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     rounding = 4 * n * np.finfo(float).eps * (np.abs(u).max() + np.abs(v).max() + diameter_sq)
     lower_bound = float(a @ u + b @ v + min(0.0, smallest) * a.sum() - rounding)
     nz = res.x > 0  # basics below 0 are dropped (see _transport_model)
-    plan = CouplingPlan(i[nz], j[nz], res.x[nz], n, n, rounds, smallest, lower_bound, u, v)
+    plan = CouplingPlan(i[nz], j[nz], res.x[nz], rounds, smallest, lower_bound, u, v)
     return float(plan.weights @ moved[nz]), plan
 
 

@@ -224,7 +224,7 @@ def check_segment_bound(rho: GridDensity, ratio_bound: float, a: float,
     if not (lo - 1e-12 <= a < b <= hi + 1e-12):
         raise DensityError("need origin <= a < b <= origin + side")
     rho.require_positive()
-    ends = rho.values[rho.grid.cell_index(np.array([a, b]))]
+    ends = rho.values[rho.grid.cell_index(np.array([a, b]), 0)]
     return make_report("lem-2.4", _interval_mass(rho, a, b), float(ends.sum()),
                        SEGMENT_FACTOR * ratio_bound, grid_m=rho.grid.cells_per_axis)
 

@@ -164,7 +164,7 @@ def knothe_evaluate(f, g, pts):
             nodes = f.grid.axis_nodes(k)
             u = np.interp(x[k], nodes, F[k][r])
             out[p, k] = np.interp(u, G[k][s], nodes)
-            r = r * m + int(f.grid.cell_index(x[k], k))
+            r = r * m + min(max(int(np.searchsorted(nodes, x[k], side="right")) - 1, 0), m - 1)
             s = s * m + min(int(np.searchsorted(G[k][s], u, side="right")) - 1, m - 1)
     return out
 

@@ -8,12 +8,12 @@ import pytest
 from cube_transport import (
     DegenerateDensityError,
     DensityError,
+    Grid,
     GridDensity,
     RestrictedGaussian,
     Uniform,
     alpha_theorem1,
     build_density,
-    centered_cube_grid,
     check_concentration,
     closed_form_t_star,
     counterexample_scaling,
@@ -90,12 +90,18 @@ def test_uniform_fails_tiny_alpha():
 
 
 def test_diagonal_direction_grid_profile():
+    # a grid is profiled exactly along +-e_k only: a diagonal profile or tail
+    # of the grid raises, and the diagonal is profiled from sampled points
     d = build_density(Uniform(), unit_cube_grid(2, 48))
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)
     ts = np.linspace(0.0, 1.0, 12)
-    prof = halfspace_profile(d, u, ts, alpha=3.0)
-    assert np.all(np.diff(prof.measured) >= -1e-12)
-    assert prof.measured[0] >= 0.5 - 0.05  # median cell quantization
+    with pytest.raises(DensityError, match="sample_grid"):
+        halfspace_profile(d, u, ts, alpha=3.0)
+    with pytest.raises(DensityError, match="sample_grid"):
+        lipschitz_tail(d, ts, 3.0, u)
+    prof = halfspace_profile(sample_grid(d, 100000, seed=2), u, ts, alpha=3.0)
+    assert np.all(np.diff(prof.measured) >= 0)
+    assert prof.measured[0] == pytest.approx(0.5, abs=1e-4)
     assert check_concentration(prof).passed
 
 
@@ -118,10 +124,13 @@ def test_gaussian_grid_profile_passes_paper_alpha():
     mhat = estimate_diag_second_derivative_bound(d)
     assert mhat == pytest.approx(1.0, abs=1e-6)
     ts = np.linspace(0.0, 1.2, 20)
-    for u in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)):
-        prof = halfspace_profile(d, u, ts, alpha=alpha_theorem1(1.0, mhat))
+    # exact along +e1 and -e2, sampled along the diagonal
+    batch = sample_grid(d, 100000, seed=4)
+    for mu, u in ((d, np.array([1.0, 0.0])), (d, np.array([0.0, -1.0])),
+                  (batch, np.array([1.0, 1.0]) / np.sqrt(2.0))):
+        prof = halfspace_profile(mu, u, ts, alpha=alpha_theorem1(1.0, mhat))
         assert check_concentration(prof, name="thm-1.1").passed
-        prof2 = halfspace_profile(d, u, ts, alpha=3.0 * r_from_m(mhat))
+        prof2 = halfspace_profile(mu, u, ts, alpha=3.0 * r_from_m(mhat))
         assert check_concentration(prof2, name="thm-1.2").passed
 
 
@@ -182,6 +191,28 @@ def test_exact_gaussian_tail_fit_matches_the_sampled_fit():
     assert abs(sampled.rate - exact.rate) <= 4.0 * np.sqrt(w @ cov @ w)
 
 
+def test_lipschitz_tail_takes_only_projected_values_as_a_sample():
+    # an anisotropic Gaussian: flattening the (N, 2) points mixed both axes'
+    # spreads into one sample and read tails of 0.646, 0.376 and 0.198,
+    # where the exact tails along e1 are 0.768, 0.545 and 0.339
+    d = build_density(RestrictedGaussian((0.5, 0.5), ((4.0, 0.0), (0.0, 40.0))),
+                      unit_cube_grid(2, 32))
+    ts = np.array([0.1, 0.2, 0.3])
+    u = np.array([1.0, 0.0])
+    n_samples = 10 ** 5
+    batch = sample_grid(d, n_samples, seed=0)
+    for bad, direction in ((batch.points, None), (batch, None), (batch.points, u),
+                           (batch.points @ u, u), (batch.points[:, :1], None),
+                           (np.array([]), None)):
+        with pytest.raises(DensityError, match="1-D"):
+            lipschitz_tail(bad, ts, 3.0, direction)
+    exact = lipschitz_tail(d, ts, 3.0, u)
+    np.testing.assert_allclose(exact.tails, [0.768, 0.545, 0.339], atol=5e-4)
+    p = exact.tails
+    sampled = lipschitz_tail(batch.points @ u, ts, 3.0)
+    assert np.all(np.abs(sampled.tails - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n_samples))
+
+
 def test_lipschitz_tail_needs_a_direction_on_a_grid():
     d = build_density(Uniform(), unit_cube_grid(2, 8))
     with pytest.raises(DensityError):
@@ -212,11 +243,15 @@ def test_covariance_ratio_uniform_1d():
 
 
 def test_covariance_ratio_samples_close_to_grid():
+    # covariance_ratio reads grid densities only; a sample's ratio is the
+    # top eigenvalue of np.cov of its points
     d = build_density(Uniform(), unit_cube_grid(2, 16))
     batch = sample_grid(d, 100000, seed=5)
     grid_ratio = covariance_ratio(d, 3.0)
-    samp_ratio = covariance_ratio(batch, 3.0)
+    samp_ratio = np.linalg.eigvalsh(np.cov(batch.points, rowvar=False))[-1] / 9.0
     assert samp_ratio == pytest.approx(grid_ratio, rel=0.05)
+    with pytest.raises(DensityError, match="GridDensity"):
+        covariance_ratio(batch, 3.0)
 
 
 def _covariance_ratio_from_centers(d, alpha):
@@ -279,7 +314,7 @@ def test_poincare_constant_not_violated_by_first_eigenfunction():
 
 
 def test_poincare_lsi_gaussian_measure():
-    grid = centered_cube_grid(1, 256)
+    grid = Grid(1, 256, [-0.5], 1.0)
     d = build_density(RestrictedGaussian((0.0,), ((4.0,),)), grid)
     x = grid.axis_centers(0)
     fns = [np.sin(2.0 * np.pi * x), x**2, np.exp(x)]
@@ -377,6 +412,20 @@ def test_scaling_input_validation():
         counterexample_scaling([16, 32], n_samples=5000, seed=0)
     with pytest.raises(ValueError):
         counterexample_scaling([256, 512], n_samples=10, seed=0)
+
+
+@pytest.mark.parametrize("ns", [[64, 128.9], [64.0, 128], [np.float64(256), 1024], [True, 128],
+                                [256, "1024"]], ids=["128.9", "64.0", "float64", "bool", "str"])
+def test_scaling_rejects_dimensions_that_are_not_integers(ns):
+    # [64, 128.9] ran as n = 64 and 128
+    with pytest.raises(DensityError, match="dimensions must be integers"):
+        counterexample_scaling(ns, n_samples=5000, seed=0)
+
+
+def test_scaling_accepts_numpy_integer_dimensions():
+    a = counterexample_scaling(np.array([128, 256]), n_samples=5000, seed=3)
+    b = counterexample_scaling([128, 256], n_samples=5000, seed=3)
+    assert a.rows == b.rows and [type(r.n) for r in a.rows] == [int, int]
 
 
 def test_scaling_needs_two_distinct_dimensions():

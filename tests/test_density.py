@@ -25,7 +25,6 @@ from cube_transport import (
     RestrictedGaussian,
     Uniform,
     build_density,
-    centered_cube_grid,
     check_midpoint_log_concavity,
     estimate_axis_convexity_ratio,
     estimate_diag_second_derivative_bound,
@@ -55,7 +54,7 @@ def test_unit_grid_geometry():
 
 
 def test_centered_grid_spans_symmetric_box():
-    grid = centered_cube_grid(3, 4, side=2.0)
+    grid = Grid(3, 4, np.full(3, -1.0), 2.0)
     np.testing.assert_allclose(grid.origin, [-1.0, -1.0, -1.0])
     assert grid.axis_nodes(1)[0] == pytest.approx(-1.0)
     assert grid.axis_nodes(1)[-1] == pytest.approx(1.0)
@@ -63,9 +62,19 @@ def test_centered_grid_spans_symmetric_box():
 
 def test_cell_index_interior_and_clamping():
     grid = unit_cube_grid(1, 10)
-    pts = np.array([[0.05], [0.999], [0.0], [1.0], [-3.0], [4.0]])
-    idx = grid.cell_index(pts)
-    np.testing.assert_array_equal(idx[:, 0], [0, 9, 0, 9, 0, 9])
+    x = np.array([0.05, 0.999, 0.0, 1.0, -3.0, 4.0])
+    np.testing.assert_array_equal(grid.cell_index(x, 0), [0, 9, 0, 9, 0, 9])
+
+
+def test_cell_index_names_its_axis():
+    # axis 1 starts at 0.5, so its coordinate 0.6 lies in cell 0; read by
+    # axis 0's nodes, a defaulted axis put it in cell 2
+    grid = Grid(2, 4, [0.0, 0.5], 1.0)
+    with pytest.raises(TypeError):
+        grid.cell_index(np.array([[0.1, 0.6]]))
+    points = np.array([[0.1, 0.6], [0.3, 1.3], [0.99, 1.49]])
+    cells = np.column_stack([grid.cell_index(points[:, k], k) for k in range(2)])
+    np.testing.assert_array_equal(cells, [[0, 0], [1, 3], [3, 3]])
 
 
 def _node_rule(grid, x, axis):
@@ -159,7 +168,7 @@ def test_exponential_tilt_matches_closed_form():
 
 
 def test_restricted_gaussian_shape():
-    grid = centered_cube_grid(1, 64, side=1.0)
+    grid = Grid(1, 64, [-0.5], 1.0)
     d = build_density(RestrictedGaussian((0.0,), ((4.0,),)), grid)
     x = grid.axis_centers(0)
     expected = np.exp(-2.0 * x**2)
@@ -168,7 +177,7 @@ def test_restricted_gaussian_shape():
 
 
 def test_convex_power_requires_positive_argument():
-    grid = centered_cube_grid(1, 8, side=2.0)
+    grid = Grid(1, 8, [-1.0], 2.0)
     with pytest.raises(DensityError):
         build_density(ConvexPower(0.0, (1.0,), 2.0), grid)
 
@@ -461,7 +470,7 @@ def test_axis_ratio_of_steep_gaussian_warns_nothing(monkeypatch):
 
 
 def test_midpoint_log_concavity_accepts_gaussian():
-    grid = centered_cube_grid(2, 16, side=1.0)
+    grid = Grid(2, 16, [-0.5, -0.5], 1.0)
     d = build_density(RestrictedGaussian((0.0, 0.0), ((3.0, 0.5), (0.5, 2.0))), grid)
     ok, worst = check_midpoint_log_concavity(d)
     assert ok
@@ -708,7 +717,7 @@ def test_unit_convex_psi_is_convex_at_every_gap_exactly():
 
 def test_diag_second_derivative_exact_for_standard_gaussian():
     # psi = |x|^2 / 2 has second difference exactly 1 along every direction
-    grid = centered_cube_grid(2, 12, side=1.0)
+    grid = Grid(2, 12, [-0.5, -0.5], 1.0)
     d = build_density(RestrictedGaussian((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))), grid)
     est = estimate_diag_second_derivative_bound(d)
     assert est == pytest.approx(1.0, abs=1e-8)

@@ -5,7 +5,7 @@ tree disagreeing."""
 import numpy as np
 import pytest
 
-from cube_transport import centered_cube_grid, unit_cube_grid
+from cube_transport import Grid, unit_cube_grid
 from cube_transport.families import (draw_trig_coeffs, random_center_test_function,
                                      random_smooth_density, trig_density)
 
@@ -30,7 +30,7 @@ def test_seeded_field_draws_are_pinned(dim, m, density, center, after):
 
 
 def test_seeded_field_draws_on_an_off_origin_grid_are_pinned():
-    grid = centered_cube_grid(2, 4, side=2.0)
+    grid = Grid(2, 4, [-1.0, -1.0], 2.0)
     rng = np.random.default_rng(5)
     u = random_center_test_function(rng, grid)
     f = trig_density(draw_trig_coeffs(rng, 2, 0.3), grid)

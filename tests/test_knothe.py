@@ -239,6 +239,16 @@ def test_knothe_map_equals_loop_oracle(dim, m):
         assert check_facet_preservation(tmap).lhs == 0.0
 
 
+@pytest.mark.parametrize("grid", [Grid(2, 4, [0.0, 0.5], 1.0), Grid(3, 6, [0.3, -2.0, 7.1], 0.6)],
+                         ids=["origins-0-0.5", "origins-0.3-(-2)-7.1"])
+def test_evaluate_equals_loop_oracle_on_axes_with_distinct_origins(grid):
+    # the map reads each coordinate's cell by its own axis's nodes
+    rng = np.random.default_rng([grid.dim, 31])
+    f = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, grid.shape)))
+    g = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, grid.shape)))
+    assert_equals_loop_oracle(f, g, rng)
+
+
 @given(dim=st.integers(min_value=1, max_value=4), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_knothe_map_equals_loop_oracle_property(dim, data):

@@ -113,6 +113,11 @@ def test_largest_uniform_stays_in_its_cell_off_the_unit_cube(monkeypatch, origin
         assert np.all(points[:, k] < grid.axis_nodes(k)[-1])
 
 
+def _cells(grid, points):
+    """The (N, dim) cells of (N, dim) points, one cell_index call per axis."""
+    return np.column_stack([grid.cell_index(points[:, k], k) for k in range(grid.dim)])
+
+
 def _sparse_density(rng, dim, m):
     """Random values with zero cells and, past the first axis, zero rows."""
     grid = unit_cube_grid(dim, m)
@@ -136,7 +141,7 @@ def test_draw_is_the_exact_inverse_cdf():
     vals[2] = [16.0 * c, 16.0 * (1.0 - c), 0.0, 0.0]
     d = GridDensity(grid, vals)
     assert row_cdfs(vals[2])[1] == c
-    np.testing.assert_array_equal(grid.cell_index(sample_grid(d, 1, seed=0).points), [[2, 0]])
+    np.testing.assert_array_equal(_cells(grid, sample_grid(d, 1, seed=0).points), [[2, 0]])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -146,10 +151,27 @@ def test_cells_match_the_per_draw_oracle(dim, m):
     n = 3000 if m ** dim < 1000 else 500
     for seed in range(3):
         d = _sparse_density(rng, dim, m)
-        cells = d.grid.cell_index(sample_grid(d, n, seed).points)
+        cells = _cells(d.grid, sample_grid(d, n, seed).points)
         u = philox(seed, 1, 0).random((n, dim))
         np.testing.assert_array_equal(cells, loop_oracles.grid_sample_cells(d, u))
         assert np.all(d.values[tuple(cells.T)] > 0)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 4, [0.0, 0.5], 1.0), Grid(3, 5, [0.3, -2.0, 7.1], 0.6)],
+                         ids=["origins-0-0.5", "origins-0.3-(-2)-7.1"])
+def test_draws_lie_in_their_cells_on_axes_with_distinct_origins(grid):
+    # each axis's cells are read by that axis's nodes: axis 0's nodes put
+    # the later axes' draws in wrong cells, on Grid(2, 4, [0, 0.5], 1) two
+    # cells up
+    rng = np.random.default_rng(grid.dim)
+    d = normalize(GridDensity(grid, rng.uniform(0.1, 1.0, grid.shape)))
+    n = 4000
+    points = sample_grid(d, n, seed=6).points
+    u = philox(6, 1, 0).random((n, grid.dim))
+    np.testing.assert_array_equal(_cells(grid, points), loop_oracles.grid_sample_cells(d, u))
+    for k in range(grid.dim):
+        nodes = grid.axis_nodes(k)
+        assert np.all((points[:, k] >= nodes[0]) & (points[:, k] < nodes[-1]))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 16, 1000])
@@ -210,7 +232,7 @@ def test_cell_frequencies_match_masses():
     d = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, grid.shape)))
     n = 200000
     batch = sample_grid(d, n, seed=17)
-    idx = grid.cell_index(batch.points)
+    idx = _cells(grid, batch.points)
     flat = idx[:, 0] * 4 + idx[:, 1]
     freq = np.bincount(flat, minlength=16) / n
     masses = (d.values * grid.cell_volume).ravel()
