@@ -427,7 +427,7 @@ def suite_concentration(cfg) -> dict:
                        unit_cube_grid(2, 32)), 2.0, "gaussian-2d"),
     ]
     anchor = measures[0][0]
-    xs = anchor.grid.axis_centers()
+    xs = anchor.grid.axis_centers(0)
     cos_anchor = np.cos(np.pi * xs)
     funcs = [cos_anchor] + [random_center_test_function(rng, anchor.grid)
                             for _ in range(cfg["test_functions"] - 1)]

@@ -9,9 +9,13 @@ grid function rather than estimates of some off-grid object.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -95,10 +99,10 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
-    def axis_centers(self, axis: int = 0) -> np.ndarray:
+    def axis_centers(self, axis: int) -> np.ndarray:
         return self.origin[axis] + (np.arange(self.cells_per_axis) + 0.5) * self.h
 
-    def axis_nodes(self, axis: int = 0) -> np.ndarray:
+    def axis_nodes(self, axis: int) -> np.ndarray:
         return self.origin[axis] + np.arange(self.cells_per_axis + 1) * self.h
 
     def open_centers(self) -> list:
@@ -655,3 +659,42 @@ def marginalize_last(d: GridDensity) -> GridDensity:
     if d.grid.dim < 2:
         raise DensityError("marginalize_last needs dim >= 2")
     return GridDensity(d.grid.drop_last_axis(), d.values.sum(axis=-1) * d.grid.h)
+
+
+# ---------------------------------------------------------------------------
+# scipy's compiled modules
+
+
+def _scipy_compiled(name: str, needs: str, package: str = ""):
+    """The compiled module scipy.<name>, loaded from its file in scipy's
+    install directory without running the __init__.py of the packages above
+    it, which import far more than the one binding a caller reads.
+
+    An entry already in sys.modules is returned as import would return it,
+    so a None entry raises ImportError. The module is registered under its
+    dotted name before it runs, and removed if loading fails, so a later
+    import of its package reuses it instead of loading a second copy. Where
+    the file is missing or lacks ``needs``, scipy.<package> (by default
+    scipy.<name>) is imported the usual way instead: other scipy layouts
+    still work, only slower.
+    """
+    full = "scipy." + name
+    if full not in sys.modules:
+        import scipy
+
+        stem = os.path.join(os.path.dirname(scipy.__file__), *name.split("."))
+        path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                     if os.path.isfile(stem + suffix)), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(full, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[full] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[full]
+                raise
+    module = importlib.import_module(full) if full in sys.modules else None
+    if module is None or not hasattr(module, needs):
+        module = importlib.import_module("scipy." + (package or name))
+    return module

@@ -88,7 +88,7 @@ def random_logconcave_spec_nd(rng: np.random.Generator, dim: int,
 
 def random_node_test_function(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     """Node-sampled 1d function vanishing at both endpoints (sine modes)."""
-    x = (grid.axis_nodes() - grid.origin[0]) / grid.side
+    x = (grid.axis_nodes(0) - grid.origin[0]) / grid.side
     u = np.zeros_like(x)
     for k in range(1, MAX_FREQUENCY + 1):
         u += rng.normal(0.0, 1.0 / k) * np.sin(np.pi * k * x)

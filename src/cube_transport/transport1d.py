@@ -156,7 +156,7 @@ def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     """
     _check_same_interval(f, g)
     C = _positive_cdfs(np.stack((f.values, g.values)))
-    nodes = f.grid.axis_nodes()
+    nodes = f.grid.axis_nodes(0)
     *_, du, slope, x, t, _ = _pieces(C[:1], C[1:], nodes, f.grid.h)
     return MonotoneMap1D(np.append(x, nodes[-1]), np.append(t, nodes[-1]), du, slope)
 
@@ -206,7 +206,7 @@ def check_lemma_lambda(f: GridDensity, g: GridDensity,
 
 def _interval_mass(d: GridDensity, a: float, b: float) -> float:
     """Exact integral of the piecewise-constant density over [a, b]."""
-    nodes = d.grid.axis_nodes()
+    nodes = d.grid.axis_nodes(0)
     overlap = np.minimum(b, nodes[1:]) - np.maximum(a, nodes[:-1])
     return float((np.clip(overlap, 0.0, None) * d.values).sum())
 

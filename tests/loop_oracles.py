@@ -196,7 +196,7 @@ def monotone_map_integrals(f_values, g_values, grid):
     f = [float(v) for v in f_values]
     g = [float(v) for v in g_values]
     m, h = len(f), grid.h
-    nodes = [float(x) for x in grid.axis_nodes()]
+    nodes = [float(x) for x in grid.axis_nodes(0)]
 
     def cdf(values):
         out, s = [0.0], 0.0

@@ -77,6 +77,17 @@ def test_cell_index_names_its_axis():
     np.testing.assert_array_equal(cells, [[0, 0], [1, 3], [3, 3]])
 
 
+def test_axis_nodes_and_centers_name_their_axis():
+    # a defaulted axis returned axis 0's coordinates for every axis: here
+    # 0, 0.25, ... where axis 1's nodes are 0.5, 0.75, ...
+    grid = Grid(2, 4, [0.0, 0.5], 1.0)
+    for coordinates in (grid.axis_nodes, grid.axis_centers):
+        with pytest.raises(TypeError):
+            coordinates()
+    np.testing.assert_array_equal(grid.axis_nodes(1), [0.5, 0.75, 1.0, 1.25, 1.5])
+    np.testing.assert_array_equal(grid.axis_centers(1), [0.625, 0.875, 1.125, 1.375])
+
+
 def _node_rule(grid, x, axis):
     nodes = grid.axis_nodes(axis)
     return np.clip(np.searchsorted(nodes, x, "right") - 1, 0, grid.cells_per_axis - 1)

@@ -1,5 +1,6 @@
 """Entropy, Legendre bound, exact quadratic coupling, triangular coupling."""
 
+import json
 import os
 import re
 import subprocess
@@ -571,16 +572,87 @@ def test_w2_certifies_the_cell_cap_from_its_duals():
     _assert_certified(f, g, cost, plan)
 
 
-def test_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.optimize, .sparse and .special are imported where first used
+# a small 2d LP and a row-sum certificate, each of which loads one of scipy's
+# compiled modules; values() gives their results bitwise
+_SCIPY_CALLS = """
+import hashlib, json, sys
+from cube_transport import RestrictedGaussian, Uniform, build_density, exact_w2_small
+from cube_transport import unit_cube_grid
+from cube_transport.sampler import equicorrelated_row_sums
+grid = unit_cube_grid(2, 4)
+f = build_density(RestrictedGaussian((0.3, 0.6), ((8.0, 0.0), (0.0, 8.0))), grid)
+g = build_density(Uniform(), grid)
+def values():
+    sums, log10_bound = equicorrelated_row_sums(256, 1000, 0)
+    return [float(exact_w2_small(f, g)[0]).hex(), log10_bound.hex(),
+            hashlib.sha256(sums.tobytes()).hexdigest()]
+"""
+_SLOW_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.linalg", "scipy.spatial")
+_COMPILED = ("scipy.optimize._highspy._core", "scipy.special._special_ufuncs")
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(cube_transport.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, cube_transport.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.special') "
-            "if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "[]"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # the CLI's import loads none of scipy's slow packages, and the LP and
+    # the row sums load only the two compiled modules they read
+    code = (_SCIPY_CALLS + "import cube_transport.cli\nvalues()\n"
+            f"print(json.dumps([[m for m in {_SLOW_SCIPY!r} if m in sys.modules], "
+            f"[m for m in {_COMPILED!r} if m in sys.modules]]))")
+    slow, compiled = json.loads(_fresh_python(code))
+    assert slow == []
+    assert compiled == list(_COMPILED)
+
+
+_IMPORT_ORDERS = {
+    # scipy's packages imported after the library's loads reuse its modules
+    "library-first": f"""
+first = values()
+core, ufuncs = (sys.modules[m] for m in {_COMPILED!r})
+import scipy.optimize, scipy.special
+assert [sys.modules[m] for m in {_COMPILED!r}] == [core, ufuncs]
+lp = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
+assert lp.status == 0 and lp.fun == 1.0, lp
+assert scipy.special.log_ndtr is ufuncs.log_ndtr
+assert values() == first
+print(json.dumps(first))
+""",
+    # the library reuses the modules scipy's packages loaded
+    "scipy-first": f"""
+import scipy.optimize, scipy.special
+from cube_transport.density import _scipy_compiled
+assert _scipy_compiled("optimize._highspy._core", "_Highs") is sys.modules[{_COMPILED[0]!r}]
+ufuncs = _scipy_compiled("special._special_ufuncs", "log_ndtr", "special")
+assert ufuncs is sys.modules[{_COMPILED[1]!r}]
+print(json.dumps(values()))
+""",
+    # no compiled file is found: both loads import scipy's packages instead
+    "fallback": f"""
+import importlib.machinery
+importlib.machinery.EXTENSION_SUFFIXES = []
+out = values()
+assert all(m in sys.modules for m in ("scipy.optimize", "scipy.special"))
+from cube_transport.density import _scipy_compiled
+unknown = _scipy_compiled("special._special_ufuncs", "no_such_ufunc", "special")
+assert unknown is sys.modules["scipy.special"]
+print(json.dumps(out))
+""",
+}
+
+
+@pytest.mark.parametrize("order", sorted(_IMPORT_ORDERS))
+def test_scipy_loads_give_the_same_values_in_any_import_order(order):
+    calls = {}
+    exec(_SCIPY_CALLS, calls)
+    assert json.loads(_fresh_python(_SCIPY_CALLS + _IMPORT_ORDERS[order])) == calls["values"]()
 
 
 # ---------------------------------------------------------------- couplings
