@@ -30,8 +30,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .concentration import (alpha_theorem1, check_concentration,
-                            counterexample_scaling, covariance_ratio,
+from .concentration import (MIN_SCALING_DIM, MIN_SCALING_SAMPLES, alpha_theorem1,
+                            check_concentration, counterexample_scaling, covariance_ratio,
                             halfspace_profile, lipschitz_tail,
                             poincare_lsi_check, r_from_m)
 from .density import (DensityError, Grid, GridDensity, RestrictedGaussian,
@@ -60,7 +60,6 @@ from .transport1d import (check_lemma_lambda, check_prop_quadratic,
 
 MAX_CELL_EXPONENT = 24
 MAX_TOTAL_CELLS = 1 << MAX_CELL_EXPONENT
-MIN_SAMPLES = 1000
 # pinned reference for the n=1024 enlargement radius of the scaling experiment
 REFERENCE_T_STAR_1024 = 0.052
 # allowed distance of each t*(n) from its closed form, in standard errors
@@ -124,7 +123,7 @@ def load_config(path_or_none, overrides: dict) -> dict:
 
 
 # smallest allowed value of each integer key
-_INT_MINIMA = {"m": 2, "dim": 1, "pairs": 1, "n_samples": MIN_SAMPLES,
+_INT_MINIMA = {"m": 2, "dim": 1, "pairs": 1, "n_samples": MIN_SCALING_SAMPLES,
                "t_count": 2, "test_functions": 1}
 # largest allowed value; the row-sum sampler holds two normals per sample
 # under the point budget, and grids have at least 2 cells per axis, so
@@ -154,8 +153,9 @@ def _validate_config(cfg: dict) -> None:
     if not (isinstance(dims, list) and dims and all(_is_int(n) and n >= 1 for n in dims)):
         raise ConfigError("dims must be a nonempty list of positive integers")
     ns = cfg["ns"]
-    if not (isinstance(ns, list) and len(ns) >= 2 and all(_is_int(n) and n >= 2 for n in ns)):
-        raise ConfigError("ns must be a list of at least two integers >= 2")
+    if not (isinstance(ns, list) and len(ns) >= 2
+            and all(_is_int(n) and n >= MIN_SCALING_DIM for n in ns)):
+        raise ConfigError(f"ns must be a list of at least two integers >= {MIN_SCALING_DIM}")
     for key in ("dims", "ns"):
         if len(set(cfg[key])) < len(cfg[key]):
             raise ConfigError(f"{key} must not repeat an entry")
@@ -276,7 +276,7 @@ def suite_verify_1d(cfg) -> dict:
     grid = unit_cube_grid(1, cfg["m"])
     fine_grid = unit_cube_grid(1, 2 * cfg["m"])
     for i in range(cfg["pairs"]):
-        spec = random_logconcave_spec_1d(rng, 0.0, 1.0)
+        spec = random_logconcave_spec_1d(rng)
         coeffs = draw_trig_coeffs(rng, 1)
         f = build_density(spec, grid)
         g = trig_density(coeffs, grid)
@@ -351,7 +351,7 @@ def suite_tire(cfg) -> dict:
     for i in range(cfg["pairs"]):
         if i % 2 == 0:
             g_grid = unit_cube_grid(1, 64)
-            spec = random_logconcave_spec_1d(rng, 0.0, 1.0)
+            spec = random_logconcave_spec_1d(rng)
         else:
             g_grid = unit_cube_grid(2, 16)
             spec = random_logconcave_spec_nd(rng, 2, g_grid.origin, g_grid.side)

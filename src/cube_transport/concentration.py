@@ -27,6 +27,9 @@ from .sampler import SampleBatch, equicorrelated_row_sums
 POINCARE_FACTOR = 20.0 / 9.0
 LSI_FACTOR = 160.0 / 9.0
 BASE_ALPHA = 3.0
+# smallest dimension and per-dimension sample count of the scaling experiment
+MIN_SCALING_DIM = 64
+MIN_SCALING_SAMPLES = 1000
 
 
 def alpha_theorem1(side: float, curvature_bound: float) -> float:
@@ -285,7 +288,6 @@ class ScalingResult:
 
     rows: list
     slope: float
-    seed: int
 
 
 _Z_TWO_THIRDS = NormalDist().inv_cdf(2.0 / 3.0)
@@ -314,10 +316,10 @@ def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
     ns = sorted(int(n) for n in ns)
     if len(set(ns)) < 2:
         raise DensityError("need at least two distinct dimensions to fit a slope")
-    if min(ns) < 64:
-        raise DensityError("scaling experiment is stated for n >= 64")
-    if n_samples < 1000:
-        raise DensityError("need at least 1000 samples per dimension")
+    if min(ns) < MIN_SCALING_DIM:
+        raise DensityError(f"scaling experiment is stated for n >= {MIN_SCALING_DIM}")
+    if n_samples < MIN_SCALING_SAMPLES:
+        raise DensityError(f"need at least {MIN_SCALING_SAMPLES} samples per dimension")
     rows = []
     k = (2 * n_samples) // 3
     for n in ns:
@@ -329,4 +331,4 @@ def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
     log_n = np.log([r.n for r in rows])
     log_t = np.log([r.t_star for r in rows])
     slope = float(np.polyfit(log_n, log_t, 1)[0])
-    return ScalingResult(rows, slope, int(seed))
+    return ScalingResult(rows, slope)

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -261,8 +261,8 @@ class Uniform:
 class RestrictedGaussian:
     """exp(-(x-center).A.(x-center)/2) restricted to the cube; A = inverse covariance."""
 
-    center: tuple
-    inverse_covariance: tuple
+    center: tuple = field(metadata={"axes": 1})
+    inverse_covariance: tuple = field(metadata={"axes": 2})
 
     def arrays(self, dim: int):
         c = _sized(self.center, (dim,), "center")
@@ -278,21 +278,21 @@ class RestrictedGaussian:
 class ExponentialTilt:
     """exp(x . tilt) on the cube."""
 
-    tilt: tuple
+    tilt: tuple = field(metadata={"axes": 1})
 
 
 @dataclass(frozen=True)
 class ConvexPower:
     """(offset + x . direction)^power; requires strict positivity on the cube."""
 
-    offset: float
-    direction: tuple
-    power: float
+    offset: float = field(metadata={"axes": 0})
+    direction: tuple = field(metadata={"axes": 1})
+    power: float = field(metadata={"axes": 0})
 
 
 def equicorrelated_scale(n: int) -> float:
-    """Default coordinate scale 1 / (100 sqrt(log n)) of the equicorrelated
-    construction in dimension n."""
+    """Coordinate scale 1 / (100 sqrt(log n)) of the equicorrelated
+    construction of the width-scaling experiment in dimension n."""
     if n < 2:
         raise DensityError("equicorrelated construction needs n >= 2")
     return 1.0 / (100.0 * math.sqrt(math.log(n)))
@@ -300,37 +300,39 @@ def equicorrelated_scale(n: int) -> float:
 
 @dataclass(frozen=True)
 class EquicorrelatedGaussian:
-    """Gaussian with covariance scale^2 (Id + ones) restricted to the cube.
+    """Gaussian with covariance scale^2 (Id + ones) restricted to the cube and
+    centred in it, n the dimension of its grid. Every pair of coordinates has
+    correlation 1/2; scale is finite and positive. (At the width-scaling
+    experiment's ``equicorrelated_scale(n)``, about 0.01, the cells towards
+    the corners underflow to zero.)"""
 
-    Every pair of coordinates has correlation 1/2. The default scale,
-    ``equicorrelated_scale(dim)``, keeps per-coordinate standard deviations
-    small against a unit cube so that the cube restriction is nearly vacuous.
-    """
+    scale: float = field(metadata={"axes": 0})
 
-    dim: int
-    scale: Union[float, None] = None
+    def __post_init__(self):
+        if not 0.0 < self.scale < math.inf:
+            raise DensityError("equicorrelated_gaussian scale must be finite and positive")
 
-    def effective_scale(self) -> float:
-        scale = equicorrelated_scale(self.dim)
-        return scale if self.scale is None else float(self.scale)
-
-    def inverse_covariance(self) -> np.ndarray:
-        n = self.dim
-        s2 = self.effective_scale() ** 2
+    def inverse_covariance(self, n: int) -> np.ndarray:
+        s2 = float(self.scale) ** 2
         # (Id + ones)^{-1} = Id - ones/(n+1), by Sherman-Morrison
         return (np.eye(n) - np.ones((n, n)) / (n + 1)) / s2
 
 
 @dataclass(frozen=True)
 class CustomGrid:
-    """Explicit cell values (nested lists or array), shape must match the grid."""
+    """Explicit cell values: an array of exactly the grid's shape."""
 
-    values: tuple = field(repr=False)
+    values: np.ndarray = field(repr=False, metadata={"axes": None})
 
 
 DensitySpec = Union[Uniform, RestrictedGaussian, ExponentialTilt, ConvexPower,
                     EquicorrelatedGaussian, CustomGrid]
 
+# the spec class each config "variant" names; the "axes" of each field of a
+# class are the number of axes of its config value (None: any, kept an array)
+SPEC_VARIANTS = {"uniform": Uniform, "restricted_gaussian": RestrictedGaussian,
+                 "exponential_tilt": ExponentialTilt, "convex_power": ConvexPower,
+                 "equicorrelated_gaussian": EquicorrelatedGaussian, "custom_grid": CustomGrid}
 
 _NUMERIC_SHAPES = {0: "a finite number", 1: "a list of finite numbers",
                    2: "a list of lists of finite numbers",
@@ -350,38 +352,34 @@ def _floats(value, ndim, what: str) -> np.ndarray:
     return arr.astype(float)
 
 
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def spec_from_dict(d: dict) -> DensitySpec:
-    """The spec a config object names by its "variant" key, with the fields
-    of that variant as keys (CustomGrid's "values" as nested lists). Raises
-    DensityError on an unknown variant or a missing or ill-typed field;
-    build_density checks sizes against the grid."""
+    """The spec a config object names by its "variant" key (SPEC_VARIANTS),
+    whose other keys are exactly the class's fields, each a float, nested
+    tuples of floats or (CustomGrid's values) an array with the field's axes.
+    DensityError on an unknown variant or a missing, unknown or ill-typed key;
+    build_density checks shapes against the grid."""
     if not isinstance(d, dict):
         raise DensityError("density spec must be an object")
     tag = d.get("variant")
-    try:
-        if tag == "uniform":
-            return Uniform()
-        if tag == "restricted_gaussian":
-            inv_cov = _floats(d["inverse_covariance"], 2, "inverse_covariance")
-            return RestrictedGaussian(tuple(_floats(d["center"], 1, "center").tolist()),
-                                      tuple(map(tuple, inv_cov.tolist())))
-        if tag == "exponential_tilt":
-            return ExponentialTilt(tuple(_floats(d["tilt"], 1, "tilt").tolist()))
-        if tag == "convex_power":
-            return ConvexPower(float(_floats(d["offset"], 0, "offset")),
-                               tuple(_floats(d["direction"], 1, "direction").tolist()),
-                               float(_floats(d["power"], 0, "power")))
-        if tag == "equicorrelated_gaussian":
-            dim, scale = d["dim"], d.get("scale")
-            if isinstance(dim, bool) or not isinstance(dim, int):
-                raise DensityError("dim must be an integer")
-            return EquicorrelatedGaussian(
-                dim, None if scale is None else float(_floats(scale, 0, "scale")))
-        if tag == "custom_grid":
-            return CustomGrid(_floats(d["values"], None, "values"))
-    except KeyError as exc:
-        raise DensityError(f"density spec {tag!r} needs the key {exc}") from None
-    raise DensityError(f"unknown density spec variant {tag!r}")
+    cls = SPEC_VARIANTS.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise DensityError(f"unknown density spec variant {tag!r}")
+    axes_of = {f.name: f.metadata["axes"] for f in fields(cls)}
+    missing = [key for key in axes_of if key not in d]
+    if missing:
+        raise DensityError(f"density spec {tag!r} needs the key {missing[0]!r}")
+    unknown = [key for key in d if key != "variant" and key not in axes_of]
+    if unknown:
+        raise DensityError(f"density spec {tag!r} has unknown keys {unknown}")
+    values = {}
+    for key, axes in axes_of.items():
+        arr = _floats(d[key], axes, key)
+        values[key] = arr if axes is None else _tuples(arr.tolist())
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +389,8 @@ def spec_from_dict(d: dict) -> DensitySpec:
 def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
     """Evaluate a density spec at cell centers, normalized to mass 1. Fields
     are built from the grid's open centers, term by term in the order of the
-    spec's formula, so no full coordinate mesh is ever made."""
+    spec's formula, so no full coordinate mesh is ever made. DensityError if
+    a spec array's shape is not exactly (dim,), (dim, dim) or the grid's."""
     x = grid.open_centers()
     if isinstance(spec, Uniform):
         vals = np.ones(grid.shape)
@@ -399,10 +398,8 @@ def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
         c, a = spec.arrays(grid.dim)
         vals = _gaussian_values(x, c, a)
     elif isinstance(spec, EquicorrelatedGaussian):
-        if spec.dim != grid.dim:
-            raise DensityError("spec dim does not match grid dim")
         c = grid.origin + grid.side / 2.0
-        vals = _gaussian_values(x, c, spec.inverse_covariance())
+        vals = _gaussian_values(x, c, spec.inverse_covariance(grid.dim))
     elif isinstance(spec, ExponentialTilt):
         tilt = _sized(spec.tilt, (grid.dim,), "tilt")
         lin = sum(tilt[k] * x[k] for k in range(grid.dim))
@@ -422,10 +419,11 @@ def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
 
 
 def _sized(values, shape: tuple, what: str) -> np.ndarray:
+    # exactly the shape the grid needs: nothing is reshaped
     arr = np.asarray(values, dtype=float)
-    if arr.size != math.prod(shape):
-        raise DensityError(f"{what} has {arr.size} entries; the grid needs shape {shape}")
-    return arr.reshape(shape)
+    if arr.shape != shape:
+        raise DensityError(f"{what} has shape {arr.shape}; the grid needs shape {shape}")
+    return arr
 
 
 def _gaussian_values(x, center, inv_cov):

@@ -58,19 +58,17 @@ def random_smooth_density(rng: np.random.Generator, grid: Grid,
     return trig_density(draw_trig_coeffs(rng, grid.dim, amplitude), grid)
 
 
-def random_logconcave_spec_1d(rng: np.random.Generator, lo: float,
-                              side: float) -> DensitySpec:
-    """One of: restricted Gaussian, exponential tilt, positive convex power."""
+def random_logconcave_spec_1d(rng: np.random.Generator) -> DensitySpec:
+    """On [0, 1], one of: restricted Gaussian, exponential tilt, convex power."""
     pick = int(rng.integers(0, 3))
     if pick == 0:
-        center = lo + side * rng.uniform(0.2, 0.8)
-        curvature = rng.uniform(0.5, 8.0) / side ** 2
-        return RestrictedGaussian((center,), ((curvature,),))
+        center = rng.uniform(0.2, 0.8)
+        return RestrictedGaussian((center,), ((rng.uniform(0.5, 8.0),),))
     if pick == 1:
-        return ExponentialTilt((rng.uniform(-3.0, 3.0) / side,))
-    direction = rng.uniform(0.5, 2.0) / side
-    # keep offset + x * direction strictly positive on the interval
-    offset = max(0.0, -direction * lo) + rng.uniform(0.1, 1.0)
+        return ExponentialTilt((rng.uniform(-3.0, 3.0),))
+    direction = rng.uniform(0.5, 2.0)
+    # a positive offset keeps offset + x * direction positive on [0, 1]
+    offset = rng.uniform(0.1, 1.0)
     return ConvexPower(offset, (direction,), float(rng.uniform(1.0, 4.0)))
 
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from cube_transport.density import (ConvexPower, CustomGrid, EquicorrelatedGaussian,
                                     ExponentialTilt, Grid, GridDensity, PositivityError,
-                                    RestrictedGaussian, Uniform, _midpoint_directions,
-                                    _sized, normalize)
+                                    DensityError, RestrictedGaussian, Uniform,
+                                    _midpoint_directions, normalize)
 from cube_transport.families import MAX_FREQUENCY
 from cube_transport.transport1d import deficit_1d, monotone_map, quadratic_cost_1d
 
@@ -231,6 +231,14 @@ def full_mesh(grid):
     return np.meshgrid(*[grid.axis_centers(k) for k in range(grid.dim)], indexing="ij")
 
 
+def exact_shape(values, shape):
+    """values as a float array, or DensityError unless its shape is shape."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != shape:
+        raise DensityError(f"shape {arr.shape}, not {shape}")
+    return arr
+
+
 def build_density(spec, grid):
     """Cell-center values of a density spec from full meshes, normalized."""
     mesh = full_mesh(grid)
@@ -240,17 +248,18 @@ def build_density(spec, grid):
         c, a = spec.arrays(grid.dim)
         vals = gaussian_values(mesh, c, a)
     elif isinstance(spec, EquicorrelatedGaussian):
-        vals = gaussian_values(mesh, grid.origin + grid.side / 2.0, spec.inverse_covariance())
+        vals = gaussian_values(mesh, grid.origin + grid.side / 2.0,
+                               spec.inverse_covariance(grid.dim))
     elif isinstance(spec, ExponentialTilt):
-        tilt = _sized(spec.tilt, (grid.dim,), "tilt")
+        tilt = exact_shape(spec.tilt, (grid.dim,))
         lin = sum(tilt[k] * mesh[k] for k in range(grid.dim))
         vals = np.exp(lin - lin.max())
     elif isinstance(spec, ConvexPower):
-        v = _sized(spec.direction, (grid.dim,), "direction")
+        v = exact_shape(spec.direction, (grid.dim,))
         lin = spec.offset + sum(v[k] * mesh[k] for k in range(grid.dim))
         vals = lin ** float(spec.power)
     elif isinstance(spec, CustomGrid):
-        vals = _sized(spec.values, grid.shape, "custom_grid values")
+        vals = exact_shape(spec.values, grid.shape)
     return normalize(GridDensity(grid, vals))
 
 

@@ -716,6 +716,96 @@ def test_spec_not_matching_the_grid_exits_2(tmp_path, capsys, spec):
                              "--out", str(tmp_path / "run")])
 
 
+# ---------------------------------------------------------------- config-only paths
+
+
+# a valid config object of each density spec variant, for the 4x4 grid of
+# density-check --m 4 --dim 2; the custom values 2^(i+j) are log-linear
+VALID_SPECS = {
+    "uniform": {"variant": "uniform"},
+    "restricted_gaussian": {"variant": "restricted_gaussian", "center": [0.4, 0.6],
+                            "inverse_covariance": [[3, 1], [1, 2]]},
+    "exponential_tilt": {"variant": "exponential_tilt", "tilt": [1, -2]},
+    "convex_power": {"variant": "convex_power", "offset": 1, "direction": [1, 0.5], "power": 2},
+    "equicorrelated_gaussian": {"variant": "equicorrelated_gaussian", "scale": 0.2},
+    "custom_grid": {"variant": "custom_grid",
+                    "values": [[2 ** (i + j) for j in range(4)] for i in range(4)]},
+}
+# source specs density-check rejects on the 4x4 grid, with what the message names
+BAD_SPECS = {
+    **{f"{variant}-unknown-key": ({**spec, "centre": [0.5, 0.5]}, "unknown keys ['centre']")
+       for variant, spec in VALID_SPECS.items()},
+    "uniform-tilt": ({"variant": "uniform", "tilt": [1, 2]}, "unknown keys ['tilt']"),
+    "flat-inverse-covariance": ({"variant": "restricted_gaussian", "center": [0.5, 0.5],
+                                 "inverse_covariance": [[4, 0, 0, 1]]},
+                                "inverse_covariance has shape (1, 4); the grid needs shape (2, 2)"),
+    "flat-values": ({"variant": "custom_grid", "values": [1] * 16},
+                    "has shape (16,); the grid needs shape (4, 4)"),
+    "2x8-values": ({"variant": "custom_grid", "values": [[1] * 8] * 2},
+                   "has shape (2, 8); the grid needs shape (4, 4)"),
+    "equicorrelated-no-scale": ({"variant": "equicorrelated_gaussian"}, "needs the key 'scale'"),
+    "equicorrelated-zero-scale": ({"variant": "equicorrelated_gaussian", "scale": 0},
+                                  "scale must be finite and positive"),
+    "equicorrelated-negative-scale": ({"variant": "equicorrelated_gaussian", "scale": -0.2},
+                                      "scale must be finite and positive"),
+    "equicorrelated-dim": ({"variant": "equicorrelated_gaussian", "dim": 2, "scale": 0.2},
+                           "unknown keys ['dim']"),
+}
+DENSITY_CHECK = ["density-check", "--m", "4", "--dim", "2"]
+# argv, config file (or None), CUBE_TRANSPORT_SEED (or None), exit code, and
+# the text of the one-line error
+CONFIG_RUNS = [
+    *[pytest.param(DENSITY_CHECK, {"source": spec}, None, 0, None, id=f"source-{variant}")
+      for variant, spec in VALID_SPECS.items()],
+    pytest.param(DENSITY_CHECK, {"target": VALID_SPECS["equicorrelated_gaussian"]}, None, 0,
+                 None, id="target-equicorrelated_gaussian"),
+    pytest.param(["verify-1d", "--m", "8", "--pairs", "1"], None, "5", 0, None,
+                 id="CUBE_TRANSPORT_SEED"),
+    pytest.param(["concentration", "--dims", "2,3", "--no-plot"], None, None, 0, None,
+                 id="dims"),
+    pytest.param(["counterexample", "--ns", "64,128", "--samples", "2000"], None, "3", 0, None,
+                 id="ns"),
+    *[pytest.param(DENSITY_CHECK, {"source": spec}, None, 2, text, id=name)
+      for name, (spec, text) in BAD_SPECS.items()],
+]
+
+
+def test_config_runs_cover_every_spec_variant():
+    assert list(VALID_SPECS) == list(cube_transport.density.SPEC_VARIANTS)
+
+
+@pytest.mark.parametrize("args, config, env_seed, code, text", CONFIG_RUNS)
+def test_config_only_paths_run(tmp_path, capsys, monkeypatch, args, config, env_seed, code,
+                               text):
+    # what only a config file or the environment reaches, through main as a user runs it
+    if env_seed is not None:
+        monkeypatch.setenv("CUBE_TRANSPORT_SEED", env_seed)
+    out = tmp_path / "run"
+    argv = [*args, *(["--config", _write_config(tmp_path, config)] if config else []),
+            "--out", str(out)]
+    if code == 2:
+        assert text in assert_rejected(capsys, argv)
+        assert not out.exists()
+        return
+    assert run_cli(argv) == 0
+    echoed = json.loads((out / "report.json").read_text())["config"]
+    assert {key: echoed[key] for key in config or {}} == (config or {})
+    if env_seed is not None:
+        assert echoed["seed"] == int(env_seed)
+
+
+@pytest.mark.parametrize("args, text", [
+    (["--ns", "8,16"], "ns must be a list of at least two integers >= 64"),
+    (["--samples", "999"], "n_samples must be an integer >= 1000"),
+], ids=["ns", "samples"])
+def test_scaling_inputs_exit_2_before_any_grid(tmp_path, capsys, monkeypatch, args, text):
+    # the scaling experiment's own minima: all used to run five suites first
+    _no_grid(monkeypatch)
+    out = tmp_path / "run"
+    assert text in assert_rejected(capsys, ["all", *args, "--out", str(out)])
+    assert not out.exists()
+
+
 JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
                | st.text(max_size=6)
                | st.sampled_from(["uniform", "restricted_gaussian", "exponential_tilt",

@@ -209,8 +209,8 @@ def test_custom_grid_round_trips_values():
 
 
 def test_equicorrelated_inverse_covariance():
-    spec = EquicorrelatedGaussian(dim=3, scale=0.2)
-    inv = np.asarray(spec.inverse_covariance())
+    spec = EquicorrelatedGaussian(scale=0.2)
+    inv = np.asarray(spec.inverse_covariance(3))
     cov = 0.04 * (np.eye(3) + np.ones((3, 3)))
     np.testing.assert_allclose(inv @ cov, np.eye(3), atol=1e-12)
 
@@ -269,8 +269,7 @@ def every_spec(grid, rng):
     yield spec
     # a sparse inverse covariance: zero entries add no term
     yield RestrictedGaussian(spec.center, tuple(map(tuple, np.diag(rng.uniform(0.5, 4.0, dim)))))
-    if dim >= 2:
-        yield EquicorrelatedGaussian(dim, float(rng.uniform(0.05, 1.0)))
+    yield EquicorrelatedGaussian(float(rng.uniform(0.05, 1.0)))
     direction = rng.uniform(-2.0, 2.0, dim)
     for power in (1.0, 2.0, 0.5, float(rng.uniform(-3.0, 4.0))):
         yield ConvexPower(1.0 + float(np.abs(direction) @ reach), tuple(direction), power)
@@ -778,26 +777,52 @@ SPEC_DICTS = [
                  id="RestrictedGaussian"),
     pytest.param({"variant": "convex_power", "offset": 1, "direction": [1.0, 0.5], "power": 2.0},
                  ConvexPower(1.0, (1.0, 0.5), 2.0), id="ConvexPower"),
-    pytest.param({"variant": "equicorrelated_gaussian", "dim": 4, "scale": 0.1},
-                 EquicorrelatedGaussian(dim=4, scale=0.1), id="EquicorrelatedGaussian"),
-    pytest.param({"variant": "equicorrelated_gaussian", "dim": 3},
-                 EquicorrelatedGaussian(dim=3, scale=None), id="EquicorrelatedGaussian-no-scale"),
+    pytest.param({"variant": "equicorrelated_gaussian", "scale": 0.1},
+                 EquicorrelatedGaussian(scale=0.1), id="EquicorrelatedGaussian"),
     pytest.param({"variant": "custom_grid", "values": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]},
                  CustomGrid(np.arange(1.0, 10.0).reshape(3, 3)), id="CustomGrid"),
 ]
 
 
+def test_spec_dicts_cover_every_variant():
+    assert sorted(p.values[0]["variant"] for p in SPEC_DICTS) == sorted(density.SPEC_VARIANTS)
+
+
 @pytest.mark.parametrize("raw, expected", SPEC_DICTS)
 def test_spec_dict_round_trip(raw, expected):
-    # a config object parses into the spec that carries each of its fields back
+    # a config object parses into the spec class its variant names, which
+    # carries each of its fields back with the axes the class gives the field
     spec = spec_from_dict(raw)
-    assert type(spec) is type(expected)
-    for f in dataclasses.fields(expected):
-        got, want = getattr(spec, f.name), getattr(expected, f.name)
+    assert type(spec) is density.SPEC_VARIANTS[raw["variant"]] is type(expected)
+    axes = {f.name: f.metadata["axes"] for f in dataclasses.fields(spec)}
+    assert set(raw) == {"variant", *axes}
+    for name, n_axes in axes.items():
+        got, want = getattr(spec, name), getattr(expected, name)
+        assert np.ndim(got) == (np.ndim(raw[name]) if n_axes is None else n_axes), name
         if isinstance(want, np.ndarray):
             assert np.array_equal(got, want) and got.dtype == np.float64
         else:
-            assert got == want and type(got) is type(want), f.name
+            assert got == want and type(got) is type(want), name
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.2, float("inf"), float("nan")])
+def test_equicorrelated_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(DensityError, match="scale must be finite and positive"):
+        EquicorrelatedGaussian(scale)
+
+
+@pytest.mark.parametrize("spec", [
+    RestrictedGaussian((0.5, 0.5), (4.0, 0.0, 0.0, 1.0)),
+    RestrictedGaussian(((0.5, 0.5),), ((4.0, 0.0), (0.0, 1.0))),
+    ExponentialTilt(((1.0,), (2.0,))),
+    CustomGrid(np.ones(16)),
+    CustomGrid(np.ones((2, 8))),
+], ids=["flat-inverse-covariance", "nested-center", "column-tilt", "flat-values",
+        "2x8-values"])
+def test_fields_of_the_grids_size_but_not_its_shape_are_rejected(spec):
+    # nothing is reshaped: a (2, 8) array is no 4x4 grid
+    with pytest.raises(DensityError, match=r"has shape \("):
+        build_density(spec, unit_cube_grid(2, 4))
 
 
 # ---------------------------------------------------------------- properties

@@ -100,8 +100,8 @@ def test_legendre_dominates_tire_1d():
     rng = np.random.default_rng(41)
     grid = unit_cube_grid(1, 128)
     for _ in range(6):
-        f = build_density(random_logconcave_spec_1d(rng, 0.0, 1.0), grid)
-        g = build_density(random_logconcave_spec_1d(rng, 0.0, 1.0), grid)
+        f = build_density(random_logconcave_spec_1d(rng), grid)
+        g = build_density(random_logconcave_spec_1d(rng), grid)
         tmap = knothe_map(f, g)
         assert legendre_tire_bound(f, g) >= tire_bracket(f, g, tmap) - 1e-6
 
@@ -154,7 +154,7 @@ def test_lem41_excess_at_exponential_tilts_shrinks_like_h_squared():
     excess = []
     for seed in range(300):
         rng = np.random.default_rng([seed, 7])
-        spec = random_logconcave_spec_1d(rng, 0.0, 1.0)
+        spec = random_logconcave_spec_1d(rng)
         coeffs = draw_trig_coeffs(rng, 1, 0.5)
         if not isinstance(spec, ExponentialTilt):
             continue
@@ -937,8 +937,8 @@ def test_monotone_cost_at_least_w2_1d(seed):
     # atomized LP optimum stays below the triangular atom coupling
     rng = np.random.default_rng(seed)
     grid = unit_cube_grid(1, 24)
-    f = build_density(random_logconcave_spec_1d(rng, 0.0, 1.0), grid)
-    g = build_density(random_logconcave_spec_1d(rng, 0.0, 1.0), grid)
+    f = build_density(random_logconcave_spec_1d(rng), grid)
+    g = build_density(random_logconcave_spec_1d(rng), grid)
     lp, _ = exact_w2_small(f, g)
     tri = triangular_coupling_cost(f, g)
     assert lp <= tri + 1e-12

@@ -347,9 +347,8 @@ def test_iterator_yields_requested_width():
 def test_spec_matches_sampler_covariance():
     # the density spec and the sampler describe the same law
     n = 64
-    spec = EquicorrelatedGaussian(dim=n)
-    inv = np.asarray(spec.inverse_covariance())
     scale = equicorrelated_scale(n)
+    inv = np.asarray(EquicorrelatedGaussian(scale).inverse_covariance(n))
     cov = scale**2 * (np.eye(n) + np.ones((n, n)))
     np.testing.assert_allclose(inv @ cov, np.eye(n), atol=1e-10)
 

@@ -223,8 +223,8 @@ def test_lemma_lambda_uniform_to_linear():
 def test_quadratic_inequality_random_logconcave(seed):
     rng = np.random.default_rng(1000 + seed)
     grid = unit_cube_grid(1, 256)
-    f = build_density(random_logconcave_spec_1d(rng, 0.0, 1.0), grid)
-    g = build_density(random_logconcave_spec_1d(rng, 0.0, 1.0), grid)
+    f = build_density(random_logconcave_spec_1d(rng), grid)
+    g = build_density(random_logconcave_spec_1d(rng), grid)
     ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))
     assert check_prop_quadratic(f, g, ratio).passed
     assert check_lemma_lambda(f, g).passed
@@ -282,7 +282,7 @@ def test_cheeger_requires_vanishing_endpoints():
 def test_cheeger_random_test_functions(seed):
     rng = np.random.default_rng(40 + seed)
     grid = unit_cube_grid(1, 256)
-    rho = build_density(random_logconcave_spec_1d(rng, 0.0, 1.0), grid)
+    rho = build_density(random_logconcave_spec_1d(rng), grid)
     ratio = estimate_axis_convexity_ratio(rho)
     u = random_node_test_function(rng, grid)
     assert check_cheeger_lambda(rho, ratio, u).passed
@@ -310,8 +310,8 @@ def test_deficit_never_exceeds_entropy(seed):
     # the relative entropy for any smooth positive pair
     rng = np.random.default_rng(seed)
     grid = unit_cube_grid(1, 256)
-    f = build_density(random_logconcave_spec_1d(rng, 0.0, 1.0), grid)
-    g = build_density(random_logconcave_spec_1d(rng, 0.0, 1.0), grid)
+    f = build_density(random_logconcave_spec_1d(rng), grid)
+    g = build_density(random_logconcave_spec_1d(rng), grid)
     tmap = monotone_map(f, g)
     deficit = deficit_1d(f, g, tmap)
     entropy = relative_entropy(g, f)
