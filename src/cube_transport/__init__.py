@@ -12,7 +12,7 @@ from .concentration import (ConcentrationProfile, LipschitzTailFit,
 from .density import (ConvexPower, CustomGrid, DegenerateDensityError,
                       DensityError, DensitySpec, EquicorrelatedGaussian,
                       ExponentialTilt, Grid, GridDensity, PositivityError,
-                      RestrictedGaussian, Uniform, build_density,
+                      RestrictedGaussian, Uniform, build_density, check_shapes,
                       check_midpoint_log_concavity,
                       estimate_axis_convexity_ratio,
                       estimate_diag_second_derivative_bound, marginalize_last,

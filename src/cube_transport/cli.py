@@ -36,7 +36,7 @@ from .concentration import (MIN_SCALING_DIM, MIN_SCALING_SAMPLES, alpha_theorem1
                             poincare_lsi_check, r_from_m)
 from .density import (DensityError, Grid, GridDensity, RestrictedGaussian,
                       Uniform, build_density, check_midpoint_log_concavity,
-                      estimate_axis_convexity_ratio,
+                      check_shapes, estimate_axis_convexity_ratio,
                       estimate_diag_second_derivative_bound, marginalize_last,
                       normalize, spec_from_dict, unit_cube_grid)
 from .families import (draw_trig_coeffs, random_center_test_function,
@@ -209,12 +209,11 @@ def _rng(cfg, label: str) -> np.random.Generator:
 
 
 def _linear_product_target(grid: Grid) -> GridDensity:
-    """The density prod_i 2 (x_i - origin_i) / side, normalized."""
+    """The density prod_i 2 x_i, normalized."""
     vals = np.ones(grid.shape)
-    for axis, x in enumerate(grid.open_centers()):
-        vals *= 2.0  # ((vals * 2) * (x - origin)) / side, in place
-        vals *= x - grid.origin[axis]
-        vals /= grid.side
+    for x in grid.open_centers():
+        vals *= 2.0  # (vals * 2) * x, in place
+        vals *= x
     return normalize(GridDensity(grid, vals))
 
 
@@ -224,15 +223,17 @@ def _linear_product_target(grid: Grid) -> GridDensity:
 
 def suite_density_check(cfg) -> dict:
     grid = unit_cube_grid(cfg["dim"], cfg["m"])
-    src_spec = spec_from_dict(cfg["source"]) if cfg["source"] else None
-    if src_spec is None:
+    if not cfg["source"]:
         raise ConfigError("density-check needs a source spec")
-    tgt_spec = spec_from_dict(cfg["target"]) if cfg["target"] else None
+    specs = {tag: spec_from_dict(cfg[tag]) for tag in ("source", "target") if cfg[tag]}
+    for tag, spec in specs.items():  # both, before either density is built
+        try:
+            check_shapes(spec, grid)
+        except DensityError as exc:
+            raise ConfigError(f"{tag}: {exc}") from None
     reports = []
     metrics = {}
-    for tag, spec in (("source", src_spec), ("target", tgt_spec)):
-        if spec is None:
-            continue
+    for tag, spec in specs.items():
         d = build_density(spec, grid)
         reports.append(make_report(f"mass-normalization-{tag}",
                                    abs(d.total_mass - 1.0), 0.0, 1.0, grid_m=cfg["m"]))
@@ -244,7 +245,7 @@ def suite_density_check(cfg) -> dict:
         if cfg["m"] >= 3:
             curv = estimate_diag_second_derivative_bound(d)
             metrics[f"curvature_bound_{tag}"] = curv
-            metrics[f"implied_ratio_{tag}"] = r_from_m(max(curv, 0.0), grid.side)
+            metrics[f"implied_ratio_{tag}"] = r_from_m(max(curv, 0.0))
         if grid.dim >= 2:
             reports.append(make_report(f"marginal-ratio-monotone-{tag}",
                                        estimate_axis_convexity_ratio(marginalize_last(d)),
@@ -407,8 +408,8 @@ def suite_concentration(cfg) -> dict:
         d = build_density(spec, grid)
         curv = estimate_diag_second_derivative_bound(d)
         metrics[f"curvature_bound_n{n}"] = curv
-        alpha_t1 = alpha_theorem1(grid.side, max(curv, 0.0))
-        alpha_ratio = 3.0 * r_from_m(max(curv, 0.0), grid.side)
+        alpha_t1 = alpha_theorem1(1.0, max(curv, 0.0))
+        alpha_ratio = 3.0 * r_from_m(max(curv, 0.0))
         u = np.zeros(n)
         u[0] = 1.0
         for alpha, tag, name in ((alpha_t1, "thm1", "thm-1.1"), (alpha_ratio, "ratio", "thm-1.2")):
@@ -441,7 +442,7 @@ def suite_concentration(cfg) -> dict:
     for d, curv, label in measures[1:]:
         funcs = [random_center_test_function(rng, d.grid)
                  for _ in range(cfg["test_functions"])]
-        reports.extend(poincare_lsi_check(d, curv, d.grid.side, funcs))
+        reports.extend(poincare_lsi_check(d, curv, 1.0, funcs))
     return {"reports": reports, "metrics": metrics, "profiles": profiles}
 
 

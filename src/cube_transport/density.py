@@ -1,4 +1,4 @@
-"""Piecewise-constant densities on regular grids over axis-parallel cubes.
+"""Piecewise-constant densities on regular grids over the unit cube [0, 1]^n.
 
 A density is stored as one nonnegative value per cell of a regular grid and
 is understood as piecewise constant on cells. All structural diagnostics
@@ -34,58 +34,43 @@ class DegenerateDensityError(DensityError):
     """Total mass is zero (or not normalizable)."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
-    """Regular grid of ``cells_per_axis`` cells per axis on origin + [0, side]^dim.
+    """Regular grid of m = ``cells_per_axis`` cells of width h = 1/m per axis
+    on the unit cube [0, 1]^dim; grids of equal dim and m are equal, and
+    ``origin`` and ``side`` are the cube's constants 0 and 1.
 
     Value arrays have ``shape`` (m,) * dim, cells in C order. Fields are
     evaluated on ``open_centers``, one m-point coordinate array per axis that
     broadcasts against a value array; ``centers_mesh`` and ``centers`` are
     derived from it for callers that need every cell's coordinates.
 
-    The nodes of axis k, ``axis_nodes(k)``, bound its cells: cell c holds
-    the x with nodes[c] <= x < nodes[c + 1], the last cell also the top
-    node and everything above it, the first cell everything below it (see
-    ``cell_index``). ``dim`` and ``cells_per_axis`` are integers, the origin
-    is finite, and every axis's cells are wider than two ulps of its
-    largest |coordinate|, so each cell holds floats and ``cell_index``'s
-    one correction step is exact.
+    The nodes c h, the same ``axis_nodes`` on every axis, bound the cells:
+    cell c holds the x with nodes[c] <= x < nodes[c + 1], the last cell also
+    the top node and everything above it, the first cell everything below it
+    (see ``cell_index``). ``dim`` and m are integers and h > 2 ulps of 1, so
+    each cell holds floats and ``cell_index``'s one correction step is exact.
     """
 
     dim: int
     cells_per_axis: int
-    origin: np.ndarray
-    side: float = 1.0
+    origin = 0.0
+    side = 1.0
 
     def __post_init__(self):
         for key in ("dim", "cells_per_axis"):
             value = getattr(self, key)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise DensityError(f"{key} must be an integer, got {value!r}")
+            if value < 1:
+                raise DensityError(f"{key} must be >= 1")
             object.__setattr__(self, key, int(value))
-        origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "side", float(self.side))
-        if self.dim < 1:
-            raise DensityError("dim must be >= 1")
-        if self.cells_per_axis < 1:
-            raise DensityError("cells_per_axis must be >= 1")
-        if origin.shape != (self.dim,):
-            raise DensityError(f"origin must have shape ({self.dim},), got {origin.shape}")
-        if not np.all(np.isfinite(origin)):
-            raise DensityError("origin must be finite")
-        if not (np.isfinite(self.side) and self.side > 0):
-            raise DensityError("side must be positive and finite")
-        # the first and last nodes, as axis_nodes computes them
-        top = np.maximum(abs(origin), abs(origin + self.cells_per_axis * self.h))
-        if not np.all(self.h > 2.0 * np.spacing(top)):
-            raise DensityError(f"cells of width {self.h:.3g} are not wider than two ulps "
-                               f"of the largest |coordinate| {top.max():.3g}")
+        if not self.h > 2.0 * np.spacing(1.0):
+            raise DensityError(f"cells of width {self.h:.3g} are not wider than two ulps of 1")
 
     @property
     def h(self) -> float:
-        """Cell width."""
-        return self.side / self.cells_per_axis
+        return 1.0 / self.cells_per_axis
 
     @property
     def shape(self) -> tuple:
@@ -100,10 +85,10 @@ class Grid:
         return self.h ** self.dim
 
     def axis_centers(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + (np.arange(self.cells_per_axis) + 0.5) * self.h
+        return (np.arange(self.cells_per_axis) + 0.5) * self.h
 
     def axis_nodes(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + np.arange(self.cells_per_axis + 1) * self.h
+        return np.arange(self.cells_per_axis + 1) * self.h
 
     def open_centers(self) -> list:
         """Cell-center coordinates of each axis k, shaped (m,) along axis k and
@@ -126,47 +111,34 @@ class Grid:
         array per axis: centered inside, one-sided at the ends."""
         return [np.gradient(values, self.h, axis=k) for k in range(self.dim)]
 
-    def cell_index(self, x: np.ndarray, axis: int) -> np.ndarray:
-        """Cell of each coordinate x on ``axis``, by that axis's nodes: the
-        last c with nodes[c] <= x, clamped to [0, m - 1]; bitwise
+    def cell_index(self, x: np.ndarray) -> np.ndarray:
+        """Cell of each coordinate x, in any shape, by the nodes: the last c
+        with nodes[c] <= x, clamped to [0, m - 1]; bitwise
         clip(searchsorted(nodes, x, "right") - 1, 0, m - 1), so a point on a
         node lies in the cell above it, and the top node, points past either
-        end and nan lie in an end cell. ``x`` holds coordinates of one axis,
-        in any shape; the cells of (N, dim) points are one call per column,
-        ``cell_index(points[:, k], k)``, since the axes' origins may differ."""
+        end and nan lie in an end cell. Every axis has the same nodes, so the
+        cells of (N, dim) points are ``cell_index(points)``."""
         x = np.asarray(x, dtype=float)
-        m, o, h = self.cells_per_axis, self.origin[axis], self.h
-        # The floor estimate is off by at most one cell. At node c, rounding
-        # c h, adding the origin and subtracting it again move the offset
-        # from c h by at most 1.5 ulps of the largest |coordinate|, under
-        # 3/4 of a cell wider than two ulps (by 2 ulps where c h exceeds
-        # that coordinate, but then h is at least 1/m of it, and 2 ulps are
-        # under h/2 for m < 2^50). So the estimate at each node c is within
-        # 3/4 of c, and as rounding is monotone, each x in cell c has its
-        # floor in {c - 1, c, c + 1}: one comparison with each neighbouring
-        # node, computed as axis_nodes computes it, finds c. fmin and fmax
-        # send nan to m - 1, where searchsorted puts it.
-        c = np.fmax(np.fmin(np.floor((x - o) / h), m - 1), 0).astype(np.intp)
-        c -= x < o + c * h
-        c += x >= o + (c + 1) * h
+        m, h = self.cells_per_axis, self.h
+        # The floor estimate is off by at most one cell: at node c, rounding c h
+        # and dividing by h give c (1 + d), |d| <= 2^-52, within m 2^-52 < 1/2
+        # of c as h > 2^-51. Rounding is monotone, so x in cell c has its floor
+        # in {c - 1, c, c + 1}, and one comparison with each neighbouring node,
+        # computed as axis_nodes computes it, finds c. fmin and fmax send nan
+        # to m - 1, where searchsorted puts it.
+        c = np.fmax(np.fmin(np.floor(x / h), m - 1), 0).astype(np.intp)
+        c -= x < c * h
+        c += x >= (c + 1) * h
         return np.clip(c, 0, m - 1)
-
-    def matches(self, other: "Grid") -> bool:
-        return (
-            self.dim == other.dim
-            and self.cells_per_axis == other.cells_per_axis
-            and abs(self.side - other.side) <= 1e-12 * max(1.0, self.side)
-            and bool(np.all(np.abs(self.origin - other.origin) <= 1e-12 * max(1.0, self.side)))
-        )
 
     def drop_last_axis(self) -> "Grid":
         if self.dim < 2:
             raise DensityError("cannot drop an axis from a 1d grid")
-        return Grid(self.dim - 1, self.cells_per_axis, self.origin[:-1], self.side)
+        return Grid(self.dim - 1, self.cells_per_axis)
 
 
 def unit_cube_grid(dim: int, cells_per_axis: int) -> Grid:
-    return Grid(dim, cells_per_axis, np.zeros(dim), 1.0)
+    return Grid(dim, cells_per_axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,9 +236,9 @@ class RestrictedGaussian:
     center: tuple = field(metadata={"axes": 1})
     inverse_covariance: tuple = field(metadata={"axes": 2})
 
-    def arrays(self, dim: int):
-        c = _sized(self.center, (dim,), "center")
-        a = _sized(self.inverse_covariance, (dim, dim), "inverse_covariance")
+    def arrays(self):
+        c = np.asarray(self.center, dtype=float)
+        a = np.asarray(self.inverse_covariance, dtype=float)
         if not np.allclose(a, a.T, atol=1e-12):
             raise DensityError("inverse_covariance must be symmetric")
         if np.linalg.eigvalsh(a).min() < -1e-12:
@@ -389,41 +361,44 @@ def spec_from_dict(d: dict) -> DensitySpec:
 def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
     """Evaluate a density spec at cell centers, normalized to mass 1. Fields
     are built from the grid's open centers, term by term in the order of the
-    spec's formula, so no full coordinate mesh is ever made. DensityError if
-    a spec array's shape is not exactly (dim,), (dim, dim) or the grid's."""
+    spec's formula, so no full coordinate mesh is ever made. DensityError
+    unless ``check_shapes`` passes."""
+    check_shapes(spec, grid)
     x = grid.open_centers()
     if isinstance(spec, Uniform):
         vals = np.ones(grid.shape)
     elif isinstance(spec, RestrictedGaussian):
-        c, a = spec.arrays(grid.dim)
+        c, a = spec.arrays()
         vals = _gaussian_values(x, c, a)
     elif isinstance(spec, EquicorrelatedGaussian):
-        c = grid.origin + grid.side / 2.0
-        vals = _gaussian_values(x, c, spec.inverse_covariance(grid.dim))
+        vals = _gaussian_values(x, np.full(grid.dim, 0.5), spec.inverse_covariance(grid.dim))
     elif isinstance(spec, ExponentialTilt):
-        tilt = _sized(spec.tilt, (grid.dim,), "tilt")
+        tilt = np.asarray(spec.tilt, dtype=float)
         lin = sum(tilt[k] * x[k] for k in range(grid.dim))
         lin -= lin.max()
         vals = np.exp(lin, out=lin)
     elif isinstance(spec, ConvexPower):
-        v = _sized(spec.direction, (grid.dim,), "direction")
+        v = np.asarray(spec.direction, dtype=float)
         lin = spec.offset + sum(v[k] * x[k] for k in range(grid.dim))
         if lin.min() <= 0:
             raise DensityError("ConvexPower base offset + x.direction must stay positive on the cube")
         vals = lin ** float(spec.power)
-    elif isinstance(spec, CustomGrid):
-        vals = _sized(spec.values, grid.shape, "custom_grid values")
     else:
-        raise DensityError(f"unknown density spec {type(spec).__name__}")
+        vals = np.asarray(spec.values, dtype=float)
     return normalize(GridDensity(grid, vals))
 
 
-def _sized(values, shape: tuple, what: str) -> np.ndarray:
-    # exactly the shape the grid needs: nothing is reshaped
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != shape:
-        raise DensityError(f"{what} has shape {arr.shape}; the grid needs shape {shape}")
-    return arr
+def check_shapes(spec: DensitySpec, grid: Grid) -> None:
+    """DensityError unless spec is of a SPEC_VARIANTS class and each field has
+    exactly the shape (dim,) * axes, or the grid's for axes None; nothing is
+    reshaped, and nothing is built."""
+    if type(spec) not in SPEC_VARIANTS.values():
+        raise DensityError(f"unknown density spec {type(spec).__name__}")
+    for f in fields(spec):
+        axes, shape = f.metadata["axes"], np.shape(getattr(spec, f.name))
+        need = grid.shape if axes is None else (grid.dim,) * axes
+        if shape != need:
+            raise DensityError(f"{f.name} has shape {shape}; the grid needs shape {need}")
 
 
 def _gaussian_values(x, center, inv_cov):

@@ -40,16 +40,15 @@ def trig_density(coeffs: np.ndarray, grid: Grid) -> GridDensity:
 
 def _mode_field(coeffs: np.ndarray, grid: Grid, omega: float) -> np.ndarray:
     """Sum over axes i and k = 1..MAX_FREQUENCY of a sin(omega k x_i) +
-    b cos(omega k x_i) at the cell centres, (a, b) = coeffs[i, k - 1] and x_i
-    rescaled to [0, 1]. Each sin and cos runs on the m centres of its axis;
-    the terms are added into the field as (out + a sin) + b cos, term by term."""
+    b cos(omega k x_i) at the cell centres, (a, b) = coeffs[i, k - 1]. Each
+    sin and cos runs on the m centres of its axis; the terms are added into
+    the field as (out + a sin) + b cos, term by term."""
     out = np.zeros(grid.shape)
     for axis, centres in enumerate(grid.open_centers()):
-        x = (centres - grid.origin[axis]) / grid.side
         for k in range(1, MAX_FREQUENCY + 1):
             a, b = coeffs[axis, k - 1]
-            out += a * np.sin(omega * k * x)
-            out += b * np.cos(omega * k * x)
+            out += a * np.sin(omega * k * centres)
+            out += b * np.cos(omega * k * centres)
     return out
 
 
@@ -86,7 +85,7 @@ def random_logconcave_spec_nd(rng: np.random.Generator, dim: int,
 
 def random_node_test_function(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     """Node-sampled 1d function vanishing at both endpoints (sine modes)."""
-    x = (grid.axis_nodes(0) - grid.origin[0]) / grid.side
+    x = grid.axis_nodes(0)
     u = np.zeros_like(x)
     for k in range(1, MAX_FREQUENCY + 1):
         u += rng.normal(0.0, 1.0 / k) * np.sin(np.pi * k * x)

@@ -107,7 +107,7 @@ def relative_entropy(g: GridDensity, f: GridDensity) -> float:
     Cells where g vanishes contribute zero; a cell with g > 0 but f = 0
     makes the entropy infinite.
     """
-    if not f.grid.matches(g.grid):
+    if f.grid != g.grid:
         raise DensityError("densities must share the same grid")
     if not (f.is_normalized() and g.is_normalized()):
         raise DensityError("relative entropy expects normalized densities")
@@ -183,7 +183,7 @@ def legendre_tire_bound(f: GridDensity, g: GridDensity) -> float:
     every cell's v_last per line costs O(cells^2 / m log m), so the cell
     count is still capped.
     """
-    if not f.grid.matches(g.grid):
+    if f.grid != g.grid:
         raise DensityError("densities must share the same grid")
     grid = f.grid
     n, m = grid.dim, grid.cells_per_axis
@@ -283,7 +283,7 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     RuntimeError after W2_MAX_ROUNDS. On a 2-core machine the benchmark's
     576-cell pairs take about 0.06 s in one round, a 1024-cell pair about
     0.2 s, and a 4096-cell pair about 8 s in five."""
-    if not f.grid.matches(g.grid):
+    if f.grid != g.grid:
         raise DensityError("densities must share the same grid")
     n, shape = f.grid.n_cells, f.grid.shape
     if n > W2_CELL_LIMIT:
@@ -345,7 +345,7 @@ def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
     of squared center differences, added axis by axis as in
     ``((x_i - x_j) ** 2).sum()``, and writes its atoms' terms in place; one
     np.sum over them makes the cost bitwise that of the built coupling."""
-    if not f.grid.matches(g.grid):
+    if f.grid != g.grid:
         raise DensityError("densities must share the same grid")
     grid = f.grid
     tables = [(c[:, None] - c[None, :]) ** 2 for c in map(grid.axis_centers, range(grid.dim))]

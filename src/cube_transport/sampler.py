@@ -53,10 +53,10 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
     ``cdf_cells``, of a uniform under the row of the (k+1)-axis marginal's
     ``row_cdfs`` table above the cells already chosen. The search lands
     only on cells of positive mass; a uniform jitter then places the point
-    inside its cell: origin + (cell + u) h rounds onto the cell's nodes at
-    worst, never below its lower node, and a draw on its upper node is
-    moved to the float just below it, so ``grid.cell_index`` of every draw
-    is the cell it was drawn in.
+    inside its cell: (cell + u) h rounds onto the cell's nodes at worst,
+    never below its lower node, and a draw on its upper node is moved to
+    the float just below it, so ``grid.cell_index`` of every draw is the
+    cell it was drawn in.
     """
     if n_samples < 1:
         raise DensityError("n_samples must be >= 1")
@@ -74,15 +74,14 @@ def sample_grid(d: GridDensity, n_samples: int, seed: int) -> SampleBatch:
     for k, marginal in enumerate(_marginals(d.values)):
         cells[:, k] = cdf_cells(row_cdfs(marginal), prefix, u_cell[:, k])
         prefix = prefix * m + cells[:, k]
-    # origin + (cells + u) h, in the jitter's buffer: one (N, dim) array fewer
+    # (cells + u) h, in the jitter's buffer: one (N, dim) array fewer
     points = np.add(u_jit, cells, out=u_jit)
     points *= grid.h
-    points += grid.origin
-    for k, x in enumerate(points.T):
-        # each rounding is monotone, so x lies between its cell's nodes; it
-        # reaches the upper one when cells + u rounds up to cells + 1
-        below_top = np.nextafter(grid.axis_nodes(k)[1:], -np.inf)
-        np.minimum(x, below_top[cells[:, k]], out=x)
+    # each rounding is monotone, so x lies between its cell's nodes; it
+    # reaches the upper one when cells + u rounds up to cells + 1
+    below_top = np.nextafter(grid.axis_nodes(0)[1:], -np.inf)
+    for x, c in zip(points.T, cells.T):
+        np.minimum(x, below_top[c], out=x)
     return SampleBatch(points)
 
 

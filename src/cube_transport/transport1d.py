@@ -66,9 +66,7 @@ class MonotoneMap1D(NamedTuple):
 
 
 def _check_same_interval(f: GridDensity, g: GridDensity) -> None:
-    if f.grid.dim != 1 or g.grid.dim != 1:
-        raise DensityError("expected 1d densities")
-    if not f.grid.matches(g.grid):
+    if f.grid.dim != 1 or f.grid != g.grid:
         raise DensityError("source and target must share the same 1d grid")
 
 
@@ -182,10 +180,8 @@ def quadratic_cost_1d(f: GridDensity, tmap: MonotoneMap1D) -> float:
 
 def check_prop_quadratic(f: GridDensity, g: GridDensity, ratio_bound: float,
                          tmap: MonotoneMap1D = None) -> VerificationReport:
-    """Quadratic cost <= (40/9) R^2 * deficit, on an interval of length <= 1."""
+    """Quadratic cost <= (40/9) R^2 * deficit, on [0, 1]."""
     _check_same_interval(f, g)
-    if f.grid.side > 1.0 + 1e-9:
-        raise DensityError("quadratic-cost bound is stated for intervals of length <= 1")
     if tmap is None:
         tmap = monotone_map(f, g)
     return make_report("prop-2.1", quadratic_cost_1d(f, tmap), deficit_1d(f, g, tmap),
@@ -214,17 +210,13 @@ def _interval_mass(d: GridDensity, a: float, b: float) -> float:
 def check_segment_bound(rho: GridDensity, ratio_bound: float, a: float,
                         b: float) -> VerificationReport:
     """integral_a^b rho <= (R/2) (rho(a) + rho(b)) for a density with axis
-    convexity ratio R on an interval of length <= 1."""
+    convexity ratio R on [0, 1]."""
     if rho.grid.dim != 1:
         raise DensityError("expected a 1d density")
-    if rho.grid.side > 1.0 + 1e-9:
-        raise DensityError("segment bound is stated for intervals of length <= 1")
-    lo = rho.grid.origin[0]
-    hi = lo + rho.grid.side
-    if not (lo - 1e-12 <= a < b <= hi + 1e-12):
-        raise DensityError("need origin <= a < b <= origin + side")
+    if not (-1e-12 <= a < b <= 1.0 + 1e-12):
+        raise DensityError("need 0 <= a < b <= 1")
     rho.require_positive()
-    ends = rho.values[rho.grid.cell_index(np.array([a, b]), 0)]
+    ends = rho.values[rho.grid.cell_index(np.array([a, b]))]
     return make_report("lem-2.4", _interval_mass(rho, a, b), float(ends.sum()),
                        SEGMENT_FACTOR * ratio_bound, grid_m=rho.grid.cells_per_axis)
 
@@ -232,12 +224,9 @@ def check_segment_bound(rho: GridDensity, ratio_bound: float, a: float,
 def check_cheeger_lambda(rho: GridDensity, ratio_bound: float,
                          test_values: np.ndarray) -> VerificationReport:
     """integral mixed_cost(u) rho <= (4/3) R^2 integral mixed_cost(u') rho
-    for node-sampled test functions u vanishing at both endpoints, on an
-    interval of length <= 1."""
+    for node-sampled test functions u vanishing at both endpoints of [0, 1]."""
     if rho.grid.dim != 1:
         raise DensityError("expected a 1d density")
-    if rho.grid.side > 1.0 + 1e-9:
-        raise DensityError("gradient-energy bound is stated for intervals of length <= 1")
     rho.require_positive()
     m = rho.grid.cells_per_axis
     h = rho.grid.h

@@ -133,7 +133,7 @@ def knothe_levels(f, g):
     n, m = f.grid.dim, f.grid.cells_per_axis
     costs, deficits = np.zeros(n), np.zeros(n)
     for k in range(n):
-        line = Grid(1, m, f.grid.origin[k:k + 1], f.grid.side)
+        line = Grid(1, m)
         if k == 0:
             atoms = [(0, 0, 1.0)]
         else:
@@ -245,11 +245,11 @@ def build_density(spec, grid):
     if isinstance(spec, Uniform):
         vals = np.ones(grid.shape)
     elif isinstance(spec, RestrictedGaussian):
-        c, a = spec.arrays(grid.dim)
+        c = exact_shape(spec.center, (grid.dim,))
+        a = exact_shape(spec.inverse_covariance, (grid.dim, grid.dim))
         vals = gaussian_values(mesh, c, a)
     elif isinstance(spec, EquicorrelatedGaussian):
-        vals = gaussian_values(mesh, grid.origin + grid.side / 2.0,
-                               spec.inverse_covariance(grid.dim))
+        vals = gaussian_values(mesh, np.full(grid.dim, 0.5), spec.inverse_covariance(grid.dim))
     elif isinstance(spec, ExponentialTilt):
         tilt = exact_shape(spec.tilt, (grid.dim,))
         lin = sum(tilt[k] * mesh[k] for k in range(grid.dim))
@@ -279,7 +279,7 @@ def mode_field(coeffs, grid, omega):
     mesh = full_mesh(grid)
     out = np.zeros(grid.shape)
     for axis in range(grid.dim):
-        x = (mesh[axis] - grid.origin[axis]) / grid.side
+        x = mesh[axis]
         for k in range(1, MAX_FREQUENCY + 1):
             a, b = coeffs[axis, k - 1]
             out = out + a * np.sin(omega * k * x) + b * np.cos(omega * k * x)
@@ -287,9 +287,9 @@ def mode_field(coeffs, grid, omega):
 
 
 def linear_product_target(grid):
-    """prod_i 2 (x_i - origin_i) / side on full meshes, normalized."""
+    """prod_i 2 x_i on full meshes, normalized."""
     mesh = full_mesh(grid)
     vals = np.ones(grid.shape)
     for axis in range(grid.dim):
-        vals = vals * 2.0 * (mesh[axis] - grid.origin[axis]) / grid.side
+        vals = vals * 2.0 * mesh[axis]
     return normalize(GridDensity(grid, vals))

@@ -49,7 +49,7 @@ def dense_legendre_tire_bound(f, g):
     """The Legendre upper bound of ``legendre_tire_bound``, with phi*(v) the
     max of v.y - phi(y) over every target cell y of the support, plus the
     (h/2)|v|_1 that the cell's best corner adds to its center."""
-    if not f.grid.matches(g.grid):
+    if f.grid != g.grid:
         raise DensityError("densities must share the same grid")
     fv = f.require_positive()
     grid = f.grid

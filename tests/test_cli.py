@@ -463,6 +463,24 @@ def test_oversized_scans_exit_2_without_scanning(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("tag", ["source", "target"])
+def test_mis_shaped_specs_exit_2_before_any_density_is_built(tmp_path, capsys, monkeypatch, tag):
+    # both specs' shapes are checked against the grid before the source is
+    # built and scanned, and the message names the spec as parse errors do
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a density was built or scanned")
+
+    for name in ("build_density", "check_midpoint_log_concavity",
+                 "estimate_axis_convexity_ratio"):
+        monkeypatch.setattr(f"cube_transport.cli.{name}", no_scan)
+    cfg = {"source": VALID_SPECS["restricted_gaussian"], "target": VALID_SPECS["uniform"],
+           tag: {"variant": "custom_grid", "values": [[1.0, 2.0]]}}
+    err = assert_rejected(capsys, ["density-check", "--m", "1024", "--dim", "2", "--config",
+                                   _write_config(tmp_path, cfg), "--out", str(tmp_path / "run")])
+    assert err == f"error: {tag}: values has shape (1, 2); the grid needs shape (1024, 1024)\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("cfg", [{"t_count": 2}, {"t_count": 3}, {"t_max": 0.02}],
                          ids=["t_count-2", "t_count-3", "t_max-0.02"])
 def test_negative_control_holds_at_any_offsets(tmp_path, cfg):

@@ -8,7 +8,6 @@ import pytest
 from cube_transport import (
     DegenerateDensityError,
     DensityError,
-    Grid,
     GridDensity,
     RestrictedGaussian,
     Uniform,
@@ -314,9 +313,9 @@ def test_poincare_constant_not_violated_by_first_eigenfunction():
 
 
 def test_poincare_lsi_gaussian_measure():
-    grid = Grid(1, 256, [-0.5], 1.0)
-    d = build_density(RestrictedGaussian((0.0,), ((4.0,),)), grid)
-    x = grid.axis_centers(0)
+    grid = unit_cube_grid(1, 256)
+    d = build_density(RestrictedGaussian((0.5,), ((4.0,),)), grid)
+    x = grid.axis_centers(0) - 0.5
     fns = [np.sin(2.0 * np.pi * x), x**2, np.exp(x)]
     reps = poincare_lsi_check(d, 4.0, 1.0, fns)
     assert len(reps) == 6

@@ -53,104 +53,98 @@ def test_unit_grid_geometry():
     np.testing.assert_allclose(grid.axis_centers(0), (np.arange(8) + 0.5) / 8)
 
 
-def test_centered_grid_spans_symmetric_box():
-    grid = Grid(3, 4, np.full(3, -1.0), 2.0)
-    np.testing.assert_allclose(grid.origin, [-1.0, -1.0, -1.0])
-    assert grid.axis_nodes(1)[0] == pytest.approx(-1.0)
-    assert grid.axis_nodes(1)[-1] == pytest.approx(1.0)
+def test_grid_is_dim_and_m_on_the_unit_cube():
+    # origin and side are the cube's constants, not fields
+    with pytest.raises(TypeError):
+        Grid(2, 4, [0.0, 0.5], 1.0)
+    assert [f.name for f in dataclasses.fields(Grid)] == ["dim", "cells_per_axis"]
+    assert (Grid.origin, Grid.side) == (0.0, 1.0)
+    assert Grid(2, 4) == unit_cube_grid(2, 4)
+    assert hash(Grid(2, 4)) == hash(unit_cube_grid(2, 4))
+    assert Grid(2, 4) != Grid(2, 5) and Grid(2, 4) != Grid(3, 4)
 
 
 def test_cell_index_interior_and_clamping():
     grid = unit_cube_grid(1, 10)
     x = np.array([0.05, 0.999, 0.0, 1.0, -3.0, 4.0])
-    np.testing.assert_array_equal(grid.cell_index(x, 0), [0, 9, 0, 9, 0, 9])
-
-
-def test_cell_index_names_its_axis():
-    # axis 1 starts at 0.5, so its coordinate 0.6 lies in cell 0; read by
-    # axis 0's nodes, a defaulted axis put it in cell 2
-    grid = Grid(2, 4, [0.0, 0.5], 1.0)
-    with pytest.raises(TypeError):
-        grid.cell_index(np.array([[0.1, 0.6]]))
-    points = np.array([[0.1, 0.6], [0.3, 1.3], [0.99, 1.49]])
-    cells = np.column_stack([grid.cell_index(points[:, k], k) for k in range(2)])
-    np.testing.assert_array_equal(cells, [[0, 0], [1, 3], [3, 3]])
+    np.testing.assert_array_equal(grid.cell_index(x), [0, 9, 0, 9, 0, 9])
+    # every axis has the same nodes, so (N, dim) points take one call
+    points = np.array([[0.1, 0.6], [0.3, 1.3], [0.99, -0.49]])
+    np.testing.assert_array_equal(unit_cube_grid(2, 4).cell_index(points),
+                                  [[0, 2], [1, 3], [3, 0]])
+    assert unit_cube_grid(1, 8).cell_index(0.3) == 2
 
 
 def test_axis_nodes_and_centers_name_their_axis():
-    # a defaulted axis returned axis 0's coordinates for every axis: here
-    # 0, 0.25, ... where axis 1's nodes are 0.5, 0.75, ...
-    grid = Grid(2, 4, [0.0, 0.5], 1.0)
+    grid = unit_cube_grid(2, 4)
     for coordinates in (grid.axis_nodes, grid.axis_centers):
         with pytest.raises(TypeError):
             coordinates()
-    np.testing.assert_array_equal(grid.axis_nodes(1), [0.5, 0.75, 1.0, 1.25, 1.5])
-    np.testing.assert_array_equal(grid.axis_centers(1), [0.625, 0.875, 1.125, 1.375])
+    np.testing.assert_array_equal(grid.axis_nodes(1), [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(grid.axis_centers(1), [0.125, 0.375, 0.625, 0.875])
 
 
-def _node_rule(grid, x, axis):
-    nodes = grid.axis_nodes(axis)
-    return np.clip(np.searchsorted(nodes, x, "right") - 1, 0, grid.cells_per_axis - 1)
+def test_cell_index_is_the_node_rule_for_every_m_to_5000():
+    # at every node, the floats on either side of it, points off the cube,
+    # +-inf and nan, cell_index is the last node <= x, clamped to the cube
+    off = np.array([1e-3, 1.0, 1e3])
+    for m in range(1, 5001):
+        grid = unit_cube_grid(1, m)
+        nodes = grid.axis_nodes(0)
+        x = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                            -off, 1.0 + off, [-np.inf, np.inf, np.nan]])
+        want = np.clip(np.searchsorted(nodes, x, "right") - 1, 0, m - 1)
+        np.testing.assert_array_equal(grid.cell_index(x), want)
+        np.testing.assert_array_equal(grid.cell_index(nodes[:-1]), np.arange(m))
 
 
 def test_cell_index_is_the_node_rule_on_random_grids():
-    # unit grids and shifted ones, m < 5000, |origin| <= 1e6, side 1e-6 to
-    # 1e3: at every node, the floats on either side of it, and points off
-    # the cube, cell_index is the last node <= x, clamped to the cube. The
-    # rule floor((x - origin) / h) misses it on most of these grids
+    # (N, dim) points on unit grids of random dim and m < 5000, each column
+    # the nodes, the floats on either side of them, points off the cube, +-inf
+    # and nan in its own order: every coordinate lies in the node rule's cell
     rng = np.random.default_rng(29)
-    for trial in range(600):
-        m = int(rng.integers(1, 5000))
-        if trial % 4 == 0:
-            origin, side = np.zeros(2), 1.0
-        else:
-            origin = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-6.0, 6.0, 2)
-            side = 10.0 ** rng.uniform(-6.0, 3.0)
-        grid = Grid(2, m, origin, side)
-        for axis in range(2):
-            nodes = grid.axis_nodes(axis)
-            x = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
-                                nodes[0] - side * np.array([1e-3, 1.0, 1e3]),
-                                nodes[-1] + side * np.array([1e-3, 1.0, 1e3]),
-                                [-np.inf, np.inf, np.nan]])
-            np.testing.assert_array_equal(grid.cell_index(x, axis), _node_rule(grid, x, axis))
-            np.testing.assert_array_equal(grid.cell_index(nodes[:-1], axis), np.arange(m))
+    for _ in range(200):
+        dim, m = int(rng.integers(1, 5)), int(rng.integers(1, 5000))
+        grid = unit_cube_grid(dim, m)
+        nodes = grid.axis_nodes(0)
+        x = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                            rng.uniform(-2.0, 3.0, 50), [-np.inf, np.inf, np.nan]])
+        points = np.stack([rng.permutation(x) for _ in range(dim)], axis=1)
+        want = np.clip(np.searchsorted(nodes, points, "right") - 1, 0, m - 1)
+        np.testing.assert_array_equal(grid.cell_index(points), want)
 
 
 @pytest.mark.parametrize("args, match", [
-    ((1, 20000, [1e6], 1e-6), "two ulps"),
-    ((1, 8, [np.nan], 1.0), "origin must be finite"),
-    ((1, 8, [np.inf], 1.0), "origin must be finite"),
-    ((2, 3.7, [0.0, 0.0], 1.0), "cells_per_axis must be an integer"),
-    ((2.0, 3, [0.0, 0.0], 1.0), "dim must be an integer"),
-    ((True, 3, [0.0], 1.0), "dim must be an integer"),
-    ((1, "8", [0.0], 1.0), "cells_per_axis must be an integer"),
-], ids=["cells-narrower-than-an-ulp", "origin-nan", "origin-inf", "m-3.7", "dim-2.0",
-        "dim-bool", "m-string"])
+    ((1, 2 ** 53), "two ulps"),
+    ((1, 2 ** 52), "two ulps"),
+    ((1, 2 ** 51), "two ulps"),
+    ((2, 3.7), "cells_per_axis must be an integer"),
+    ((2.0, 3), "dim must be an integer"),
+    ((True, 3), "dim must be an integer"),
+    ((1, "8"), "cells_per_axis must be an integer"),
+], ids=["cells-narrower-than-an-ulp", "m-2^52", "m-2^51", "m-3.7", "dim-2.0", "dim-bool", "m-string"])
 def test_grid_rejects_cells_without_floats_and_non_integral_sizes(args, match):
-    # Grid(1, 20000, [1e6], 1e-6) has cells 5e-11 wide where an ulp is
-    # 1.2e-10; unit_cube_grid(2, 3.7) built 3 cells per axis
+    # 2^53 cells are half an ulp of 1 wide, 2^52 cells one ulp, 2^51 cells
+    # two; unit_cube_grid(2, 3.7) built 3 cells per axis
     with pytest.raises(DensityError, match=match):
         Grid(*args)
 
 
-@pytest.mark.parametrize("grid", [unit_cube_grid(1, 2 ** 24), Grid(3, 8, [-1e6] * 3, 1e-3),
-                                  Grid(1, np.int64(5), [0.0], 1.0)],
-                         ids=["unit-2^24", "shifted-1e6", "numpy-int"])
+@pytest.mark.parametrize("grid", [unit_cube_grid(1, 2 ** 24), Grid(1, 2 ** 51 - 1),
+                                  Grid(1, np.int64(5))],
+                         ids=["unit-2^24", "unit-2^51-1", "numpy-int"])
 def test_grid_accepts_narrow_cells_that_hold_floats(grid):
-    # 2^24 unit cells are 2^28 ulps of 1 wide; cells of 1.25e-4 at -1e6 are
-    # about 1e6 ulps wide
-    x = grid.origin[-1] + np.array([0, 1, 3, grid.cells_per_axis]) * grid.h
-    np.testing.assert_array_equal(grid.cell_index(x, grid.dim - 1),
-                                  [0, 1, 3, grid.cells_per_axis - 1])
+    # 2^24 unit cells are 2^28 ulps of 1 wide; 2^51 - 1 cells, the most,
+    # just over two
+    x = np.array([0, 1, 3, grid.cells_per_axis]) * grid.h
+    np.testing.assert_array_equal(grid.cell_index(x), [0, 1, 3, grid.cells_per_axis - 1])
 
 
 def test_drop_last_axis():
     grid = unit_cube_grid(3, 4)
-    base = grid.drop_last_axis()
-    assert base.dim == 2
-    assert base.cells_per_axis == 4
-    assert base.h == grid.h
+    assert grid.drop_last_axis() == unit_cube_grid(2, 4)
+    with pytest.raises(DensityError, match="1d grid"):
+        unit_cube_grid(1, 4).drop_last_axis()
 
 
 # ---------------------------------------------------------------- builders
@@ -179,18 +173,18 @@ def test_exponential_tilt_matches_closed_form():
 
 
 def test_restricted_gaussian_shape():
-    grid = Grid(1, 64, [-0.5], 1.0)
-    d = build_density(RestrictedGaussian((0.0,), ((4.0,),)), grid)
-    x = grid.axis_centers(0)
+    grid = unit_cube_grid(1, 64)
+    d = build_density(RestrictedGaussian((0.5,), ((4.0,),)), grid)
+    x = grid.axis_centers(0) - 0.5
     expected = np.exp(-2.0 * x**2)
     expected /= expected.sum() * grid.cell_volume
     np.testing.assert_allclose(d.values, expected, rtol=1e-12)
 
 
 def test_convex_power_requires_positive_argument():
-    grid = Grid(1, 8, [-1.0], 2.0)
-    with pytest.raises(DensityError):
-        build_density(ConvexPower(0.0, (1.0,), 2.0), grid)
+    grid = unit_cube_grid(1, 8)
+    with pytest.raises(DensityError, match="must stay positive"):
+        build_density(ConvexPower(-0.5, (1.0,), 2.0), grid)
 
 
 def test_convex_power_linear_density():
@@ -213,6 +207,12 @@ def test_equicorrelated_inverse_covariance():
     inv = np.asarray(spec.inverse_covariance(3))
     cov = 0.04 * (np.eye(3) + np.ones((3, 3)))
     np.testing.assert_allclose(inv @ cov, np.eye(3), atol=1e-12)
+
+
+def test_build_rejects_a_spec_of_no_variant():
+    # a config object, not a spec: check_shapes names its class
+    with pytest.raises(DensityError, match="unknown density spec dict"):
+        build_density({"variant": "uniform"}, unit_cube_grid(1, 4))
 
 
 def test_build_rejects_negative_values():
@@ -241,7 +241,7 @@ def test_normalize_idempotent():
 
 
 def test_open_centers_broadcast_to_the_full_meshes():
-    grid = Grid(3, 5, np.array([-0.3, 0.0, 1.7]), 0.6)
+    grid = unit_cube_grid(3, 5)
     x = grid.open_centers()
     assert [a.shape for a in x] == [(5, 1, 1), (1, 5, 1), (1, 1, 5)]
     mesh = loop_oracles.full_mesh(grid)
@@ -252,17 +252,14 @@ def test_open_centers_broadcast_to_the_full_meshes():
 
 @st.composite
 def field_cases(draw):
-    """A grid with random origin and side, d = 1-5 and m from 1, and a seed."""
+    """A grid with d = 1-5 and m from 1, and a seed."""
     dim = draw(st.integers(min_value=1, max_value=5))
     m = draw(st.integers(min_value=1, max_value=(64, 24, 10, 6, 4)[dim - 1]))
-    unit = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-    origin = np.array(draw(st.lists(unit, min_size=dim, max_size=dim)))
-    side = draw(st.floats(min_value=0.05, max_value=3.0))
-    return Grid(dim, m, origin, side), draw(st.integers(min_value=0, max_value=2 ** 32))
+    return Grid(dim, m), draw(st.integers(min_value=0, max_value=2 ** 32))
 
 
 def every_spec(grid, rng):
-    dim, reach = grid.dim, np.abs(grid.origin) + grid.side
+    dim = grid.dim
     yield Uniform()
     yield ExponentialTilt(tuple(rng.uniform(-3.0, 3.0, dim)))
     spec = random_logconcave_spec_nd(rng, dim, grid.origin, grid.side)
@@ -272,7 +269,7 @@ def every_spec(grid, rng):
     yield EquicorrelatedGaussian(float(rng.uniform(0.05, 1.0)))
     direction = rng.uniform(-2.0, 2.0, dim)
     for power in (1.0, 2.0, 0.5, float(rng.uniform(-3.0, 4.0))):
-        yield ConvexPower(1.0 + float(np.abs(direction) @ reach), tuple(direction), power)
+        yield ConvexPower(1.0 + float(np.abs(direction).sum()), tuple(direction), power)
     yield CustomGrid(rng.uniform(0.1, 2.0, grid.shape))
 
 
@@ -304,7 +301,7 @@ def test_field_builders_peak_at_a_few_value_arrays():
     # full meshes cost dim arrays for the coordinates alone, and one more per
     # operation of each term; open centers leave the value array, the
     # normalized copy and one term or temporary
-    grid = Grid(3, 64, np.array([-0.5, 0.1, 0.3]), 0.8)
+    grid = unit_cube_grid(3, 64)
     rng = np.random.default_rng(11)
     coeffs = draw_trig_coeffs(rng, 3)
     builders = [(spec, lambda spec=spec: build_density(spec, grid))
@@ -324,7 +321,7 @@ def test_field_builders_peak_at_a_few_value_arrays():
 
 @pytest.mark.parametrize("dim, m", [(1, 1024), (2, 256), (4, 16), (10, 4)])
 def test_cell_masses_are_the_normalized_product(dim, m):
-    grid = Grid(dim, m, np.full(dim, -0.3), 0.7)
+    grid = unit_cube_grid(dim, m)
     d = GridDensity(grid, np.random.default_rng([dim, m]).uniform(0.1, 2.0, grid.shape))
     w = d.values.reshape(-1) * grid.cell_volume
     np.testing.assert_array_equal(d.cell_masses(), w / w.sum())
@@ -480,8 +477,8 @@ def test_axis_ratio_of_steep_gaussian_warns_nothing(monkeypatch):
 
 
 def test_midpoint_log_concavity_accepts_gaussian():
-    grid = Grid(2, 16, [-0.5, -0.5], 1.0)
-    d = build_density(RestrictedGaussian((0.0, 0.0), ((3.0, 0.5), (0.5, 2.0))), grid)
+    grid = unit_cube_grid(2, 16)
+    d = build_density(RestrictedGaussian((0.5, 0.5), ((3.0, 0.5), (0.5, 2.0))), grid)
     ok, worst = check_midpoint_log_concavity(d)
     assert ok
     assert worst <= 1e-9
@@ -727,8 +724,8 @@ def test_unit_convex_psi_is_convex_at_every_gap_exactly():
 
 def test_diag_second_derivative_exact_for_standard_gaussian():
     # psi = |x|^2 / 2 has second difference exactly 1 along every direction
-    grid = Grid(2, 12, [-0.5, -0.5], 1.0)
-    d = build_density(RestrictedGaussian((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))), grid)
+    grid = unit_cube_grid(2, 12)
+    d = build_density(RestrictedGaussian((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0))), grid)
     est = estimate_diag_second_derivative_bound(d)
     assert est == pytest.approx(1.0, abs=1e-8)
 
@@ -760,7 +757,7 @@ def test_marginalize_last_preserves_mass():
     grid = unit_cube_grid(3, 6)
     d = normalize(GridDensity(grid, rng.uniform(0.1, 1.0, grid.shape)))
     marg = marginalize_last(d)
-    assert marg.grid.dim == 2
+    assert marg.grid == unit_cube_grid(2, 6)
     assert marg.total_mass == pytest.approx(d.total_mass, rel=1e-12)
 
 

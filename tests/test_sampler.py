@@ -25,7 +25,7 @@ from cube_transport import (
     unit_cube_grid,
 )
 from cube_transport import sampler
-from cube_transport.density import DensityError, Grid, cdf_cells, row_cdfs
+from cube_transport.density import DensityError, cdf_cells, row_cdfs
 from cube_transport.sampler import (LOG10_REJECTION_LIMIT, MAX_POINT_BUDGET,
                                     equicorrelated_scale, philox)
 
@@ -95,27 +95,8 @@ def test_largest_uniform_stays_on_cells_of_positive_mass(monkeypatch, dim, m):
     d = normalize(GridDensity(grid, vals))
     points = sample_grid(d, 50, seed=0).points
     assert np.all((points >= 0.0) & (points < 1.0))
-    cells = tuple(grid.cell_index(points[:, k], k) for k in range(dim))
+    cells = tuple(grid.cell_index(points).T)
     assert np.all(d.values[cells] > 0)
-
-
-@pytest.mark.parametrize("origin, side", [(-1.0, 1.0), (0.7735851535939133, 3.0),
-                                          (-1e6, 1e-3)])
-def test_largest_uniform_stays_in_its_cell_off_the_unit_cube(monkeypatch, origin, side):
-    # with origin -1 the last cell's upper node rounds onto x = 0, and the
-    # float just below it, -5e-324, is still in cell 7 by the grid's nodes
-    monkeypatch.setattr(sampler, "philox", lambda *key: _LargestUniform())
-    grid = Grid(3, 8, [origin] * 3, side)
-    d = normalize(GridDensity(grid, np.ones(grid.shape)))
-    points = sample_grid(d, 20, seed=0).points
-    for k in range(3):
-        np.testing.assert_array_equal(grid.cell_index(points[:, k], k), 7)
-        assert np.all(points[:, k] < grid.axis_nodes(k)[-1])
-
-
-def _cells(grid, points):
-    """The (N, dim) cells of (N, dim) points, one cell_index call per axis."""
-    return np.column_stack([grid.cell_index(points[:, k], k) for k in range(grid.dim)])
 
 
 def _sparse_density(rng, dim, m):
@@ -141,7 +122,7 @@ def test_draw_is_the_exact_inverse_cdf():
     vals[2] = [16.0 * c, 16.0 * (1.0 - c), 0.0, 0.0]
     d = GridDensity(grid, vals)
     assert row_cdfs(vals[2])[1] == c
-    np.testing.assert_array_equal(_cells(grid, sample_grid(d, 1, seed=0).points), [[2, 0]])
+    np.testing.assert_array_equal(grid.cell_index(sample_grid(d, 1, seed=0).points), [[2, 0]])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -151,27 +132,10 @@ def test_cells_match_the_per_draw_oracle(dim, m):
     n = 3000 if m ** dim < 1000 else 500
     for seed in range(3):
         d = _sparse_density(rng, dim, m)
-        cells = _cells(d.grid, sample_grid(d, n, seed).points)
+        cells = d.grid.cell_index(sample_grid(d, n, seed).points)
         u = philox(seed, 1, 0).random((n, dim))
         np.testing.assert_array_equal(cells, loop_oracles.grid_sample_cells(d, u))
         assert np.all(d.values[tuple(cells.T)] > 0)
-
-
-@pytest.mark.parametrize("grid", [Grid(2, 4, [0.0, 0.5], 1.0), Grid(3, 5, [0.3, -2.0, 7.1], 0.6)],
-                         ids=["origins-0-0.5", "origins-0.3-(-2)-7.1"])
-def test_draws_lie_in_their_cells_on_axes_with_distinct_origins(grid):
-    # each axis's cells are read by that axis's nodes: axis 0's nodes put
-    # the later axes' draws in wrong cells, on Grid(2, 4, [0, 0.5], 1) two
-    # cells up
-    rng = np.random.default_rng(grid.dim)
-    d = normalize(GridDensity(grid, rng.uniform(0.1, 1.0, grid.shape)))
-    n = 4000
-    points = sample_grid(d, n, seed=6).points
-    u = philox(6, 1, 0).random((n, grid.dim))
-    np.testing.assert_array_equal(_cells(grid, points), loop_oracles.grid_sample_cells(d, u))
-    for k in range(grid.dim):
-        nodes = grid.axis_nodes(k)
-        assert np.all((points[:, k] >= nodes[0]) & (points[:, k] < nodes[-1]))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 16, 1000])
@@ -232,7 +196,7 @@ def test_cell_frequencies_match_masses():
     d = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, grid.shape)))
     n = 200000
     batch = sample_grid(d, n, seed=17)
-    idx = _cells(grid, batch.points)
+    idx = grid.cell_index(batch.points)
     flat = idx[:, 0] * 4 + idx[:, 1]
     freq = np.bincount(flat, minlength=16) / n
     masses = (d.values * grid.cell_volume).ravel()

@@ -252,6 +252,22 @@ def test_segment_bound_sharp_for_uniform():
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("a, b", [(-0.1, 0.5), (0.5, 0.5), (0.2, 1.1)])
+def test_segment_bound_needs_a_segment_of_the_unit_interval(a, b):
+    rho = build_density(Uniform(), unit_cube_grid(1, 16))
+    with pytest.raises(DensityError, match="need 0 <= a < b <= 1"):
+        check_segment_bound(rho, 1.0, a, b)
+
+
+@pytest.mark.parametrize("f_grid, g_grid", [(unit_cube_grid(1, 8), unit_cube_grid(1, 9)),
+                                            (unit_cube_grid(2, 8), unit_cube_grid(2, 8))],
+                         ids=["m-8-9", "2d"])
+def test_1d_checks_need_one_1d_grid(f_grid, g_grid):
+    f, g = build_density(Uniform(), f_grid), build_density(Uniform(), g_grid)
+    with pytest.raises(DensityError, match="must share the same 1d grid"):
+        check_prop_quadratic(f, g, 1.0)
+
+
 def test_cheeger_lambda_sine_test_function():
     grid = unit_cube_grid(1, 512)
     rho = uniform_1d(512)
