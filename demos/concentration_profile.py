@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure half-space concentration for a Gaussian restricted to the square.
 
-For a density e^{-psi} with psi'' bounded by M on a cube of side 1, mass
+For a density e^{-psi} with psi'' bounded by M on the unit cube, mass
 beyond distance t from any median half-space dies off at least as fast as
 exp(-t^2/alpha^2) with alpha = 3 exp(M/8). The demo measures the profile
 exactly on the grid, repeats it with one million Monte Carlo samples, and
@@ -32,7 +32,7 @@ grid = unit_cube_grid(2, 64)
 d = build_density(RestrictedGaussian((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0))), grid)
 
 mhat = estimate_diag_second_derivative_bound(d)
-alpha = alpha_theorem1(1.0, mhat)
+alpha = alpha_theorem1(mhat)
 print(f"measured curvature bound M = {mhat:.4f}, alpha = 3 exp(M/8) = {alpha:.4f}")
 print()
 

@@ -12,8 +12,6 @@ the log-log slope. Over a finite range that slope is
 Run: python3 demos/width_scaling.py
 """
 
-import numpy as np
-
 from cube_transport import counterexample_scaling
 
 NS = [256, 1024, 4096]

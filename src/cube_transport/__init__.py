@@ -1,5 +1,5 @@
 """Transport maps, entropy functionals, and concentration checks for
-piecewise-constant densities on axis-parallel cubes."""
+piecewise-constant densities on the unit cube."""
 
 __version__ = "0.1.0"
 
@@ -12,7 +12,7 @@ from .concentration import (ConcentrationProfile, LipschitzTailFit,
 from .density import (ConvexPower, CustomGrid, DegenerateDensityError,
                       DensityError, DensitySpec, EquicorrelatedGaussian,
                       ExponentialTilt, Grid, GridDensity, PositivityError,
-                      RestrictedGaussian, Uniform, build_density, check_shapes,
+                      RestrictedGaussian, Uniform, build_density, check_spec,
                       check_midpoint_log_concavity,
                       estimate_axis_convexity_ratio,
                       estimate_diag_second_derivative_bound, marginalize_last,

@@ -36,7 +36,7 @@ from .concentration import (MIN_SCALING_DIM, MIN_SCALING_SAMPLES, alpha_theorem1
                             poincare_lsi_check, r_from_m)
 from .density import (DensityError, Grid, GridDensity, RestrictedGaussian,
                       Uniform, build_density, check_midpoint_log_concavity,
-                      check_shapes, estimate_axis_convexity_ratio,
+                      check_spec, estimate_axis_convexity_ratio,
                       estimate_diag_second_derivative_bound, marginalize_last,
                       normalize, spec_from_dict, unit_cube_grid)
 from .families import (draw_trig_coeffs, random_center_test_function,
@@ -226,30 +226,30 @@ def suite_density_check(cfg) -> dict:
     if not cfg["source"]:
         raise ConfigError("density-check needs a source spec")
     specs = {tag: spec_from_dict(cfg[tag]) for tag in ("source", "target") if cfg[tag]}
-    for tag, spec in specs.items():  # both, before either density is built
-        try:
-            check_shapes(spec, grid)
-        except DensityError as exc:
-            raise ConfigError(f"{tag}: {exc}") from None
     reports = []
     metrics = {}
-    for tag, spec in specs.items():
-        d = build_density(spec, grid)
-        reports.append(make_report(f"mass-normalization-{tag}",
-                                   abs(d.total_mass - 1.0), 0.0, 1.0, grid_m=cfg["m"]))
-        ok, worst = check_midpoint_log_concavity(d)
-        reports.append(make_report(f"midpoint-log-concavity-{tag}", worst, 0.0,
-                                   1.0, grid_m=cfg["m"], note="" if ok else "violated"))
-        ratio = estimate_axis_convexity_ratio(d)
-        metrics[f"axis_ratio_{tag}"] = ratio
-        if cfg["m"] >= 3:
-            curv = estimate_diag_second_derivative_bound(d)
-            metrics[f"curvature_bound_{tag}"] = curv
-            metrics[f"implied_ratio_{tag}"] = r_from_m(max(curv, 0.0))
-        if grid.dim >= 2:
-            reports.append(make_report(f"marginal-ratio-monotone-{tag}",
-                                       estimate_axis_convexity_ratio(marginalize_last(d)),
-                                       ratio, 1.0, grid_m=cfg["m"]))
+    try:  # a DensityError names the spec the loops were at
+        for tag, spec in specs.items():  # both, before either density is built
+            check_spec(spec, grid)
+        for tag, spec in specs.items():
+            d = build_density(spec, grid)
+            reports.append(make_report(f"mass-normalization-{tag}",
+                                       abs(d.total_mass - 1.0), 0.0, 1.0, grid_m=cfg["m"]))
+            ok, worst = check_midpoint_log_concavity(d)
+            reports.append(make_report(f"midpoint-log-concavity-{tag}", worst, 0.0,
+                                       1.0, grid_m=cfg["m"], note="" if ok else "violated"))
+            ratio = estimate_axis_convexity_ratio(d)
+            metrics[f"axis_ratio_{tag}"] = ratio
+            if cfg["m"] >= 3:
+                curv = estimate_diag_second_derivative_bound(d)
+                metrics[f"curvature_bound_{tag}"] = curv
+                metrics[f"implied_ratio_{tag}"] = r_from_m(max(curv, 0.0))
+            if grid.dim >= 2:
+                reports.append(make_report(f"marginal-ratio-monotone-{tag}",
+                                           estimate_axis_convexity_ratio(marginalize_last(d)),
+                                           ratio, 1.0, grid_m=cfg["m"]))
+    except DensityError as exc:
+        raise ConfigError(f"{tag}: {exc}") from None
     return {"reports": reports, "metrics": metrics}
 
 
@@ -408,15 +408,15 @@ def suite_concentration(cfg) -> dict:
         d = build_density(spec, grid)
         curv = estimate_diag_second_derivative_bound(d)
         metrics[f"curvature_bound_n{n}"] = curv
-        alpha_t1 = alpha_theorem1(1.0, max(curv, 0.0))
-        alpha_ratio = 3.0 * r_from_m(max(curv, 0.0))
+        # one alpha: on the unit cube Theorem 1.2's 3 r_from_m(curv) is Theorem 1.1's
+        alpha = alpha_theorem1(max(curv, 0.0))
         u = np.zeros(n)
         u[0] = 1.0
-        for alpha, tag, name in ((alpha_t1, "thm1", "thm-1.1"), (alpha_ratio, "ratio", "thm-1.2")):
+        for tag, name in (("thm1", "thm-1.1"), ("ratio", "thm-1.2")):
             profiles.append(halfspace_profile(d, u, ts, alpha, label=f"gaussian-n{n}-{tag}"))
             reports.append(check_concentration(profiles[-1], name, grid_m=m, note=f"n={n}"))
-        metrics[f"covariance_ratio_n{n}"] = covariance_ratio(d, alpha_t1)
-        fit = lipschitz_tail(d, ts[1:], alpha_t1, u)
+        metrics[f"covariance_ratio_n{n}"] = covariance_ratio(d, alpha)
+        fit = lipschitz_tail(d, ts[1:], alpha, u)
         metrics[f"tail_rate_n{n}"] = fit.rate
         metrics[f"tail_prefactor_n{n}"] = fit.prefactor
     # variance and entropy checks on three measures
@@ -432,7 +432,7 @@ def suite_concentration(cfg) -> dict:
     cos_anchor = np.cos(np.pi * xs)
     funcs = [cos_anchor] + [random_center_test_function(rng, anchor.grid)
                             for _ in range(cfg["test_functions"] - 1)]
-    anchor_reports = poincare_lsi_check(anchor, 0.0, 1.0, funcs)
+    anchor_reports = poincare_lsi_check(anchor, 0.0, funcs)
     reports.extend(anchor_reports)
     w = anchor.values * anchor.grid.cell_volume
     metrics["cos_variance"] = float((cos_anchor ** 2 * w).sum()
@@ -442,7 +442,7 @@ def suite_concentration(cfg) -> dict:
     for d, curv, label in measures[1:]:
         funcs = [random_center_test_function(rng, d.grid)
                  for _ in range(cfg["test_functions"])]
-        reports.extend(poincare_lsi_check(d, curv, 1.0, funcs))
+        reports.extend(poincare_lsi_check(d, curv, funcs))
     return {"reports": reports, "metrics": metrics, "profiles": profiles}
 
 

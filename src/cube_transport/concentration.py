@@ -7,7 +7,8 @@ measured mass of {x . u <= median + t} against the target lower bound
 (piecewise-linear marginal CDFs) and raise DensityError along any other
 direction; sample batches, such as the points of ``sample_grid``, take any
 direction and use empirical fractions with a binomial standard error, and
-the check allows a 3 SE statistical margin.
+the check allows a 3 SE statistical margin. The paper's constants are
+those of the unit cube [0, 1]^n, which every Grid spans.
 """
 
 from __future__ import annotations
@@ -32,19 +33,17 @@ MIN_SCALING_DIM = 64
 MIN_SCALING_SAMPLES = 1000
 
 
-def alpha_theorem1(side: float, curvature_bound: float) -> float:
-    """Concentration constant 3 * side * exp(curvature_bound * side^2 / 8)."""
-    if side <= 0:
-        raise DensityError("side must be positive")
-    return BASE_ALPHA * side * r_from_m(curvature_bound, side)
+def alpha_theorem1(curvature_bound: float) -> float:
+    """Concentration constant 3 exp(curvature_bound / 8) on the unit cube."""
+    return BASE_ALPHA * r_from_m(curvature_bound)
 
 
-def r_from_m(curvature_bound: float, side: float = 1.0) -> float:
-    """Axis convexity ratio exp(curvature_bound * side^2 / 8) implied by a
-    diagonal curvature bound on -log f."""
+def r_from_m(curvature_bound: float) -> float:
+    """Axis convexity ratio exp(curvature_bound / 8) on the unit cube implied
+    by a diagonal curvature bound on -log f."""
     if curvature_bound < 0:
         raise DensityError("curvature bound must be nonnegative")
-    return math.exp(curvature_bound * side * side / 8.0)
+    return math.exp(curvature_bound / 8.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,10 +220,9 @@ def covariance_ratio(mu, alpha: float) -> float:
     return top / (alpha * alpha)
 
 
-def poincare_lsi_check(mu: GridDensity, curvature_bound: float, side: float,
-                       test_functions) -> list:
-    """Variance and entropy bounds against the gradient energy, with the
-    explicit factor side^2 exp(curvature_bound side^2 / 4):
+def poincare_lsi_check(mu: GridDensity, curvature_bound: float, test_functions) -> list:
+    """Variance and entropy bounds against the gradient energy on the unit
+    cube, with the explicit factor exp(curvature_bound / 4):
 
         Var(f)     <= (20/9)  factor  E|grad f|^2
         Ent(f^2)   <= (160/9) factor  E|grad f|^2   (f normalized in L2)
@@ -234,11 +232,11 @@ def poincare_lsi_check(mu: GridDensity, curvature_bound: float, side: float,
     """
     if not isinstance(mu, GridDensity):
         raise DensityError("poincare_lsi_check works on grid densities")
-    if side <= 0 or curvature_bound < 0:
-        raise DensityError("need side > 0 and curvature_bound >= 0")
+    if curvature_bound < 0:
+        raise DensityError("need curvature_bound >= 0")
     grid = mu.grid
     w = mu.cell_masses().reshape(grid.shape)
-    factor = side * side * math.exp(curvature_bound * side * side / 4.0)
+    factor = math.exp(curvature_bound / 4.0)
     reports = []
     for i, func in enumerate(test_functions):
         fvals = np.asarray(func, dtype=float)

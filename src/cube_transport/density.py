@@ -131,11 +131,6 @@ class Grid:
         c += x >= (c + 1) * h
         return np.clip(c, 0, m - 1)
 
-    def drop_last_axis(self) -> "Grid":
-        if self.dim < 2:
-            raise DensityError("cannot drop an axis from a 1d grid")
-        return Grid(self.dim - 1, self.cells_per_axis)
-
 
 def unit_cube_grid(dim: int, cells_per_axis: int) -> Grid:
     return Grid(dim, cells_per_axis)
@@ -236,15 +231,6 @@ class RestrictedGaussian:
     center: tuple = field(metadata={"axes": 1})
     inverse_covariance: tuple = field(metadata={"axes": 2})
 
-    def arrays(self):
-        c = np.asarray(self.center, dtype=float)
-        a = np.asarray(self.inverse_covariance, dtype=float)
-        if not np.allclose(a, a.T, atol=1e-12):
-            raise DensityError("inverse_covariance must be symmetric")
-        if np.linalg.eigvalsh(a).min() < -1e-12:
-            raise DensityError("inverse_covariance must be positive semidefinite")
-        return c, a
-
 
 @dataclass(frozen=True)
 class ExponentialTilt:
@@ -333,7 +319,7 @@ def spec_from_dict(d: dict) -> DensitySpec:
     whose other keys are exactly the class's fields, each a float, nested
     tuples of floats or (CustomGrid's values) an array with the field's axes.
     DensityError on an unknown variant or a missing, unknown or ill-typed key;
-    build_density checks shapes against the grid."""
+    check_spec checks the spec against a grid."""
     if not isinstance(d, dict):
         raise DensityError("density spec must be an object")
     tag = d.get("variant")
@@ -358,18 +344,19 @@ def spec_from_dict(d: dict) -> DensitySpec:
 # construction
 
 
+@np.errstate(all="ignore")  # an overflow gives a non-finite value or mass, which raises
 def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
     """Evaluate a density spec at cell centers, normalized to mass 1. Fields
     are built from the grid's open centers, term by term in the order of the
     spec's formula, so no full coordinate mesh is ever made. DensityError
-    unless ``check_shapes`` passes."""
-    check_shapes(spec, grid)
+    unless ``check_spec`` passes, or where a value or the mass overflows."""
+    check_spec(spec, grid)
     x = grid.open_centers()
     if isinstance(spec, Uniform):
         vals = np.ones(grid.shape)
     elif isinstance(spec, RestrictedGaussian):
-        c, a = spec.arrays()
-        vals = _gaussian_values(x, c, a)
+        vals = _gaussian_values(x, np.asarray(spec.center, dtype=float),
+                                np.asarray(spec.inverse_covariance, dtype=float))
     elif isinstance(spec, EquicorrelatedGaussian):
         vals = _gaussian_values(x, np.full(grid.dim, 0.5), spec.inverse_covariance(grid.dim))
     elif isinstance(spec, ExponentialTilt):
@@ -379,19 +366,18 @@ def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
         vals = np.exp(lin, out=lin)
     elif isinstance(spec, ConvexPower):
         v = np.asarray(spec.direction, dtype=float)
-        lin = spec.offset + sum(v[k] * x[k] for k in range(grid.dim))
-        if lin.min() <= 0:
-            raise DensityError("ConvexPower base offset + x.direction must stay positive on the cube")
-        vals = lin ** float(spec.power)
+        vals = (spec.offset + sum(v[k] * x[k] for k in range(grid.dim))) ** float(spec.power)
     else:
         vals = np.asarray(spec.values, dtype=float)
     return normalize(GridDensity(grid, vals))
 
 
-def check_shapes(spec: DensitySpec, grid: Grid) -> None:
-    """DensityError unless spec is of a SPEC_VARIANTS class and each field has
-    exactly the shape (dim,) * axes, or the grid's for axes None; nothing is
-    reshaped, and nothing is built."""
+def check_spec(spec: DensitySpec, grid: Grid) -> None:
+    """DensityError unless spec is of a SPEC_VARIANTS class, each field has
+    exactly the shape (dim,) * axes, or the grid's for axes None, a
+    RestrictedGaussian's inverse covariance is symmetric and positive
+    semidefinite (to 1e-12), and a ConvexPower's base is positive at every
+    cell centre. Nothing is reshaped, and nothing is built."""
     if type(spec) not in SPEC_VARIANTS.values():
         raise DensityError(f"unknown density spec {type(spec).__name__}")
     for f in fields(spec):
@@ -399,6 +385,18 @@ def check_shapes(spec: DensitySpec, grid: Grid) -> None:
         need = grid.shape if axes is None else (grid.dim,) * axes
         if shape != need:
             raise DensityError(f"{f.name} has shape {shape}; the grid needs shape {need}")
+    if isinstance(spec, RestrictedGaussian):
+        a = np.asarray(spec.inverse_covariance, dtype=float)
+        if not np.allclose(a, a.T, atol=1e-12):
+            raise DensityError("inverse_covariance must be symmetric")
+        if np.linalg.eigvalsh(a).min() < -1e-12:
+            raise DensityError("inverse_covariance must be positive semidefinite")
+    elif isinstance(spec, ConvexPower):
+        # each term v_k x_k is least at an end centre, and rounding is monotone
+        # in each term: bitwise the least base that build_density forms
+        ends = grid.axis_centers(0)[[0, -1]]
+        if spec.offset + sum(min(v * ends) for v in np.asarray(spec.direction, dtype=float)) <= 0:
+            raise DensityError("ConvexPower base offset + x.direction must stay positive on the cube")
 
 
 def _gaussian_values(x, center, inv_cov):
@@ -421,7 +419,9 @@ def _gaussian_values(x, center, inv_cov):
 
 def normalize(d: GridDensity) -> GridDensity:
     mass = d.total_mass
-    if mass <= 0 or not np.isfinite(mass):
+    if not np.isfinite(mass):
+        raise DegenerateDensityError("cannot normalize a density whose mass overflows to inf")
+    if mass <= 0:
         raise DegenerateDensityError("cannot normalize a density with zero mass")
     return GridDensity(d.grid, d.values / mass)
 
@@ -631,7 +631,8 @@ def marginalize_last(d: GridDensity) -> GridDensity:
     """Integrate out the last coordinate (sum of cell values times h)."""
     if d.grid.dim < 2:
         raise DensityError("marginalize_last needs dim >= 2")
-    return GridDensity(d.grid.drop_last_axis(), d.values.sum(axis=-1) * d.grid.h)
+    return GridDensity(Grid(d.grid.dim - 1, d.grid.cells_per_axis),
+                       d.values.sum(axis=-1) * d.grid.h)
 
 
 # ---------------------------------------------------------------------------

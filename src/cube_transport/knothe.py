@@ -165,12 +165,11 @@ def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
     deficit are summed per fiber pair where it is merged, by np.add.reduceat,
     then by one np.sum over its pairs, so no batch size moves a bit."""
     _check_pair(f, g)
-    grid, m = f.grid, f.grid.cells_per_axis
+    grid, nodes = f.grid, f.grid.axis_nodes(0)
     A, B = _marginals(f.values), _marginals(g.values)
     F, G = ([_positive_cdfs(v) for v in X] for X in (A, B))
     sums = []  # per level, each fiber pair's cost and deficit
-    walk = _walk(A, B, 1.0,
-                 lambda k, li, lj: _pieces(F[k][li], G[k][lj], grid.axis_nodes(k), grid.h))
+    walk = _walk(A, B, 1.0, lambda k, li, lj: _pieces(F[k][li], G[k][lj], nodes, grid.h))
     for k, _, _, lw, (row, _, _, du, slope, x, t, last), pairs, n_pairs, *_ in walk:
         if pairs.start == 0:
             sums.append(np.empty((2, n_pairs)))

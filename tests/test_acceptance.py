@@ -10,7 +10,6 @@ import re
 import time
 
 import numpy as np
-import pytest
 
 from cube_transport import (
     ConvexPower,
@@ -263,7 +262,7 @@ def test_criterion_6_concentration_profiles():
         batch = sample_grid(d, n_samples, seed=60 + n)
         direction = np.zeros(n)
         direction[0] = 1.0
-        for alpha in (3.0 * np.exp(1.0 / 8.0), alpha_theorem1(1.0, mhat)):
+        for alpha in (3.0 * np.exp(1.0 / 8.0), alpha_theorem1(mhat)):
             prof = halfspace_profile(batch, direction, ts, alpha=alpha)
             rep = check_concentration(prof, name="thm-1.1")
             gauss_ok = gauss_ok and rep.passed
@@ -316,11 +315,11 @@ def test_criterion_7_poincare_lsi_suite():
     n_fns = 0
     for mu, curvature, fns in ((uni, 0.0, fns_uni), (gauss1, 4.0, fns_g1),
                                (gauss2, 2.0, fns_g2)):
-        reps = poincare_lsi_check(mu, curvature, 1.0, fns)
+        reps = poincare_lsi_check(mu, curvature, fns)
         all_pass = all_pass and all(r.passed for r in reps)
         n_fns += len(fns)
 
-    anchor_reps = poincare_lsi_check(uni, 0.0, 1.0, [anchor])
+    anchor_reps = poincare_lsi_check(uni, 0.0, [anchor])
     poin = [r for r in anchor_reps if r.name == "cor-4.5-poincare"][0]
     var_ok = abs(poin.lhs - 0.5) <= 1e-3
     energy = poin.rhs / (20.0 / 9.0)

@@ -465,20 +465,56 @@ def test_oversized_scans_exit_2_without_scanning(tmp_path, capsys, monkeypatch, 
 
 @pytest.mark.parametrize("tag", ["source", "target"])
 def test_mis_shaped_specs_exit_2_before_any_density_is_built(tmp_path, capsys, monkeypatch, tag):
-    # both specs' shapes are checked against the grid before the source is
-    # built and scanned, and the message names the spec as parse errors do
+    # both specs are checked against the grid (shapes, then each variant's own
+    # conditions) before the source is built and scanned, and the message
+    # names the spec as parse errors do
     def no_scan(*args, **kwargs):
         raise AssertionError("a density was built or scanned")
 
     for name in ("build_density", "check_midpoint_log_concavity",
                  "estimate_axis_convexity_ratio"):
         monkeypatch.setattr(f"cube_transport.cli.{name}", no_scan)
-    cfg = {"source": VALID_SPECS["restricted_gaussian"], "target": VALID_SPECS["uniform"],
-           tag: {"variant": "custom_grid", "values": [[1.0, 2.0]]}}
-    err = assert_rejected(capsys, ["density-check", "--m", "1024", "--dim", "2", "--config",
-                                   _write_config(tmp_path, cfg), "--out", str(tmp_path / "run")])
-    assert err == f"error: {tag}: values has shape (1, 2); the grid needs shape (1024, 1024)\n"
-    assert not (tmp_path / "run").exists()
+    gaussian = {"variant": "restricted_gaussian", "center": [0.5, 0.5]}
+    for spec, text in [
+            ({"variant": "custom_grid", "values": [[1.0, 2.0]]},
+             "values has shape (1, 2); the grid needs shape (1024, 1024)"),
+            ({**gaussian, "inverse_covariance": [[1, 2], [0, 1]]},
+             "inverse_covariance must be symmetric"),
+            ({**gaussian, "inverse_covariance": [[1, 2], [2, 1]]},
+             "inverse_covariance must be positive semidefinite"),
+            ({"variant": "convex_power", "offset": -0.5, "direction": [1, -1], "power": 2},
+             "ConvexPower base offset + x.direction must stay positive on the cube")]:
+        cfg = {"source": VALID_SPECS["restricted_gaussian"], "target": VALID_SPECS["uniform"],
+               tag: spec}
+        err = assert_rejected(capsys, ["density-check", "--m", "1024", "--dim", "2", "--config",
+                                       _write_config(tmp_path, cfg),
+                                       "--out", str(tmp_path / "run")])
+        assert err == f"error: {tag}: {text}\n"
+        assert not (tmp_path / "run").exists()
+
+
+# specs that pass check_spec on the 4x4 grid yet fail to build or to scan
+UNBUILDABLE_SPECS = {
+    "mass-overflows": ({"variant": "custom_grid", "values": [[1e308] * 4] * 4},
+                       "cannot normalize a density whose mass overflows to inf"),
+    "power-overflows": ({"variant": "convex_power", "offset": 1, "direction": [1, 0.5],
+                         "power": 1e6}, "values must be finite"),
+    "scale-underflows": ({"variant": "equicorrelated_gaussian", "scale": 1e-300},
+                         "values must be finite"),
+    "zero-cell": ({"variant": "custom_grid", "values": [[0, 1, 1, 1]] + [[1] * 4] * 3},
+                  "density has zero cells where positivity is required"),
+}
+
+
+@pytest.mark.parametrize("tag", ["source", "target"])
+@pytest.mark.parametrize("case", list(UNBUILDABLE_SPECS))
+def test_spec_failures_name_the_spec_in_one_line(tmp_path, capsys, case, tag):
+    # no numpy warning reaches stderr (filterwarnings makes one a failure)
+    spec, text = UNBUILDABLE_SPECS[case]
+    cfg = {"source": VALID_SPECS["uniform"], tag: spec}
+    err = assert_rejected(capsys, [*DENSITY_CHECK, "--config", _write_config(tmp_path, cfg),
+                                   "--out", str(tmp_path / "run")])
+    assert err == f"error: {tag}: {text}\n"
 
 
 @pytest.mark.parametrize("cfg", [{"t_count": 2}, {"t_count": 3}, {"t_max": 0.02}],

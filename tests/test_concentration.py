@@ -8,7 +8,6 @@ import pytest
 from cube_transport import (
     DegenerateDensityError,
     DensityError,
-    GridDensity,
     RestrictedGaussian,
     Uniform,
     alpha_theorem1,
@@ -20,7 +19,6 @@ from cube_transport import (
     estimate_diag_second_derivative_bound,
     halfspace_profile,
     lipschitz_tail,
-    normalize,
     poincare_lsi_check,
     r_from_m,
     sample_grid,
@@ -39,22 +37,41 @@ def test_constants():
 
 
 def test_alpha_flat_curvature():
-    # M = 0 collapses to the base constant times the side
-    assert alpha_theorem1(1.0, 0.0) == pytest.approx(3.0)
-    assert alpha_theorem1(2.0, 0.0) == pytest.approx(6.0)
+    # M = 0 collapses to the base constant
+    assert alpha_theorem1(0.0) == pytest.approx(3.0)
 
 
 def test_alpha_grows_with_curvature():
-    # alpha = 3 ell exp(M ell^2 / 8)
-    assert alpha_theorem1(1.0, 8.0 * np.log(2.0)) == pytest.approx(6.0)
-    assert alpha_theorem1(1.0, 4.0) > alpha_theorem1(1.0, 1.0)
+    # alpha = 3 exp(M / 8) on the unit cube
+    assert alpha_theorem1(8.0 * np.log(2.0)) == pytest.approx(6.0)
+    assert alpha_theorem1(4.0) > alpha_theorem1(1.0)
 
 
 def test_r_from_m():
-    # R = exp(M ell^2 / 8)
+    # R = exp(M / 8) on the unit cube
     assert r_from_m(0.0) == pytest.approx(1.0)
     assert r_from_m(1.0) == pytest.approx(np.exp(1.0 / 8.0))
-    assert r_from_m(2.0, side=0.5) == pytest.approx(np.exp(2.0 * 0.25 / 8.0))
+
+
+def test_alpha_is_three_times_the_ratio_bitwise():
+    # Theorems 1.1 and 1.2 give one alpha at every curvature
+    for m in np.random.default_rng(35).uniform(0.0, 50.0, 1000):
+        assert alpha_theorem1(m) == 3.0 * r_from_m(m)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d, f: alpha_theorem1(1.0, 0.0),
+    lambda d, f: alpha_theorem1(0.0, side=1.0),
+    lambda d, f: r_from_m(2.0, 0.5),
+    lambda d, f: r_from_m(2.0, side=0.5),
+    lambda d, f: poincare_lsi_check(d, 0.0, 1.0, [f]),
+    lambda d, f: poincare_lsi_check(d, 0.0, [f], side=1.0),
+], ids=["alpha", "alpha-keyword", "ratio", "ratio-keyword", "poincare", "poincare-keyword"])
+def test_paper_constants_take_no_side(call):
+    # every grid is the unit cube, so the constants have no side to take
+    grid = unit_cube_grid(1, 8)
+    with pytest.raises(TypeError):
+        call(build_density(Uniform(), grid), np.cos(np.pi * grid.axis_centers(0)))
 
 
 # ---------------------------------------------------------------- profiles
@@ -127,7 +144,7 @@ def test_gaussian_grid_profile_passes_paper_alpha():
     batch = sample_grid(d, 100000, seed=4)
     for mu, u in ((d, np.array([1.0, 0.0])), (d, np.array([0.0, -1.0])),
                   (batch, np.array([1.0, 1.0]) / np.sqrt(2.0))):
-        prof = halfspace_profile(mu, u, ts, alpha=alpha_theorem1(1.0, mhat))
+        prof = halfspace_profile(mu, u, ts, alpha=alpha_theorem1(mhat))
         assert check_concentration(prof, name="thm-1.1").passed
         prof2 = halfspace_profile(mu, u, ts, alpha=3.0 * r_from_m(mhat))
         assert check_concentration(prof2, name="thm-1.2").passed
@@ -294,7 +311,7 @@ def test_poincare_anchor_cosine():
     grid = unit_cube_grid(1, 1024)
     d = build_density(Uniform(), grid)
     fn = np.cos(np.pi * grid.axis_centers(0))
-    reps = poincare_lsi_check(d, 0.0, 1.0, [fn])
+    reps = poincare_lsi_check(d, 0.0, [fn])
     poin = [r for r in reps if r.name == "cor-4.5-poincare"][0]
     lsi = [r for r in reps if r.name == "cor-4.5-lsi"][0]
     assert poin.passed and lsi.passed
@@ -307,7 +324,7 @@ def test_poincare_constant_not_violated_by_first_eigenfunction():
     grid = unit_cube_grid(1, 512)
     d = build_density(Uniform(), grid)
     fn = np.cos(np.pi * grid.axis_centers(0))
-    reps = poincare_lsi_check(d, 0.0, 1.0, [fn])
+    reps = poincare_lsi_check(d, 0.0, [fn])
     poin = reps[0]
     assert poin.lhs / (poin.rhs / ((20.0 / 9.0))) == pytest.approx(1.0 / np.pi**2, rel=5e-3)
 
@@ -317,21 +334,21 @@ def test_poincare_lsi_gaussian_measure():
     d = build_density(RestrictedGaussian((0.5,), ((4.0,),)), grid)
     x = grid.axis_centers(0) - 0.5
     fns = [np.sin(2.0 * np.pi * x), x**2, np.exp(x)]
-    reps = poincare_lsi_check(d, 4.0, 1.0, fns)
+    reps = poincare_lsi_check(d, 4.0, fns)
     assert len(reps) == 6
     assert all(r.passed for r in reps)
 
 
 def test_poincare_lsi_rows_carry_the_curvature_factor():
-    # the CLI's gaussian-1d measure: M = 4 on a side of 1, so the factor
-    # side^2 exp(M side^2 / 4) is e; each rhs is its constant times a base
-    # recomputed here from the masses and a hand-rolled gradient
+    # the CLI's gaussian-1d measure: M = 4, so the factor exp(M / 4) is e;
+    # each rhs is its constant times a base recomputed here from the masses
+    # and a hand-rolled gradient
     grid = unit_cube_grid(1, 256)
     d = build_density(RestrictedGaussian((0.5,), ((4.0,),)), grid)
     x, h = grid.axis_centers(0), grid.h
     w = d.values / d.values.sum()
     fns = [np.cos(np.pi * x), x ** 2, np.exp(x), np.zeros(256)]
-    reps = poincare_lsi_check(d, 4.0, 1.0, fns)
+    reps = poincare_lsi_check(d, 4.0, fns)
     assert [r.name for r in reps] == ["cor-4.5-poincare", "cor-4.5-lsi"] * len(fns)
     for f, poincare, lsi in zip(fns, reps[::2], reps[1::2]):
         grad = np.concatenate(([f[1] - f[0]], (f[2:] - f[:-2]) / 2.0, [f[-1] - f[-2]])) / h
@@ -346,7 +363,7 @@ def test_poincare_lsi_rows_carry_the_curvature_factor():
 def test_constant_function_skipped_in_lsi():
     grid = unit_cube_grid(1, 64)
     d = build_density(Uniform(), grid)
-    reps = poincare_lsi_check(d, 0.0, 1.0, [np.ones(64)])
+    reps = poincare_lsi_check(d, 0.0, [np.ones(64)])
     # zero-energy functions produce trivially passing rows with a note
     assert all(r.passed for r in reps)
 
@@ -363,7 +380,7 @@ def test_poincare_2d_random_functions():
         sm = np.apply_along_axis(lambda v: np.convolve(v, k, mode="same"), 0, fn)
         sm = np.apply_along_axis(lambda v: np.convolve(v, k, mode="same"), 1, sm)
         smooth.append(sm)
-    reps = poincare_lsi_check(d, 2.0, 1.0, smooth)
+    reps = poincare_lsi_check(d, 2.0, smooth)
     assert all(r.passed for r in reps)
 
 

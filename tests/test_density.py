@@ -140,13 +140,6 @@ def test_grid_accepts_narrow_cells_that_hold_floats(grid):
     np.testing.assert_array_equal(grid.cell_index(x), [0, 1, 3, grid.cells_per_axis - 1])
 
 
-def test_drop_last_axis():
-    grid = unit_cube_grid(3, 4)
-    assert grid.drop_last_axis() == unit_cube_grid(2, 4)
-    with pytest.raises(DensityError, match="1d grid"):
-        unit_cube_grid(1, 4).drop_last_axis()
-
-
 # ---------------------------------------------------------------- builders
 
 
@@ -210,7 +203,7 @@ def test_equicorrelated_inverse_covariance():
 
 
 def test_build_rejects_a_spec_of_no_variant():
-    # a config object, not a spec: check_shapes names its class
+    # a config object, not a spec: check_spec names its class
     with pytest.raises(DensityError, match="unknown density spec dict"):
         build_density({"variant": "uniform"}, unit_cube_grid(1, 4))
 
@@ -224,8 +217,53 @@ def test_build_rejects_negative_values():
 def test_normalize_zero_mass_degenerate():
     grid = unit_cube_grid(1, 4)
     d = GridDensity(grid, np.zeros(4))
-    with pytest.raises(DegenerateDensityError):
+    with pytest.raises(DegenerateDensityError, match="zero mass"):
         normalize(d)
+
+
+@pytest.mark.parametrize("spec", [
+    CustomGrid(np.full((4, 4), 1e308)),
+    ConvexPower(1.0, (1.0, 0.5), 1e6),
+    EquicorrelatedGaussian(1e-300),
+], ids=["mass-overflows", "power-overflows", "scale-underflows"])
+def test_build_raises_on_overflow_without_warnings(spec):
+    # numpy's warnings are off while a density is built: what overflows
+    # raises one DensityError (filterwarnings turns any warning into a failure)
+    with pytest.raises(DensityError):
+        build_density(spec, unit_cube_grid(2, 4))
+
+
+@pytest.mark.parametrize("spec, text", [
+    (RestrictedGaussian((0.5, 0.5), ((1.0, 2.0), (0.0, 1.0))), "symmetric"),
+    (RestrictedGaussian((0.5, 0.5), ((1.0, 2.0), (2.0, 1.0))), "semidefinite"),
+    (ConvexPower(-0.5, (1.0, -1.0), 2.0), "stay positive"),
+], ids=["non-symmetric", "non-psd", "non-positive"])
+def test_check_spec_checks_what_build_density_needs(spec, text):
+    with pytest.raises(DensityError, match=text):
+        density.check_spec(spec, unit_cube_grid(2, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 40),
+       st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4), st.integers(-2, 2))
+def test_convex_power_positivity_is_the_least_built_base(dim, m, direction, ulps):
+    # the check's base at the end centres is bitwise the least base that
+    # build_density forms, so offsets at that boundary, give or take a few
+    # ulps, pass exactly where every built base is positive
+    grid = unit_cube_grid(dim, m)
+    x = grid.open_centers()
+    v = np.array(direction[:dim])
+    offset = float(-sum(v[k] * x[k] for k in range(dim)).min())
+    for _ in range(abs(ulps)):
+        offset = float(np.nextafter(offset, np.sign(ulps) * np.inf))
+    spec = ConvexPower(offset, tuple(v.tolist()), 1.0)
+    built_positive = (offset + sum(v[k] * x[k] for k in range(dim))).min() > 0
+    try:
+        density.check_spec(spec, grid)
+        passed = True
+    except DensityError:
+        passed = False
+    assert passed == built_positive
 
 
 def test_normalize_idempotent():
@@ -750,6 +788,13 @@ def test_diag_second_derivative_zero_for_uniform():
 
 
 # ---------------------------------------------------------------- marginals
+
+
+def test_marginalize_last_drops_the_last_axis():
+    d = build_density(Uniform(), unit_cube_grid(3, 4))
+    assert marginalize_last(d).grid == unit_cube_grid(2, 4)
+    with pytest.raises(DensityError, match="dim >= 2"):
+        marginalize_last(build_density(Uniform(), unit_cube_grid(1, 4)))
 
 
 def test_marginalize_last_preserves_mass():

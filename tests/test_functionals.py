@@ -27,14 +27,11 @@ from cube_transport import (
     build_density,
     check_tire_le_entropy,
     check_transport_entropy_sandwich,
-    displacement_cost,
     estimate_axis_convexity_ratio,
     exact_w2_small,
     knothe_map,
     legendre_tire_bound,
-    monotone_map,
     normalize,
-    quadratic_cost_1d,
     relative_entropy,
     tire_bracket,
     triangular_coupling,

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import loop_oracles
 from cube_transport import (
-    ConvexPower,
-    CustomGrid,
     DensityError,
     GridDensity,
     Uniform,
