@@ -11,8 +11,9 @@ configuration or usage.
 
 Configuration precedence: command line flags > JSON config file >
 CUBE_TRANSPORT_SEED environment variable (seed only) > built-in defaults.
-A command has a flag only for a config key its suite reads (COMMANDS);
-every command takes --config, --seed and --out.
+KEYS declares each config key's default, values and flag. A command has a
+flag only for a config key its suite reads (COMMANDS); every command takes
+--config, --seed and --out.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -73,26 +75,91 @@ MAX_T_COUNT = 1 << 16
 MAX_SCAN_TRIPLES = 1 << 31
 _SCAN_STEP_TRIPLES = 1 << 13
 
-DEFAULTS = {
-    "seed": 0,
-    "out_dir": "cube-transport-out",
-    "m": 64,
-    "dim": 2,
-    "pairs": 20,
-    "n_samples": 100000,
-    "t_max": 1.2,
-    "t_count": 20,
-    "dims": [2, 4],
-    "ns": [256, 1024, 4096],
-    "test_functions": 6,
-    "plot": True,
-    "source": {"variant": "uniform"},
-    "target": None,
-}
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(text: str) -> list:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a comma list of integers: {text!r}") from None
+
+
+def _spec(value) -> bool:
+    """True for no spec; DensityError, with its own message, for a bad one."""
+    return value is None or bool(spec_from_dict(value))
+
+
+class Key(NamedTuple):
+    """A config key: its default, its values (the integers from lo to hi, or
+    else those ``ok`` accepts, which ``rule`` names; no list repeats an entry)
+    and its flag with the flag's argparse options, or None for a file-only key."""
+
+    default: object
+    flag: tuple = None
+    lo: int = None
+    hi: int = None
+    ok: Callable = None
+    rule: str = ""
+
+    def check(self, key: str, value) -> None:
+        """ConfigError naming the key unless value is allowed; type before bounds."""
+        if self.lo is not None and not (_is_int(value) and value >= self.lo):
+            raise ConfigError(f"{key} must be an integer >= {self.lo}")
+        if self.hi is not None and value > self.hi:
+            raise ConfigError(f"{key} must be an integer <= {self.hi}")
+        try:
+            allowed = self.ok is None or self.ok(value)
+        except DensityError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        if not allowed:
+            raise ConfigError(f"{key} must be {self.rule}")
+        if isinstance(value, list) and len(set(value)) < len(value):
+            raise ConfigError(f"{key} must not repeat an entry")
+
+
+# every config key, in the order --help lists their flags
+KEYS = {
+    "seed": Key(0, ("--seed", {"type": int, "help": "master seed"}),
+                ok=lambda v: _is_int(v) and 0 <= v < SEED_LIMIT, rule="an integer in [0, 2^64)"),
+    "m": Key(64, ("--m", {"type": int, "help": "cells per axis"}), lo=2),
+    # grids have at least 2 cells per axis, so this keeps any m ** dim small enough to form
+    "dim": Key(2, ("--dim", {"type": int, "help": "dimension of the checked densities"}),
+               lo=1, hi=MAX_CELL_EXPONENT),
+    "pairs": Key(20, ("--pairs", {"type": int, "help": "random pairs"}), lo=1),
+    # the row-sum sampler holds two normals per sample under the point budget
+    "n_samples": Key(100000,
+                     ("--samples", {"type": int, "help": "sample count for empirical checks"}),
+                     lo=MIN_SCALING_SAMPLES, hi=MAX_POINT_BUDGET // 2),
+    "out_dir": Key("cube-transport-out", ("--out", {"help": "output directory"}),
+                   ok=lambda v: isinstance(v, str) and v != "", rule="a nonempty string"),
+    "t_max": Key(1.2, ok=lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                    and 0 < v <= sys.float_info.max),
+                 rule="a finite positive number"),
+    "t_count": Key(20, lo=2, hi=MAX_T_COUNT),
+    "dims": Key([2, 4],
+                ("--dims", {"type": _int_list, "help": "comma list of Gaussian dimensions"}),
+                ok=lambda v: isinstance(v, list) and v and all(_is_int(n) and n >= 1 for n in v),
+                rule="a nonempty list of positive integers"),
+    "ns": Key([256, 1024, 4096],
+              ("--ns", {"type": _int_list, "help": "comma list of equicorrelated dimensions"}),
+              ok=lambda v: (isinstance(v, list) and len(v) >= 2
+                            and all(_is_int(n) and n >= MIN_SCALING_DIM for n in v)),
+              rule=f"a list of at least two integers >= {MIN_SCALING_DIM}"),
+    "test_functions": Key(6, lo=1),
+    "plot": Key(True, ("--plot", {"action": argparse.BooleanOptionalAction,
+                                  "help": "write SVG profiles (default: on)"}),
+                ok=lambda v: isinstance(v, bool), rule="true or false"),
+    "source": Key({"variant": "uniform"}, ok=_spec),
+    "target": Key(None, ok=_spec),
+}
+DEFAULTS = {key: entry.default for key, entry in KEYS.items()}
 
 
 def load_config(path_or_none, overrides: dict) -> dict:
@@ -111,64 +178,16 @@ def load_config(path_or_none, overrides: dict) -> dict:
             raise ConfigError(f"cannot read config {path_or_none}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(DEFAULTS)
+        unknown = set(loaded) - set(KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    _validate_config(cfg)
+    for key, entry in KEYS.items():
+        entry.check(key, cfg[key])
     return cfg
-
-
-# smallest allowed value of each integer key
-_INT_MINIMA = {"m": 2, "dim": 1, "pairs": 1, "n_samples": MIN_SCALING_SAMPLES,
-               "t_count": 2, "test_functions": 1}
-# largest allowed value; the row-sum sampler holds two normals per sample
-# under the point budget, and grids have at least 2 cells per axis, so
-# bounding dim keeps any m ** dim small enough to form
-_INT_MAXIMA = {"n_samples": MAX_POINT_BUDGET // 2, "t_count": MAX_T_COUNT,
-               "dim": MAX_CELL_EXPONENT}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _validate_config(cfg: dict) -> None:
-    if not (_is_int(cfg["seed"]) and 0 <= cfg["seed"] < SEED_LIMIT):
-        raise ConfigError("seed must be an integer in [0, 2^64)")
-    for key, lo in _INT_MINIMA.items():
-        if not (_is_int(cfg[key]) and cfg[key] >= lo):
-            raise ConfigError(f"{key} must be an integer >= {lo}")
-    for key, hi in _INT_MAXIMA.items():
-        if cfg[key] > hi:
-            raise ConfigError(f"{key} must be an integer <= {hi}")
-    t_max = cfg["t_max"]
-    if not (isinstance(t_max, (int, float)) and not isinstance(t_max, bool)
-            and 0 < t_max <= sys.float_info.max):
-        raise ConfigError("t_max must be a finite positive number")
-    dims = cfg["dims"]
-    if not (isinstance(dims, list) and dims and all(_is_int(n) and n >= 1 for n in dims)):
-        raise ConfigError("dims must be a nonempty list of positive integers")
-    ns = cfg["ns"]
-    if not (isinstance(ns, list) and len(ns) >= 2
-            and all(_is_int(n) and n >= MIN_SCALING_DIM for n in ns)):
-        raise ConfigError(f"ns must be a list of at least two integers >= {MIN_SCALING_DIM}")
-    for key in ("dims", "ns"):
-        if len(set(cfg[key])) < len(cfg[key]):
-            raise ConfigError(f"{key} must not repeat an entry")
-    if not isinstance(cfg["plot"], bool):
-        raise ConfigError("plot must be true or false")
-    if not (isinstance(cfg["out_dir"], str) and cfg["out_dir"]):
-        raise ConfigError("out_dir must be a nonempty string")
-    for key in ("source", "target"):
-        if cfg[key] is not None:
-            try:
-                spec_from_dict(cfg[key])
-            except DensityError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
 
 
 def check_grid_limits(command: str, cfg: dict) -> None:
@@ -551,29 +570,8 @@ def emit_report(out_dir: str, command: str, cfg: dict, outcome: dict) -> bool:
 # argument parsing
 
 
-def _int_list(text: str) -> list:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a comma list of integers: {text!r}") from None
-
-
-# the flag that sets each config key: name, argparse options and help
-FLAGS = {
-    "seed": ("--seed", {"type": int}, "master seed"),
-    "m": ("--m", {"type": int}, "cells per axis"),
-    "dim": ("--dim", {"type": int}, "dimension of the checked densities"),
-    "pairs": ("--pairs", {"type": int}, "random pairs"),
-    "n_samples": ("--samples", {"type": int}, "sample count for empirical checks"),
-    "out_dir": ("--out", {}, "output directory"),
-    "dims": ("--dims", {"type": _int_list}, "comma list of Gaussian dimensions"),
-    "ns": ("--ns", {"type": _int_list}, "comma list of equicorrelated dimensions"),
-    "plot": ("--plot", {"action": argparse.BooleanOptionalAction},
-             "write SVG profiles (default: on)"),
-}
-# each command's help and the config keys its suite reads that a flag sets, on
-# top of --config, --seed and --out; t_max, t_count, test_functions, source
-# and target are set in the config file alone. Only concentration reads plot:
+# each command's help and the config keys its suite reads that a flag sets,
+# on top of --config, --seed and --out. Only concentration reads plot:
 # emit_report writes SVGs for profiles alone
 COMMANDS = {
     "density-check": ("structural diagnostics of configured densities", {"m", "dim"}),
@@ -596,9 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
-        for key, (flag, options, flag_help) in FLAGS.items():
+        for key, entry in KEYS.items():
             if key in keys or key in ("seed", "out_dir"):
-                p.add_argument(flag, dest=key, help=flag_help, **options)
+                flag, options = entry.flag
+                p.add_argument(flag, dest=key, **options)
     return parser
 
 

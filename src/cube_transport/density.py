@@ -165,6 +165,12 @@ class GridDensity:
             raise PositivityError("density has zero cells where positivity is required")
         return self.values
 
+    def require_same_grid(self, target: GridDensity) -> Grid:
+        """The grid this source density shares with a target density."""
+        if target.grid != self.grid:
+            raise DensityError("source and target must share the same grid")
+        return self.grid
+
     def cell_masses(self) -> np.ndarray:
         """Cell masses normalized to sum 1, flattened in C order."""
         w = self.values.reshape(-1) * self.grid.cell_volume
@@ -351,6 +357,8 @@ def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
     spec's formula, so no full coordinate mesh is ever made. DensityError
     unless ``check_spec`` passes, or where a value or the mass overflows."""
     check_spec(spec, grid)
+    if isinstance(spec, CustomGrid):
+        return normalize(GridDensity(grid, spec.values))
     x = grid.open_centers()
     if isinstance(spec, Uniform):
         vals = np.ones(grid.shape)
@@ -364,11 +372,11 @@ def build_density(spec: DensitySpec, grid: Grid) -> GridDensity:
         lin = sum(tilt[k] * x[k] for k in range(grid.dim))
         lin -= lin.max()
         vals = np.exp(lin, out=lin)
-    elif isinstance(spec, ConvexPower):
+    else:  # ConvexPower
         v = np.asarray(spec.direction, dtype=float)
         vals = (spec.offset + sum(v[k] * x[k] for k in range(grid.dim))) ** float(spec.power)
-    else:
-        vals = np.asarray(spec.values, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise DensityError("the spec's density overflows on the grid")
     return normalize(GridDensity(grid, vals))
 
 
@@ -387,9 +395,10 @@ def check_spec(spec: DensitySpec, grid: Grid) -> None:
             raise DensityError(f"{f.name} has shape {shape}; the grid needs shape {need}")
     if isinstance(spec, RestrictedGaussian):
         a = np.asarray(spec.inverse_covariance, dtype=float)
-        if not np.allclose(a, a.T, atol=1e-12):
+        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
             raise DensityError("inverse_covariance must be symmetric")
-        if np.linalg.eigvalsh(a).min() < -1e-12:
+        # the form _gaussian_values builds is that of the symmetric part
+        if np.linalg.eigvalsh((a + a.T) / 2).min() < -1e-12:
             raise DensityError("inverse_covariance must be positive semidefinite")
     elif isinstance(spec, ConvexPower):
         # each term v_k x_k is least at an end centre, and rounding is monotone

@@ -107,8 +107,7 @@ def relative_entropy(g: GridDensity, f: GridDensity) -> float:
     Cells where g vanishes contribute zero; a cell with g > 0 but f = 0
     makes the entropy infinite.
     """
-    if f.grid != g.grid:
-        raise DensityError("densities must share the same grid")
+    grid = f.require_same_grid(g)
     if not (f.is_normalized() and g.is_normalized()):
         raise DensityError("relative entropy expects normalized densities")
     gv = g.values
@@ -116,16 +115,19 @@ def relative_entropy(g: GridDensity, f: GridDensity) -> float:
     if np.any((gv > 0) & (fv <= 0)):
         return float("inf")
     pos = gv > 0
-    return float((gv[pos] * np.log(gv[pos] / fv[pos])).sum() * g.grid.cell_volume)
+    return float((gv[pos] * np.log(gv[pos] / fv[pos])).sum() * grid.cell_volume)
+
+
+def _require_log_concave_source(f: GridDensity) -> None:
+    ok, worst = check_midpoint_log_concavity(f)
+    if not ok:
+        raise DensityError(f"source must be midpoint-log-concave (violation {worst:.3g})")
 
 
 def check_tire_le_entropy(f: GridDensity, g: GridDensity,
                           tmap: KnotheMap = None) -> VerificationReport:
     """Transport lower bound <= relative entropy, for midpoint-log-concave f."""
-    ok, worst = check_midpoint_log_concavity(f)
-    if not ok:
-        raise DensityError(
-            f"bound requires a midpoint-log-concave source (violation {worst:.3g})")
+    _require_log_concave_source(f)
     return make_report("lem-4.1", tire_bracket(f, g, tmap), relative_entropy(g, f), 1.0,
                        grid_m=f.grid.cells_per_axis)
 
@@ -183,9 +185,7 @@ def legendre_tire_bound(f: GridDensity, g: GridDensity) -> float:
     every cell's v_last per line costs O(cells^2 / m log m), so the cell
     count is still capped.
     """
-    if f.grid != g.grid:
-        raise DensityError("densities must share the same grid")
-    grid = f.grid
+    grid = f.require_same_grid(g)
     n, m = grid.dim, grid.cells_per_axis
     if grid.n_cells > LEGENDRE_CELL_LIMIT:
         raise DensityError(f"legendre_tire_bound takes time of order cells^2 / m; "
@@ -283,15 +283,14 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     RuntimeError after W2_MAX_ROUNDS. On a 2-core machine the benchmark's
     576-cell pairs take about 0.06 s in one round, a 1024-cell pair about
     0.2 s, and a 4096-cell pair about 8 s in five."""
-    if f.grid != g.grid:
-        raise DensityError("densities must share the same grid")
-    n, shape = f.grid.n_cells, f.grid.shape
+    grid = f.require_same_grid(g)
+    n, shape = grid.n_cells, grid.shape
     if n > W2_CELL_LIMIT:
         raise DensityError(f"exact_w2_small is limited to {W2_CELL_LIMIT} cells")
     a, b = f.cell_masses(), g.cell_masses()
-    centers = f.grid.centers()
+    centers = grid.centers()
     seeds = []  # (flat pair indices i * n + j, weights) of each order's coupling
-    for order in (np.roll(np.arange(f.grid.dim), -k) for k in range(f.grid.dim)):
+    for order in (np.roll(np.arange(grid.dim), -k) for k in range(grid.dim)):
         # flat[p]: the cell at flat position p of the transposed grid
         flat = np.transpose(np.arange(n).reshape(shape), order).reshape(-1)
         src, tgt, w = triangular_coupling(np.transpose(a.reshape(shape), order),
@@ -345,9 +344,7 @@ def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
     of squared center differences, added axis by axis as in
     ``((x_i - x_j) ** 2).sum()``, and writes its atoms' terms in place; one
     np.sum over them makes the cost bitwise that of the built coupling."""
-    if f.grid != g.grid:
-        raise DensityError("densities must share the same grid")
-    grid = f.grid
+    grid = f.require_same_grid(g)
     tables = [(c[:, None] - c[None, :]) ** 2 for c in map(grid.axis_centers, range(grid.dim))]
 
     def terms(s0, t0, rows, fi, fj, fw):
@@ -372,10 +369,7 @@ def check_transport_entropy_sandwich(f: GridDensity, g: GridDensity,
 
     The entropy comparisons assume a midpoint-log-concave source.
     """
-    ok, worst = check_midpoint_log_concavity(f)
-    if not ok:
-        raise DensityError(
-            f"sandwich requires a midpoint-log-concave source (violation {worst:.3g})")
+    _require_log_concave_source(f)
     m = f.grid.cells_per_axis
     tmap = knothe_map(f, g)
     tri_cost = displacement_cost(tmap, f)

@@ -81,8 +81,7 @@ class KnotheMap:
 
 
 def _check_pair(f: GridDensity, g: GridDensity) -> None:
-    if f.grid != g.grid:
-        raise DensityError("source and target must share the same grid")
+    f.require_same_grid(g)
     f.require_positive()
     g.require_positive()
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityError, GridDensity, PositivityError, row_cdfs
+from .density import DensityError, GridDensity, row_cdfs
 from .reports import VerificationReport, make_report
 
 # explicit constants used on right-hand sides
@@ -73,8 +73,6 @@ def _check_same_interval(f: GridDensity, g: GridDensity) -> None:
 def _positive_cdfs(values: np.ndarray) -> np.ndarray:
     """Normalized CDF rows of positive cell values, strictly increasing: a
     cell too light to move its row's CDF would give the map a jump there."""
-    if np.any(values <= 0):
-        raise PositivityError("density has zero cells where positivity is required")
     C = row_cdfs(values)
     if np.any(np.diff(C, axis=-1) <= 0):
         raise DensityError("CDF is not strictly increasing: a cell is too light to move "
@@ -153,7 +151,7 @@ def monotone_map(f: GridDensity, g: GridDensity) -> MonotoneMap1D:
     Masses are normalized internally, so unnormalized inputs are accepted.
     """
     _check_same_interval(f, g)
-    C = _positive_cdfs(np.stack((f.values, g.values)))
+    C = _positive_cdfs(np.stack((f.require_positive(), g.require_positive())))
     nodes = f.grid.axis_nodes(0)
     *_, du, slope, x, t, _ = _pieces(C[:1], C[1:], nodes, f.grid.h)
     return MonotoneMap1D(np.append(x, nodes[-1]), np.append(t, nodes[-1]), du, slope)

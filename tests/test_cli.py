@@ -393,6 +393,59 @@ def test_bad_config_exits_2(tmp_path, capsys, cfg):
     assert_rejected(capsys, [command, "--config", path, "--out", str(tmp_path / "run")])
 
 
+_SEED_RULE = "seed must be an integer in [0, 2^64)"
+_T_MAX_RULE = "t_max must be a finite positive number"
+_DIMS_RULE = "dims must be a nonempty list of positive integers"
+_NS_RULE = "ns must be a list of at least two integers >= 64"
+# each config key, one value per rule it breaks and the one-line message; a
+# value of the wrong type gets the type's message where a bound fails too
+CONFIG_RULES = {
+    "seed": [("1", _SEED_RULE), (True, _SEED_RULE), (-1, _SEED_RULE), (1 << 64, _SEED_RULE)],
+    "out_dir": [("", "out_dir must be a nonempty string"),
+                (7, "out_dir must be a nonempty string")],
+    "m": [(8.0, "m must be an integer >= 2"), (1, "m must be an integer >= 2")],
+    "dim": [("30", "dim must be an integer >= 1"), (0, "dim must be an integer >= 1"),
+            (25, "dim must be an integer <= 24")],
+    "pairs": [(True, "pairs must be an integer >= 1"), (0, "pairs must be an integer >= 1")],
+    "n_samples": [("1e9", "n_samples must be an integer >= 1000"),
+                  (999, "n_samples must be an integer >= 1000"),
+                  (MAX_POINT_BUDGET // 2 + 1,
+                   f"n_samples must be an integer <= {MAX_POINT_BUDGET // 2}")],
+    "t_max": [("1", _T_MAX_RULE), (True, _T_MAX_RULE), (0, _T_MAX_RULE), (-1.5, _T_MAX_RULE),
+              (float("inf"), _T_MAX_RULE), (float("nan"), _T_MAX_RULE)],
+    "t_count": [(None, "t_count must be an integer >= 2"), (1, "t_count must be an integer >= 2"),
+                (MAX_T_COUNT + 1, f"t_count must be an integer <= {MAX_T_COUNT}")],
+    "dims": [("2", _DIMS_RULE), ([], _DIMS_RULE), ([2.0], _DIMS_RULE), ([0], _DIMS_RULE),
+             ([2, 2], "dims must not repeat an entry")],
+    "ns": [(64, _NS_RULE), ([64], _NS_RULE), ([64, 128.0], _NS_RULE), ([63, 128], _NS_RULE),
+           ([64, 64], "ns must not repeat an entry")],
+    "test_functions": [(1.0, "test_functions must be an integer >= 1"),
+                       (0, "test_functions must be an integer >= 1")],
+    "plot": [(1, "plot must be true or false"), (None, "plot must be true or false")],
+    "source": [([], "source: density spec must be an object"),
+               ({"variant": "nope"}, "source: unknown density spec variant 'nope'")],
+    "target": [([], "target: density spec must be an object"),
+               ({"variant": "nope"}, "target: unknown density spec variant 'nope'")],
+}
+
+
+def test_config_rules_cover_every_key():
+    assert set(CONFIG_RULES) == set(DEFAULTS)
+
+
+@pytest.mark.parametrize("key, value, text", [
+    pytest.param(key, value, text, id=f"{key}-{i}")
+    for key, rules in CONFIG_RULES.items() for i, (value, text) in enumerate(rules)])
+def test_each_config_rule_exits_2_through_main(tmp_path, capsys, monkeypatch, key, value, text):
+    _no_grid(monkeypatch)
+    out = tmp_path / "run"
+    argv = ["all", "--config", _write_config(tmp_path, {key: value})]
+    # --out would override the out_dir under test
+    argv += [] if key == "out_dir" else ["--out", str(out)]
+    assert assert_rejected(capsys, argv) == f"error: {text}\n"
+    assert not out.exists()
+
+
 def test_largest_sample_and_offset_counts_accepted():
     cfg = load_config(None, {"n_samples": MAX_POINT_BUDGET // 2, "t_count": MAX_T_COUNT})
     assert (cfg["n_samples"], cfg["t_count"]) == (MAX_POINT_BUDGET // 2, MAX_T_COUNT)
@@ -498,9 +551,9 @@ UNBUILDABLE_SPECS = {
     "mass-overflows": ({"variant": "custom_grid", "values": [[1e308] * 4] * 4},
                        "cannot normalize a density whose mass overflows to inf"),
     "power-overflows": ({"variant": "convex_power", "offset": 1, "direction": [1, 0.5],
-                         "power": 1e6}, "values must be finite"),
+                         "power": 1e6}, "the spec's density overflows on the grid"),
     "scale-underflows": ({"variant": "equicorrelated_gaussian", "scale": 1e-300},
-                         "values must be finite"),
+                         "the spec's density overflows on the grid"),
     "zero-cell": ({"variant": "custom_grid", "values": [[0, 1, 1, 1]] + [[1] * 4] * 3},
                   "density has zero cells where positivity is required"),
 }

@@ -235,9 +235,12 @@ def test_build_raises_on_overflow_without_warnings(spec):
 
 @pytest.mark.parametrize("spec, text", [
     (RestrictedGaussian((0.5, 0.5), ((1.0, 2.0), (0.0, 1.0))), "symmetric"),
+    # within numpy's default rtol of symmetric, and its lower triangle is PSD
+    # while the form build_density evaluates is indefinite
+    (RestrictedGaussian((0.5, 0.5), ((1.0, 1.0 + 1e-6), (1.0, 1.0))), "symmetric"),
     (RestrictedGaussian((0.5, 0.5), ((1.0, 2.0), (2.0, 1.0))), "semidefinite"),
     (ConvexPower(-0.5, (1.0, -1.0), 2.0), "stay positive"),
-], ids=["non-symmetric", "non-psd", "non-positive"])
+], ids=["non-symmetric", "nearly-symmetric-indefinite", "non-psd", "non-positive"])
 def test_check_spec_checks_what_build_density_needs(spec, text):
     with pytest.raises(DensityError, match=text):
         density.check_spec(spec, unit_cube_grid(2, 4))

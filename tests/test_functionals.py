@@ -38,6 +38,7 @@ from cube_transport import (
     triangular_coupling_cost,
     unit_cube_grid,
 )
+from cube_transport.knothe import check_theorem31
 from cube_transport.families import (draw_trig_coeffs, random_logconcave_spec_1d,
                                      random_logconcave_spec_nd, random_smooth_density,
                                      trig_density)
@@ -83,6 +84,43 @@ def test_entropy_requires_normalized():
     g = normalize(GridDensity(grid, np.ones(4)))
     with pytest.raises(ValueError):
         relative_entropy(f, g)
+
+
+# ---------------------------------------------------------------- pair preconditions
+
+
+# each function of a source f and a target g, called on the pair
+PAIR_FUNCTIONS = {
+    "knothe_map": knothe_map,
+    "check_theorem31": lambda f, g: check_theorem31(f, g, 1.0),
+    "relative_entropy": lambda f, g: relative_entropy(g, f),
+    "legendre_tire_bound": legendre_tire_bound,
+    "exact_w2_small": exact_w2_small,
+    "triangular_coupling_cost": triangular_coupling_cost,
+    "check_tire_le_entropy": check_tire_le_entropy,
+    "check_transport_entropy_sandwich": lambda f, g: check_transport_entropy_sandwich(f, g, 1.0),
+}
+
+
+@pytest.mark.parametrize("g_grid", [unit_cube_grid(2, 5), unit_cube_grid(3, 4)],
+                         ids=["other-m", "other-dim"])
+@pytest.mark.parametrize("name", PAIR_FUNCTIONS)
+def test_pair_functions_need_one_grid(name, g_grid):
+    f = build_density(Uniform(), unit_cube_grid(2, 4))
+    with pytest.raises(DensityError, match="^source and target must share the same grid$"):
+        PAIR_FUNCTIONS[name](f, build_density(Uniform(), g_grid))
+
+
+@pytest.mark.parametrize("name", ["check_tire_le_entropy", "check_transport_entropy_sandwich"])
+def test_entropy_comparisons_need_a_log_concave_source(name):
+    # a dip in one cell breaks midpoint log-concavity along its row
+    grid = unit_cube_grid(2, 4)
+    values = np.ones(grid.shape)
+    values[1, 1] = 0.1
+    f, g = normalize(GridDensity(grid, values)), build_density(Uniform(), grid)
+    with pytest.raises(DensityError,
+                       match=r"^source must be midpoint-log-concave \(violation \d"):
+        PAIR_FUNCTIONS[name](f, g)
 
 
 # ---------------------------------------------------------------- legendre
