@@ -209,10 +209,13 @@ def _marginals(values: np.ndarray) -> list:
 def cdf_cells(table: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per point, the last cell j < m with table[rows, j] <= v, for a table
     of shape (R, m+1) whose rows are ``row_cdfs`` (nondecreasing from 0) and
-    v >= 0: bisection, one gather per halving. The inverse CDF: for v < 1 in
-    a row of positive mass, table[j] <= v < table[j + 1], so cell j has
-    positive mass."""
+    v >= 0: bisection, one gather per halving, or one ``np.searchsorted``
+    where the table has one row, as at the first level of a descent. The
+    inverse CDF: for v < 1 in a row of positive mass, table[j] <= v <
+    table[j + 1], so cell j has positive mass."""
     m = table.shape[-1] - 1
+    if len(table) == 1:
+        return np.minimum(np.searchsorted(table[0], v, side="right") - 1, m - 1)
     flat, base = table.reshape(-1), rows * (m + 1)
     j = np.zeros(len(v), dtype=np.intp)
     for step in 1 << np.arange((m - 1).bit_length())[::-1]:

@@ -25,6 +25,10 @@ W2_CELL_LIMIT = 4096
 W2_MAX_ROUNDS = 100  # column-generation rounds before giving up on a certificate
 W2_PRICING_TOL = 1e-9  # every reduced cost >= -tol certifies the plan optimal
 W2_COLUMNS_PER_ROW = 4  # most negative reduced costs added per source cell and round
+# the first solve runs the primal simplex up to this many cells and the dual
+# beyond: on the benchmark's first 2d pair the primal took 0.07 s at 900 cells
+# against the dual's 0.085 s, and 0.09 s at 1024 cells against 0.07 s
+W2_PRIMAL_CELLS = 1000
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 W2_MASS_SCALE = 1e6  # the model's masses total W2_MASS_SCALE / cells (see _transport_model)
 LEGENDRE_CELL_LIMIT = 16384
@@ -61,7 +65,9 @@ def _transport_model(b_eq: np.ndarray):
     LP_OPTIONS tolerances; ``linprog`` reads and writes unit masses. HiGHS
     accepts basics down to -1e-10, the floor of its feasibility tolerance:
     -1e-16 n in unit masses, so dropping one moves the plan's cost off the
-    dual objective by less than the certificate's rounding allowance."""
+    dual objective by less than the certificate's rounding allowance. On a
+    2-core machine the first solve, from the tree basis of ``linprog``,
+    takes about 0.03 s at 576 cells and 1.8 s at 4096."""
     highs = _highs()._Highs()
     for key, value in {"output_flag": False, **LP_OPTIONS}.items():
         _checked(highs.setOptionValue(key, value), f"setOptionValue({key!r}, {value!r})")
@@ -71,12 +77,46 @@ def _transport_model(b_eq: np.ndarray):
     return highs
 
 
+def _tree_basis(i, j, weights, n: int) -> tuple:
+    """A basis of the transport model over the columns (i, j): a spanning
+    forest of the 2n source and target cells, its edges taken heaviest
+    weight first (Kruskal, ties in column order), and one basic row in each
+    of its trees but the one that holds the dropped last target row. There
+    is more than one tree where zero masses leave cells without columns.
+    Returns the masks of the basic columns (len(weights)) and of the basic
+    rows (2n - 1). Each tree over a plan's support balances its masses, so
+    the slack of its basic row sits at the row's fixed value."""
+    parent = list(range(2 * n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+    cols = np.zeros(len(weights), dtype=bool)
+    ends, joined = np.stack([i, n + j], axis=1).tolist(), 0
+    for k in np.argsort(-weights, kind="stable").tolist():
+        a, b = map(root, ends[k])
+        if a != b:
+            parent[a], cols[k] = b, True
+            joined += 1
+            if joined == 2 * n - 1:
+                break
+    last = root(2 * n - 1)
+    rows = np.array([root(x) == x != last for x in range(2 * n - 1)], dtype=bool)
+    return cols, rows
+
+
 def linprog(c, *, highs, i, j, start=None) -> LPRound:
     """One column-generation round on the HiGHS transport model ``highs``:
     append the columns past those it holds (column k moves mass from source
-    cell i[k] to target cell j[k] at cost c[k]), then run the dual simplex
-    from the kept basis, or in the first round from the feasible plan
-    ``start``. c is the round's full cost vector."""
+    cell i[k] to target cell j[k] at cost c[k]) and run the simplex. The
+    first round starts from the ``_tree_basis`` of the feasible plan
+    ``start``, with the primal simplex up to W2_PRIMAL_CELLS cells and the
+    dual beyond; every later round runs the primal simplex from the kept
+    basis, which stays primal feasible as columns join. c is the round's
+    full cost vector."""
+    hs = _highs()
     n = (highs.getNumRow() + 1) // 2
     scale = W2_MASS_SCALE / n
     held = highs.getNumCol()
@@ -89,12 +129,18 @@ def linprog(c, *, highs, i, j, start=None) -> LPRound:
                            len(index), (np.cumsum(counts) - counts).astype(np.int32), index,
                            np.ones(len(index))), "addCols")
     if start is not None:
-        solution = _highs().HighsSolution()
-        solution.col_value = start * scale
-        _checked(highs.setSolution(solution), "setSolution")
+        basis, kinds = hs.HighsBasis(), (hs.HighsBasisStatus.kLower, hs.HighsBasisStatus.kBasic)
+        basic_cols, basic_rows = _tree_basis(i, j, start, n)
+        basis.col_status = [kinds[b] for b in basic_cols.tolist()]
+        basis.row_status = [kinds[b] for b in basic_rows.tolist()]
+        _checked(highs.setBasis(basis), "setBasis")
+    # HiGHS's primal simplex, or its dual
+    strategy = 4 if start is None or n <= W2_PRIMAL_CELLS else 1
+    _checked(highs.setOptionValue("simplex_strategy", strategy),
+             f"setOptionValue('simplex_strategy', {strategy})")
     highs.run()
     status = highs.getModelStatus()
-    if status != _highs().HighsModelStatus.kOptimal:
+    if status != hs.HighsModelStatus.kOptimal:
         raise RuntimeError(f"transport LP failed: {highs.modelStatusToString(status)}")
     solution, info = highs.getSolution(), highs.getInfo()
     return LPRound(np.array(solution.col_value) / scale, np.array(solution.row_dual),
@@ -225,7 +271,8 @@ class CouplingPlan:
     """Sparse coupling between source and target cells: entry k moves
     ``weights[k]`` mass from flat cell ``source_index[k]`` to ``target_index[k]``.
 
-    The LP certificate: ``rounds`` of column generation were solved, the
+    The LP certificate: ``rounds`` of column generation were solved, taking
+    ``iterations[r]`` simplex iterations in round r, the
     smallest reduced cost over all cell pairs is ``min_reduced_cost``, and
     ``lower_bound`` (the dual objective, plus that cost when negative, less a
     rounding allowance) is at most the cost of every coupling of the two
@@ -236,11 +283,15 @@ class CouplingPlan:
     source_index: np.ndarray
     target_index: np.ndarray
     weights: np.ndarray
-    rounds: int
+    iterations: tuple  # simplex iterations of each round
     min_reduced_cost: float
     lower_bound: float
     u: np.ndarray
     v: np.ndarray
+
+    @property
+    def rounds(self) -> int:
+        return len(self.iterations)
 
 
 def _price(centers: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
@@ -255,11 +306,14 @@ def _price(centers: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
         rc = -u[s:s + step, None] - v[None, :]
         for axis in range(centers.shape[1]):
             rc += (centers[s:s + step, axis, None] - centers[None, :, axis]) ** 2
-        cols = np.argpartition(rc, k - 1, axis=1)[:, :k]
-        vals = np.take_along_axis(rc, cols, axis=1)
-        smallest = min(smallest, float(vals.min()))
+        low = rc.min(axis=1)
+        smallest = min(smallest, float(low.min()))
+        rows = np.flatnonzero(low < -W2_PRICING_TOL)  # a certifying round has none
+        priced = rc[rows]
+        cols = np.argpartition(priced, k - 1, axis=1)[:, :k]
+        vals = np.take_along_axis(priced, cols, axis=1)
         r, c = np.nonzero(vals < -W2_PRICING_TOL)
-        found.append((s + r) * n + cols[r, c])
+        found.append((s + rows[r]) * n + cols[r, c])
     return smallest, np.concatenate(found)
 
 
@@ -275,14 +329,15 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     union of the atoms of the triangular couplings in the dim cyclic axis
     orders (0, 1, ..., d-1), (1, ..., d-1, 0), ... (each the last level of
     the triangular walk over the cell masses, a plan feasible to rounding;
-    the first is that of ``triangular_coupling_cost``, and the first solve
-    starts from it); its duals price every pair, the most negative reduced costs
-    join the model as new columns, the next solve starts from the last
-    basis, and the loop stops when no reduced cost is below
-    -W2_PRICING_TOL, which certifies the plan optimal, or raises
-    RuntimeError after W2_MAX_ROUNDS. On a 2-core machine the benchmark's
-    576-cell pairs take about 0.06 s in one round, a 1024-cell pair about
-    0.2 s, and a 4096-cell pair about 8 s in five."""
+    the first is that of ``triangular_coupling_cost``). The first solve
+    starts from the spanning tree of their mean plan (see ``linprog``); its
+    duals price every pair, the most negative reduced costs join the model
+    as new columns, the next solve starts from the last basis, and the loop
+    stops when no reduced cost is below -W2_PRICING_TOL, which certifies
+    the plan optimal, or raises RuntimeError after W2_MAX_ROUNDS. On a
+    2-core machine the benchmark's 576-cell pairs take about 0.03 s in one
+    round, a 1024-cell pair about 0.1 s, and a 4096-cell pair about 4.5 s
+    in five."""
     grid = f.require_same_grid(g)
     n, shape = grid.n_cells, grid.shape
     if n > W2_CELL_LIMIT:
@@ -297,14 +352,16 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
                                           np.transpose(b.reshape(shape), order))
         seeds.append((flat[src] * n + flat[tgt], w))
     pairs = np.unique(np.concatenate([p for p, _ in seeds]))
-    start = np.bincount(np.searchsorted(pairs, seeds[0][0]), weights=seeds[0][1],
-                        minlength=len(pairs))
+    start = sum(np.bincount(np.searchsorted(pairs, p), weights=w, minlength=len(pairs))
+                for p, w in seeds) / len(seeds)
     # last target constraint is redundant (masses both sum to 1); drop it, so v[-1] = 0
     highs = _transport_model(np.concatenate([a, b[:-1]]))
-    for rounds in range(1, W2_MAX_ROUNDS + 1):
+    iterations = []
+    for _ in range(W2_MAX_ROUNDS):
         i, j = np.divmod(pairs, n)
         moved = ((centers[i] - centers[j]) ** 2).sum(axis=1)
-        res = linprog(moved, highs=highs, i=i, j=j, start=start if rounds == 1 else None)
+        res = linprog(moved, highs=highs, i=i, j=j, start=None if iterations else start)
+        iterations.append(res.nit)
         u, v = res.y[:n], np.append(res.y[n:], 0.0)
         smallest, new = _price(centers, u, v)
         if smallest >= -W2_PRICING_TOL:
@@ -318,7 +375,7 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     rounding = 4 * n * np.finfo(float).eps * (np.abs(u).max() + np.abs(v).max() + diameter_sq)
     lower_bound = float(a @ u + b @ v + min(0.0, smallest) * a.sum() - rounding)
     nz = res.x > 0  # basics below 0 are dropped (see _transport_model)
-    plan = CouplingPlan(i[nz], j[nz], res.x[nz], rounds, smallest, lower_bound, u, v)
+    plan = CouplingPlan(i[nz], j[nz], res.x[nz], tuple(iterations), smallest, lower_bound, u, v)
     return float(plan.weights @ moved[nz]), plan
 
 

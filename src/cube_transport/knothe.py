@@ -225,6 +225,7 @@ def pushforward_error(tmap: KnotheMap, f: GridDensity, g: GridDensity,
                       n_samples: int = 100_000, seed: int = 0) -> float:
     """Largest per-axis KS distance between mapped f-samples and the
     corresponding 1d marginal of g."""
+    _check_grid(tmap, f)
     _check_pair(f, g)
     batch = sample_grid(f, n_samples, seed)
     return empirical_marginal_distance(tmap.evaluate(batch.points), g)

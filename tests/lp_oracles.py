@@ -8,6 +8,9 @@ interior point with crossover to an optimal vertex, which at these sizes is
 about three times faster than the simplex; still, 576 cells take about 6 s
 on a 2-core machine, and 1024 cells minutes.
 
+``price_every_row`` is ``exact_w2_small``'s pricing before it partitioned
+only the rows with a negative reduced cost: it partitions every row.
+
 ``dense_legendre_tire_bound`` is ``legendre_tire_bound`` before it split the
 convex conjugate over last-axis lines: it scores every source cell against
 every target cell of the support, O(cells^2) time, in chunks of about 2^22
@@ -43,6 +46,24 @@ def dense_w2(a, b, centers):
         raise RuntimeError(f"transport LP failed: {res.message}")
     nz = res.x > 1e-15
     return float(res.fun), (var_ids[nz] // n, var_ids[nz] % n, res.x[nz])
+
+
+def price_every_row(centers, u, v, k, tol):
+    """Smallest reduced cost |x_i - x_j|^2 - u_i - v_j, and the flat indices
+    i * n + j of the up to k most negative ones below -tol in every row i,
+    from an argpartition of every row (in chunks of 256 rows)."""
+    n = len(u)
+    smallest, found = np.inf, []
+    for s in range(0, n, 256):
+        rc = -u[s:s + 256, None] - v[None, :]
+        for axis in range(centers.shape[1]):
+            rc += (centers[s:s + 256, axis, None] - centers[None, :, axis]) ** 2
+        cols = np.argpartition(rc, k - 1, axis=1)[:, :k]
+        vals = np.take_along_axis(rc, cols, axis=1)
+        smallest = min(smallest, float(vals.min()))
+        r, c = np.nonzero(vals < -tol)
+        found.append((s + r) * n + cols[r, c])
+    return smallest, np.concatenate(found)
 
 
 def dense_legendre_tire_bound(f, g):

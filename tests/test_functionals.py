@@ -415,7 +415,8 @@ def test_w2_matches_dense_oracle(dim, m):
 def _crossed_gaussians(m):
     # opposite correlations: the triangular couplings are far from optimal.
     # Seeded with those of both axis orders, the LP certifies m = 8 and 12 in
-    # one round; m = 16 takes four
+    # one round of 33 and 211 simplex iterations; m = 16 takes four rounds,
+    # of 645, 18, 121 and 2 iterations
     grid = unit_cube_grid(2, m)
     return (build_density(RestrictedGaussian((0.4, 0.6), ((3.0, 2.0), (2.0, 3.0))), grid),
             build_density(RestrictedGaussian((0.6, 0.4), ((3.0, -2.0), (-2.0, 3.0))), grid))
@@ -440,6 +441,64 @@ def test_w2_matches_dense_oracle_with_zero_cells():
     assert not np.any(g.cell_masses()[plan.target_index] == 0)
 
 
+def test_w2_completes_the_tree_with_row_slacks_on_zero_mass_cells(monkeypatch):
+    # a zero-mass cell carries no seed column, and the equal pair's seed is
+    # the identity coupling, so the seed's spanning forest leaves each such
+    # cell, or each identity pair, a tree of its own. Each tree takes one
+    # basic row, but the one that holds the dropped last target row
+    bases = []
+    tree = functionals._tree_basis
+
+    def spy(*args):
+        bases.append(tree(*args))
+        return bases[-1]
+
+    monkeypatch.setattr(functionals, "_tree_basis", spy)
+    rng = np.random.default_rng(55)
+    grid = unit_cube_grid(2, 8)
+    fv, gv = rng.uniform(0.1, 1.0, grid.shape), rng.uniform(0.1, 1.0, grid.shape)
+    fv[1:3, 2:6] = 0.0
+    gv[5:, :] = 0.0
+    gv[-1, -1] = 1.0  # the dropped last target row keeps its mass
+    f, g = normalize(GridDensity(grid, fv)), normalize(GridDensity(grid, gv))
+    equal = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, grid.shape)))
+    for (source, target), slacks in (((f, g), 8 + 23), ((equal, equal), 63)):
+        _assert_matches_dense_oracle(source, target)
+        cols, rows = bases.pop()
+        assert rows.sum() == slacks
+        assert cols.sum() + rows.sum() == 2 * grid.n_cells - 1
+
+
+@pytest.mark.parametrize("dim,m,zeros", [(1, 12, False), (2, 6, False), (2, 6, True),
+                                         (3, 3, True)])
+def test_tree_basis_is_nonsingular_and_spans_every_cell_of_positive_mass(dim, m, zeros):
+    # the basis matrix, the incidence columns of the basic pairs and the unit
+    # columns of the basic rows, has full rank 2n - 1
+    rng = np.random.default_rng([56, dim, m])
+    grid = unit_cube_grid(dim, m)
+    a, b = rng.uniform(0.1, 1.0, (2, grid.n_cells))
+    if zeros:
+        a[rng.choice(grid.n_cells, grid.n_cells // 4, replace=False)] = 0.0
+        b[rng.choice(grid.n_cells - 1, grid.n_cells // 4, replace=False)] = 0.0
+    a, b = a / a.sum(), b / b.sum()
+    i, j, w = triangular_coupling(a.reshape(grid.shape), b.reshape(grid.shape))
+    n = grid.n_cells
+    cols, rows = functionals._tree_basis(i, j, w, n)
+    basis = np.zeros((2 * n - 1, cols.sum() + rows.sum()))
+    for k, (p, q) in enumerate(zip(i[cols], j[cols])):
+        basis[p, k] = 1.0
+        if q < n - 1:
+            basis[n + q, k] = 1.0
+    basis[np.flatnonzero(rows), cols.sum() + np.arange(rows.sum())] = 1.0
+    assert basis.shape == (2 * n - 1, 2 * n - 1)
+    assert np.linalg.matrix_rank(basis) == 2 * n - 1
+    # heaviest first: the tree holds the heaviest pair and every cell of positive mass
+    assert cols[np.argmax(w)]
+    touched = np.zeros(2 * n, dtype=bool)
+    touched[i[cols]] = touched[n + j[cols]] = True
+    assert np.array_equal(touched, np.concatenate([a, b]) > 0)
+
+
 def test_w2_matches_dense_oracle_on_equal_densities():
     rng = np.random.default_rng(54)
     grid = unit_cube_grid(2, 12)
@@ -451,6 +510,7 @@ def test_w2_matches_dense_oracle_on_equal_densities():
 
 def test_w2_calls_linprog_with_the_sparse_cost_first(monkeypatch):
     # the benchmark tracer counts LP variables from functionals.linprog's first argument
+    # and simplex iterations from the nit of its result
     sizes = []
     solve = functionals.linprog
 
@@ -466,24 +526,56 @@ def test_w2_calls_linprog_with_the_sparse_cost_first(monkeypatch):
 
 
 def test_w2_rounds_after_the_first_start_from_the_kept_basis(monkeypatch):
-    # one HiGHS model across rounds: the first solve starts from the
-    # triangular coupling of triangular_coupling_cost, and every later one
-    # from the last basis, so it takes fewer simplex iterations
-    calls = []
+    # one HiGHS model across rounds: the first solve starts from the tree
+    # basis of the mean of the cyclic orders' triangular couplings (a feasible
+    # plan), and every later one from the last basis, so it takes fewer
+    # simplex iterations; the plan records each round's iterations
+    calls, strategies = [], []
     solve = functionals.linprog
 
     def spy(c, **kwargs):
         res = solve(c, **kwargs)
         calls.append((c, kwargs["start"], res.nit))
+        strategies.append(kwargs["highs"].getOptionValue("simplex_strategy")[1])
         return res
 
     monkeypatch.setattr(functionals, "linprog", spy)
     f, g = _crossed_gaussians(16)
     _, plan = _assert_matches_dense_oracle(f, g)
     assert len(calls) == plan.rounds == 4
-    (c, start, first), later = calls[0], calls[1:]
-    assert c @ start == pytest.approx(triangular_coupling_cost(f, g), rel=1e-13)
+    assert plan.iterations == tuple(nit for _, _, nit in calls)
+    (_, start, first), later = calls[0], calls[1:]
+    assert start is not None
+    assert strategies == [4, 4, 4, 4]  # HiGHS's primal simplex in every round at 256 cells
     assert all(start is None and nit < first for _, start, nit in later)
+
+
+@pytest.mark.parametrize("m", [24, 64])
+@pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-6, 1e-3])
+def test_pricing_equals_partitioning_every_row(m, noise):
+    # certifying duals, perturbed so that more and more rows price a new
+    # column: the benchmark's first 2d pair at 24^2 (one chunk), and zero
+    # duals, which certify the identity coupling, at 64^2 (four chunks)
+    _, source, target = _BENCH_LP_PAIRS_2D[0]
+    grid = unit_cube_grid(2, m)
+    centers = grid.centers()
+    if m == 24:
+        _, plan = exact_w2_small(build_density(source, grid), trig_density(target, grid))
+        u, v = plan.u, plan.v
+    else:
+        u, v = np.zeros(grid.n_cells), np.zeros(grid.n_cells)
+    rng = np.random.default_rng([57, m])
+    u = u + noise * rng.standard_normal(len(u))
+    v = v + noise * rng.standard_normal(len(v))
+    got = functionals._price(centers, u, v)
+    want = lp_oracles.price_every_row(centers, u, v, functionals.W2_COLUMNS_PER_ROW,
+                                      functionals.W2_PRICING_TOL)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    if noise == 0.0:
+        assert len(got[1]) == 0  # a certifying round prices nothing
+    if noise >= 1e-6:
+        assert len(got[1]) > 0
 
 
 def test_w2_names_the_scipy_it_needs(monkeypatch):
@@ -506,14 +598,15 @@ def test_w2_raises_when_highs_rejects_an_option(monkeypatch, key, value):
 
 
 def test_w2_raises_when_highs_rejects_the_start(monkeypatch):
-    # a start plan with the wrong number of columns is rejected by setSolution
+    # a start plan with the wrong number of columns gives a basis with the
+    # wrong number of column statuses, which setBasis rejects
     f, g = _crossed_gaussians(16)
     solve = functionals.linprog
 
     def short_start(c, start=None, **kwargs):
         return solve(c, start=None if start is None else start[:-1], **kwargs)
     monkeypatch.setattr(functionals, "linprog", short_start)
-    with pytest.raises(RuntimeError, match="setSolution"):
+    with pytest.raises(RuntimeError, match="setBasis"):
         exact_w2_small(f, g)
 
 
@@ -528,7 +621,7 @@ def test_w2_raises_when_round_cap_hit_without_certificate(monkeypatch):
 
 @pytest.mark.parametrize("dim,m", [(1, 24), (2, 8), (2, 12), (3, 4), (3, 6)])
 def test_w2_seeds_with_the_triangular_coupling_of_every_cyclic_axis_order(monkeypatch, dim, m):
-    calls, lp_costs = [], []
+    calls, lp_costs, lp_starts = [], [], []
     couple, solve = functionals.triangular_coupling, functionals.linprog
 
     def spy(a, b):
@@ -537,6 +630,7 @@ def test_w2_seeds_with_the_triangular_coupling_of_every_cyclic_axis_order(monkey
 
     def lp_spy(c, **kwargs):
         lp_costs.append(c)
+        lp_starts.append(kwargs["start"])
         return solve(c, **kwargs)
 
     monkeypatch.setattr(functionals, "triangular_coupling", spy)
@@ -563,9 +657,15 @@ def test_w2_seeds_with_the_triangular_coupling_of_every_cyclic_axis_order(monkey
                                    b.ravel(), rtol=0, atol=1e-15)
         triangular.append(float(w @ ((centers[i] - centers[j]) ** 2).sum(axis=1)))
         seed.append(i * grid.n_cells + j)
-    # the first LP runs over the union of those atoms, sorted by flat pair index
+    # the first LP runs over the union of those atoms, sorted by flat pair
+    # index, and starts from the mean of the couplings
     i, j = np.divmod(np.unique(np.concatenate(seed)), grid.n_cells)
     assert np.array_equal(lp_costs[0], ((centers[i] - centers[j]) ** 2).sum(axis=1))
+    assert lp_costs[0] @ lp_starts[0] == pytest.approx(np.mean(triangular), rel=1e-13)
+    for masses, ends in ((a, i), (b, j)):
+        np.testing.assert_allclose(np.bincount(ends, weights=lp_starts[0],
+                                               minlength=grid.n_cells),
+                                   masses.ravel(), rtol=0, atol=1e-15)
     # the first order is the coupling of triangular_coupling_cost
     assert triangular[0] == pytest.approx(triangular_coupling_cost(f, g), rel=1e-13)
     assert plan.lower_bound <= min(triangular) and cost <= min(triangular) + 1e-12
@@ -594,16 +694,29 @@ def test_w2_certifies_the_benchmark_pairs_in_one_round(m, source, target, jitter
     assert plan.min_reduced_cost >= -1e-9
 
 
-def test_w2_certifies_the_cell_cap_from_its_duals():
+def test_w2_certifies_the_cell_cap_from_its_duals(monkeypatch):
     # the benchmark's first 2d pair, unjittered, at 64^2 = 4096 cells, where
     # the dense oracle would take hours: the duals alone certify the cost.
-    # On a 2-core machine it solves in about 9 s, in five rounds
+    # On a 2-core machine it solves in about 4.3 s, in five rounds of 24,204,
+    # 3,368, 3,333, 270 and 94 simplex iterations (the first by the dual
+    # simplex, 1.8 s), and the 48^2 pair in about 1 s
+    strategies = []
+    solve = functionals.linprog
+
+    def spy(c, **kwargs):
+        res = solve(c, **kwargs)
+        strategies.append(kwargs["highs"].getOptionValue("simplex_strategy")[1])
+        return res
+
+    monkeypatch.setattr(functionals, "linprog", spy)
     _, source, target = _BENCH_LP_PAIRS_2D[0]
     grid = unit_cube_grid(2, 64)
     assert grid.n_cells == functionals.W2_CELL_LIMIT
     f, g = build_density(source, grid), trig_density(target, grid)
     cost, plan = exact_w2_small(f, g)
     assert plan.rounds > 1
+    # above W2_PRIMAL_CELLS the first solve is HiGHS's dual simplex, the rest its primal
+    assert strategies == [1] + [4] * (plan.rounds - 1)
     _assert_certified(f, g, cost, plan)
 
 

@@ -511,6 +511,20 @@ def test_pushforward_marginals_close():
     assert err <= 2.0 / np.sqrt(n)
 
 
+@pytest.mark.parametrize("use", [
+    lambda tmap, f, g: displacement_cost(tmap, f),
+    lambda tmap, f, g: cost_split(tmap, f),
+    lambda tmap, f, g: tire_bracket(f, g, tmap),
+    lambda tmap, f, g: pushforward_error(tmap, f, g, n_samples=100),
+], ids=["displacement_cost", "cost_split", "tire_bracket", "pushforward_error"])
+def test_map_of_another_grid_is_rejected(use):
+    # the 8x8 anchor map of uniform -> prod 2x_i on the 16x16 pair: same
+    # dimension, so only the grid check can tell it is the wrong map
+    tmap = knothe_map(*product_pair(8))
+    with pytest.raises(DensityError, match="^map and density grids differ$"):
+        use(tmap, *product_pair(16))
+
+
 def test_axis_marginal_cdf_is_cdf():
     rng = np.random.default_rng(12)
     grid = unit_cube_grid(2, 16)

@@ -154,6 +154,23 @@ def test_cdf_cells_matches_per_row_searchsorted(m):
     np.testing.assert_array_equal(cdf_cells(table, rows, v), expected)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 1000])
+def test_cdf_cells_of_one_row_matches_the_bisection(m):
+    # one row takes np.searchsorted; with a second row of zeros appended the
+    # same points bisect: ties from zero cells, v on table entries and near 1
+    rng = np.random.default_rng(m)
+    vals = rng.uniform(size=(1, m)) * (rng.uniform(size=(1, m)) < 0.5)
+    vals[0, rng.integers(m)] = 1.0
+    table = row_cdfs(vals)
+    v = np.concatenate([[0.0, 1.0 - 2.0 ** -53, 1.0], table[0], rng.uniform(size=200)])
+    got = cdf_cells(table, np.zeros(len(v), dtype=np.intp), v)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, cdf_cells(np.vstack([table, 0.0 * table]),
+                                                 np.zeros(len(v), dtype=np.intp), v))
+    np.testing.assert_array_equal(got, [min(np.searchsorted(table[0], x, side="right") - 1,
+                                            m - 1) for x in v])
+
+
 def test_sampler_peak_memory_at_1024_squared():
     # the 1024^2 row CDF table is 8 MiB and the draws' arrays 0.8 to 1.6 MiB
     # each: the descent holds one table at a time and no copy of it (17 MiB)
