@@ -26,8 +26,8 @@ W2_MAX_ROUNDS = 100  # column-generation rounds before giving up on a certificat
 W2_PRICING_TOL = 1e-9  # every reduced cost >= -tol certifies the plan optimal
 W2_COLUMNS_PER_ROW = 4  # most negative reduced costs added per source cell and round
 # the first solve runs the primal simplex up to this many cells and the dual
-# beyond: on the benchmark's first 2d pair the primal took 0.07 s at 900 cells
-# against the dual's 0.085 s, and 0.09 s at 1024 cells against 0.07 s
+# beyond: on the benchmark's first 2d pair (2-core x86) the primal took 0.07 s
+# at 900 cells against the dual's 0.085 s, and 0.09 s at 1024 cells against 0.07 s
 W2_PRIMAL_CELLS = 1000
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 W2_MASS_SCALE = 1e6  # the model's masses total W2_MASS_SCALE / cells (see _transport_model)
