@@ -28,9 +28,8 @@ from .reports import (VerificationReport, make_report, refinement_consistent,
                       refinement_report)
 from .sampler import (SampleBatch, empirical_marginal_distance,
                       equicorrelated_row_sums, sample_grid)
-from .transport1d import (MonotoneMap1D, check_cheeger_lambda,
-                          check_lemma_lambda, check_prop_quadratic,
-                          check_segment_bound, deficit_1d, log_gap,
-                          mixed_cost, monotone_map, quadratic_cost_1d)
+from .transport1d import (check_cheeger_lambda, check_lemma_lambda,
+                          check_prop_quadratic, check_segment_bound, log_gap,
+                          mixed_cost, monotone_map)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,10 +16,9 @@ import numpy as np
 
 from .density import (DensityError, GridDensity, _scipy_compiled,
                       check_midpoint_log_concavity)
-from .knothe import (KnotheMap, _coupling_atoms,
+from .knothe import (QUADRATIC_COST_FACTOR, KnotheMap, _coupling_atoms,
                      displacement_cost, knothe_map, tire_bracket)
 from .reports import VerificationReport, make_report
-from .transport1d import QUADRATIC_COST_FACTOR
 
 W2_CELL_LIMIT = 4096
 W2_MAX_ROUNDS = 100  # column-generation rounds before giving up on a certificate

@@ -1,16 +1,23 @@
-"""Triangular (Knothe) transport between densities on a cube.
+"""Triangular (Knothe) transport between densities on a cube, in any
+dimension: in 1d it is the monotone rearrangement.
 
 Coordinate k of the map depends only on the first k + 1 input coordinates.
 For piecewise-constant f and g the map is exact, and one walk down the
 levels builds it (``_walk``). At level k each pair of fibers (li, lj) is
-merged once, into the 1d monotone map from row li of f's (k+1)-axis
-marginal onto row lj of g's; its piece of mass du in cells (i, j) is the
-pair (li m + i, lj m + j) of level k + 1. The map keeps, per level, the
-normalized row CDFs of both marginals and the level's quadratic cost and
-deficit, summed exactly over its linear pieces. Since the map fixes every
-facet, integrating grad f . (T - x) by parts makes the bracket the sum of
-the levels' deficits. Walked over cell masses, the same merges give the
-triangular coupling: its atoms are the last level's pieces.
+merged once (``_merge``, many pairs of CDF rows at a time), into the 1d
+monotone map from row li of f's (k+1)-axis marginal onto row lj of g's.
+That map matches the normalized row CDFs, F = G o T. Both are piecewise
+linear with nodes at their own cell boundaries, so T is piecewise linear
+with nodes at their merged breakpoints (``_pieces``), strictly increasing,
+and fixes both ends exactly; equal rows give the identity bitwise. A piece
+of mass du in cells (i, j) of the pair is the pair (li m + i, lj m + j) of
+level k + 1. The map keeps, per level, the normalized row CDFs of both
+marginals and the level's quadratic cost and deficit, summed exactly over
+its linear pieces, on each of which T' is a constant ratio of cell masses.
+Since the map fixes every facet, integrating grad f . (T - x) by parts
+makes the bracket the sum of the levels' deficits. Walked over cell
+masses, the same merges give the triangular coupling: its atoms are the
+last level's pieces.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ import numpy as np
 from .density import DensityError, Grid, GridDensity, _marginals, cdf_cells, row_cdfs
 from .reports import VerificationReport, make_report
 from .sampler import empirical_marginal_distance, sample_grid
-from .transport1d import (QUADRATIC_COST_FACTOR, _deficit_terms, _merge, _pieces,
-                          _positive_cdfs, _square_terms)
 
+# explicit constant of the cost bounds (Proposition 2.1 and Theorem 3.1)
+QUADRATIC_COST_FACTOR = 40.0 / 9.0
 WALK_BATCH = 1 << 13  # m times the fiber pairs merged per batch (see _walk)
 
 
@@ -78,6 +85,80 @@ class KnotheMap:
                 out[lo:lo + len(x), k] = np.where(x >= nodes[-1], nodes[-1], t)
                 r, s = r * m + c, s * m + j
         return out
+
+
+def _positive_cdfs(values: np.ndarray) -> np.ndarray:
+    """Normalized CDF rows of positive cell values, strictly increasing: a
+    cell too light to move its row's CDF would give the map a jump there."""
+    C = row_cdfs(values)
+    if np.any(np.diff(C, axis=-1) <= 0):
+        raise DensityError("CDF is not strictly increasing: a cell is too light to move "
+                           "it; density too degenerate")
+    return C
+
+
+def _merge(F: np.ndarray, G: np.ndarray) -> tuple:
+    """The monotone coupling of each row of the CDF table ``F`` with the
+    same row of ``G`` (nondecreasing from 0 to 1), flat over the rows: per
+    piece of positive mass, in order, its ``row``, the cells ``i`` of F and
+    ``j`` of G holding it (the last whose CDF entry is <= its lower level
+    ``u``) and its mass ``du``, up to the next level of either row. So no
+    piece lies on a cell of zero mass. Returns (row, i, j, du, u)."""
+    n, m = F.shape[0], F.shape[1] - 1
+    width = 2 * m + 2
+    both = np.concatenate((F, G), axis=1)
+    order = np.argsort(both, axis=1, kind="stable")  # F's entries first on ties
+    levels = np.take(both, order + np.arange(0, n * width, width)[:, None])
+    gap = levels[:, 1:] - levels[:, :-1]
+    # A positive gap follows the last copy of a level u, so every entry up
+    # to u is at or before it. F entry o is then cell i = o of F, and G entry
+    # q = o - m - 1 at column col has col - q entries of F up to it: cell
+    # i = col + m - o, which is < o; for F entries it is >= m >= o. Then
+    # j = col - 1 - i. Below u = 1 no cell needs a clamp.
+    positive = gap > 0
+    at = np.flatnonzero(positive)
+    row = np.repeat(np.arange(n), np.count_nonzero(positive, axis=1))
+    flat = at + row  # the entry's position in the (n, width) tables
+    o = np.take(order, flat)
+    c = flat - row * width + m  # col + m
+    i = np.minimum(o, c - o)
+    return row, i, c - m - 1 - i, np.take(gap, at), np.take(levels, flat)
+
+
+def _pieces(F: np.ndarray, G: np.ndarray, nodes: np.ndarray, h: float) -> tuple:
+    """The monotone maps from each row of the CDF table ``F`` onto the same
+    row of ``G`` (strictly increasing, at the 1d ``nodes`` of spacing
+    ``h``) on the pieces of ``_merge``: its row, i, j and du, the slope T'
+    of each piece (the ratio of its cell masses), the position ``x`` and
+    image ``t = T(x)`` of its lower end, and the index of each row's last
+    piece, whose upper end is the row's end x = t = nodes[-1] (exact)."""
+    row, i, j, du, u = _merge(F, G)
+    fi, gj = row * F.shape[1] + i, row * G.shape[1] + j
+    Fi, Gj = np.take(F, fi), np.take(G, gj)
+    p, q = np.take(F, fi + 1) - Fi, np.take(G, gj + 1) - Gj
+    x = np.take(nodes, i) + (u - Fi) / p * h
+    t = np.take(nodes, j) + (u - Gj) / q * h
+    last = np.searchsorted(row, np.arange(len(F)), side="right") - 1  # of each row
+    upper = np.append(t[1:], nodes[-1])
+    upper[last] = nodes[-1]
+    if not np.all(upper > t):  # then T at the source nodes and the row ends must rise
+        ends = last + 1
+        on_node = np.insert(Fi == u, ends, True)
+        t_node = np.insert(t, ends, nodes[-1])[on_node]
+        row_node = np.insert(row, ends, np.arange(len(F)))[on_node]
+        if np.any((np.diff(t_node) <= 0) & (row_node[1:] == row_node[:-1])):
+            raise DensityError("computed map is not strictly increasing; density too degenerate")
+    return row, i, j, du, p / q, x, t, last
+
+
+def _square_terms(d0: np.ndarray, d1: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Three times each linear piece's share of the quadratic cost."""
+    return du * (d0 * d0 + d0 * d1 + d1 * d1)
+
+
+def _deficit_terms(du: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Each piece's share of the deficit, integral of T' - 1 - log T'."""
+    return du * (slope - 1.0 - np.log(slope))
 
 
 def _check_pair(f: GridDensity, g: GridDensity) -> None:

@@ -9,14 +9,15 @@ scanned at every gap, which the library now prunes by chord bounds on
 log-concave lines, and the coupling cost summed over the built atoms, which
 the library now sums batch by batch. The library must reproduce them bit
 for bit, so they are kept here as oracles and nowhere else.
-The triangular map's oracles loop too: one ``monotone_map`` per coupling
+The triangular map's oracles loop too: one 1d ``knothe_map`` per coupling
 atom for each level's cost and deficit, and two ``np.interp`` calls per
 point and coordinate for its evaluation; the library's row-batched pieces
 must match them to rounding. The grid sampler's oracle draws one point at
 a time, one ``np.searchsorted`` per level, and its cells must match the
 sampler's exactly.
 Then a plain-float walk along the pieces of one 1d monotone map, which
-the library's 1d functionals must match to rounding. Last are the field
+shares no code with the library's merge: its cost and deficit must match
+the map's ``displacement_cost`` and ``tire_bracket`` to rounding. Last are the field
 builders as they were before they read the grid's open centers: every term
 evaluated on full coordinate meshes, bit for bit the fields the library
 must still build.
@@ -31,7 +32,7 @@ from cube_transport.density import (ConvexPower, CustomGrid, EquicorrelatedGauss
                                     DensityError, RestrictedGaussian, Uniform,
                                     _midpoint_directions, normalize)
 from cube_transport.families import MAX_FREQUENCY
-from cube_transport.transport1d import deficit_1d, monotone_map, quadratic_cost_1d
+from cube_transport.knothe import displacement_cost, knothe_map, tire_bracket
 
 
 def midpoint_log_concavity(d, tol=1e-9, max_gap=None):
@@ -125,9 +126,10 @@ def _marginal_rows(d, k):
 
 def knothe_levels(f, g):
     """Per level k, the normalized quadratic cost and deficit of the
-    triangular map: one ``monotone_map`` per atom (i, j, w) of the triangular
-    coupling of the first k axes, from row i of f's (k+1)-axis marginal onto
-    row j of g's, its ``quadratic_cost_1d`` and ``deficit_1d`` weighted by w."""
+    triangular map: one 1d ``knothe_map`` per atom (i, j, w) of the
+    triangular coupling of the first k axes, from row i of f's (k+1)-axis
+    marginal onto row j of g's, its ``displacement_cost`` and
+    ``tire_bracket`` weighted by w."""
     if np.any(f.values <= 0) or np.any(g.values <= 0):
         raise PositivityError("density has zero cells where positivity is required")
     n, m = f.grid.dim, f.grid.cells_per_axis
@@ -143,9 +145,9 @@ def knothe_levels(f, g):
         f_rows, g_rows = _marginal_rows(f, k), _marginal_rows(g, k)
         for i, j, w in atoms:
             fi, gj = GridDensity(line, f_rows[i]), GridDensity(line, g_rows[j])
-            tmap = monotone_map(fi, gj)
-            costs[k] += w * quadratic_cost_1d(fi, tmap) / fi.total_mass
-            deficits[k] += w * deficit_1d(fi, gj, tmap) / fi.total_mass
+            tmap = knothe_map(fi, gj)
+            costs[k] += w * displacement_cost(tmap, fi) / fi.total_mass
+            deficits[k] += w * tire_bracket(fi, gj, tmap) / fi.total_mass
     return costs, deficits
 
 

@@ -28,7 +28,6 @@ from cube_transport import (
     check_theorem31,
     check_transport_entropy_sandwich,
     counterexample_scaling,
-    deficit_1d,
     displacement_cost,
     estimate_axis_convexity_ratio,
     estimate_diag_second_derivative_bound,
@@ -39,10 +38,10 @@ from cube_transport import (
     normalize,
     poincare_lsi_check,
     pushforward_error,
-    quadratic_cost_1d,
     refinement_consistent,
     relative_entropy,
     sample_grid,
+    tire_bracket,
     unit_cube_grid,
 )
 from cube_transport.cli import main as cli_main
@@ -81,10 +80,10 @@ def test_criterion_1_closed_form_anchor():
     t0 = time.perf_counter()
     f, g = linear_pair(1024)
     tmap = monotone_map(f, g)
-    t_quarter = float(tmap(np.array([0.25]))[0])
-    cost = quadratic_cost_1d(f, tmap)
+    t_quarter = float(tmap.evaluate(np.array([[0.25]]))[0, 0])
+    cost = displacement_cost(tmap, f)
     entropy = relative_entropy(g, f)
-    deficit = deficit_1d(f, g, tmap)
+    deficit = tire_bracket(f, g, tmap)
     target = np.log(2.0) - 0.5
     elapsed = time.perf_counter() - t0
     ok = (abs(t_quarter - 0.5) <= 1e-3

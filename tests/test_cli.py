@@ -665,12 +665,12 @@ DEFECTS = {
     "marginal-ratio-monotone": "holds for every positive density: summing "
                                "2 f(c, y) <= R (f(c - h, y) + f(c + h, y)) over y gives the "
                                "marginal's triples; only rounding can fail it",
-    "prop-2.1": ("verify-1d", (cube_transport.transport1d, "quadratic_cost_1d", 1e3),
+    "prop-2.1": ("verify-1d", (cube_transport.transport1d, "displacement_cost", 1e3),
                  {"prop-2.1", "prop-2.1-refinement"}),
     "lem-2.2": ("verify-1d", (cube_transport.transport1d, "mixed_cost", 1e3),
                 {"lem-2.2", "eq-2.3"}),
     "eq-2.3": ("verify-1d", (cube_transport.cli, "log_gap", -1.0), {"eq-2.3"}),
-    "prop-2.1-refinement": ("verify-1d", (cube_transport.transport1d, "quadratic_cost_1d", 1e3),
+    "prop-2.1-refinement": ("verify-1d", (cube_transport.transport1d, "displacement_cost", 1e3),
                             {"prop-2.1", "prop-2.1-refinement"}),
     "lem-2.4": ("verify-1d", (cube_transport.transport1d, "_interval_mass", 10.0), {"lem-2.4"}),
     "lem-2.5": ("verify-1d", (cube_transport.transport1d, "GRADIENT_ENERGY_FACTOR", 1e-3),

@@ -23,13 +23,11 @@ from cube_transport import (
     monotone_map,
     normalize,
     pushforward_error,
-    quadratic_cost_1d,
-    deficit_1d,
     relative_entropy,
     tire_bracket,
     unit_cube_grid,
 )
-from cube_transport import cli, knothe, transport1d
+from cube_transport import cli, knothe
 from cube_transport.functionals import triangular_coupling, triangular_coupling_cost
 from cube_transport.knothe import cost_split
 from cube_transport.families import (draw_trig_coeffs, random_logconcave_spec_nd,
@@ -121,7 +119,7 @@ def test_base_map_is_marginal_map():
     # at the source nodes and between them: both are T itself
     x = np.concatenate([fm.grid.axis_nodes(0), rng.uniform(0.0, 1.0, 200)])
     np.testing.assert_allclose(tmap.evaluate(np.column_stack([x, np.full(len(x), 0.5)]))[:, 0],
-                               base(x), rtol=0, atol=1e-14)
+                               base.evaluate(x[:, None])[:, 0], rtol=0, atol=1e-14)
 
 
 def test_displacement_shape_and_evaluate_consistency():
@@ -229,10 +227,10 @@ def test_knothe_map_equals_loop_oracle(dim, m):
     pairs.append((pairs[-1][0], pairs[-1][0]))  # equal CDFs: every node is a tie
     for f, g in pairs:
         tmap = assert_equals_loop_oracle(f, g, rng)
-        if dim == 1:  # one code path: bitwise the 1d functionals
-            t1 = monotone_map(f, g)
-            assert displacement_cost(tmap, f) == quadratic_cost_1d(f, t1)
-            assert tire_bracket(f, g, tmap) == deficit_1d(f, g, t1)
+        if dim == 1:  # and against the plain-float walk along the 1d pieces
+            deficit, cost, _ = loop_oracles.monotone_map_integrals(f.values, g.values, grid)
+            assert displacement_cost(tmap, f) == pytest.approx(cost, rel=1e-12, abs=0.0)
+            assert tire_bracket(f, g, tmap) == pytest.approx(deficit, rel=1e-12, abs=0.0)
         assert check_facet_preservation(tmap).lhs == 0.0
 
 
@@ -267,7 +265,7 @@ def test_one_walk_merges_each_fiber_pair_once(monkeypatch):
     lead.insert(0, tuple(x.sum(axis=-1) for x in lead[0]))
     atoms = [len(triangular_coupling(*pair)[2]) for pair in lead]
     assert 1 < atoms[0] < atoms[1]
-    merge, walk = transport1d._merge, knothe._walk
+    merge, walk = knothe._merge, knothe._walk
     rows, levels = [], []
 
     def merge_spy(F, G):
@@ -279,8 +277,7 @@ def test_one_walk_merges_each_fiber_pair_once(monkeypatch):
         for batch in walk(*args):
             levels[-1].append(batch[0])
             yield batch
-    for module in (transport1d, knothe):
-        monkeypatch.setattr(module, "_merge", merge_spy)
+    monkeypatch.setattr(knothe, "_merge", merge_spy)
     monkeypatch.setattr(knothe, "_walk", walk_spy)
     knothe_map(f, g)
     assert sum(rows) == 1 + atoms[0] + atoms[1]

@@ -19,16 +19,17 @@ from cube_transport import (
     check_lemma_lambda,
     check_prop_quadratic,
     check_segment_bound,
-    deficit_1d,
+    displacement_cost,
     estimate_axis_convexity_ratio,
     log_gap,
     mixed_cost,
     monotone_map,
     normalize,
-    quadratic_cost_1d,
     relative_entropy,
+    tire_bracket,
     unit_cube_grid,
 )
+from cube_transport import knothe
 from cube_transport.families import random_logconcave_spec_1d, random_node_test_function
 from cube_transport.transport1d import (
     GRADIENT_ENERGY_FACTOR,
@@ -49,6 +50,19 @@ def uniform_1d(m=M):
 def linear_1d(m=M):
     # density 2x on [0, 1]
     return build_density(ConvexPower(0.0, (2.0,), 1.0), unit_cube_grid(1, m))
+
+
+def at(tmap, x):
+    """The 1d map at the points x."""
+    return tmap.evaluate(np.reshape(x, (-1, 1)))[:, 0]
+
+
+def level0_pieces(tmap):
+    """(lower end x, slope T') of each piece of a 1d map, from its CDF tables."""
+    grid = tmap.grid
+    _, _, _, _, slope, x, _, _ = knothe._pieces(tmap.source_cdfs[0], tmap.target_cdfs[0],
+                                                grid.axis_nodes(0), grid.h)
+    return x, slope
 
 
 # ---------------------------------------------------------------- constants
@@ -88,19 +102,19 @@ def test_uniform_to_linear_map_nodes():
     nodes = f.grid.axis_nodes(0)
     # node CDFs are exact here, so the only error is the in-cell
     # linearization of the target CDF, h^2 / (8 s) at image point s
-    np.testing.assert_allclose(tmap(nodes), np.sqrt(nodes), atol=1e-5)
-    assert tmap(nodes)[0] == 0.0
-    assert tmap(nodes)[-1] == 1.0
-    assert tmap(np.array([0.25]))[0] == pytest.approx(0.5, abs=1e-3)
+    np.testing.assert_allclose(at(tmap, nodes), np.sqrt(nodes), atol=1e-5)
+    assert at(tmap, nodes)[0] == 0.0
+    assert at(tmap, nodes)[-1] == 1.0
+    assert at(tmap, [0.25])[0] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_uniform_to_linear_cost_and_deficit():
     f, g = uniform_1d(), linear_1d()
     tmap = monotone_map(f, g)
-    cost = quadratic_cost_1d(f, tmap)
+    cost = displacement_cost(tmap, f)
     # integral (sqrt(x) - x)^2 dx = 1/30
     assert cost == pytest.approx(1.0 / 30.0, abs=1e-3)
-    deficit = deficit_1d(f, g, tmap)
+    deficit = tire_bracket(f, g, tmap)
     entropy = relative_entropy(g, f)
     # closed form: integral 2x log(2x) dx = log 2 - 1/2
     assert entropy == pytest.approx(np.log(2.0) - 0.5, abs=1e-3)
@@ -110,13 +124,14 @@ def test_uniform_to_linear_cost_and_deficit():
 def test_map_derivative_matches_analytic():
     f, g = uniform_1d(), linear_1d()
     tmap = monotone_map(f, g)
-    mid = 0.5 * (tmap.x[:-1] + tmap.x[1:])
+    x, slope = level0_pieces(tmap)
+    mid = 0.5 * (x + np.append(x[1:], 1.0))
     # T'(x) = 1 / (2 sqrt(x)); the map of the cell densities has slope
     # 1 / (2 y) on the target cell centred at y, which is off by O(h / y)
     # near the origin, so compare past the first cells
     past = mid > 8.0 / M
-    np.testing.assert_allclose(tmap.slope[past], 0.5 / np.sqrt(mid[past]), rtol=5e-3)
-    assert np.all(tmap.slope > 0.0)
+    np.testing.assert_allclose(slope[past], 0.5 / np.sqrt(mid[past]), rtol=5e-3)
+    assert np.all(slope > 0.0)
 
 
 def test_uniform_source_deficit_is_relative_entropy():
@@ -125,7 +140,7 @@ def test_uniform_source_deficit_is_relative_entropy():
     for m in (1, 7, 64, 1024):
         f = uniform_1d(m)
         g = normalize(GridDensity(f.grid, rng.uniform(0.1, 3.0, m)))
-        assert deficit_1d(f, g, monotone_map(f, g)) == pytest.approx(
+        assert tire_bracket(f, g, monotone_map(f, g)) == pytest.approx(
             relative_entropy(g, f), rel=1e-12, abs=0.0)
 
 
@@ -135,9 +150,9 @@ def test_functionals_vanish_exactly_for_equal_densities():
     for d in (GridDensity(grid, rng.uniform(0.01, 5.0, 100)),
               build_density(RestrictedGaussian((0.3,), ((6.0,),)), grid)):
         tmap = monotone_map(d, d)
-        assert np.all(tmap.slope == 1.0)
-        assert deficit_1d(d, d, tmap) == 0.0
-        assert quadratic_cost_1d(d, tmap) == 0.0
+        assert np.all(level0_pieces(tmap)[1] == 1.0)
+        assert tire_bracket(d, d, tmap) == 0.0
+        assert displacement_cost(tmap, d) == 0.0
         assert check_lemma_lambda(d, d, tmap).lhs == 0.0
 
 
@@ -145,9 +160,9 @@ def test_identity_map_for_equal_densities():
     d = build_density(ExponentialTilt((1.1,)), unit_cube_grid(1, 256))
     tmap = monotone_map(d, d)
     nodes = d.grid.axis_nodes(0)
-    np.testing.assert_allclose(tmap(nodes), nodes, atol=1e-12)
-    assert quadratic_cost_1d(d, tmap) == pytest.approx(0.0, abs=1e-15)
-    assert deficit_1d(d, d, tmap) == pytest.approx(0.0, abs=1e-10)
+    np.testing.assert_allclose(at(tmap, nodes), nodes, atol=1e-12)
+    assert displacement_cost(tmap, d) == pytest.approx(0.0, abs=1e-15)
+    assert tire_bracket(d, d, tmap) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_map_is_strictly_increasing():
@@ -156,7 +171,7 @@ def test_map_is_strictly_increasing():
     f = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, 128)))
     g = normalize(GridDensity(grid, rng.uniform(0.2, 2.0, 128)))
     tmap = monotone_map(f, g)
-    assert np.all(np.diff(tmap(grid.axis_nodes(0))) > 0)
+    assert np.all(np.diff(at(tmap, grid.axis_nodes(0))) > 0)
 
 
 @pytest.mark.parametrize("light", [1, 3])
@@ -193,7 +208,7 @@ def test_pushforward_cdf_matches_target():
     tmap = monotone_map(f, g)
     h = grid.h
     F = np.concatenate([[0.0], np.cumsum(f.values) * h]) / f.total_mass
-    tv = tmap(grid.axis_nodes(0))
+    tv = at(tmap, grid.axis_nodes(0))
     # evaluate G at the image nodes by linear interpolation of the target CDF
     Gn = np.concatenate([[0.0], np.cumsum(g.values) * h]) / g.total_mass
     G = np.interp(tv, grid.axis_nodes(0), Gn)
@@ -268,6 +283,16 @@ def test_1d_checks_need_one_1d_grid(f_grid, g_grid):
         check_prop_quadratic(f, g, 1.0)
 
 
+@pytest.mark.parametrize("check", [lambda f, g, t: check_prop_quadratic(f, g, 1.0, t),
+                                   check_lemma_lambda], ids=["prop-2.1", "lem-2.2"])
+def test_1d_checks_reject_a_map_of_another_grid(check):
+    # an 8-cell map on a 16-cell pair once read a prop-2.1 lhs of 0.03247
+    # against the pair's own 0.03312, and both rows passed
+    t8 = monotone_map(uniform_1d(8), linear_1d(8))
+    with pytest.raises(DensityError, match="map and density grids differ"):
+        check(uniform_1d(16), linear_1d(16), t8)
+
+
 def test_cheeger_lambda_sine_test_function():
     grid = unit_cube_grid(1, 512)
     rho = uniform_1d(512)
@@ -329,10 +354,10 @@ def test_deficit_never_exceeds_entropy(seed):
     f = build_density(random_logconcave_spec_1d(rng), grid)
     g = build_density(random_logconcave_spec_1d(rng), grid)
     tmap = monotone_map(f, g)
-    deficit = deficit_1d(f, g, tmap)
+    deficit = tire_bracket(f, g, tmap)
     entropy = relative_entropy(g, f)
     assert deficit <= entropy + 5e-3
-    assert quadratic_cost_1d(f, tmap) >= 0.0
+    assert displacement_cost(tmap, f) >= 0.0
 
 
 positive_cells = st.floats(min_value=1e-3, max_value=1e3)
@@ -347,6 +372,6 @@ def test_functionals_match_piece_walk(pair):
     f, g = (GridDensity(grid, np.array(v)) for v in pair)
     tmap = monotone_map(f, g)
     deficit, cost, mixed = loop_oracles.monotone_map_integrals(f.values, g.values, grid)
-    assert deficit_1d(f, g, tmap) == pytest.approx(deficit, rel=1e-12, abs=0.0)
-    assert quadratic_cost_1d(f, tmap) == pytest.approx(cost, rel=1e-12, abs=0.0)
+    assert tire_bracket(f, g, tmap) == pytest.approx(deficit, rel=1e-12, abs=0.0)
+    assert displacement_cost(tmap, f) == pytest.approx(cost, rel=1e-12, abs=0.0)
     assert check_lemma_lambda(f, g, tmap).lhs == pytest.approx(mixed, rel=1e-12, abs=0.0)
