@@ -32,7 +32,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .concentration import (MIN_SCALING_DIM, MIN_SCALING_SAMPLES, alpha_theorem1,
+from .concentration import (BASE_ALPHA, MIN_SCALING_DIM, MIN_SCALING_SAMPLES, alpha_theorem1,
                             check_concentration, counterexample_scaling, covariance_ratio,
                             halfspace_profile, lipschitz_tail,
                             poincare_lsi_check, r_from_m)
@@ -55,7 +55,7 @@ from .reports import CSV_HEADER, make_report, refinement_report
 from .sampler import (LOG10_REJECTION_LIMIT, MAX_POINT_BUDGET, SEED_LIMIT,
                       philox)
 from .svg import write_profile_svg
-from .transport1d import (check_lemma_lambda, check_prop_quadratic,
+from .transport1d import (LOG_GAP_SLOPE, check_lemma_lambda, check_prop_quadratic,
                           check_segment_bound, check_cheeger_lambda, log_gap,
                           monotone_map)
 
@@ -289,7 +289,7 @@ def suite_verify_1d(cfg) -> dict:
     # scalar inequality sweep
     xs = np.logspace(-3, 3, 10000)
     gaps = log_gap(xs)
-    reports.append(make_report("eq-2.3", float(-gaps.min()), 0.0, 0.3))
+    reports.append(make_report("eq-2.3", float(-gaps.min()), 0.0, LOG_GAP_SLOPE))
     metrics["log_gap_at_2"] = float(log_gap(2.0))
     # random pairs at m and 2m
     grid = unit_cube_grid(1, cfg["m"])
@@ -407,7 +407,7 @@ def suite_concentration(cfg) -> dict:
     # uniform measure: the dimension-free profile with alpha = 3
     uni = build_density(Uniform(), unit_cube_grid(2, 64))
     direction = np.array([1.0, 0.0])
-    profiles.append(halfspace_profile(uni, direction, ts, 3.0, label="uniform-grid"))
+    profiles.append(halfspace_profile(uni, direction, ts, BASE_ALPHA, label="uniform-grid"))
     reports.append(check_concentration(profiles[-1], "cor-1.3", grid_m=64))
     # negative control: a strict alpha must fail. One fixed offset keeps it
     # apart from the configured ts: at t = 0.25 the bound 1 - e^-6.25 exceeds
@@ -416,7 +416,7 @@ def suite_concentration(cfg) -> dict:
     strict_passed = check_concentration(control, "cor-1.3", grid_m=64).passed
     reports.append(make_report("negative-control", float(strict_passed), 0.0, 0.1, grid_m=64,
                                note="passes when the strict alpha fails"))
-    metrics["covariance_ratio_uniform"] = covariance_ratio(uni, 3.0)
+    metrics["covariance_ratio_uniform"] = covariance_ratio(uni, BASE_ALPHA)
     # restricted Gaussians across dimensions, exact along e1 from the marginal CDF
     for n in cfg["dims"]:
         m = _grid_m_for_dim(n)

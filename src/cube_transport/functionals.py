@@ -16,8 +16,8 @@ import numpy as np
 
 from .density import (DensityError, GridDensity, _scipy_compiled,
                       check_midpoint_log_concavity)
-from .knothe import (QUADRATIC_COST_FACTOR, KnotheMap, _coupling_atoms,
-                     displacement_cost, knothe_map, tire_bracket)
+from .knothe import (QUADRATIC_COST_FACTOR, KnotheMap, displacement_cost, knothe_map,
+                     tire_bracket, triangular_coupling, triangular_coupling_cost)
 from .reports import VerificationReport, make_report
 
 W2_CELL_LIMIT = 4096
@@ -376,41 +376,6 @@ def exact_w2_small(f: GridDensity, g: GridDensity):
     nz = res.x > 0  # basics below 0 are dropped (see _transport_model)
     plan = CouplingPlan(i[nz], j[nz], res.x[nz], tuple(iterations), smallest, lower_bound, u, v)
     return float(plan.weights @ moved[nz]), plan
-
-
-def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
-    """Discrete counterpart of the triangular map, walked over cell masses:
-    the monotone coupling of the axis-0 marginals, then in each atom that of
-    the next axis's fibers, and so on. Masses: finite, nonnegative, one
-    shape, equal positive totals. Returns flat-index triples (source_cells,
-    target_cells, weights) with marginals exact to rounding; no atom lies on
-    a cell of zero mass. They are written in place into arrays of the walk's
-    bound, (2m - 1)^d atoms on generic positive masses; where two CDF rows
-    share a level inside (0, 1), the triples are prefix views of longer ones."""
-    return _coupling_atoms(f_masses, g_masses, lambda s0, t0, r, i, j, w: (
-        np.take(s0, r) + i, np.take(t0, r) + j, w))
-
-
-def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
-    """Quadratic cost of the discrete triangular coupling between the
-    normalized cell distributions (its atoms are among the seed of
-    ``exact_w2_small``, so the exact optimum can never exceed this). The
-    atoms are never built: each batch of the last level's fiber pairs takes
-    a lead cost per pair and a last-axis cost per atom from per-axis tables
-    of squared center differences, added axis by axis as in
-    ``((x_i - x_j) ** 2).sum()``, and writes its atoms' terms in place; one
-    np.sum over them makes the cost bitwise that of the built coupling."""
-    grid = f.require_same_grid(g)
-    tables = [(c[:, None] - c[None, :]) ** 2 for c in map(grid.axis_centers, range(grid.dim))]
-
-    def terms(s0, t0, rows, fi, fj, fw):
-        lead = np.zeros(len(s0))
-        for table, i, j in zip(tables[:-1], np.unravel_index(s0, grid.shape),
-                               np.unravel_index(t0, grid.shape)):
-            lead = lead + table[i, j]
-        return ((np.take(lead, rows) + np.take(tables[-1], fi * grid.cells_per_axis + fj)) * fw,)
-    masses = (d.cell_masses().reshape(grid.shape) for d in (f, g))
-    return float(_coupling_atoms(*masses, terms)[0].sum())
 
 
 def check_transport_entropy_sandwich(f: GridDensity, g: GridDensity,

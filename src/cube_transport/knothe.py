@@ -16,8 +16,8 @@ marginals and the level's quadratic cost and deficit, summed exactly over
 its linear pieces, on each of which T' is a constant ratio of cell masses.
 Since the map fixes every facet, integrating grad f . (T - x) by parts
 makes the bracket the sum of the levels' deficits. Walked over cell
-masses, the same merges give the triangular coupling: its atoms are the
-last level's pieces.
+masses, the same walk gives the triangular coupling: its atoms are the
+pairs of the walk's last level, level dim.
 """
 
 from __future__ import annotations
@@ -42,13 +42,19 @@ class KnotheMap:
     of f's (k+1)-axis marginal above cell r (C order) of the first k axes,
     and ``target_cdfs[k]`` holds g's likewise. ``square_sums[k]`` is three
     times the normalized quadratic cost of level k, ``deficits[k]`` its
-    normalized deficit."""
+    normalized deficit. ``source`` and ``target`` are the densities f and g
+    it was built from, held by reference: readers check their pair by them."""
 
-    grid: Grid
+    source: GridDensity
+    target: GridDensity
     source_cdfs: list
     target_cdfs: list
     square_sums: np.ndarray
     deficits: np.ndarray
+
+    @property
+    def grid(self) -> Grid:
+        return self.source.grid
 
     def __post_init__(self):
         m = self.grid.cells_per_axis
@@ -167,39 +173,33 @@ def _check_pair(f: GridDensity, g: GridDensity) -> None:
     g.require_positive()
 
 
-def _checked_masses(f_masses, g_masses) -> tuple:
-    a, b = np.asarray(f_masses, dtype=float), np.asarray(g_masses, dtype=float)
-    if a.shape != b.shape or a.ndim < 1:
-        raise DensityError(f"mass arrays must share one shape, got {a.shape} and {b.shape}")
-    if not (np.all((a >= 0) & (a < np.inf)) and np.all((b >= 0) & (b < np.inf))):
-        raise DensityError("masses must be finite and nonnegative")
-    total_a, total_b = a.sum(), b.sum()
-    if not (total_a > 0 and abs(total_a - total_b) <= 1e-12 * max(total_a, total_b)):
-        raise DensityError(f"mass totals must be positive and equal, got {total_a} and {total_b}")
-    return a, b
-
-
-def _walk(A: list, B: list, weight: float, merge):
+def _walk(A: list, B: list, weight: float, merge, atoms: bool):
     """The triangular construction over the ``_marginals`` tables A and B,
     level by level from the pair of rows 0 at mass ``weight``.
     ``merge(k, li, lj)`` merges a batch of level k's pairs of rows, its first
     outputs those of ``_merge``; each piece of mass du in cells (i, j) of the
-    pair (li, lj, lw) is the pair (li m + i, lj m + j, lw du) of level k + 1.
-    Pieces lie between consecutive distinct levels of the pair's CDF rows,
-    so a pair has at most (positive cells of its row of A[k]) + (those of
-    B[k]) - 1: summed when a level starts, that bounds its pieces, and the
-    next level's pairs are written in place into arrays of that size. A
-    batch holds WALK_BATCH // m pairs, about 2^14 merged entries, so that the
-    dozen or so temporaries of a merge, 128 KiB each, stay in a core's L2
-    cache. Yields (k, li, lj, lw, merged, pairs, n_pairs, pieces, n_pieces)
-    per batch: slice ``pairs`` of the level's pairs, ``pieces`` of its bound."""
+    pair (li, lj, lw) is the pair (li m + i, lj m + j, lw du) of level k + 1,
+    and this is the one place that writes them. Level dim, written only if
+    ``atoms``, is the triangular coupling: its pairs are the flat source and
+    target cells of the atoms and their masses. Pieces lie between
+    consecutive distinct levels of the pair's CDF rows, so a pair has at
+    most (positive cells of its row of A[k]) + (those of B[k]) - 1: summed
+    when a level starts, that bounds its pieces, and the next level's pairs
+    are written in place into arrays of that size. A batch holds
+    WALK_BATCH // m pairs, about 2^14 merged entries, so that the dozen or
+    so temporaries of a merge, 128 KiB each, stay in a core's L2 cache.
+    Yields (k, li, lj, lw, merged, pieces, size, level) per batch, once its
+    pieces are written: their slice ``pieces`` of the level's bound
+    ``size``, and the arrays ``level`` of the next level's pairs (None
+    where they are not written)."""
     m, dim = A[0].shape[-1], len(A)
     step = max(1, WALK_BATCH // m)
     li, lj, lw = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.full(1, weight)
     for k in range(dim):
         cells = [np.count_nonzero(X[k] > 0, axis=1) for X in (A, B)]
         size = int(np.take(cells[0], li).sum() + np.take(cells[1], lj).sum()) - len(lw)
-        if k + 1 < dim:
+        level = None
+        if k + 1 < dim or atoms:
             level = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp), np.empty(size)
         at = 0
         for s in range(0, len(lw), step):
@@ -207,36 +207,31 @@ def _walk(A: list, B: list, weight: float, merge):
             merged = merge(k, li[pairs], lj[pairs])
             row, i, j, du = merged[:4]
             pieces = slice(at, at + len(du))
-            yield k, li[pairs], lj[pairs], lw[pairs], merged, pairs, len(lw), pieces, size
-            if k + 1 < dim:
+            if level is not None:
                 level[0][pieces] = np.take(li[pairs], row) * m + i
                 level[1][pieces] = np.take(lj[pairs], row) * m + j
                 level[2][pieces] = np.take(lw[pairs], row) * du
+            yield k, li[pairs], lj[pairs], lw[pairs], merged, pieces, size, level
             at = pieces.stop
-        if k + 1 < dim:
+        if level is not None:
             li, lj, lw = (x[:at] for x in level)
 
 
-def _coupling_atoms(f_masses, g_masses, atoms):
-    """The last level of the walk over masses (finite, nonnegative, one
-    shape, equal positive totals) from the level-0 marginal's own sum.
-    ``atoms(s0, t0, r, i, j, w)`` maps a batch, atom k moving w[k] from flat
-    cell s0[r[k]] + i[k] to t0[r[k]] + j[k], to per-atom arrays, written in
-    place into arrays of the walk's bound; returns their filled prefixes.
-    Row CDFs come from one table per level; zero rows are never paired."""
-    a, b = _checked_masses(f_masses, g_masses)
-    m = a.shape[-1]
+def _mass_walk(f_masses, g_masses, atoms: bool):
+    """The walk over masses (finite, nonnegative, one shape, equal positive
+    totals) from the level-0 marginal's own sum. Row CDFs come from one
+    table per level; zero rows are never paired."""
+    a, b = (np.asarray(x, dtype=float) for x in (f_masses, g_masses))
+    if a.shape != b.shape or a.ndim < 1:
+        raise DensityError(f"mass arrays must share one shape, got {a.shape} and {b.shape}")
+    if not (np.all((a >= 0) & (a < np.inf)) and np.all((b >= 0) & (b < np.inf))):
+        raise DensityError("masses must be finite and nonnegative")
+    total_a, total_b = a.sum(), b.sum()
+    if not (total_a > 0 and abs(total_a - total_b) <= 1e-12 * max(total_a, total_b)):
+        raise DensityError(f"mass totals must be positive and equal, got {total_a} and {total_b}")
     A, B = _marginals(a), _marginals(b)
     F, G = ([row_cdfs(v) for v in X] for X in (A, B))
-    walk = _walk(A, B, A[0].sum(), lambda k, li, lj: _merge(F[k][li], G[k][lj]))
-    for k, li, lj, lw, (row, i, j, du, _), _, _, pieces, size in walk:
-        if k == a.ndim - 1:
-            cols = atoms(li * m, lj * m, row, i, j, np.take(lw, row) * du)
-            if pieces.start == 0:
-                out = [np.empty(size, dtype=x.dtype) for x in cols]
-            for x, col in zip(out, cols):
-                x[pieces] = col
-    return tuple(x[:pieces.stop] for x in out)
+    return _walk(A, B, A[0].sum(), lambda k, li, lj: _merge(F[k][li], G[k][lj]), atoms)
 
 
 def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
@@ -248,35 +243,81 @@ def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
     grid, nodes = f.grid, f.grid.axis_nodes(0)
     A, B = _marginals(f.values), _marginals(g.values)
     F, G = ([_positive_cdfs(v) for v in X] for X in (A, B))
-    sums = []  # per level, each fiber pair's cost and deficit
-    walk = _walk(A, B, 1.0, lambda k, li, lj: _pieces(F[k][li], G[k][lj], nodes, grid.h))
-    for k, _, _, lw, (row, _, _, du, slope, x, t, last), pairs, n_pairs, *_ in walk:
-        if pairs.start == 0:
-            sums.append(np.empty((2, n_pairs)))
+    sums = [[] for _ in A]  # per level, each batch's per-pair cost and deficit
+    walk = _walk(A, B, 1.0, lambda k, li, lj: _pieces(F[k][li], G[k][lj], nodes, grid.h), False)
+    for k, _, _, lw, (row, _, _, du, slope, x, t, last), *_ in walk:
         d, w = t - x, np.take(lw, row) * du
         upper = np.append(d[1:], 0.0)  # T(x) - x at each piece's upper end, 0 at a row's
         upper[last] = 0.0
         starts = np.append(0, last[:-1] + 1)
-        sums[k][0, pairs] = np.add.reduceat(_square_terms(d, upper, w), starts)
-        sums[k][1, pairs] = np.add.reduceat(_deficit_terms(w, slope), starts)
-    square_sums, deficits = np.stack([level.sum(axis=1) for level in sums], axis=1)
-    return KnotheMap(grid, F, G, square_sums, deficits)
+        sums[k].append(np.stack([np.add.reduceat(_square_terms(d, upper, w), starts),
+                                 np.add.reduceat(_deficit_terms(w, slope), starts)]))
+    square_sums, deficits = np.stack([np.hstack(level).sum(axis=1) for level in sums], axis=1)
+    return KnotheMap(f, g, F, G, square_sums, deficits)
 
 
-def _check_grid(tmap: KnotheMap, f: GridDensity) -> None:
-    if tmap.grid != f.grid:
-        raise DensityError("map and density grids differ")
+def triangular_coupling(f_masses: np.ndarray, g_masses: np.ndarray):
+    """Discrete counterpart of the triangular map, walked over cell masses:
+    the monotone coupling of the axis-0 marginals, then in each atom that of
+    the next axis's fibers, and so on. Masses: finite, nonnegative, one
+    shape, equal positive totals. Returns the walk's last level as
+    flat-index triples (source_cells, target_cells, weights), with
+    marginals exact to rounding; no atom lies on a cell of zero mass. They
+    are written in place into arrays of the walk's bound, (2m - 1)^d atoms
+    on generic positive masses; where two CDF rows share a level inside
+    (0, 1), the triples are prefix views of longer ones."""
+    for *_, pieces, _, level in _mass_walk(f_masses, g_masses, True):
+        pass  # the last batch ends the filled part of the last level
+    return tuple(x[:pieces.stop] for x in level)
+
+
+def triangular_coupling_cost(f: GridDensity, g: GridDensity) -> float:
+    """Quadratic cost of the discrete triangular coupling between the
+    normalized cell distributions (its atoms are among the seed of
+    ``functionals.exact_w2_small``, so the exact optimum can never exceed
+    this). The atoms are never built: each batch of the last level's fiber
+    pairs takes a lead cost per pair and a last-axis cost per atom from one
+    table of squared center differences, which every axis shares, added
+    axis by axis as in ``((x_i - x_j) ** 2).sum()``, and writes its atoms'
+    terms in place; one np.sum over them makes the cost bitwise that of the
+    built coupling."""
+    grid = f.require_same_grid(g)
+    m, c = grid.cells_per_axis, grid.axis_centers(0)
+    table = (c[:, None] - c[None, :]) ** 2
+    masses = (d.cell_masses().reshape(grid.shape) for d in (f, g))
+    for k, li, lj, lw, (row, i, j, du, _), pieces, size, _ in _mass_walk(*masses, False):
+        if k < grid.dim - 1:
+            continue
+        if pieces.start == 0:
+            terms = np.empty(size)
+        lead = np.zeros(len(li))
+        for unit in m ** np.arange(grid.dim - 2, -1, -1):  # leading axes, in order
+            lead = lead + table[li // unit % m, lj // unit % m]
+        terms[pieces] = (np.take(lead, row) + np.take(table, i * m + j)) * (np.take(lw, row) * du)
+    return float(terms[:pieces.stop].sum())
+
+
+def _check_map(tmap: KnotheMap, f: GridDensity, g: GridDensity = None) -> None:
+    """Raise unless f, and g if given, are the densities tmap was built
+    from: the same objects (no cost), or equal values on its grid."""
+    for built, given in ((tmap.source, f), (tmap.target, g)):
+        if given is None or given is built:
+            continue
+        if given.grid != built.grid:
+            raise DensityError("map and density grids differ")
+        if not np.array_equal(given.values, built.values):
+            raise DensityError("map was built for another pair of densities")
 
 
 def displacement_cost(tmap: KnotheMap, f: GridDensity) -> float:
     """integral of |T x - x|^2 f(x) dx, exact."""
-    _check_grid(tmap, f)
+    _check_map(tmap, f)
     return f.total_mass * float(tmap.square_sums.sum()) / 3.0
 
 
 def cost_split(tmap: KnotheMap, f: GridDensity) -> tuple:
     """(leading-coordinate cost, last-coordinate cost); they sum to the total."""
-    _check_grid(tmap, f)
+    _check_map(tmap, f)
     return (f.total_mass * float(tmap.square_sums[:-1].sum()) / 3.0,
             f.total_mass * float(tmap.square_sums[-1]) / 3.0)
 
@@ -288,7 +329,7 @@ def tire_bracket(f: GridDensity, g: GridDensity, tmap: KnotheMap = None) -> floa
     maps is claimed). Exact: mass_f times the sum of the levels' deficits."""
     if tmap is None:
         tmap = knothe_map(f, g)
-    _check_grid(tmap, f)
+    _check_map(tmap, f, g)
     return f.total_mass * float(tmap.deficits.sum())
 
 
@@ -306,7 +347,7 @@ def pushforward_error(tmap: KnotheMap, f: GridDensity, g: GridDensity,
                       n_samples: int = 100_000, seed: int = 0) -> float:
     """Largest per-axis KS distance between mapped f-samples and the
     corresponding 1d marginal of g."""
-    _check_grid(tmap, f)
+    _check_map(tmap, f, g)
     _check_pair(f, g)
     batch = sample_grid(f, n_samples, seed)
     return empirical_marginal_distance(tmap.evaluate(batch.points), g)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .density import DensityError, GridDensity
-from .knothe import (QUADRATIC_COST_FACTOR, KnotheMap, _check_grid, _pieces,
+from .knothe import (QUADRATIC_COST_FACTOR, KnotheMap, _check_map, _pieces,
                      displacement_cost, knothe_map, tire_bracket)
 from .reports import VerificationReport, make_report
 
@@ -75,7 +75,7 @@ def check_lemma_lambda(f: GridDensity, g: GridDensity,
     _check_same_interval(f, g)
     if tmap is None:
         tmap = monotone_map(f, g)
-    _check_grid(tmap, f)
+    _check_map(tmap, f, g)
     nodes = f.grid.axis_nodes(0)
     _, _, _, du, r, *_ = _pieces(tmap.source_cdfs[0], tmap.target_cdfs[0], nodes, f.grid.h)
     lhs = f.total_mass * float((du * mixed_cost(r - 1.0)).sum())

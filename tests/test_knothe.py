@@ -1,5 +1,6 @@
 """Triangular transport on the cube: anchors, structure, pushforward."""
 
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -11,11 +12,15 @@ from hypothesis import given, settings, strategies as st
 import loop_oracles
 from cube_transport import (
     DensityError,
+    ExponentialTilt,
     GridDensity,
     Uniform,
     build_density,
     check_facet_preservation,
+    check_lemma_lambda,
+    check_prop_quadratic,
     check_theorem31,
+    check_tire_le_entropy,
     displacement_cost,
     estimate_axis_convexity_ratio,
     knothe_map,
@@ -522,6 +527,36 @@ def test_map_of_another_grid_is_rejected(use):
         use(tmap, *product_pair(16))
 
 
+MAP_READERS = {  # reader of (tmap, f, g), its dimension, whether it reads g
+    "displacement_cost": (lambda tmap, f, g: displacement_cost(tmap, f), 2, False),
+    "cost_split": (lambda tmap, f, g: cost_split(tmap, f), 2, False),
+    "tire_bracket": (lambda tmap, f, g: tire_bracket(f, g, tmap), 2, True),
+    "pushforward_error": (lambda tmap, f, g: pushforward_error(tmap, f, g, n_samples=100),
+                          2, True),
+    "thm-3.1": (lambda tmap, f, g: check_theorem31(f, g, 1.0, tmap).lhs, 2, True),
+    "lem-4.1": (lambda tmap, f, g: check_tire_le_entropy(f, g, tmap).lhs, 2, True),
+    "prop-2.1": (lambda tmap, f, g: check_prop_quadratic(f, g, 1.0, tmap).lhs, 1, True),
+    "lem-2.2": (lambda tmap, f, g: check_lemma_lambda(f, g, tmap).lhs, 1, True),
+}
+
+
+@pytest.mark.parametrize("name", MAP_READERS)
+def test_map_of_another_pair_is_rejected(name):
+    # a map built on the pair's grid for another source, or for the readers
+    # of g another target, once read that pair's numbers (lem-4.1 lhs
+    # 0.1914 for uniform -> tilt against the pair's own 0.3830); an equal
+    # copy of the map's own pair reads what the pair itself reads
+    use, dim, reads_g = MAP_READERS[name]
+    grid = unit_cube_grid(dim, 16)
+    f, g = build_density(Uniform(), grid), loop_oracles.linear_product_target(grid)
+    other = build_density(ExponentialTilt(np.linspace(1.0, -2.0, dim)), grid)
+    wrong = knothe_map(f, other) if reads_g else knothe_map(other, g)
+    with pytest.raises(DensityError, match="^map was built for another pair of densities$"):
+        use(wrong, f, g)
+    tmap = knothe_map(f, g)
+    assert use(tmap, *(GridDensity(grid, d.values.copy()) for d in (f, g))) == use(tmap, f, g)
+
+
 def test_axis_marginal_cdf_is_cdf():
     rng = np.random.default_rng(12)
     grid = unit_cube_grid(2, 16)
@@ -657,7 +692,9 @@ def test_cost_decomposition_row_fails_on_a_wrong_split(monkeypatch):
 
 def test_pushforward_row_fails_for_the_identity_on_a_non_uniform_target(monkeypatch):
     # the anchor's uniform source mapped by the identity keeps its uniform
-    # marginals, a quarter away in KS from the target's marginals 2x
-    monkeypatch.setattr(cli, "knothe_map", lambda f, g: knothe_map(f, f))
+    # marginals, a quarter away in KS from the target's marginals 2x. The
+    # planted map records g as its target, or the pair check would refuse it
+    monkeypatch.setattr(cli, "knothe_map",
+                        lambda f, g: dataclasses.replace(knothe_map(f, f), target=g))
     rep = _verify_knothe()["pushforward-ks"]
     assert rep.lhs == pytest.approx(0.25, abs=0.01) and not rep.passed
