@@ -226,13 +226,22 @@ def _rng(cfg, label: str) -> np.random.Generator:
     return philox(cfg["seed"], 0, int.from_bytes(label.encode(), "little"))
 
 
-def _linear_product_target(grid: Grid) -> GridDensity:
-    """The density prod_i 2 x_i, normalized."""
+def _anchor_pair(dim: int, m: int) -> tuple:
+    """The closed-form anchor on the m^dim grid: the uniform density and the
+    normalized prod_i 2 x_i."""
+    grid = unit_cube_grid(dim, m)
     vals = np.ones(grid.shape)
     for x in grid.open_centers():
         vals *= 2.0  # (vals * 2) * x, in place
         vals *= x
-    return normalize(GridDensity(grid, vals))
+    return build_density(Uniform(), grid), normalize(GridDensity(grid, vals))
+
+
+def _random_pair(rng: np.random.Generator, grid: Grid) -> tuple:
+    """A seeded pair on the grid: a log-concave source, then a smooth target."""
+    spec = (random_logconcave_spec_1d(rng) if grid.dim == 1
+            else random_logconcave_spec_nd(rng, grid.dim, grid.origin, grid.side))
+    return build_density(spec, grid), random_smooth_density(rng, grid, amplitude=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +285,7 @@ def suite_verify_1d(cfg) -> dict:
     reports = []
     metrics = {}
     # fixed anchor pair: uniform onto the linear density at high resolution
-    anchor_grid = unit_cube_grid(1, 1024)
-    f0 = build_density(Uniform(), anchor_grid)
-    g0 = _linear_product_target(anchor_grid)
+    f0, g0 = _anchor_pair(1, 1024)
     t0 = monotone_map(f0, g0)
     metrics["anchor_map_at_quarter"] = float(t0.evaluate([[0.25]])[0, 0])
     metrics["anchor_cost"] = displacement_cost(t0, f0)
@@ -323,9 +330,8 @@ def suite_verify_knothe(cfg) -> dict:
     reports = []
     metrics = {}
     # anchor: uniform onto the separable linear product on the square
-    grid = unit_cube_grid(2, 64)
-    f0 = build_density(Uniform(), grid)
-    g0 = _linear_product_target(grid)
+    f0, g0 = _anchor_pair(2, 64)
+    m0 = f0.grid.cells_per_axis
     t0 = knothe_map(f0, g0)
     metrics["anchor_cost"] = anchor_cost = displacement_cost(t0, f0)
     metrics["anchor_tire"] = tire_bracket(f0, g0, t0)
@@ -334,18 +340,16 @@ def suite_verify_knothe(cfg) -> dict:
     ks = pushforward_error(t0, f0, g0, cfg["n_samples"], cfg["seed"])
     # the exact map pushes f onto g, so ks is a sampling error: by DKW-Massart
     # over the axes, P(ks > c / sqrt(N)) <= 2 dim exp(-2 c^2) = KS_FAILURE_PROBABILITY
-    ks_const = np.sqrt(np.log(2 * grid.dim / KS_FAILURE_PROBABILITY) / 2.0)
+    ks_const = np.sqrt(np.log(2 * f0.grid.dim / KS_FAILURE_PROBABILITY) / 2.0)
     reports.append(make_report("pushforward-ks", ks, 1.0 / np.sqrt(cfg["n_samples"]),
-                               ks_const, grid_m=64))
+                               ks_const, grid_m=m0))
     base_cost, fiber_cost = cost_split(t0, f0)
     split_gap = abs(anchor_cost - base_cost - fiber_cost)
-    reports.append(make_report("cost-decomposition", split_gap, 0.0, 1.0, grid_m=64))
+    reports.append(make_report("cost-decomposition", split_gap, 0.0, 1.0, grid_m=m0))
     # random pairs in 2d, one in 3d
     grids = [unit_cube_grid(2, min(cfg["m"], 32))] * cfg["pairs"] + [unit_cube_grid(3, 16)]
-    for i, g_grid in enumerate(grids):
-        spec = random_logconcave_spec_nd(rng, g_grid.dim, g_grid.origin, g_grid.side)
-        f = build_density(spec, g_grid)
-        g = random_smooth_density(rng, g_grid, amplitude=0.5)
+    for g_grid in grids:
+        f, g = _random_pair(rng, g_grid)
         t = knothe_map(f, g)
         reports.append(check_theorem31(f, g, estimate_axis_convexity_ratio(f), t))
         reports.append(check_facet_preservation(t))
@@ -357,25 +361,17 @@ def suite_tire(cfg) -> dict:
     reports = []
     metrics = {}
     # anchor: uniform onto linear in 1d, where the bracket meets the entropy
-    grid = unit_cube_grid(1, 512)
-    f0 = build_density(Uniform(), grid)
-    g0 = _linear_product_target(grid)
+    f0, g0 = _anchor_pair(1, 512)
     reports.append(check_tire_le_entropy(f0, g0))
     metrics["anchor_tire"] = reports[-1].lhs
     metrics["anchor_entropy"] = relative_entropy(g0, f0)
     metrics["anchor_legendre"] = legendre_tire_bound(f0, g0)
     reports.append(make_report("eq-4.2", metrics["anchor_tire"],
-                               metrics["anchor_legendre"], 1.0, grid_m=512))
+                               metrics["anchor_legendre"], 1.0, grid_m=f0.grid.cells_per_axis))
     # random 1d and 2d pairs
     for i in range(cfg["pairs"]):
-        if i % 2 == 0:
-            g_grid = unit_cube_grid(1, 64)
-            spec = random_logconcave_spec_1d(rng)
-        else:
-            g_grid = unit_cube_grid(2, 16)
-            spec = random_logconcave_spec_nd(rng, 2, g_grid.origin, g_grid.side)
-        f = build_density(spec, g_grid)
-        g = random_smooth_density(rng, g_grid, amplitude=0.5)
+        g_grid = unit_cube_grid(1, 64) if i % 2 == 0 else unit_cube_grid(2, 16)
+        f, g = _random_pair(rng, g_grid)
         t = knothe_map(f, g)
         reports.append(check_tire_le_entropy(f, g, t))
         reports.append(make_report("eq-4.2", reports[-1].lhs,
@@ -383,11 +379,8 @@ def suite_tire(cfg) -> dict:
                                    grid_m=g_grid.cells_per_axis))
     # exact-coupling sandwich at small scale
     sandwich_grid = unit_cube_grid(2, 8)
-    for i in range(min(cfg["pairs"], 10)):
-        spec = random_logconcave_spec_nd(rng, 2, sandwich_grid.origin,
-                                         sandwich_grid.side)
-        f = build_density(spec, sandwich_grid)
-        g = random_smooth_density(rng, sandwich_grid, amplitude=0.5)
+    for _ in range(min(cfg["pairs"], 10)):
+        f, g = _random_pair(rng, sandwich_grid)
         reports.extend(check_transport_entropy_sandwich(
             f, g, estimate_axis_convexity_ratio(f)))
     return {"reports": reports, "metrics": metrics}

@@ -199,8 +199,8 @@ def covariance_ratio(mu, alpha: float) -> float:
     The covariance includes the within-cell uniform contribution h^2/12 per
     axis, so a one-cell density has the exact single-cell covariance. Mean
     and covariance are read off the 1- and 2-axis marginals of the cell
-    masses, so no (cells, dim) array is formed. A sample's covariance is
-    ``np.cov`` of its points.
+    masses, so no (cells, dim) array is formed. Only grid densities are
+    read: a ``SampleBatch``, or any other mu, raises DensityError.
     """
     alpha = _check_alpha(alpha)
     if not isinstance(mu, GridDensity):

@@ -138,7 +138,11 @@ def unit_cube_grid(dim: int, cells_per_axis: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
-    """Nonnegative cell values on a grid, read as a piecewise-constant density."""
+    """Nonnegative cell values on a grid, read as a piecewise-constant density.
+
+    ``values`` is a read-only view, so a map built from a density stays the
+    map of that density; the array passed in is not copied, and writing
+    through it still changes the density."""
 
     grid: Grid
     values: np.ndarray
@@ -151,6 +155,8 @@ class GridDensity:
             raise DensityError("values must be finite")
         if np.any(values < 0):
             raise DensityError("values must be nonnegative")
+        values = values.view()
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property

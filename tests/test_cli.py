@@ -17,13 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cube_transport
+import loop_oracles
 from cube_transport.cli import (_SCAN_STEP_TRIPLES, DEFAULTS, MAX_SCAN_TRIPLES, MAX_T_COUNT,
-                                SUITES, ConfigError, _grid_m_for_dim, _rng, build_parser,
-                                check_grid_limits, emit_report, load_config, main, run_all,
-                                scan_triples, suite_verify_1d)
+                                SUITES, ConfigError, _anchor_pair, _grid_m_for_dim,
+                                _random_pair, _rng, build_parser, check_grid_limits,
+                                emit_report, load_config, main, run_all, scan_triples,
+                                suite_verify_1d)
 from cube_transport.concentration import check_concentration, halfspace_profile
-from cube_transport.density import (GridDensity, RestrictedGaussian, _midpoint_directions,
-                                    build_density, unit_cube_grid)
+from cube_transport.density import (GridDensity, RestrictedGaussian, Uniform,
+                                    _midpoint_directions, build_density, unit_cube_grid)
+from cube_transport.families import (random_logconcave_spec_1d, random_logconcave_spec_nd,
+                                     random_smooth_density)
 from cube_transport.sampler import MAX_POINT_BUDGET
 from cube_transport.reports import CSV_HEADER, TOLERANCES, row_family
 
@@ -948,3 +952,26 @@ def test_suite_streams_are_raw_philox_streams(seed, label):
     ours = _rng({"seed": seed}, label)
     np.testing.assert_array_equal(ours.random(8), raw.random(8))
     np.testing.assert_array_equal(ours.integers(0, 1 << 30, 8), raw.integers(0, 1 << 30, 8))
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16), (3, 16)])
+def test_random_pair_draws_spec_then_target(dim, m):
+    # the suites' pairs are these draws in this order, so their rows and the
+    # rest of each suite's stream stay the same
+    grid = unit_cube_grid(dim, m)
+    ours, hand = np.random.default_rng(5), np.random.default_rng(5)
+    f, g = _random_pair(ours, grid)
+    spec = (random_logconcave_spec_1d(hand) if dim == 1
+            else random_logconcave_spec_nd(hand, dim, np.zeros(dim), 1.0))
+    np.testing.assert_array_equal(f.values, build_density(spec, grid).values)
+    np.testing.assert_array_equal(g.values, random_smooth_density(hand, grid, 0.5).values)
+    np.testing.assert_array_equal(ours.random(4), hand.random(4))
+
+
+@pytest.mark.parametrize("dim, m", [(1, 512), (2, 64)])
+def test_anchor_pair_is_uniform_onto_the_linear_product(dim, m):
+    grid = unit_cube_grid(dim, m)
+    f, g = _anchor_pair(dim, m)
+    assert f.grid == g.grid == grid
+    np.testing.assert_array_equal(f.values, build_density(Uniform(), grid).values)
+    np.testing.assert_array_equal(g.values, loop_oracles.linear_product_target(grid).values)

@@ -334,7 +334,7 @@ def test_fields_are_bitwise_the_full_mesh_fields(case):
     scale = 1.0 / np.arange(1, families.MAX_FREQUENCY + 1, dtype=float)[:, None]
     coeffs = rng.normal(0.0, scale, size=(grid.dim, families.MAX_FREQUENCY, 2))
     assert np.array_equal(u, loop_oracles.mode_field(coeffs, grid, np.pi) + rng.normal(0.0, 0.5))
-    assert np.array_equal(cli._linear_product_target(grid).values,
+    assert np.array_equal(cli._anchor_pair(grid.dim, grid.cells_per_axis)[1].values,
                           loop_oracles.linear_product_target(grid).values)
 
 
@@ -349,7 +349,7 @@ def test_field_builders_peak_at_a_few_value_arrays():
                 for spec in every_spec(grid, rng)]
     builders += [("trig_density", lambda: trig_density(coeffs, grid)),
                  ("random_center_test_function", lambda: random_center_test_function(rng, grid)),
-                 ("linear_product_target", lambda: cli._linear_product_target(grid))]
+                 ("anchor_pair", lambda: cli._anchor_pair(grid.dim, grid.cells_per_axis))]
     for name, build in builders:
         tracemalloc.start()
         try:

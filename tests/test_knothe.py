@@ -557,6 +557,20 @@ def test_map_of_another_pair_is_rejected(name):
     assert use(tmap, *(GridDensity(grid, d.values.copy()) for d in (f, g))) == use(tmap, f, g)
 
 
+def test_density_edited_after_its_map_was_built_is_refused():
+    # a map passes the pair check on the identity of its densities, so a
+    # density whose values changed in place would read the old map's numbers
+    # (a tilt written into g: tire_bracket 0.3830 by the old map, 0.1914 by its own)
+    grid = unit_cube_grid(2, 16)
+    f, g = build_density(Uniform(), grid), loop_oracles.linear_product_target(grid)
+    tmap = knothe_map(f, g)
+    before = tire_bracket(f, g, tmap)
+    tilt = build_density(ExponentialTilt((1.0, -2.0)), grid)
+    with pytest.raises(ValueError, match="read-only"):
+        g.values[:] = tilt.values
+    assert tire_bracket(f, g, tmap) == before
+
+
 def test_axis_marginal_cdf_is_cdf():
     rng = np.random.default_rng(12)
     grid = unit_cube_grid(2, 16)
