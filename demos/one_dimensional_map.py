@@ -61,7 +61,7 @@ print(f"T'(x) at x=0.5   {slope[k]:.5f}   (closed form 1/(2 sqrt(x)) = {0.5/np.s
 
 print()
 ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))
-for rep in (check_prop_quadratic(f, g, ratio), check_lemma_lambda(f, g)):
+for rep in (check_prop_quadratic(f, g, ratio, tmap), check_lemma_lambda(f, g, tmap)):
     flag = "PASS" if rep.passed else "FAIL"
     print(f"[{flag}] {rep.name}: lhs={rep.lhs:.6f} <= rhs={rep.rhs:.6f} "
           f"(constant {rep.constant_used:.4f}, slack {rep.slack:.6f})")

@@ -313,7 +313,8 @@ def suite_verify_1d(cfg) -> dict:
         reports.extend([coarse_prop, coarse_lam])
         f2 = build_density(spec, fine_grid)
         g2 = trig_density(coeffs, fine_grid)
-        fine_prop = check_prop_quadratic(f2, g2, estimate_axis_convexity_ratio(f2))
+        fine_prop = check_prop_quadratic(f2, g2, estimate_axis_convexity_ratio(f2),
+                                         monotone_map(f2, g2))
         reports.append(refinement_report("prop-2.1-refinement", coarse_prop,
                                          fine_prop))
         # segment and gradient-energy checks on the same source
@@ -362,7 +363,7 @@ def suite_tire(cfg) -> dict:
     metrics = {}
     # anchor: uniform onto linear in 1d, where the bracket meets the entropy
     f0, g0 = _anchor_pair(1, 512)
-    reports.append(check_tire_le_entropy(f0, g0))
+    reports.append(check_tire_le_entropy(f0, g0, knothe_map(f0, g0)))
     metrics["anchor_tire"] = reports[-1].lhs
     metrics["anchor_entropy"] = relative_entropy(g0, f0)
     metrics["anchor_legendre"] = legendre_tire_bound(f0, g0)

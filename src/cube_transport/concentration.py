@@ -3,7 +3,7 @@ dimension-scaling experiment for the equicorrelated construction.
 
 A concentration profile compares, for a unit direction u and offsets t, the
 measured mass of {x . u <= median + t} against the target lower bound
-1 - exp(-t^2 / alpha^2). Grid measures are evaluated exactly along +-e_k
+1 - exp(-t^2 / alpha^2). Grid measures are evaluated exactly along +e_k
 (piecewise-linear marginal CDFs) and raise DensityError along any other
 direction; sample batches, such as the points of ``sample_grid``, take any
 direction and use empirical fractions with a binomial standard error, and
@@ -23,7 +23,7 @@ import numpy as np
 
 from .density import DensityError, GridDensity, equicorrelated_scale
 from .reports import VerificationReport, make_report
-from .sampler import SampleBatch, equicorrelated_row_sums
+from .sampler import SampleBatch, _row_sum_normals, _row_sums
 
 POINCARE_FACTOR = 20.0 / 9.0
 LSI_FACTOR = 160.0 / 9.0
@@ -87,7 +87,7 @@ def _check_alpha(alpha: float) -> float:
 def halfspace_profile(mu, direction, ts, alpha: float,
                       label: str = "") -> ConcentrationProfile:
     """Profile of mu{x . u <= c + t} against 1 - exp(-t^2/alpha^2), where c
-    is the median of x . u. A GridDensity is profiled exactly, along u = +-e_k
+    is the median of x . u. A GridDensity is profiled exactly, along u = +e_k
     only; any other direction raises DensityError, and is profiled from the
     points of ``sample_grid`` instead. A SampleBatch takes any direction and
     gives sample fractions with their binomial standard errors."""
@@ -116,20 +116,14 @@ def halfspace_profile(mu, direction, ts, alpha: float,
 
 def _grid_halfspace_masses(mu: GridDensity, u: np.ndarray, ts: np.ndarray):
     """Median offset and masses of {x.u <= c + t} for a grid density along
-    u = +-e_k, exact from the piecewise-linear marginal CDF of axis k."""
+    u = +e_k, exact from the piecewise-linear marginal CDF of axis k."""
     nonzero = np.flatnonzero(np.abs(u) > 1e-12)
-    if len(nonzero) != 1:
-        raise DensityError("a grid density is profiled along +-e_k only; profile the "
+    if len(nonzero) != 1 or u[nonzero[0]] < 0:
+        raise DensityError("a grid density is profiled along +e_k only; profile the "
                            "projected points of sample_grid for other directions")
-    axis = int(nonzero[0])
-    nodes, cdf = mu.marginal_cdf(axis)
-    if u[axis] > 0:
-        c = float(np.interp(0.5, cdf, nodes))
-        measured = np.interp(c + ts, nodes, cdf)
-    else:
-        c = -float(np.interp(0.5, cdf, nodes))
-        measured = 1.0 - np.interp(-c - ts, nodes, cdf)
-    return c, measured
+    nodes, cdf = mu.marginal_cdf(int(nonzero[0]))
+    c = float(np.interp(0.5, cdf, nodes))
+    return c, np.interp(c + ts, nodes, cdf)
 
 
 def check_concentration(profile: ConcentrationProfile, name: str = "thm-1.2",
@@ -160,28 +154,19 @@ class LipschitzTailFit:
     prefactor: float
 
 
-def lipschitz_tail(mu, ts, alpha: float, direction=None) -> LipschitzTailFit:
-    """Two-sided tails P(|x.u - c| >= t) about the median c of x.u, with a
-    log-linear fit against C exp(-rate * (t/alpha)^2). Never asserts. A
-    GridDensity's tails along ``direction`` (+-e_k) are F(c - t) + 1 - F(c + t),
-    from the masses of halfspace_profile; otherwise ``mu`` is a 1-D array of
-    sampled values of x.u, given without a direction, and its tails are
-    sample fractions. Unprojected points raise DensityError."""
+def lipschitz_tail(mu: GridDensity, ts, alpha: float, direction) -> LipschitzTailFit:
+    """Two-sided tails P(|x.u - c| >= t) of a grid density about the median c
+    of x.u, along ``direction`` (+e_k), with a log-linear fit against
+    C exp(-rate * (t/alpha)^2). Never asserts. The tails are
+    F(c - t) + 1 - F(c + t), from the masses of halfspace_profile; any mu
+    but a GridDensity raises DensityError."""
     ts = _validate_ts(ts)
     alpha = _check_alpha(alpha)
-    if isinstance(mu, GridDensity):
-        if direction is None:
-            raise DensityError("a grid tail needs a direction")
-        u = _unit(direction, mu.grid.dim)
-        _, masses = _grid_halfspace_masses(mu, u, np.concatenate((-ts, ts)))
-        tails = masses[:len(ts)] + (1.0 - masses[len(ts):])
-    else:
-        v = np.asarray(mu.points if isinstance(mu, SampleBatch) else mu, dtype=float)
-        if v.ndim != 1 or not len(v) or direction is not None:
-            raise DensityError("a sampled tail takes the projected values x.u as a nonempty "
-                               "1-D array, and no direction")
-        dev = np.sort(np.abs(v - np.median(v)))
-        tails = (len(dev) - np.searchsorted(dev, ts, side="left")) / len(dev)
+    if not isinstance(mu, GridDensity):
+        raise DensityError("mu must be a GridDensity")
+    u = _unit(direction, mu.grid.dim)
+    _, masses = _grid_halfspace_masses(mu, u, np.concatenate((-ts, ts)))
+    tails = masses[:len(ts)] + (1.0 - masses[len(ts):])
     usable = tails > 0
     if usable.sum() >= 2:
         x = (ts[usable] / alpha) ** 2
@@ -304,9 +289,10 @@ def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
     """For each dimension n, the radius t*(n): the largest t for which the
     halfspace {sum x_i <= 0} enlarged by t (in the Euclidean ball metric,
     which reduces to the threshold t sqrt(n) for the row sum) still holds at
-    most 2/3 of the mass. Only row sums are drawn, two normals per sample,
-    and every row carries the certified log10 bound on the chance that the
-    cube restriction rejects a draw, in place of a rejection step.
+    most 2/3 of the mass. Only row sums are drawn, from two normals per
+    sample that every n shares, and every row carries the certified log10
+    bound on the chance that the cube restriction rejects a draw, in place
+    of a rejection step.
     """
     ns = list(ns)
     if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in ns):
@@ -320,8 +306,9 @@ def counterexample_scaling(ns, n_samples: int, seed: int) -> ScalingResult:
         raise DensityError(f"need at least {MIN_SCALING_SAMPLES} samples per dimension")
     rows = []
     k = (2 * n_samples) // 3
+    z = _row_sum_normals(n_samples, seed)  # every n's normals (common random numbers)
     for n in ns:
-        sums, log10_bound = equicorrelated_row_sums(n, n_samples, seed)
+        sums, log10_bound = _row_sums(n, z)
         t_star = float(np.partition(sums, k)[k] / math.sqrt(n))
         predicted, std_error = closed_form_t_star(n, n_samples)
         rows.append(ScalingRow(n, t_star, predicted, std_error,

@@ -170,8 +170,9 @@ def _require_log_concave_source(f: GridDensity) -> None:
 
 
 def check_tire_le_entropy(f: GridDensity, g: GridDensity,
-                          tmap: KnotheMap = None) -> VerificationReport:
-    """Transport lower bound <= relative entropy, for midpoint-log-concave f."""
+                          tmap: KnotheMap) -> VerificationReport:
+    """Transport lower bound <= relative entropy, for midpoint-log-concave f,
+    read off tmap, the map ``knothe_map(f, g)``."""
     _require_log_concave_source(f)
     return make_report("lem-4.1", tire_bracket(f, g, tmap), relative_entropy(g, f), 1.0,
                        grid_m=f.grid.cells_per_axis)
@@ -270,8 +271,8 @@ class CouplingPlan:
     """Sparse coupling between source and target cells: entry k moves
     ``weights[k]`` mass from flat cell ``source_index[k]`` to ``target_index[k]``.
 
-    The LP certificate: ``rounds`` of column generation were solved, taking
-    ``iterations[r]`` simplex iterations in round r, the
+    The LP certificate: len(``iterations``) rounds of column generation were
+    solved, taking ``iterations[r]`` simplex iterations in round r, the
     smallest reduced cost over all cell pairs is ``min_reduced_cost``, and
     ``lower_bound`` (the dual objective, plus that cost when negative, less a
     rounding allowance) is at most the cost of every coupling of the two
@@ -288,23 +289,27 @@ class CouplingPlan:
     u: np.ndarray
     v: np.ndarray
 
-    @property
-    def rounds(self) -> int:
-        return len(self.iterations)
-
 
 def _price(centers: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
-    """Smallest reduced cost |x_i - x_j|^2 - u_i - v_j over all cell pairs (in
-    chunks of about 2^22 pairs), and the flat indices i * n + j of the up to
-    W2_COLUMNS_PER_ROW most negative ones per row below -W2_PRICING_TOL."""
-    n = len(u)
+    """Smallest reduced cost |x_i - x_j|^2 - u_i - v_j over all cell pairs of
+    a grid (``Grid.centers``, C order), in chunks of about 2^22 pairs, and
+    the flat indices i * n + j of the up to W2_COLUMNS_PER_ROW most negative
+    ones per row below -W2_PRICING_TOL. Axis k adds rows of one m x m table
+    of squared differences, broadcast along axis k of the columns."""
+    n, dim = centers.shape
+    m = round(n ** (1.0 / dim))
     k = min(W2_COLUMNS_PER_ROW, n)
     step = max(1, (1 << 22) // n)
+    units = m ** np.arange(dim - 1, -1, -1)  # flat stride of each axis
+    tables = [(c[:, None] - c[None, :]) ** 2
+              for c in (centers[:unit * m:unit, axis] for axis, unit in enumerate(units))]
     smallest, found = np.inf, []
     for s in range(0, n, step):
         rc = -u[s:s + step, None] - v[None, :]
-        for axis in range(centers.shape[1]):
-            rc += (centers[s:s + step, axis, None] - centers[None, :, axis]) ** 2
+        cells = rc.reshape(len(rc), *[m] * dim)  # a view: column j at its cell's axis indices
+        for axis, (unit, table) in enumerate(zip(units, tables)):
+            sq = table[np.arange(s, s + len(rc)) // unit % m]  # the chunk's rows
+            cells += sq.reshape(len(rc), *[1] * axis, m, *[1] * (dim - 1 - axis))
         low = rc.min(axis=1)
         smallest = min(smallest, float(low.min()))
         rows = np.flatnonzero(low < -W2_PRICING_TOL)  # a certifying round has none

@@ -167,12 +167,6 @@ def _deficit_terms(du: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return du * (slope - 1.0 - np.log(slope))
 
 
-def _check_pair(f: GridDensity, g: GridDensity) -> None:
-    f.require_same_grid(g)
-    f.require_positive()
-    g.require_positive()
-
-
 def _walk(A: list, B: list, weight: float, merge, atoms: bool):
     """The triangular construction over the ``_marginals`` tables A and B,
     level by level from the pair of rows 0 at mass ``weight``.
@@ -239,7 +233,9 @@ def knothe_map(f: GridDensity, g: GridDensity) -> KnotheMap:
     positive): one walk, each pair of fibers merged once. A level's cost and
     deficit are summed per fiber pair where it is merged, by np.add.reduceat,
     then by one np.sum over its pairs, so no batch size moves a bit."""
-    _check_pair(f, g)
+    f.require_same_grid(g)
+    f.require_positive()
+    g.require_positive()
     grid, nodes = f.grid, f.grid.axis_nodes(0)
     A, B = _marginals(f.values), _marginals(g.values)
     F, G = ([_positive_cdfs(v) for v in X] for X in (A, B))
@@ -326,7 +322,8 @@ def tire_bracket(f: GridDensity, g: GridDensity, tmap: KnotheMap = None) -> floa
     """integral of f log(g(T x)/f) - grad f . (T x - x), with grad f taken as
     a distribution, less mass_f log(mass_g / mass_f): the lower bound for the
     transport functional realized by the triangular map (no optimality over
-    maps is claimed). Exact: mass_f times the sum of the levels' deficits."""
+    maps is claimed). Exact: mass_f times the sum of the levels' deficits.
+    Without tmap it builds ``knothe_map(f, g)``."""
     if tmap is None:
         tmap = knothe_map(f, g)
     _check_map(tmap, f, g)
@@ -334,11 +331,9 @@ def tire_bracket(f: GridDensity, g: GridDensity, tmap: KnotheMap = None) -> floa
 
 
 def check_theorem31(f: GridDensity, g: GridDensity, ratio_bound: float,
-                    tmap: KnotheMap = None) -> VerificationReport:
-    """Triangular transport cost <= (40/9) R^2 * tire bracket on the unit cube."""
-    _check_pair(f, g)
-    if tmap is None:
-        tmap = knothe_map(f, g)
+                    tmap: KnotheMap) -> VerificationReport:
+    """Triangular transport cost <= (40/9) R^2 * tire bracket on the unit
+    cube, read off tmap, the map ``knothe_map(f, g)``."""
     return make_report("thm-3.1", displacement_cost(tmap, f), tire_bracket(f, g, tmap),
                        QUADRATIC_COST_FACTOR * ratio_bound ** 2, grid_m=f.grid.cells_per_axis)
 
@@ -348,7 +343,6 @@ def pushforward_error(tmap: KnotheMap, f: GridDensity, g: GridDensity,
     """Largest per-axis KS distance between mapped f-samples and the
     corresponding 1d marginal of g."""
     _check_map(tmap, f, g)
-    _check_pair(f, g)
     batch = sample_grid(f, n_samples, seed)
     return empirical_marginal_distance(tmap.evaluate(batch.points), g)
 

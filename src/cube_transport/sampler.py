@@ -121,10 +121,21 @@ def equicorrelated_row_sums(n: int, n_samples: int, seed: int):
     common random numbers: their sampling errors move together, and a slope
     fitted across n keeps little of their noise.
     """
+    return _row_sums(n, _row_sum_normals(n_samples, seed))
+
+
+def _row_sum_normals(n_samples: int, seed: int) -> np.ndarray:
+    """The normals (Z_0, Z') of ``equicorrelated_row_sums``, the same at every n."""
     if n_samples < 1:
         raise DensityError("n_samples must be >= 1")
     if n_samples * 2 > MAX_POINT_BUDGET:
         raise DensityError("requested batch exceeds the materialized-point budget")
+    return philox(seed, _DOMAIN_ROW_SUMS, 0).standard_normal((n_samples, 2))
+
+
+def _row_sums(n: int, z: np.ndarray):
+    """(sums, rejection_log10_bound) of ``equicorrelated_row_sums`` in
+    dimension n, from the normals z of ``_row_sum_normals``."""
     if n > 1 << 53:
         raise DensityError(f"row sums need n <= 2^53, where floats are exact; got {n}")
     # loaded on first use and without scipy.special: importing that package
@@ -132,9 +143,7 @@ def equicorrelated_row_sums(n: int, n_samples: int, seed: int):
     # alone 1 ms and 1 MB (2-core x86 box, scipy 1.17.1)
     log_ndtr = _scipy_compiled("special._special_ufuncs", "log_ndtr", "special").log_ndtr
 
-    rng = philox(seed, _DOMAIN_ROW_SUMS, 0)
     scale = equicorrelated_scale(n)
-    z = rng.standard_normal((n_samples, 2))
     z0 = z[:, 0]
     t = math.sqrt(n) * z[:, 1]
     sums = scale * (t + n * z0)

@@ -59,22 +59,20 @@ def monotone_map(f: GridDensity, g: GridDensity) -> KnotheMap:
 
 
 def check_prop_quadratic(f: GridDensity, g: GridDensity, ratio_bound: float,
-                         tmap: KnotheMap = None) -> VerificationReport:
-    """Quadratic cost <= (40/9) R^2 * deficit, on [0, 1]."""
+                         tmap: KnotheMap) -> VerificationReport:
+    """Quadratic cost <= (40/9) R^2 * deficit, on [0, 1], read off tmap, the
+    map ``monotone_map(f, g)``."""
     _check_same_interval(f, g)
-    if tmap is None:
-        tmap = monotone_map(f, g)
     return make_report("prop-2.1", displacement_cost(tmap, f), tire_bracket(f, g, tmap),
                        QUADRATIC_COST_FACTOR * ratio_bound ** 2, grid_m=f.grid.cells_per_axis)
 
 
 def check_lemma_lambda(f: GridDensity, g: GridDensity,
-                       tmap: KnotheMap = None) -> VerificationReport:
+                       tmap: KnotheMap) -> VerificationReport:
     """integral of mixed_cost(T' - 1) f <= (10/3) * deficit, summed over the
-    map's pieces, on each of which T' is constant."""
+    pieces of tmap, the map ``monotone_map(f, g)``, on each of which T' is
+    constant."""
     _check_same_interval(f, g)
-    if tmap is None:
-        tmap = monotone_map(f, g)
     _check_map(tmap, f, g)
     nodes = f.grid.axis_nodes(0)
     _, _, _, du, r, *_ = _pieces(tmap.source_cdfs[0], tmap.target_cdfs[0], nodes, f.grid.h)

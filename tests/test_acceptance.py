@@ -115,7 +115,7 @@ def test_criterion_2_quadratic_cost_suite():
             f = build_density(spec, grid)
             g = random_smooth_density(np.random.default_rng(coeffs_seed), grid)
             ratio = estimate_axis_convexity_ratio(f)
-            reps[mm] = check_prop_quadratic(f, g, ratio)
+            reps[mm] = check_prop_quadratic(f, g, ratio, monotone_map(f, g))
         if reps[m].passed and reps[2 * m].passed:
             passed += 1
         if refinement_consistent(reps[m], reps[2 * m]):
@@ -139,7 +139,7 @@ def test_criterion_3_interval_lemma_suites():
     for _ in range(20):
         f = build_density(draw_source_spec(rng), grid)
         g = random_smooth_density(rng, grid)
-        if check_lemma_lambda(f, g).passed:
+        if check_lemma_lambda(f, g, monotone_map(f, g)).passed:
             lam_pass += 1
 
     seg_pass = 0
@@ -202,7 +202,7 @@ def test_criterion_4_triangular_transport_suite():
         f2 = build_density(random_logconcave_spec_nd(rng, 2, grid2.origin, grid2.side), grid2)
         g2 = random_smooth_density(rng, grid2)
         r2 = max(estimate_axis_convexity_ratio(f2), estimate_axis_convexity_ratio(g2))
-        rep = check_theorem31(f2, g2, r2)
+        rep = check_theorem31(f2, g2, r2, knothe_map(f2, g2))
         n_pairs += 1
         n_pass += int(rep.passed and check_facet_preservation(knothe_map(f2, g2)).passed)
     for k in range(4):
@@ -210,7 +210,7 @@ def test_criterion_4_triangular_transport_suite():
         f3 = build_density(random_logconcave_spec_nd(rng, 3, grid3.origin, grid3.side), grid3)
         g3 = random_smooth_density(rng, grid3)
         r3 = max(estimate_axis_convexity_ratio(f3), estimate_axis_convexity_ratio(g3))
-        rep = check_theorem31(f3, g3, r3)
+        rep = check_theorem31(f3, g3, r3, knothe_map(f3, g3))
         n_pairs += 1
         n_pass += int(rep.passed)
 

@@ -702,7 +702,7 @@ DEFECTS = {
     "rem-5.1-mass": "the row sums are symmetric about 0 at every n, so no factor on them or on "
                     "a constant moves the fraction at or below 0; only a shifted draw fails it",
     "rem-5.1-t-star-closed": ("counterexample",
-                              (cube_transport.concentration, "equicorrelated_row_sums", 1.5),
+                              (cube_transport.concentration, "_row_sums", 1.5),
                               {"rem-5.1-t-star-closed-n256", "rem-5.1-t-star-closed-n1024",
                                "rem-5.1-t-star-closed-n4096", "rem-5.1-t-star"}),
     "rem-5.1-cube": ("counterexample", (cube_transport.cli, "LOG10_REJECTION_LIMIT", 1e3),
@@ -789,8 +789,8 @@ def test_mass_normalization_fails_on_a_planted_scale(tmp_path, monkeypatch):
 def test_slope_row_fails_on_an_n_dependent_scale(tmp_path, monkeypatch):
     # row sums n^0.2 too wide lift the fitted slope 0.2 above its closed
     # form's, and every t*(n) off its closed form; no uniform factor moves a slope
-    row_sums = cube_transport.concentration.equicorrelated_row_sums
-    monkeypatch.setattr(cube_transport.concentration, "equicorrelated_row_sums",
+    row_sums = cube_transport.concentration._row_sums
+    monkeypatch.setattr(cube_transport.concentration, "_row_sums",
                         lambda n, *args: _scaled(row_sums, n ** 0.2)(n, *args))
     assert _failures(tmp_path, "counterexample") == (1, {
         "rem-5.1-slope", "rem-5.1-t-star", "rem-5.1-t-star-closed-n256",

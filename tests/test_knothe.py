@@ -588,7 +588,7 @@ def test_axis_marginal_cdf_is_cdf():
 def test_theorem_quadratic_bound_anchor():
     f, g = product_pair()
     ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))
-    rep = check_theorem31(f, g, ratio)
+    rep = check_theorem31(f, g, ratio, knothe_map(f, g))
     assert rep.passed
     assert rep.constant_used == pytest.approx(40.0 / 9.0)
     assert rep.lhs == pytest.approx(2.0 / 30.0, abs=2e-3)
@@ -601,7 +601,7 @@ def test_theorem_quadratic_bound_random_logconcave(seed):
     f = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
     g = build_density(random_logconcave_spec_nd(rng, 2, grid.origin, grid.side), grid)
     ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))
-    rep = check_theorem31(f, g, ratio)
+    rep = check_theorem31(f, g, ratio, knothe_map(f, g))
     assert rep.passed
 
 

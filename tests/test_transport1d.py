@@ -21,6 +21,7 @@ from cube_transport import (
     check_segment_bound,
     displacement_cost,
     estimate_axis_convexity_ratio,
+    knothe_map,
     log_gap,
     mixed_cost,
     monotone_map,
@@ -221,7 +222,7 @@ def test_pushforward_cdf_matches_target():
 def test_quadratic_inequality_uniform_to_linear():
     f, g = uniform_1d(), linear_1d()
     ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))
-    rep = check_prop_quadratic(f, g, ratio)
+    rep = check_prop_quadratic(f, g, ratio, monotone_map(f, g))
     assert rep.passed
     assert rep.constant_used == pytest.approx(40.0 / 9.0)
     assert rep.lhs == pytest.approx(1.0 / 30.0, abs=1e-3)
@@ -229,7 +230,7 @@ def test_quadratic_inequality_uniform_to_linear():
 
 def test_lemma_lambda_uniform_to_linear():
     f, g = uniform_1d(), linear_1d()
-    rep = check_lemma_lambda(f, g)
+    rep = check_lemma_lambda(f, g, monotone_map(f, g))
     assert rep.passed
     assert rep.constant_used == pytest.approx(10.0 / 3.0)
 
@@ -241,8 +242,9 @@ def test_quadratic_inequality_random_logconcave(seed):
     f = build_density(random_logconcave_spec_1d(rng), grid)
     g = build_density(random_logconcave_spec_1d(rng), grid)
     ratio = max(estimate_axis_convexity_ratio(f), estimate_axis_convexity_ratio(g))
-    assert check_prop_quadratic(f, g, ratio).passed
-    assert check_lemma_lambda(f, g).passed
+    tmap = monotone_map(f, g)
+    assert check_prop_quadratic(f, g, ratio, tmap).passed
+    assert check_lemma_lambda(f, g, tmap).passed
 
 
 def test_segment_bound_gaussian():
@@ -278,9 +280,10 @@ def test_segment_bound_needs_a_segment_of_the_unit_interval(a, b):
                                             (unit_cube_grid(2, 8), unit_cube_grid(2, 8))],
                          ids=["m-8-9", "2d"])
 def test_1d_checks_need_one_1d_grid(f_grid, g_grid):
+    # the map of f onto itself leaves the pair to the check's own guard
     f, g = build_density(Uniform(), f_grid), build_density(Uniform(), g_grid)
     with pytest.raises(DensityError, match="must share the same 1d grid"):
-        check_prop_quadratic(f, g, 1.0)
+        check_prop_quadratic(f, g, 1.0, knothe_map(f, f))
 
 
 @pytest.mark.parametrize("check", [lambda f, g, t: check_prop_quadratic(f, g, 1.0, t),
