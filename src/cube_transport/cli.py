@@ -48,9 +48,8 @@ from .families import (draw_trig_coeffs, random_center_test_function,
 from .functionals import (check_tire_le_entropy,
                           check_transport_entropy_sandwich, legendre_tire_bound,
                           relative_entropy)
-from .knothe import (check_facet_preservation, check_theorem31, cost_split,
-                     displacement_cost, knothe_map, pushforward_error,
-                     tire_bracket)
+from .knothe import (check_facet_preservation, check_theorem31, displacement_cost,
+                     knothe_map, pushforward_error, tire_bracket)
 from .reports import CSV_HEADER, make_report, refinement_report
 from .sampler import (LOG10_REJECTION_LIMIT, MAX_POINT_BUDGET, SEED_LIMIT,
                       philox)
@@ -209,10 +208,13 @@ def check_grid_limits(command: str, cfg: dict) -> None:
 
 
 def scan_triples(m: int, dim: int) -> int:
-    """Upper bound on the triples density-check scans per density: at gap t the
-    (3^dim - 1)/2 midpoint directions hold ((3m - 4t)^dim - m^dim)/2 (gap 1 twice),
-    the axis ratios of f and its marginal m - 2j per line at gap 2j, and 2^13 a step."""
+    """Upper bound on the triples density-check scans per density: none where
+    m <= 2 leaves no gap. Else at gap t the (3^dim - 1)/2 midpoint directions
+    hold ((3m - 4t)^dim - m^dim)/2 (gap 1 twice), the axis ratios of f and its
+    marginal m - 2j per line at gap 2j, and 2^13 a step."""
     gaps = (m - 1) // 2
+    if gaps == 0:  # the midpoint check lists no direction, the ratios scan no line
+        return 0
     lines = dim * m ** (dim - 1) + (dim - 1) * m ** max(dim - 2, 0)
     steps = 2 * 3 ** dim + (3 ** dim - 1) // 2 * (gaps + 1) + (2 * dim - 1) * gaps
     total = lines * gaps * (m - gaps - 1) + steps * _SCAN_STEP_TRIPLES
@@ -334,7 +336,7 @@ def suite_verify_knothe(cfg) -> dict:
     f0, g0 = _anchor_pair(2, 64)
     m0 = f0.grid.cells_per_axis
     t0 = knothe_map(f0, g0)
-    metrics["anchor_cost"] = anchor_cost = displacement_cost(t0, f0)
+    metrics["anchor_cost"] = displacement_cost(t0, f0)
     metrics["anchor_tire"] = tire_bracket(f0, g0, t0)
     reports.append(check_theorem31(f0, g0, estimate_axis_convexity_ratio(f0), t0))
     reports.append(check_facet_preservation(t0))
@@ -344,9 +346,6 @@ def suite_verify_knothe(cfg) -> dict:
     ks_const = np.sqrt(np.log(2 * f0.grid.dim / KS_FAILURE_PROBABILITY) / 2.0)
     reports.append(make_report("pushforward-ks", ks, 1.0 / np.sqrt(cfg["n_samples"]),
                                ks_const, grid_m=m0))
-    base_cost, fiber_cost = cost_split(t0, f0)
-    split_gap = abs(anchor_cost - base_cost - fiber_cost)
-    reports.append(make_report("cost-decomposition", split_gap, 0.0, 1.0, grid_m=m0))
     # random pairs in 2d, one in 3d
     grids = [unit_cube_grid(2, min(cfg["m"], 32))] * cfg["pairs"] + [unit_cube_grid(3, 16)]
     for g_grid in grids:
@@ -420,13 +419,13 @@ def suite_concentration(cfg) -> dict:
         d = build_density(spec, grid)
         curv = estimate_diag_second_derivative_bound(d)
         metrics[f"curvature_bound_n{n}"] = curv
-        # one alpha: on the unit cube Theorem 1.2's 3 r_from_m(curv) is Theorem 1.1's
+        # on the unit cube Theorem 1.2's 3 r_from_m(curv) is Theorem 1.1's alpha,
+        # so one profile checks both
         alpha = alpha_theorem1(max(curv, 0.0))
         u = np.zeros(n)
         u[0] = 1.0
-        for tag, name in (("thm1", "thm-1.1"), ("ratio", "thm-1.2")):
-            profiles.append(halfspace_profile(d, u, ts, alpha, label=f"gaussian-n{n}-{tag}"))
-            reports.append(check_concentration(profiles[-1], name, grid_m=m, note=f"n={n}"))
+        profiles.append(halfspace_profile(d, u, ts, alpha, label=f"gaussian-n{n}-thm1"))
+        reports.append(check_concentration(profiles[-1], "thm-1.1", grid_m=m, note=f"n={n}"))
         metrics[f"covariance_ratio_n{n}"] = covariance_ratio(d, alpha)
         fit = lipschitz_tail(d, ts[1:], alpha, u)
         metrics[f"tail_rate_n{n}"] = fit.rate

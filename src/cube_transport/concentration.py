@@ -71,7 +71,10 @@ def _validate_ts(ts) -> np.ndarray:
 
 
 def _unit(direction, dim: int) -> np.ndarray:
-    u = np.asarray(direction, dtype=float).reshape(dim)
+    u = np.asarray(direction, dtype=float)  # None reads as nan
+    if u.size != dim or not np.all(np.isfinite(u)):
+        raise DensityError(f"direction must be {dim} finite numbers")
+    u = u.reshape(dim)
     norm = float(np.sqrt((u * u).sum()))
     if norm <= 0:
         raise DensityError("direction must be nonzero")
@@ -126,7 +129,7 @@ def _grid_halfspace_masses(mu: GridDensity, u: np.ndarray, ts: np.ndarray):
     return c, np.interp(c + ts, nodes, cdf)
 
 
-def check_concentration(profile: ConcentrationProfile, name: str = "thm-1.2",
+def check_concentration(profile: ConcentrationProfile, name: str,
                         grid_m: int = 0, note: str = "") -> VerificationReport:
     """Pass when measured + 3 SE >= bound at every offset.
 

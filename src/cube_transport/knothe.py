@@ -311,13 +311,6 @@ def displacement_cost(tmap: KnotheMap, f: GridDensity) -> float:
     return f.total_mass * float(tmap.square_sums.sum()) / 3.0
 
 
-def cost_split(tmap: KnotheMap, f: GridDensity) -> tuple:
-    """(leading-coordinate cost, last-coordinate cost); they sum to the total."""
-    _check_map(tmap, f)
-    return (f.total_mass * float(tmap.square_sums[:-1].sum()) / 3.0,
-            f.total_mass * float(tmap.square_sums[-1]) / 3.0)
-
-
 def tire_bracket(f: GridDensity, g: GridDensity, tmap: KnotheMap = None) -> float:
     """integral of f log(g(T x)/f) - grad f . (T x - x), with grad f taken as
     a distribution, less mass_f log(mass_g / mass_f): the lower bound for the

@@ -31,11 +31,10 @@ TOLERANCES = {
     **dict.fromkeys(["prop-2.1", "lem-2.2", "lem-2.4", "lem-2.5"], _BLANKET),
     "eq-2.3": (0.05, 1e-12), "prop-2.1-refinement": _STRICT,
     **dict.fromkeys(["thm-3.1", "facet-preservation", "pushforward-ks"], _BLANKET),
-    "cost-decomposition": (0.05, 1e-9),
     # tire, concentration and counterexample
     **dict.fromkeys(["lem-4.1", "eq-4.2", "sandwich-w2-knothe", "thm-4.2",
                      "sandwich-knothe-entropy", "cor-1.3", "negative-control", "thm-1.1",
-                     "thm-1.2", "cor-4.5-poincare", "cor-4.5-lsi"], _BLANKET),
+                     "cor-4.5-poincare", "cor-4.5-lsi"], _BLANKET),
     **dict.fromkeys(["rem-5.1-mass", "rem-5.1-t-star-closed", "rem-5.1-cube",
                      "rem-5.1-slope", "rem-5.1-t-star"], _STRICT),
 }

@@ -34,7 +34,6 @@ from cube_transport import (
 )
 from cube_transport import cli, knothe
 from cube_transport.functionals import triangular_coupling, triangular_coupling_cost
-from cube_transport.knothe import cost_split
 from cube_transport.families import (draw_trig_coeffs, random_logconcave_spec_nd,
                                      random_smooth_density, trig_density)
 
@@ -515,10 +514,9 @@ def test_pushforward_marginals_close():
 
 @pytest.mark.parametrize("use", [
     lambda tmap, f, g: displacement_cost(tmap, f),
-    lambda tmap, f, g: cost_split(tmap, f),
     lambda tmap, f, g: tire_bracket(f, g, tmap),
     lambda tmap, f, g: pushforward_error(tmap, f, g, n_samples=100),
-], ids=["displacement_cost", "cost_split", "tire_bracket", "pushforward_error"])
+], ids=["displacement_cost", "tire_bracket", "pushforward_error"])
 def test_map_of_another_grid_is_rejected(use):
     # the 8x8 anchor map of uniform -> prod 2x_i on the 16x16 pair: same
     # dimension, so only the grid check can tell it is the wrong map
@@ -529,7 +527,6 @@ def test_map_of_another_grid_is_rejected(use):
 
 MAP_READERS = {  # reader of (tmap, f, g), its dimension, whether it reads g
     "displacement_cost": (lambda tmap, f, g: displacement_cost(tmap, f), 2, False),
-    "cost_split": (lambda tmap, f, g: cost_split(tmap, f), 2, False),
     "tire_bracket": (lambda tmap, f, g: tire_bracket(f, g, tmap), 2, True),
     "pushforward_error": (lambda tmap, f, g: pushforward_error(tmap, f, g, n_samples=100),
                           2, True),
@@ -658,8 +655,8 @@ def test_exact_values_move_less_under_refinement_than_the_quadrature(dim, m, key
 
 # ---------------------------------------------------------------- planted defects
 
-# facet-preservation, cost-decomposition and pushforward-ks hold by
-# construction for the exact map; each must still fail on a planted defect
+# facet-preservation and pushforward-ks hold by construction for the exact
+# map; each must still fail on a planted defect
 
 
 def _verify_knothe(**overrides):
@@ -674,7 +671,6 @@ def _verify_knothe(**overrides):
 def test_verify_knothe_rows_hold_on_the_exact_map():
     rows = _verify_knothe()
     assert rows["facet-preservation"].lhs == 0.0
-    assert rows["cost-decomposition"].lhs <= 1e-15
     assert rows["pushforward-ks"].lhs <= 2.0 / np.sqrt(cli.DEFAULTS["n_samples"])
     assert all(r.passed for r in rows.values())
 
@@ -693,15 +689,6 @@ def test_facet_row_fails_when_a_facet_point_moves(monkeypatch):
     monkeypatch.setattr(cli, "knothe_map", shifted)
     rep = _verify_knothe()["facet-preservation"]
     assert rep.lhs == pytest.approx(3.0 / 64.0) and not rep.passed
-
-
-def test_cost_decomposition_row_fails_on_a_wrong_split(monkeypatch):
-    def split(tmap, f):
-        lead, last = cost_split(tmap, f)
-        return lead + 1e-6, last
-    monkeypatch.setattr(cli, "cost_split", split)
-    rep = _verify_knothe()["cost-decomposition"]
-    assert rep.lhs == pytest.approx(1e-6) and not rep.passed
 
 
 def test_pushforward_row_fails_for_the_identity_on_a_non_uniform_target(monkeypatch):

@@ -14,17 +14,17 @@ from cube_transport.reports import (
 
 BLANKET = {"prop-2.1", "lem-2.2", "lem-2.4", "lem-2.5", "thm-3.1", "facet-preservation",
            "pushforward-ks", "lem-4.1", "eq-4.2", "sandwich-w2-knothe", "thm-4.2",
-           "sandwich-knothe-entropy", "cor-1.3", "negative-control", "thm-1.1", "thm-1.2",
+           "sandwich-knothe-entropy", "cor-1.3", "negative-control", "thm-1.1",
            "cor-4.5-poincare", "cor-4.5-lsi"}
 
 
 def test_default_tolerances():
-    # 18 families share the 5% rule with the 1e-6 floor; the other 11 are pinned
+    # 17 families share the 5% rule with the 1e-6 floor; the other 10 are pinned
     assert {f for f, rule in TOLERANCES.items() if rule == (0.05, 1e-6)} == BLANKET
     assert {f: rule for f, rule in TOLERANCES.items() if f not in BLANKET} == {
         "mass-normalization": (0.05, 1e-12), "midpoint-log-concavity": (0.05, 1e-9),
         "marginal-ratio-monotone": (0.0, 1e-9), "eq-2.3": (0.05, 1e-12),
-        "prop-2.1-refinement": (0.0, 0.0), "cost-decomposition": (0.05, 1e-9),
+        "prop-2.1-refinement": (0.0, 0.0),
         "rem-5.1-mass": (0.0, 0.0), "rem-5.1-t-star-closed": (0.0, 0.0),
         "rem-5.1-cube": (0.0, 0.0), "rem-5.1-slope": (0.0, 0.0), "rem-5.1-t-star": (0.0, 0.0)}
 
@@ -80,7 +80,7 @@ def test_abs_tol_guards_tiny_rhs():
     assert not rep.passed
     # each family reads its own floor
     assert not make_report("mass-normalization-source", 5e-7, 0.0, 1.0).passed
-    assert make_report("cost-decomposition", 5e-10, 0.0, 1.0).passed
+    assert make_report("midpoint-log-concavity-source", 5e-10, 0.0, 1.0).passed
 
 
 def test_slack_sign_matches_pass():
